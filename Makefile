@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # Coverage floor lives in pyproject.toml ([tool.coverage.report]).
 COV_FAIL_UNDER = $(shell sed -n 's/^fail_under *= *//p' pyproject.toml)
 
-.PHONY: check lint test smoke replay-smoke fault-smoke engine-smoke service-smoke trace-smoke shard-smoke bench-check coverage bench-trajectory
+.PHONY: check lint test smoke replay-smoke fault-smoke engine-smoke service-smoke trace-smoke bench-check coverage bench-trajectory
 
 check:
 	@MAKE="$(MAKE)" sh tools/check.sh
@@ -44,11 +44,6 @@ service-smoke:
 trace-smoke:
 	$(PYTHON) -m repro.devtools.trace_smoke
 
-# Chaos run at K=1 vs K=4 shards: byte-identical results, journals and
-# traces (modulo shard provenance), plus a mid-run freeze/revive leg.
-shard-smoke:
-	$(PYTHON) -m repro.devtools.shard_smoke
-
 bench-check:
 	$(PYTHON) -m benchmarks.check_regression
 
@@ -65,10 +60,8 @@ coverage:
 
 # Appends one line each to benchmarks/results/trajectory.jsonl (cron job):
 # placement microbench + end-to-end engine throughput (gate config) +
-# trace-ingestion throughput (rows/sec, peak RSS) + sharded-engine
-# scaling (gate config at K=1 and K=4, identity-checked).
+# trace-ingestion throughput (rows/sec, peak RSS).
 bench-trajectory:
 	$(PYTHON) -m benchmarks.placement_microbench --append benchmarks/results/trajectory.jsonl
 	$(PYTHON) -m benchmarks.engine_bench --append benchmarks/results/trajectory.jsonl
 	$(PYTHON) -m benchmarks.ingest_bench --append benchmarks/results/trajectory.jsonl
-	$(PYTHON) -m benchmarks.shard_bench --append benchmarks/results/trajectory.jsonl

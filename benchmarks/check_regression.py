@@ -18,12 +18,6 @@ the recorded one bit-for-bit, and the ingest check does the same for
 job/task yield: both subsystems' contract is *faster, not different*,
 so a drift is a correctness regression even at blazing speed.
 
-The shard gate re-measures the ``gate`` config of
-:mod:`benchmarks.shard_bench` at K=1 and K=4 and enforces *exact*
-flowtime/event-count identity across K (the merge-barrier contract of
-DESIGN.md §5.10) plus the recorded ≥1.5× events/sec speedup of the
-100K-server reference at K≥4.
-
 A missing or schema-mismatched baseline file is a hard failure naming
 the file and the expected keys — never a silent pass and never a bare
 ``KeyError`` traceback: a gate that cannot find its yardstick must not
@@ -39,7 +33,6 @@ Regenerate the recorded baselines with::
     PYTHONPATH=src python -m pytest benchmarks/test_overhead.py
     PYTHONPATH=src python -m benchmarks.engine_bench --write-baseline
     PYTHONPATH=src python -m benchmarks.ingest_bench --write-baseline
-    PYTHONPATH=src python -m benchmarks.shard_bench --write-baseline
 """
 
 from __future__ import annotations
@@ -61,10 +54,6 @@ from benchmarks.conftest import RESULTS_DIR, SEED
 
 #: Fail when a fresh mean exceeds recorded mean by more than this factor.
 MAX_SLOWDOWN = 2.0
-
-#: The shard acceptance bar: recorded ref100k events/sec at K=4 must be
-#: at least this multiple of the K=1 baseline.
-MIN_SHARD_SPEEDUP = 1.5
 
 _MEAN_RE = re.compile(r"mean ([0-9.]+) ms")
 
@@ -274,109 +263,6 @@ def check_ingest_gate() -> bool:
     return failed
 
 
-_SHARD_GATE_KEYS = (
-    "events_per_sec",
-    "total_flowtime",
-    "events",
-    "copies_launched",
-    "shards",
-)
-
-
-def recorded_shard_gate() -> tuple[dict[int, dict], dict]:
-    """The ``gate``-config records (keyed by K) and the ``ref100k``
-    speedup map from ``BENCH_shard.json``.
-
-    Raises :class:`BaselineError` (naming the file and the expected
-    keys) when the baseline file is missing or schema-mismatched.
-    """
-    from benchmarks.shard_bench import BASELINE_PATH, MIN_GATE_SHARDS
-
-    if not BASELINE_PATH.exists():
-        raise BaselineError(
-            f"{BASELINE_PATH}: baseline file missing (expected keys "
-            f"{list(_SHARD_GATE_KEYS)} in the gate runs plus "
-            "speedups.ref100k) — run "
-            "`python -m benchmarks.shard_bench --write-baseline` first"
-        )
-    measured = json.loads(BASELINE_PATH.read_text()).get("measured", {})
-    gate_runs: dict[int, dict] = {}
-    for run in measured.get("runs", []):
-        if run.get("config") == "gate":
-            _require_keys(run, _SHARD_GATE_KEYS, BASELINE_PATH, "gate run")
-            gate_runs[int(run["shards"])] = run
-    for k in (1, MIN_GATE_SHARDS):
-        if k not in gate_runs:
-            raise BaselineError(
-                f"{BASELINE_PATH}: no (config='gate', shards={k}) run in "
-                f"measured.runs (expected keys {list(_SHARD_GATE_KEYS)}) — "
-                "regenerate with "
-                "`python -m benchmarks.shard_bench --write-baseline`"
-            )
-    speedups = measured.get("speedups", {})
-    if "ref100k" not in speedups or str(MIN_GATE_SHARDS) not in speedups["ref100k"]:
-        raise BaselineError(
-            f"{BASELINE_PATH}: measured.speedups.ref100k['{MIN_GATE_SHARDS}'] "
-            "missing — the 100K-server acceptance ratio was never recorded; "
-            "regenerate with `python -m benchmarks.shard_bench --write-baseline`"
-        )
-    return gate_runs, speedups
-
-
-def check_shard_gate() -> bool:
-    """Sharded-engine identity + scaling check.  Returns True on failure.
-
-    Three assertions: the recorded 100K-server events/sec speedup at K=4
-    meets the ≥1.5× acceptance bar; a fresh gate-config run is
-    bit-identical across K=1 and K=4 (and to the recorded identity
-    values — the merge-barrier contract); and the fresh K=4 rate is
-    within the usual 2x slack of the recorded one."""
-    from benchmarks.shard_bench import MIN_GATE_SHARDS
-
-    try:
-        gate_runs, speedups = recorded_shard_gate()
-    except BaselineError as err:
-        _print_baseline_error("shard_gate", err)
-        return True
-    failed = False
-
-    ratio = speedups["ref100k"][str(MIN_GATE_SHARDS)]
-    verdict = "OK" if ratio >= MIN_SHARD_SPEEDUP else "REGRESSION"
-    print(
-        f"shard_gate: recorded ref100k K={MIN_GATE_SHARDS} speedup "
-        f"{ratio:.2f}x (bar >= {MIN_SHARD_SPEEDUP}x) — {verdict}"
-    )
-    if ratio < MIN_SHARD_SPEEDUP:
-        failed = True
-
-    # Fresh runs in clean interpreters, same protocol as the recording.
-    from benchmarks.shard_bench import _measure_subprocess
-
-    fresh = {k: _measure_subprocess("gate", k) for k in (1, MIN_GATE_SHARDS)}
-    for key in ("total_flowtime", "events", "copies_launched"):
-        values = {
-            "recorded": gate_runs[1][key],
-            "fresh K=1": fresh[1][key],
-            f"fresh K={MIN_GATE_SHARDS}": fresh[MIN_GATE_SHARDS][key],
-        }
-        if len(set(map(repr, values.values()))) != 1:
-            print(f"shard_gate: {key} diverged — {values!r} — IDENTITY REGRESSION")
-            failed = True
-
-    recorded_k = gate_runs[MIN_GATE_SHARDS]
-    rate = recorded_k["events_per_sec"] / fresh[MIN_GATE_SHARDS]["events_per_sec"]
-    verdict = "OK" if rate <= MAX_SLOWDOWN else "REGRESSION"
-    print(
-        f"shard_gate: recorded {recorded_k['events_per_sec']:.1f} ev/s at "
-        f"K={MIN_GATE_SHARDS}, fresh "
-        f"{fresh[MIN_GATE_SHARDS]['events_per_sec']:.1f} ev/s "
-        f"({rate:.2f}x slower) — {verdict}"
-    )
-    if rate > MAX_SLOWDOWN:
-        failed = True
-    return failed
-
-
 def check_overhead() -> bool:
     """The two hot-path microbenchmarks.  Returns True on failure."""
     checks = [
@@ -405,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--gate",
-        choices=("all", "overhead", "engine", "ingest", "shard"),
+        choices=("all", "overhead", "engine", "ingest"),
         default="all",
         help="which subsystem's regression gate to run (default: all)",
     )
@@ -417,8 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.gate in ("all", "engine") and check_engine_gate():
         failed = True
     if args.gate in ("all", "ingest") and check_ingest_gate():
-        failed = True
-    if args.gate in ("all", "shard") and check_shard_gate():
         failed = True
     return 1 if failed else 0
 

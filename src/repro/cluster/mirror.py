@@ -39,7 +39,7 @@ Invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -47,26 +47,34 @@ from repro.resources import EPS, Resources
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import Server
-    from repro.sim.shard import ShardMap
 
-__all__ = ["AvailabilityMirror"]
+__all__ = ["AvailabilityMirror", "BLOCK_SIZE"]
+
+#: Servers per block of the placement index (DESIGN.md §5.10).  Block k
+#: covers ids ``[k*BLOCK_SIZE, min((k+1)*BLOCK_SIZE, M))``.  Chosen by a
+#: benchmark sweep; any value >= 1 gives bit-identical placements.
+BLOCK_SIZE = 4096
+
+#: Slots rebuilt on restore rather than pickled: the block size comes
+#: from the module constant, the bounds are re-tightened from the arrays.
+_INDEX_SLOTS = frozenset({"_block", "_ub_cpu", "_ub_mem"})
 
 
 class AvailabilityMirror:
     """Incrementally-maintained SoA view of a cluster's availability.
 
-    Sharded mode (DESIGN.md §5.10): :meth:`bind_shards` splits the
-    arrays into K contiguous blocks and maintains a per-shard
-    *stale-high* availability bound — an upper bound on every server's
-    ``avail`` in the block, kept valid for free because allocation only
-    shrinks availability (releases max-update the bound; full block
-    evaluations tighten it exactly).  The blocked kernels scan shards in
-    ascending id order and skip any block whose bound proves it cannot
+    Block-bound placement index (DESIGN.md §5.10): the arrays split into
+    contiguous blocks of ``BLOCK_SIZE`` servers, each with a *stale-high*
+    availability bound — an upper bound on every member's ``avail``,
+    kept valid for free because allocation only shrinks availability
+    (releases and recoveries max-update the bound; a full block
+    evaluation tightens it exactly).  :meth:`scan_blocks` scans blocks in
+    ascending id order and skips any block whose bound proves it cannot
     beat the current best, which preserves bitwise identity: max/argmax
     combines are compare-only (regrouping-safe), ties already resolve to
     the lowest server id, and the accounting sums below deliberately
-    stay global full-array reductions (``np.sum`` is *not*
-    regrouping-safe, so per-shard partial sums would drift in ulps).
+    stay full-array reductions (``np.sum`` is *not* regrouping-safe, so
+    per-block partial sums would drift in ulps).
     """
 
     __slots__ = (
@@ -80,19 +88,13 @@ class AvailabilityMirror:
         "_coalescing",
         "_pending",
         "_alloc_cache",
-        "_shard_slices",
-        "_shard_of",
+        "_block",
         "_ub_cpu",
         "_ub_mem",
     )
 
     def __init__(self, servers: Sequence["Server"]) -> None:
         m = len(servers)
-        # Sharded-mode state (bind_shards); None/empty when unsharded.
-        self._shard_slices: list[tuple[int, int]] | None = None
-        self._shard_of: list[int] | None = None
-        self._ub_cpu: list[float] = []
-        self._ub_mem: list[float] = []
         # Coalesced-update window (batched event drains): while open,
         # ``update`` calls park the server in ``_pending`` instead of
         # storing immediately; ``flush`` replays each parked server's
@@ -118,6 +120,11 @@ class AvailabilityMirror:
         #: from every feasibility mask regardless of their availability
         #: floats, matching ``Server.can_fit``'s up-check exactly.
         self.up = np.empty(m, dtype=bool)
+        # Every bound starts at -inf; refresh's per-server updates then
+        # max-fold each block up to its exact maximum.
+        self._block = BLOCK_SIZE
+        self._ub_cpu = [-np.inf] * self.num_blocks()
+        self._ub_mem = [-np.inf] * self.num_blocks()
         self.refresh(servers)
 
     # ------------------------------------------------------------------
@@ -129,40 +136,28 @@ class AvailabilityMirror:
         for s in servers:
             self.update(s)
 
-    def bind_shards(self, shard_map: "ShardMap") -> None:
-        """Enable the blocked kernels over a contiguous shard map.
-
-        Idempotent per map; rebinding with a different K rebuilds the
-        bounds.  Non-contiguous maps are rejected — they shard the event
-        queue but not the mirror (the engine only binds contiguous ones).
-        """
-        if not shard_map.contiguous:
-            raise ValueError("mirror sharding requires a contiguous shard map")
-        if shard_map.num_servers != len(self.cap_cpu):
-            raise ValueError(
-                f"shard map covers {shard_map.num_servers} servers, "
-                f"mirror holds {len(self.cap_cpu)}"
-            )
-        slices = shard_map.slices
-        self._shard_slices = slices
-        of = [0] * shard_map.num_servers
-        for k, (lo, hi) in enumerate(slices):
-            for i in range(lo, hi):
-                of[i] = k
-        self._shard_of = of
-        self._retighten_bounds()
+    def num_blocks(self) -> int:
+        return -(-len(self.cap_cpu) // self._block)
 
     def _retighten_bounds(self) -> None:
-        """Recompute every shard's availability bound exactly."""
-        slices = self._shard_slices
-        assert slices is not None
-        self._ub_cpu = [
-            float(self.avail_cpu[lo:hi].max()) if hi > lo else -np.inf
-            for lo, hi in slices
-        ]
-        self._ub_mem = [
-            float(self.avail_mem[lo:hi].max()) if hi > lo else -np.inf
-            for lo, hi in slices
+        """Recompute every block's availability bound exactly."""
+        starts = np.arange(0, len(self.cap_cpu), self._block)
+        if not len(starts):
+            self._ub_cpu, self._ub_mem = [], []
+            return
+        self._ub_cpu = np.maximum.reduceat(self.avail_cpu, starts).tolist()
+        self._ub_mem = np.maximum.reduceat(self.avail_mem, starts).tolist()
+
+    def loose_bounds(self) -> list[int]:
+        """Blocks whose bound is *below* a member's availability — always
+        empty unless the index is broken (the sanitizer's check).  Read-
+        only: parked updates are in neither the arrays nor the bounds."""
+        block = self._block
+        return [
+            k
+            for k, (bc, bm) in enumerate(zip(self._ub_cpu, self._ub_mem))
+            if bc < self.avail_cpu[k * block : (k + 1) * block].max()
+            or bm < self.avail_mem[k * block : (k + 1) * block].max()
         ]
 
     def update(self, server: "Server") -> None:
@@ -184,15 +179,14 @@ class AvailabilityMirror:
         self.alloc_cpu[i] = alloc.cpu
         self.alloc_mem[i] = alloc.mem
         self.up[i] = server.up
-        if self._shard_of is not None:
-            # Stale-high bound: only growth (releases/recoveries) must
-            # be folded in immediately; shrink is tolerated until the
-            # next full block evaluation tightens the bound.
-            k = self._shard_of[i]
-            if avail.cpu > self._ub_cpu[k]:
-                self._ub_cpu[k] = avail.cpu
-            if avail.mem > self._ub_mem[k]:
-                self._ub_mem[k] = avail.mem
+        # Stale-high bound: only growth (releases/recoveries) must be
+        # folded in immediately; shrink is tolerated until the next full
+        # block evaluation tightens the bound.
+        k = i // self._block
+        if avail.cpu > self._ub_cpu[k]:
+            self._ub_cpu[k] = avail.cpu
+        if avail.mem > self._ub_mem[k]:
+            self._ub_mem[k] = avail.mem
 
     def begin_coalesce(self) -> None:
         """Open a deferred-update window: ``update`` calls park servers
@@ -218,7 +212,7 @@ class AvailabilityMirror:
         avail_cpu, avail_mem = self.avail_cpu, self.avail_mem
         alloc_cpu, alloc_mem = self.alloc_cpu, self.alloc_mem
         up = self.up
-        shard_of = self._shard_of
+        block = self._block
         ub_cpu, ub_mem = self._ub_cpu, self._ub_mem
         for i, server in pending.items():
             avail = server.available
@@ -228,12 +222,11 @@ class AvailabilityMirror:
             alloc_cpu[i] = alloc.cpu
             alloc_mem[i] = alloc.mem
             up[i] = server.up
-            if shard_of is not None:
-                k = shard_of[i]
-                if avail.cpu > ub_cpu[k]:
-                    ub_cpu[k] = avail.cpu
-                if avail.mem > ub_mem[k]:
-                    ub_mem[k] = avail.mem
+            k = i // block
+            if avail.cpu > ub_cpu[k]:
+                ub_cpu[k] = avail.cpu
+            if avail.mem > ub_mem[k]:
+                ub_mem[k] = avail.mem
         pending.clear()
 
     # ------------------------------------------------------------------
@@ -272,64 +265,123 @@ class AvailabilityMirror:
         straggler-avoidance hook).  Equal scores resolve to the lowest
         server id.
         """
-        if weights is None and self._shard_slices is not None:
-            return self._best_fit_sharded(demand)
-        fits = self.fitting_mask(demand)
-        if not fits.any():
-            return None
-        scores = demand.cpu * self.avail_cpu + demand.mem * self.avail_mem
-        if weights is not None:
-            scores = scores * weights
-        scores[~fits] = -np.inf
-        idx = int(np.argmax(scores))
-        return idx, float(scores[idx])
+        blocks = self.new_blocks(weights)
+        idx, score = self.scan_blocks(demand.cpu, demand.mem, blocks, weights)
+        return None if idx < 0 else (idx, score)
 
-    def _best_fit_sharded(self, demand: Resources) -> tuple[int, float] | None:
-        """Blocked best-fit with bound pruning — bitwise-identical to the
-        dense kernel.
+    def _index(
+        self, weights: np.ndarray | None
+    ) -> tuple[int, list[float], list[float]]:
+        """(block size, cpu bounds, mem bounds) a query scans: the
+        placement index, or for weighted scores — a weight can raise a
+        score above ``d·bound`` — one cluster-wide block whose bounds
+        never bind."""
+        if weights is None:
+            return self._block, self._ub_cpu, self._ub_mem
+        m = len(self.cap_cpu)
+        return max(m, 1), [np.inf] * min(m, 1), [np.inf] * min(m, 1)
+
+    def new_blocks(self, weights: np.ndarray | None = None) -> list:
+        """An empty per-block score cache for :meth:`scan_blocks`."""
+        return [None] * len(self._index(weights)[1])
+
+    def scan_blocks(
+        self,
+        d_cpu: float,
+        d_mem: float,
+        blocks: list,
+        weights: np.ndarray | None = None,
+    ) -> tuple[int, float]:
+        """(server_id, score) of the best fit for one demand, or ``(-1,
+        -inf)`` when nothing fits — the one best-fit kernel behind
+        :meth:`best_fit`, the task fill and the clone-fill cache.
+
+        ``blocks`` (from :meth:`new_blocks`) caches, per block, ``None``
+        (not yet scored) or ``[scores, local argmax | -1]``: the block's
+        ``d·avail`` scores (× weight), -inf where the demand does not
+        fit.  Callers that keep ``blocks`` across launches must refresh
+        the launched server through :meth:`rescore_column`.
 
         Blocks scan ascending; a block is skipped when its availability
-        bound proves no server in it fits, or no score in it can exceed
-        the current best (float multiplication/addition are weakly
-        monotone, so the bound expression ``d·ub`` dominates every
-        member's ``d·avail`` in IEEE arithmetic too).  The equality skip
-        (``<=``) is exact because an equal later-block score would lose
-        the lowest-id tie-break anyway.  Fully evaluating a block
-        tightens its bound as a byproduct.
+        bound proves no member fits, or no member's score can exceed the
+        current best (float multiplication and addition are weakly
+        monotone, so ``d·bound`` dominates every member's ``d·avail`` in
+        IEEE arithmetic too).  The equality skip (``<=``) is exact
+        because an equal later-block score would lose the lowest-id
+        tie-break anyway.  Scoring a block tightens its bound.
         """
         if self._pending:
             self.flush()
-        d_cpu, d_mem = demand.cpu, demand.mem
-        ub_cpu, ub_mem = self._ub_cpu, self._ub_mem
-        best_idx = -1
-        best_score = -np.inf
-        for k, (lo, hi) in enumerate(self._shard_slices):  # type: ignore[arg-type]
-            if hi <= lo:
-                continue
+        avail_cpu, avail_mem, up = self.avail_cpu, self.avail_mem, self.up
+        m = len(avail_cpu)
+        block, ub_cpu, ub_mem = self._index(weights)
+        best_id, best_score = -1, -np.inf
+        for k, entry in enumerate(blocks):
             bc, bm = ub_cpu[k], ub_mem[k]
             if bc + EPS < d_cpu or bm + EPS < d_mem:
                 continue
-            if best_idx >= 0 and d_cpu * bc + d_mem * bm <= best_score:
+            if best_id >= 0 and d_cpu * bc + d_mem * bm <= best_score:
                 continue
-            a_c = self.avail_cpu[lo:hi]
-            a_m = self.avail_mem[lo:hi]
-            ub_cpu[k] = float(a_c.max())
-            ub_mem[k] = float(a_m.max())
-            fits = (
-                self.up[lo:hi] & (a_c + EPS >= d_cpu) & (a_m + EPS >= d_mem)
-            )
-            if not fits.any():
-                continue
-            scores = d_cpu * a_c + d_mem * a_m
-            scores[~fits] = -np.inf
-            j = int(np.argmax(scores))
-            s = float(scores[j])
+            lo = k * block
+            if entry is None:
+                hi = min(lo + block, m)
+                a_c = avail_cpu[lo:hi]
+                a_m = avail_mem[lo:hi]
+                ub_cpu[k] = float(a_c.max())
+                ub_mem[k] = float(a_m.max())
+                row = d_cpu * a_c + d_mem * a_m
+                if weights is not None:
+                    row *= weights
+                row[~(up[lo:hi] & (a_c + EPS >= d_cpu) & (a_m + EPS >= d_mem))] = -np.inf
+                entry = [row, -1]
+                blocks[k] = entry
+            row, j = entry
+            if j < 0:  # new, or stale since its argmax column shrank
+                j = int(row.argmax())
+                entry[1] = j
+            s = float(row[j])
             if s > best_score:
-                best_idx = lo + j
-                best_score = s
-        if best_idx < 0:
-            return None
-        return best_idx, best_score
+                best_id, best_score = lo + j, s
+        return best_id, best_score
+
+    def rescore_column(
+        self,
+        server_id: int,
+        rows: Iterable[tuple[float, float, list]],
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Refresh ``server_id``'s score in every scored block of
+        ``rows`` — ``(d_cpu, d_mem, blocks)`` triples — after a launch
+        shrank its availability.
+
+        The column refresh evaluates the same IEEE expressions the block
+        build does, one server at a time.  A shrunk non-argmax column can
+        neither overtake the cached argmax nor create a new first-index
+        tie (an equal column left of it would already be the argmax), so
+        only blocks whose argmax *is* this column go stale; they are
+        marked (-1) and re-resolved lazily by :meth:`scan_blocks`, so
+        rows never queried again skip the scan.  Unscored blocks read
+        fresh state whenever they are first scored.
+        """
+        if self._pending:
+            self.flush()
+        k, col = divmod(server_id, self._index(weights)[0])
+        a_cpu = float(self.avail_cpu[server_id])
+        a_mem = float(self.avail_mem[server_id])
+        s_up = bool(self.up[server_id])
+        w = None if weights is None else weights[server_id]
+        for d_cpu, d_mem, blocks in rows:
+            entry = blocks[k]
+            if entry is None:
+                continue
+            row = entry[0]
+            if s_up and a_cpu + EPS >= d_cpu and a_mem + EPS >= d_mem:
+                score = d_cpu * a_cpu + d_mem * a_mem
+                row[col] = score if w is None else score * w
+            else:
+                row[col] = -np.inf
+            if entry[1] == col:
+                entry[1] = -1
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -359,13 +411,22 @@ class AvailabilityMirror:
     # ------------------------------------------------------------------
     # Pickling (checkpoint/restore)
     # ------------------------------------------------------------------
+    def __getstate__(self):
+        # __slots__ classes pickle as (None, {slot: value}); the index is
+        # derived state and stays out of checkpoints.
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in _INDEX_SLOTS
+        }
+
     def __setstate__(self, state) -> None:
-        # __slots__ classes pickle as (None, {slot: value}); checkpoints
-        # written before sharding lack the shard slots — default them.
+        # Checkpoints written by older builds also carry index slots
+        # (``_shard_slices``, ``_shard_of``, ``_ub_*``): everything not a
+        # persisted slot is dropped and the index rebuilt exactly.
         _, slots = state
-        slots.setdefault("_shard_slices", None)
-        slots.setdefault("_shard_of", None)
-        slots.setdefault("_ub_cpu", [])
-        slots.setdefault("_ub_mem", [])
-        for name, value in slots.items():
-            setattr(self, name, value)
+        for name in self.__slots__:
+            if name not in _INDEX_SLOTS:
+                setattr(self, name, slots[name])
+        self._block = BLOCK_SIZE
+        self._retighten_bounds()

@@ -20,6 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Server"]
 
+#: Shared resident-copy set of every idle server: most servers of a
+#: large cluster never host a copy, so none of them pays for an empty
+#: ``set``.  Immutable, so sharing it is safe.
+_IDLE: frozenset = frozenset()
+
 
 class Server:
     """A server with capacity bookkeeping for running task copies."""
@@ -63,7 +68,9 @@ class Server:
         # Availability is read millions of times per simulation (every
         # best-fit scan); keep it cached and update on allocate/release.
         self._available = capacity
-        self._running: set["TaskCopy"] = set()
+        # _IDLE until the first allocate; back to _IDLE whenever a
+        # release leaves the server empty.
+        self._running: set["TaskCopy"] | frozenset = _IDLE
         # Set by Cluster.__init__: the cluster's SoA availability mirror,
         # notified after every allocate/release so vectorized placement
         # scans stay exact.  A server belongs to at most one cluster.
@@ -108,7 +115,10 @@ class Server:
         a_mem = alloc.mem + demand.mem
         self._allocated = Resources(a_cpu, a_mem)
         self._available = Resources(max(cap.cpu - a_cpu, 0.0), max(cap.mem - a_mem, 0.0))
-        self._running.add(copy)
+        if self._running:
+            self._running.add(copy)
+        else:
+            self._running = {copy}
         if self._mirror is not None:
             self._mirror.update(self)
 
@@ -120,6 +130,7 @@ class Server:
         demand = copy.task.demand
         alloc = self._allocated
         if not self._running:
+            self._running = _IDLE
             # Snap accumulated float error back to exactly zero when idle.
             self._allocated = ZERO
         else:

@@ -15,7 +15,8 @@ Invariants checked (paper references in parentheses):
   Sec. 3 / Eq. 5), and the allocation equals the sum of the demands of
   the copies actually running there;
 * **mirror-coherence** — the SoA availability mirror holds bit-for-bit
-  the same floats as the ``Server`` objects it mirrors;
+  the same floats as the ``Server`` objects it mirrors, and every block
+  bound of its placement index is at least its members' availability;
 * **clone-bound** — no task holds more than ``1 + max_extra_clones``
   live copies (the Sec. 5 cap behind Thm. 2's speedup bound), and each
   task's cached live-copy counter matches its copy list;
@@ -278,6 +279,14 @@ class SimulationSanitizer:
                             server_id=server.server_id,
                         )
                     )
+        for k in mirror.loose_bounds():
+            out.append(
+                SanitizerViolation(
+                    InvariantKind.MIRROR_COHERENCE,
+                    f"mirror block {k}: availability bound below a member's availability",
+                    event,
+                )
+            )
         return out
 
     def _check_clone_bounds(self, event: str) -> list[SanitizerViolation]:

@@ -12,10 +12,11 @@ R_i^c·c + R_i^m·m.
 
 Two implementations produce identical placement sequences:
 
-* the **vectorized** path (default) keeps a candidate×server score
-  matrix against the cluster's availability mirror; each launch only
-  invalidates the launched server's column, so a pass is one column
-  update plus one ``argmax`` per placement;
+* the **vectorized** path (default) scores candidates against the
+  cluster's availability mirror through its block-bound placement index
+  (DESIGN.md §5.10): blocks are scored lazily, each launch only
+  refreshes the launched server's column, so a pass is one column
+  update plus a re-resolve of the rows that lost their best server;
 * the **scalar reference** path (``Cluster(vectorized=False)`` /
   ``REPRO_SCALAR_PLACEMENT=1``) is the original per-server loop with an
   incremental best-server cache.
@@ -23,8 +24,8 @@ Two implementations produce identical placement sequences:
 Tie-breaking contract (both paths): the *earliest candidate* in the
 given order wins equal scores, and within a candidate the *lowest
 server id* wins — the scalar loops use strict ``>`` so the first
-maximum is kept, and the row-major ``argmax`` over the matrix returns
-exactly the same (candidate, server) pair.
+maximum is kept, and the vectorized path resolves exactly the
+row-major ``argmax`` of the candidate×server score matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from repro.cluster.server import Server
-from repro.resources import EPS
 from repro.sim.actions import Launch
 from repro.workload.phase import Phase
 from repro.workload.task import Task, TaskState
@@ -180,60 +180,43 @@ def _fill_tasks_vectorized(
     on_launch: Callable[[Task, Server], None] | None,
     server_weight: Callable[[Server], float] | None,
 ) -> int:
-    """Batched fill: one candidate×server score matrix, updated one
-    column per launch (only the launched server's availability shrank).
+    """Blocked fill over the mirror's placement index — the launch
+    sequence of a dense candidate×server argmax, without the matrix.
+
+    Each candidate row keeps a lazily-scored block cache
+    (:meth:`AvailabilityMirror.scan_blocks`): a block is scored only
+    when the index's availability bounds cannot rule it out, so in the
+    mostly-idle regime a row stops at its first block.  A launch
+    refreshes one column per row (:meth:`AvailabilityMirror.
+    rescore_column`) and re-resolves only the rows whose best server it
+    was — availability only shrinks within a pass, so no other row's
+    best can change.  The global pick is the flat row-major argmax of
+    the dense matrix decomposed exactly: the first column achieving each
+    row's max, then the first row achieving the global max.
+    ``server_weight`` is evaluated once per server and scores the whole
+    cluster as one block.
     """
-    phases = [phase for phase, tasks in phases_with_tasks if tasks]
-    queues = [list(tasks) for _, tasks in phases_with_tasks if tasks]
-    if not phases:
+    rows = [(phase, list(tasks)) for phase, tasks in phases_with_tasks if tasks]
+    if not rows:
         return 0
     cluster = view.cluster
     mirror = cluster.mirror
     servers = cluster.servers
-    num_servers = len(servers)
     weights = None
     if server_weight is not None:
         weights = np.fromiter(
-            (server_weight(s) for s in servers), np.float64, num_servers
+            (server_weight(s) for s in servers), np.float64, len(servers)
         )
-    if weights is None and mirror._shard_slices is not None:
-        # Sharded mirror (DESIGN.md §5.10): block-lazy fill — same
-        # launch sequence, but score blocks materialize only when the
-        # shard availability bounds cannot rule them out.
-        return _fill_tasks_sharded(
-            view, phases, queues, on_launch=on_launch
-        )
-    d_cpu = np.fromiter((p.demand.cpu for p in phases), np.float64, len(phases))
-    d_mem = np.fromiter((p.demand.mem for p in phases), np.float64, len(phases))
-
-    # scores[c, s] = demand_c · avail_s (then × weight_s), -inf where the
-    # demand does not fit — the same expression, in the same operation
-    # order, as the scalar rescore, so scores are bit-identical.
-    scores = d_cpu[:, None] * mirror.avail_cpu[None, :] + d_mem[:, None] * mirror.avail_mem[None, :]
-    if weights is not None:
-        scores *= weights[None, :]
-    fits = (
-        mirror.up[None, :]
-        & (mirror.avail_cpu[None, :] + EPS >= d_cpu[:, None])
-        & (mirror.avail_mem[None, :] + EPS >= d_mem[:, None])
-    )
-    scores[~fits] = -np.inf
-
-    # Per-row best (column, score), maintained incrementally.  The flat
-    # row-major argmax decomposes exactly into "first column achieving
-    # each row's max, then the first row achieving the global max" —
-    # kept as two invariants so a launch costs one column update plus a
-    # re-argmax of only the rows whose best server was hit (a refreshed
-    # column only shrinks, so it can neither overtake another row's best
-    # nor create a new first-index tie; see CloneScoreCache for the tie
-    # argument).
-    nrows = len(phases)
+    queues = [tasks for _, tasks in rows]
+    scored = [
+        (phase.demand.cpu, phase.demand.mem, mirror.new_blocks(weights))
+        for phase, _ in rows
+    ]
+    nrows = len(rows)
     best_col = [0] * nrows
     best_score = [0.0] * nrows
-    for i in range(nrows):
-        c = int(scores[i].argmax())
-        best_col[i] = c
-        best_score[i] = float(scores[i, c])
+    for i, (dc, dm, blocks) in enumerate(scored):
+        best_col[i], best_score[i] = mirror.scan_blocks(dc, dm, blocks, weights)
     neg_inf = float("-inf")
     launched = 0
     while True:
@@ -244,7 +227,7 @@ def _fill_tasks_vectorized(
             if s > bs:  # strict: ties keep the lowest candidate index
                 bs = s
                 ci = i
-        if ci < 0 or bs == neg_inf:
+        if ci < 0:
             break  # nothing placeable remains
         sj = best_col[ci]
         task = queues[ci].pop()
@@ -253,163 +236,14 @@ def _fill_tasks_vectorized(
         if on_launch is not None:
             on_launch(task, server)
         launched += 1
-        # Only `server`'s availability changed (shrank): refresh its
-        # column against every candidate demand.
-        a_cpu = mirror.avail_cpu[sj]
-        a_mem = mirror.avail_mem[sj]
-        col = d_cpu * a_cpu + d_mem * a_mem
-        if weights is not None:
-            col *= weights[sj]
-        col[~(mirror.up[sj] & (a_cpu + EPS >= d_cpu) & (a_mem + EPS >= d_mem))] = -np.inf
-        scores[:, sj] = col
         if not queues[ci]:
             best_score[ci] = neg_inf  # exhausted candidate leaves the race
-            scores[ci, :] = -np.inf
+        # Only `server`'s availability changed (shrank).
+        mirror.rescore_column(sj, scored, weights)
         for i in range(nrows):
             if best_col[i] == sj and best_score[i] != neg_inf:
-                c = int(scores[i].argmax())
-                best_col[i] = c
-                best_score[i] = float(scores[i, c])
-    return launched
-
-
-def _fill_tasks_sharded(
-    view: "ClusterView",
-    phases: list[Phase],
-    queues: list[list[Task]],
-    *,
-    on_launch: Callable[[Task, Server], None] | None,
-) -> int:
-    """Blocked fill over a sharded mirror — bitwise-identical launches.
-
-    Per candidate row, score blocks (one per shard) materialize lazily:
-    a block is skipped while the mirror's stale-high availability bounds
-    prove no server in it fits the demand, or no score in it can exceed
-    the row's current best (see ``AvailabilityMirror._best_fit_sharded``
-    for the monotonicity argument; the ``<=`` equality skip is exact
-    because blocks scan ascending and ties keep the lowest server id).
-    Availability only shrinks during a pass, so bounds valid at row
-    resolution stay valid for the whole pass, and an unmaterialized
-    block needs no column refresh — it reads fresh mirror state if it
-    ever materializes.  In the mostly-idle regime every row stops at the
-    first block, cutting the O(candidates × servers) matrix work to
-    O(candidates × servers / K).
-    """
-    mirror = view.cluster.mirror
-    if mirror._pending:
-        mirror.flush()
-    servers = view.cluster.servers
-    slices = mirror._shard_slices
-    assert slices is not None
-    nshards = len(slices)
-    shard_of = mirror._shard_of
-    ub_cpu, ub_mem = mirror._ub_cpu, mirror._ub_mem
-    avail_cpu, avail_mem, up = mirror.avail_cpu, mirror.avail_mem, mirror.up
-    nrows = len(phases)
-    d_cpu = [p.demand.cpu for p in phases]
-    d_mem = [p.demand.mem for p in phases]
-    # blocks[i][k]: None (unmaterialized) or the row-i score block over
-    # shard k (-inf where unfit), exactly the dense matrix's slice.
-    # block_best[i][k] caches that block's (first-argmax, score): during
-    # a pass availability only shrinks, so refreshing a *non*-argmax
-    # column cannot create a new maximum — the cache stays exact until
-    # the argmax column itself is touched (then it is invalidated).
-    blocks: list[list[np.ndarray | None]] = [[None] * nshards for _ in range(nrows)]
-    block_best: list[list[tuple[int, float] | None]] = [
-        [None] * nshards for _ in range(nrows)
-    ]
-    neg_inf = float("-inf")
-
-    def resolve(i: int) -> tuple[int, float]:
-        """Row i's (global best column, best score), materializing only
-        the blocks the bounds cannot exclude."""
-        dc, dm = d_cpu[i], d_mem[i]
-        row_blocks = blocks[i]
-        row_best = block_best[i]
-        best_col, best_score = -1, neg_inf
-        for k in range(nshards):
-            lo, hi = slices[k]
-            if hi <= lo:
-                continue
-            bc, bm = ub_cpu[k], ub_mem[k]
-            if bc + EPS < dc or bm + EPS < dm:
-                continue
-            if best_col >= 0 and dc * bc + dm * bm <= best_score:
-                continue
-            blk = row_blocks[k]
-            if blk is None:
-                a_c = avail_cpu[lo:hi]
-                a_m = avail_mem[lo:hi]
-                ub_cpu[k] = float(a_c.max())
-                ub_mem[k] = float(a_m.max())
-                blk = dc * a_c + dm * a_m
-                blk[~(up[lo:hi] & (a_c + EPS >= dc) & (a_m + EPS >= dm))] = -np.inf
-                row_blocks[k] = blk
-                cached = None
-            else:
-                cached = row_best[k]
-            if cached is None:
-                j = int(blk.argmax())
-                cached = (j, float(blk[j]))
-                row_best[k] = cached
-            j, s = cached
-            if s > best_score:
-                best_col, best_score = lo + j, s
-        return best_col, best_score
-
-    best_col = [0] * nrows
-    best_score = [0.0] * nrows
-    for i in range(nrows):
-        best_col[i], best_score[i] = resolve(i)
-        if best_col[i] < 0:
-            best_score[i] = neg_inf
-    launched = 0
-    while True:
-        ci = -1
-        bs = neg_inf
-        for i in range(nrows):
-            s = best_score[i]
-            if s > bs:  # strict: ties keep the lowest candidate index
-                bs = s
-                ci = i
-        if ci < 0 or bs == neg_inf:
-            break  # nothing placeable remains
-        sj = best_col[ci]
-        task = queues[ci].pop()
-        server = servers[sj]
-        view.apply(Launch(task, server))
-        if on_launch is not None:
-            on_launch(task, server)
-        launched += 1
-        if mirror._pending:
-            mirror.flush()
-        # Only column sj changed (shrank): refresh it in every row whose
-        # block holds it, then re-resolve rows that were counting on it.
-        ks = shard_of[sj]  # type: ignore[index]
-        lo = slices[ks][0]
-        col = sj - lo
-        a_cpu = float(avail_cpu[sj])
-        a_mem = float(avail_mem[sj])
-        s_up = bool(up[sj])
-        exhausted = not queues[ci]
-        for i in range(nrows):
-            if exhausted and i == ci:
-                continue
-            blk = blocks[i][ks]
-            if blk is not None:
-                if s_up and a_cpu + EPS >= d_cpu[i] and a_mem + EPS >= d_mem[i]:
-                    blk[col] = d_cpu[i] * a_cpu + d_mem[i] * a_mem
-                else:
-                    blk[col] = -np.inf
-                cached = block_best[i][ks]
-                if cached is not None and cached[0] == col:
-                    block_best[i][ks] = None  # argmax column shrank
-            if best_col[i] == sj and best_score[i] != neg_inf:
-                best_col[i], best_score[i] = resolve(i)
-                if best_col[i] < 0:
-                    best_score[i] = neg_inf
-        if exhausted:
-            best_score[ci] = neg_inf  # exhausted candidate leaves the race
+                dc, dm, blocks = scored[i]
+                best_col[i], best_score[i] = mirror.scan_blocks(dc, dm, blocks, weights)
     return launched
 
 
@@ -457,153 +291,42 @@ def _fill_tasks_scalar(
 
 
 class CloneScoreCache:
-    """Per-pass memo of demand → (score row, best server) for clone fills.
+    """Per-pass memo of demand → block scores for clone fills.
 
-    The clone pass queries ``best_fit_server`` for the same few demand
-    keys over and over (every task of a phase shares one demand), and
-    between queries availability only changes at servers it launched on.
-    The cache keeps, per demand key, the full score row (``demand ·
-    avail``, -inf where the demand does not fit) and its argmax; each
-    launch refreshes exactly one column of every cached row.
-
-    Bit-identical to calling :meth:`AvailabilityMirror.best_fit` afresh:
-
-    * the column refresh evaluates the same IEEE expressions the
-      vectorized row build does, one server at a time;
-    * a launch only *shrinks* availability, so a refreshed non-best
-      column can never overtake the cached best — and it cannot create
-      a new first-index tie either, since an equal column left of the
-      best would already have been the argmax.  Only rows whose cached
-      best *is* the launched server re-run ``argmax``.
+    The clone pass queries best fit for the same few demand keys over
+    and over (every task of a phase shares one demand), and between
+    queries availability only changes at servers it launched on.  The
+    cache keeps, per demand key, the block cache of
+    :meth:`AvailabilityMirror.scan_blocks` (scored blocks and their
+    argmaxes); each launch refreshes exactly one column of every scored
+    block through :meth:`AvailabilityMirror.rescore_column`, so a query
+    answers exactly what ``mirror.best_fit(demand)`` (unweighted) would.
 
     Valid only while every availability change inside the pass flows
     through :meth:`on_launch` — i.e. within one scheduler pass where the
     clone fills perform all the launches.
-
-    Over a sharded mirror (DESIGN.md §5.10) rows become *block-lazy*:
-    each demand key holds one score block per shard, materialized only
-    when the shard's availability bounds cannot exclude it from the
-    query — the same pruning (and the same bitwise-identity argument) as
-    :meth:`AvailabilityMirror._best_fit_sharded`.
     """
 
-    __slots__ = ("_mirror", "_rows", "_blocks")
+    __slots__ = ("_mirror", "_rows")
 
     def __init__(self, mirror: "AvailabilityMirror") -> None:
         self._mirror = mirror
-        # demand key → [row (float64, -inf where unfit), best index]
-        self._rows: dict[tuple[float, float], list] = {}
-        # Sharded mode: demand key → list of per-shard entries, each
-        # None (unmaterialized) or [block row, local best index | -1].
-        self._blocks: dict[tuple[float, float], list] = {}
+        # demand key → (d_cpu, d_mem, block cache)
+        self._rows: dict[tuple[float, float], tuple[float, float, list]] = {}
 
     def best_fit_id(self, demand) -> int | None:
-        """Best-fit server id for ``demand``, or None when nothing fits.
-
-        Same result as ``mirror.best_fit(demand)`` (unweighted).
-        """
-        mirror = self._mirror
-        if mirror._shard_slices is not None:
-            return self._best_fit_id_sharded(demand)
+        """Best-fit server id for ``demand``, or None when nothing fits."""
         key = (demand.cpu, demand.mem)
-        entry = self._rows.get(key)
-        if entry is None:
-            fits = mirror.fitting_mask(demand)  # flushes pending updates
-            row = demand.cpu * mirror.avail_cpu + demand.mem * mirror.avail_mem
-            row[~fits] = -np.inf
-            entry = [row, int(row.argmax())]
-            self._rows[key] = entry
-        row, best = entry
-        if best < 0:  # stale since the last launch — re-resolve lazily
-            best = int(row.argmax())
-            entry[1] = best
-        if row[best] == -np.inf:
-            return None
-        return best
-
-    def _best_fit_id_sharded(self, demand) -> int | None:
-        """Block-lazy variant: scan shards ascending with bound pruning,
-        reusing materialized blocks (kept current by :meth:`on_launch`)."""
-        mirror = self._mirror
-        if mirror._pending:
-            mirror.flush()
-        slices = mirror._shard_slices
-        assert slices is not None
-        key = (demand.cpu, demand.mem)
-        entries = self._blocks.get(key)
-        if entries is None:
-            entries = [None] * len(slices)
-            self._blocks[key] = entries
-        d_cpu, d_mem = key
-        ub_cpu, ub_mem = mirror._ub_cpu, mirror._ub_mem
-        avail_cpu, avail_mem, up = mirror.avail_cpu, mirror.avail_mem, mirror.up
-        best_id = -1
-        best_score = -np.inf
-        for k, (lo, hi) in enumerate(slices):
-            if hi <= lo:
-                continue
-            bc, bm = ub_cpu[k], ub_mem[k]
-            if bc + EPS < d_cpu or bm + EPS < d_mem:
-                continue
-            if best_id >= 0 and d_cpu * bc + d_mem * bm <= best_score:
-                continue
-            blk = entries[k]
-            if blk is None:
-                a_c = avail_cpu[lo:hi]
-                a_m = avail_mem[lo:hi]
-                ub_cpu[k] = float(a_c.max())
-                ub_mem[k] = float(a_m.max())
-                row = d_cpu * a_c + d_mem * a_m
-                row[~(up[lo:hi] & (a_c + EPS >= d_cpu) & (a_m + EPS >= d_mem))] = -np.inf
-                blk = [row, int(row.argmax())]
-                entries[k] = blk
-            row, bi = blk
-            if bi < 0:  # stale since the last launch — re-resolve lazily
-                bi = int(row.argmax())
-                blk[1] = bi
-            s = float(row[bi])
-            if s == -np.inf:
-                continue
-            if s > best_score:
-                best_id = lo + bi
-                best_score = s
-        return None if best_id < 0 else best_id
+        row = self._rows.get(key)
+        if row is None:
+            row = (demand.cpu, demand.mem, self._mirror.new_blocks())
+            self._rows[key] = row
+        best, _ = self._mirror.scan_blocks(*row)
+        return None if best < 0 else best
 
     def on_launch(self, server_id: int) -> None:
         """Refresh the launched server's column in every cached row."""
-        mirror = self._mirror
-        if mirror._pending:
-            mirror.flush()
-        a_cpu = mirror.avail_cpu[server_id]
-        a_mem = mirror.avail_mem[server_id]
-        up = bool(mirror.up[server_id])
-        if mirror._shard_slices is not None:
-            ks = mirror._shard_of[server_id]  # type: ignore[index]
-            lo = mirror._shard_slices[ks][0]
-            col = server_id - lo
-            for (d_cpu, d_mem), entries in self._blocks.items():
-                blk = entries[ks]
-                if blk is None:
-                    continue  # unmaterialized blocks read fresh state later
-                row = blk[0]
-                if up and a_cpu + EPS >= d_cpu and a_mem + EPS >= d_mem:
-                    row[col] = d_cpu * a_cpu + d_mem * a_mem
-                else:
-                    row[col] = -np.inf
-                if blk[1] == col:
-                    blk[1] = -1
-            return
-        for (d_cpu, d_mem), entry in self._rows.items():
-            row = entry[0]
-            if up and a_cpu + EPS >= d_cpu and a_mem + EPS >= d_mem:
-                row[server_id] = d_cpu * a_cpu + d_mem * a_mem
-            else:
-                row[server_id] = -np.inf
-            if entry[1] == server_id:
-                # Mark stale instead of re-running argmax now: rows that
-                # shared this best server but are never queried again
-                # (end of pass, demand turned unfittable) skip the scan.
-                entry[1] = -1
+        self._mirror.rescore_column(server_id, self._rows.values())
 
 
 def fill_clones_best_fit(

@@ -196,21 +196,13 @@ class Decision:
     server_id: int
     clone: bool = False
     copy_index: int | None = None  # which task.copies[...] a Kill targets
-    # Shard provenance (DESIGN.md §5.10): which server shard the decision
-    # touched, None in an unsharded session.  Excluded from equality so a
-    # trace recorded at K=4 replays bit-for-bit on any K — the shard
-    # column is audit metadata, not part of the decision's identity.
-    shard: int | None = field(default=None, compare=False)
 
     @property
     def task_uid(self) -> tuple[int, int, int]:
         return (self.job_id, self.phase_index, self.task_index)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        if d.get("shard") is None:
-            del d["shard"]  # unsharded lines stay byte-identical to v1 traces
-        return json.dumps(d, separators=(",", ":"), sort_keys=True)
+        return json.dumps(asdict(self), separators=(",", ":"), sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "Decision":

@@ -78,9 +78,6 @@ class CheckpointInfo:
     arrivals_consumed: int
     scheduler: str
     digest: str
-    # Shard count of the frozen session (DESIGN.md §5.10).  Defaults to
-    # 1 so v1 checkpoints written before sharding still summarize.
-    shards: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +90,6 @@ class CheckpointInfo:
             "arrivals_consumed": self.arrivals_consumed,
             "scheduler": self.scheduler,
             "digest": self.digest,
-            "shards": self.shards,
         }
 
 
@@ -108,7 +104,6 @@ def _info_for(engine: "SimulationEngine", digest: str) -> CheckpointInfo:
         arrivals_consumed=engine.arrivals.consumed,
         scheduler=engine.scheduler.name,
         digest=digest,
-        shards=getattr(engine, "shards", 1),
     )
 
 
@@ -170,4 +165,8 @@ def checkpoint_info(path: str | Path) -> CheckpointInfo:
     envelope = pickle.loads(Path(path).read_bytes())
     if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
-    return CheckpointInfo(**envelope["info"])
+    info = dict(envelope["info"])
+    # Checkpoints from builds with the sharded event queue record a
+    # shard count; the single-heap engine has none.
+    info.pop("shards", None)
+    return CheckpointInfo(**info)

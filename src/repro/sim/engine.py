@@ -81,7 +81,6 @@ from repro.sim.actions import (
 )
 from repro.sim.events import BASE_EVENT_KINDS, EventKind, EventQueue
 from repro.sim.metrics import SimulationResult, build_result
-from repro.sim.shard import ShardedEventQueue, ShardMap
 from repro.workload.arrivals import ArrivalSource, StaticSource
 from repro.workload.job import Job
 from repro.workload.task import Task, TaskCopy, TaskState
@@ -170,29 +169,11 @@ class SimulationEngine:
         profile: bool | None = None,
         fault_profile: FaultProfile | None = None,
         churn_seed: int | None = None,
-        shards: int = 1,
-        shard_map: "ShardMap | None" = None,
     ) -> None:
         if schedule_interval < 0:
             raise ValueError("schedule_interval must be non-negative")
         self.cluster = cluster
         self.scheduler = scheduler
-        # Sharded engine (DESIGN.md §5.10): partition servers into K
-        # shards with per-shard event lanes and mirror bounds.  K=1
-        # keeps the plain single-heap EventQueue and dense kernels —
-        # byte-for-byte the pre-shard engine.  An explicit shard_map
-        # (possibly non-contiguous, for tests) overrides `shards`.
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shard_map is not None and shard_map.num_servers != len(cluster):
-            raise ValueError(
-                f"shard map covers {shard_map.num_servers} servers, "
-                f"cluster has {len(cluster)}"
-            )
-        if shard_map is None and shards > 1:
-            shard_map = ShardMap(len(cluster), shards)
-        self.shard_map = shard_map
-        self.shards = shard_map.shards if shard_map is not None else 1
         # The workload enters through an ArrivalSource (DESIGN.md §5.8).
         # A plain job list — today's callers, and an *empty* list for a
         # session that starts idle — wraps into the eager StaticSource,
@@ -213,12 +194,7 @@ class SimulationEngine:
         self.policy_rng = np.random.default_rng(seed + 104_729)
 
         self.now = 0.0
-        if shard_map is None:
-            self.events: EventQueue | ShardedEventQueue = EventQueue()
-        else:
-            self.events = ShardedEventQueue(shard_map)
-            if shard_map.contiguous:
-                cluster.mirror.bind_shards(shard_map)
+        self.events = EventQueue()
         self.active_jobs: dict[int, Job] = {}
         self.finished_jobs: list[Job] = []
         self.view = ClusterView(self)
@@ -450,7 +426,6 @@ class SimulationEngine:
                 server_id=server_id,
                 clone=clone,
                 copy_index=copy_index,
-                shard=self._shard_of(server_id),
             )
         )
 
@@ -475,13 +450,8 @@ class SimulationEngine:
                 server_id=server_id,
                 clone=False,
                 copy_index=None,
-                shard=self._shard_of(server_id),
             )
         )
-
-    def _shard_of(self, server_id: int) -> int | None:
-        """Shard provenance for journaled decisions (None when unsharded)."""
-        return self.shard_map.shard_of(server_id) if self.shard_map else None
 
     # ------------------------------------------------------------------
     # Validation (raises InvalidAction before any state is touched)
@@ -1133,6 +1103,10 @@ class SimulationEngine:
         return state
 
     def __setstate__(self, state) -> None:
+        # Checkpoints from builds with the sharded event queue carry its
+        # (always single-heap when restorable) shard attributes.
+        state.pop("shard_map", None)
+        state.pop("shards", None)
         self.__dict__.update(state)
         # The observability clock is a closure over this engine (dropped
         # by SpanTracer.__getstate__); rebind it to the revived instance.

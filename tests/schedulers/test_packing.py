@@ -1,11 +1,16 @@
 """Unit tests for the shared placement loops."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import mirror as mirror_module
+from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import homogeneous_cluster
 from repro.cluster.mirror import AvailabilityMirror
+from repro.cluster.server import Server
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.packing import (
@@ -19,6 +24,7 @@ from repro.sim.engine import SimulationEngine
 from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
+from repro.workload.task import TaskState
 from tests.conftest import make_chain_job, make_diamond_job
 
 
@@ -208,3 +214,75 @@ class TestCloneScoreCache:
         servers = [_StubServer(0, Resources(1.0, 1.0))]
         cache = CloneScoreCache(AvailabilityMirror(servers))
         assert cache.best_fit_id(Resources(2.0, 2.0)) is None
+
+
+class TestBlockSizeIdentity:
+    """The placement index's block size prunes scoring work only: one
+    server per block and one block for the whole cluster must launch the
+    same copies on the same servers, in the same order, for task fills
+    (weighted or not) and clone fills (cached or not)."""
+
+    caps = (
+        Resources.of(8, 16),
+        Resources.of(4, 32),
+        Resources.of(16, 8),
+        Resources.of(6, 6),
+        Resources.of(12, 24),
+    )
+    demands = (
+        Resources.of(2, 2),
+        Resources.of(1, 6),
+        Resources.of(5, 1),
+        Resources.of(3, 3),
+    )
+
+    def _launches(self, block, *, vectorized=True):
+        with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
+            cluster = Cluster(
+                [Server(i, self.caps[i * 3 % len(self.caps)]) for i in range(11)],
+                vectorized=vectorized,
+            )
+        jobs = [
+            Job([Phase(0, 6, d, Deterministic(10.0))], job_id=i)
+            for i, d in enumerate(self.demands)
+        ]
+        view = make_view(cluster, jobs)
+        seen = []
+
+        def record(task, server):
+            seen.append((task.uid, server.server_id))
+
+        fill_tasks_best_fit(
+            view,
+            pending_by_phase(jobs[0]) + pending_by_phase(jobs[1]),
+            on_launch=record,
+        )
+        fill_tasks_best_fit(
+            view,
+            pending_by_phase(jobs[2]) + pending_by_phase(jobs[3]),
+            on_launch=record,
+            server_weight=lambda s: 1.0 / (1.0 + s.server_id % 3),
+        )
+        running = [
+            t
+            for job in jobs
+            for t in job.phases[0].tasks
+            if t.state is TaskState.RUNNING
+        ]
+        half = len(running) // 2
+        fill_clones_best_fit(
+            view,
+            running[:half],
+            on_launch=record,
+            score_cache=CloneScoreCache(cluster.mirror),
+        )
+        fill_clones_best_fit(view, running[half:], on_launch=record)
+        return seen
+
+    def test_one_server_per_block_matches_one_block(self):
+        single = self._launches(11)
+        assert self._launches(1) == single
+        assert self._launches(4) == single
+        # ...and both match the scalar reference loop.
+        assert self._launches(1, vectorized=False) == single
+        assert len(single) > 20

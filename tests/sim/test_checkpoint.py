@@ -7,11 +7,14 @@ injection and observability enabled.
 """
 
 import json
+import pickle
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster
+from repro.cluster.mirror import AvailabilityMirror
 from repro.core.online import DollyMPScheduler
 from repro.faults import FAULT_PROFILES
 from repro.observability import Observability
@@ -238,3 +241,64 @@ class TestJsonlEveryCutIdentity:
             revived.arrivals.attach(iter(lines), skip_consumed=True)
             revived.drain()
             assert revived.finalize().deterministic() == ref, f"cut at line {cut}"
+
+
+class TestLegacyCheckpoint:
+    """Checkpoints written by builds with the sharded event queue carry
+    a ``shards`` count in the envelope and the mirror's old index slots
+    in the state; both restore, and the run finishes byte-identical."""
+
+    @staticmethod
+    def legacy_payload(engine) -> bytes:
+        current = AvailabilityMirror.__getstate__
+
+        def legacy_getstate(mirror):
+            _, slots = current(mirror)
+            n = len(mirror)
+            # Bounds far too low: honoring them would skip every block.
+            slots.update(
+                _shard_slices=[(0, n // 2), (n // 2, n)],
+                _shard_of=[0] * (n // 2) + [1] * (n - n // 2),
+                _ub_cpu=[-1.0, -1.0],
+                _ub_mem=[-1.0, -1.0],
+            )
+            return None, slots
+
+        engine.__dict__.update(shards=4, shard_map=None)
+        try:
+            with mock.patch.object(AvailabilityMirror, "__getstate__", legacy_getstate):
+                payload, _ = checkpoint_bytes(engine)
+        finally:
+            del engine.shards, engine.shard_map
+        envelope = pickle.loads(payload)
+        envelope["info"]["shards"] = 4
+        return pickle.dumps(envelope, protocol=4)
+
+    def test_restores_and_finishes_byte_identical(self, tmp_path):
+        kw = dict(fault_profile=FAULT_PROFILES["chaos"], record_trace=True)
+        e1 = mk_engine(**kw)
+        r1 = e1.run()
+        e2 = mk_engine(**kw)
+        e2.start()
+        e2.run_until(60.0)
+        path = tmp_path / "legacy.ckpt"
+        path.write_bytes(self.legacy_payload(e2))
+
+        info = checkpoint_info(path)
+        assert "shards" not in info.to_dict()
+        assert info.sim_time == e2.now
+        e3 = load_checkpoint(path)
+        assert not hasattr(e3, "shards") and not hasattr(e3, "shard_map")
+        mirror = e3.cluster.mirror
+        assert not hasattr(mirror, "_shard_of")
+        assert mirror.loose_bounds() == []
+        e3.drain()
+        assert e3.finalize().deterministic() == r1.deterministic()
+        assert list(e3.trace) == list(e1.trace)
+
+    def test_index_is_not_pickled(self):
+        e = mk_engine()
+        e.start()
+        e.run_until(30.0)
+        _, slots = e.cluster.mirror.__getstate__()
+        assert not {"_block", "_ub_cpu", "_ub_mem"} & set(slots)

@@ -53,9 +53,9 @@ __all__ = [
 _FORMAT = "repro-lint-baseline/v1"
 
 #: (rule, path-prefix) pairs that may never be pinned.  RL014 findings
-#: under the sharded engine's own packages are hard failures: process-
-#: global mutable state there breaks the merge-barrier determinism
-#: contract (DESIGN.md §5.10) for every K, so there is no legitimate
+#: under the engine's own packages are hard failures: process-global
+#: mutable state there leaks between runs sharing one process and
+#: breaks the determinism contract, so there is no legitimate
 #: "accepted for now" — the state must move onto the engine/cluster
 #: instance.  ``--update-baseline`` refuses to pin these too.
 UNBASELINEABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
