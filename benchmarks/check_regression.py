@@ -141,16 +141,16 @@ def recorded_engine_gate() -> dict:
     if not BASELINE_PATH.exists():
         raise BaselineError(
             f"{BASELINE_PATH}: baseline file missing (expected keys "
-            f"{list(_ENGINE_GATE_KEYS)} in the gate/current run) — run "
+            f"{list(_ENGINE_GATE_KEYS)} in the gate run) — run "
             "`python -m benchmarks.engine_bench --write-baseline` first"
         )
     runs = json.loads(BASELINE_PATH.read_text()).get("measured", {}).get("runs", [])
     for run in runs:
-        if run.get("config") == "gate" and run.get("mode") == "current":
-            _require_keys(run, _ENGINE_GATE_KEYS, BASELINE_PATH, "gate/current run")
+        if run.get("config") == "gate":
+            _require_keys(run, _ENGINE_GATE_KEYS, BASELINE_PATH, "gate run")
             return run
     raise BaselineError(
-        f"{BASELINE_PATH}: no (config='gate', mode='current') run in "
+        f"{BASELINE_PATH}: no config='gate' run in "
         "measured.runs — regenerate with "
         "`python -m benchmarks.engine_bench --write-baseline`"
     )
@@ -172,7 +172,7 @@ def check_engine_gate() -> bool:
     # baseline was measured in a clean process.
     from benchmarks.engine_bench import _measure_subprocess
 
-    fresh = _measure_subprocess("gate", "current")
+    fresh = _measure_subprocess("gate")
     failed = False
     ratio = recorded["events_per_sec"] / fresh["events_per_sec"]
     verdict = "OK" if ratio <= MAX_SLOWDOWN else "REGRESSION"

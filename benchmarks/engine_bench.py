@@ -2,26 +2,16 @@
 
 Runs the full simulation loop — event queue, DollyMP priorities, clone
 fill, action choke point, accounting — on trace-simulator clusters at
-30K and 100K servers and reports throughput plus peak RSS.  Two modes:
-
-* ``current`` — the engine as built (batched drains, lazy priorities,
-  vectorized knapsack/clone fill);
-* ``legacy``  — the same binary with every ``REPRO_SCALAR_*`` /
-  ``REPRO_EAGER_PRIORITIES`` escape hatch enabled, reproducing the
-  pre-batching scheduler behaviour for an apples-to-apples speedup.
-
-Both modes produce bit-identical ``SimulationResult`` values (that is
-the whole point of the escape hatches), so events/sec ratios are pure
-wall-time ratios over identical work.
+30K and 100K servers and reports throughput plus peak RSS.
 
 Usage::
 
     python -m benchmarks.engine_bench                     # all configs, fresh
-    python -m benchmarks.engine_bench --config ref30k     # one config, both modes
+    python -m benchmarks.engine_bench --config ref30k     # one config, in-process
     python -m benchmarks.engine_bench --append <path>     # trajectory record
     python -m benchmarks.engine_bench --write-baseline    # refresh BENCH_engine.json
 
-Each (config, mode) measurement runs in a subprocess so peak-RSS numbers
+Each config's measurement runs in a subprocess so peak-RSS numbers
 (``ru_maxrss`` is process-lifetime-monotonic) aren't polluted across
 configs.  The pass/fail enforcement lives in
 :mod:`benchmarks.check_regression`; this module only measures.
@@ -31,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import resource
 import subprocess
@@ -39,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-__all__ = ["CONFIGS", "LEGACY_ENV", "measure_config", "main"]
+__all__ = ["CONFIGS", "measure_config", "main"]
 
 RESULTS = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS / "BENCH_engine.json"
@@ -62,13 +51,6 @@ CONFIGS: dict[str, dict] = {
 
 MEAN_THETA = 600.0  # ~10-minute tasks keep the roster thousands deep
 
-#: Environment enabling every scalar/eager escape hatch at once.
-LEGACY_ENV = {
-    "REPRO_SCALAR_PRIORITIES": "1",
-    "REPRO_EAGER_PRIORITIES": "1",
-    "REPRO_SCALAR_CLONE_FILL": "1",
-}
-
 SEED = 2022
 SCHEDULE_INTERVAL = 5.0  # the 5-second slots of Sec. 6.3
 
@@ -90,8 +72,8 @@ def _git_head() -> str | None:
 def measure_config(name: str) -> dict:
     """Run one reference simulation in-process and report throughput.
 
-    Imports live here (not module top) so the subprocess protocol can set
-    escape-hatch environment variables before any repro module reads them.
+    Imports live here (not module top): only the measuring child
+    process of the subprocess protocol needs the engine.
     """
     from repro.cluster.heterogeneity import trace_sim_cluster
     from repro.core.online import DollyMPScheduler
@@ -148,61 +130,34 @@ def measure_config(name: str) -> dict:
     }
 
 
-def _measure_subprocess(name: str, mode: str) -> dict:
-    """Measure one (config, mode) pair in a fresh interpreter."""
-    env = dict(os.environ)
-    for key in LEGACY_ENV:
-        env.pop(key, None)
-    if mode == "legacy":
-        env.update(LEGACY_ENV)
+def _measure_subprocess(name: str) -> dict:
+    """Measure one config in a fresh interpreter."""
     out = subprocess.run(
         [sys.executable, "-m", "benchmarks.engine_bench", "--config", name, "--json"],
         capture_output=True,
         text=True,
-        env=env,
         cwd=Path(__file__).resolve().parent.parent,
     )
     if out.returncode != 0:
-        raise RuntimeError(
-            f"engine_bench subprocess ({name}, {mode}) failed:\n{out.stderr}"
-        )
-    record = json.loads(out.stdout.splitlines()[-1])
-    record["mode"] = mode
-    return record
+        raise RuntimeError(f"engine_bench subprocess ({name}) failed:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
 
 
-def measure(*, legacy: bool = True, configs: tuple[str, ...] = ("ref30k", "ref100k")) -> dict:
-    """Full measurement: every config in ``current`` mode, plus a
-    ``legacy`` (all-escape-hatches) run of ref30k for the speedup."""
-    runs = [_measure_subprocess(name, "current") for name in configs]
-    record: dict = {
+def measure(configs: tuple[str, ...] = ("ref30k", "ref100k")) -> dict:
+    """Full measurement: every config, one subprocess each."""
+    return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "commit": _git_head(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "runs": runs,
+        "runs": [_measure_subprocess(name) for name in configs],
     }
-    if legacy:
-        legacy_run = _measure_subprocess("ref30k", "legacy")
-        runs.append(legacy_run)
-        current = next(r for r in runs if r["config"] == "ref30k" and r["mode"] == "current")
-        if current["total_flowtime"] != legacy_run["total_flowtime"]:
-            raise RuntimeError(
-                "legacy/current runs diverged — escape hatches are not "
-                f"equivalent: {current['total_flowtime']!r} vs "
-                f"{legacy_run['total_flowtime']!r}"
-            )
-        record["speedup_ref30k"] = round(
-            current["events_per_sec"] / legacy_run["events_per_sec"], 2
-        )
-    return record
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", choices=sorted(CONFIGS), help="run one config in-process")
     parser.add_argument("--json", action="store_true", help="print the record as JSON only")
-    parser.add_argument("--no-legacy", action="store_true", help="skip the legacy-mode run")
     parser.add_argument(
         "--append", metavar="PATH", help="append a trajectory record to this JSONL file"
     )
@@ -219,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.append:
-        # Nightly trajectory: one cheap record (gate config, current mode).
-        run = _measure_subprocess("gate", "current")
+        # Nightly trajectory: one cheap record (gate config).
+        run = _measure_subprocess("gate")
         record = {
             "bench": "engine",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -238,8 +193,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"appended to {args.append}: {line}")
         return 0
 
-    record = measure(legacy=not args.no_legacy)
-    record["runs"].append(_measure_subprocess("gate", "current"))
+    record = measure()
+    record["runs"].append(_measure_subprocess("gate"))
     if args.write_baseline:
         baseline = {}
         if BASELINE_PATH.exists():

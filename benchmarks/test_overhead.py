@@ -29,6 +29,7 @@ from repro.sim.engine import SimulationEngine
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 
 from benchmarks.conftest import RESULTS_DIR, SEED, save_figure_text
+from tests import reference
 
 
 @pytest.fixture(scope="module")
@@ -83,29 +84,25 @@ def test_schedule_pass_on_testbed(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Vectorized placement engine: scalar vs NumPy kernels at 30K servers
+# Placement kernels: the per-server reference loops vs production
 # ----------------------------------------------------------------------
-def _time_best_fit(cluster, demands, repeats):
+def _time_best_fit(best_fit, demands, repeats):
     """(ops/s, chosen server ids) for repeated best-fit queries."""
     ids = []
     t0 = time.perf_counter()
     for _ in range(repeats):
-        ids = [
-            s.server_id if (s := cluster.best_fit_server(d)) is not None else -1
-            for d in demands
-        ]
+        ids = [s.server_id if (s := best_fit(d)) is not None else -1 for d in demands]
     elapsed = time.perf_counter() - t0
     return repeats * len(demands) / elapsed, ids
 
 
-def _time_fill_pass(vectorized):
+def _time_fill_pass(fill_tasks):
     """(seconds, launches) for one batched fill of a 30K-server cluster.
 
     Fresh engine per call (placement mutates cluster and task state);
     only the fill itself is timed.
     """
     cluster = trace_sim_cluster(30_000, seed=SEED)
-    cluster.vectorized = vectorized
     gen = GoogleTraceGenerator(seed=SEED, mean_theta=60.0)
     jobs = jobs_from_specs(gen.generate(30, mean_interarrival=0.0))
     engine = SimulationEngine(
@@ -117,32 +114,33 @@ def _time_fill_pass(vectorized):
     for job in jobs:
         pairs.extend(pending_by_phase(job))
     t0 = time.perf_counter()
-    launched = fill_tasks_best_fit(engine.view, pairs)
+    launched = fill_tasks(engine.view, pairs)
     elapsed = time.perf_counter() - t0
     return elapsed, launched
 
 
 def test_placement_kernels_30k_servers():
     """Sec. 6.3.3 scale: the per-query placement kernels on 30 000
-    servers, scalar reference vs the vectorized mirror.  Results go to
-    ``BENCH_placement.json`` (machine-readable ops/s, before → after)
-    and the vectorized ``best_fit_server`` must be >= 10x the scalar
-    loop while choosing the *identical* servers."""
+    servers, the per-server reference loops of ``tests/reference.py``
+    vs production.  Results go to ``BENCH_placement.json``
+    (machine-readable ops/s, before → after) and production
+    ``best_fit_server`` must be >= 10x the reference loop while choosing
+    the *identical* servers."""
     cluster = trace_sim_cluster(30_000, seed=SEED)
     demands = [
         Resources.of(1.0 + (k % 7), 2.0 * (1 + k % 5)) for k in range(10)
     ]
 
-    cluster.vectorized = False
-    scalar_ops, scalar_ids = _time_best_fit(cluster, demands, repeats=3)
-    cluster.vectorized = True
-    vector_ops, vector_ids = _time_best_fit(cluster, demands, repeats=100)
+    scalar_ops, scalar_ids = _time_best_fit(
+        lambda d: reference.best_fit(cluster.servers, d)[0], demands, repeats=3
+    )
+    vector_ops, vector_ids = _time_best_fit(cluster.best_fit_server, demands, repeats=100)
 
     assert vector_ids == scalar_ids  # identical placements, not just fast
     best_fit_speedup = vector_ops / scalar_ops
 
-    scalar_fill_s, scalar_launched = _time_fill_pass(vectorized=False)
-    vector_fill_s, vector_launched = _time_fill_pass(vectorized=True)
+    scalar_fill_s, scalar_launched = _time_fill_pass(reference.fill_tasks)
+    vector_fill_s, vector_launched = _time_fill_pass(fill_tasks_best_fit)
     assert vector_launched == scalar_launched
 
     payload = {

@@ -7,17 +7,14 @@ owns its own allocation bookkeeping.
 
 Placement scans run on a structure-of-arrays NumPy mirror of per-server
 availability (:class:`~repro.cluster.mirror.AvailabilityMirror`),
-updated incrementally on every allocate/release, so ``best_fit_server``,
-``servers_fitting`` and ``any_fits`` are masked reductions rather than
-Python loops.  The original per-server loops are kept as a scalar
-reference path, selected with ``Cluster(vectorized=False)`` or the
-``REPRO_SCALAR_PLACEMENT=1`` environment variable; both paths produce
-identical placements (see DESIGN.md §"Placement engine").
+updated incrementally on every allocate/release, so ``best_fit_server``
+is a blocked masked reduction rather than a Python loop.  The
+equivalence tests compare it against a per-server reference loop
+(``tests/reference.py``; DESIGN.md §5.1).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 from repro.cluster.mirror import AvailabilityMirror
@@ -26,12 +23,6 @@ from repro.cluster.topology import Topology
 from repro.resources import Resources
 
 __all__ = ["Cluster"]
-
-
-def _vectorized_default() -> bool:
-    """Vectorized unless REPRO_SCALAR_PLACEMENT selects the reference path."""
-    flag = os.environ.get("REPRO_SCALAR_PLACEMENT", "").strip().lower()
-    return flag in ("", "0", "false", "no")
 
 
 class Cluster:
@@ -46,8 +37,6 @@ class Cluster:
         self,
         servers: Sequence[Server],
         topology: Topology | None = None,
-        *,
-        vectorized: bool | None = None,
     ) -> None:
         if not servers:
             raise ValueError("a cluster needs at least one server")
@@ -62,22 +51,27 @@ class Cluster:
             sum(s.capacity.cpu for s in self.servers),
             sum(s.capacity.mem for s in self.servers),
         )
-        #: Query-path selector.  The mirror is maintained either way, so
-        #: flipping this attribute at runtime is safe (the equivalence
-        #: benchmarks toggle it on a live cluster).
-        self.vectorized = vectorized if vectorized is not None else _vectorized_default()
         self.mirror = AvailabilityMirror(self.servers)
         for s in self.servers:
             s._mirror = self.mirror
-        #: Pre-bound (vectorized, scalar) placement-query counters,
-        #: installed by Observability.bind_cluster; None keeps the
-        #: disabled query path at one attribute load + branch.
+        #: Pre-bound placement-query counter, installed by
+        #: Observability.bind_cluster; None keeps the disabled query
+        #: path at one attribute load + branch.
         self._obs_placement = None
 
+    def __setstate__(self, state) -> None:
+        # Checkpoints from builds with the placement-path switch carry
+        # ``vectorized`` and a (vectorized, scalar) pair of
+        # placement-query counters; keep counting into the first.
+        state.pop("vectorized", None)
+        if isinstance(state.get("_obs_placement"), tuple):
+            state["_obs_placement"] = state["_obs_placement"][0]
+        self.__dict__.update(state)
+
     def _count_query(self) -> None:
-        children = self._obs_placement
-        if children is not None:
-            children[0 if self.vectorized else 1].inc()
+        counter = self._obs_placement
+        if counter is not None:
+            counter.inc()
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -108,47 +102,18 @@ class Cluster:
     def __getitem__(self, server_id: int) -> Server:
         return self.servers[server_id]
 
-    def servers_fitting(self, demand: Resources) -> list[Server]:
-        """Servers that can currently host ``demand`` (Eq. 5 check)."""
-        if self._obs_placement is not None:
-            self._count_query()
-        if self.vectorized:
-            return [self.servers[i] for i in self.mirror.fitting_ids(demand)]
-        return [s for s in self.servers if s.can_fit(demand)]
-
-    def any_fits(self, demand: Resources) -> bool:
-        if self._obs_placement is not None:
-            self._count_query()
-        if self.vectorized:
-            return self.mirror.any_fits(demand)
-        return any(s.can_fit(demand) for s in self.servers)
-
     def best_fit_server(self, demand: Resources) -> Server | None:
         """The fitting server maximizing the demand·available alignment.
 
         This is Tetris' placement heuristic, also used by DollyMP for its
         final placement step; ``None`` when no server fits.  Equal scores
-        break to the **lowest server id** — the scalar loop's strict
-        ``>`` keeps the first maximum and the vectorized ``argmax``
-        returns the first maximal index, so both paths agree exactly.
+        break to the **lowest server id** (``argmax`` returns the first
+        maximal index).
         """
         if self._obs_placement is not None:
             self._count_query()
-        if self.vectorized:
-            hit = self.mirror.best_fit(demand)
-            return None if hit is None else self.servers[hit[0]]
-        best: Server | None = None
-        best_score = -1.0
-        for s in self.servers:
-            if not s.up:
-                continue
-            avail = s.available
-            if not demand.fits_in(avail):
-                continue
-            score = demand.dot(avail)
-            if score > best_score:  # strict: ties keep the lowest id
-                best, best_score = s, score
-        return best
+        hit = self.mirror.best_fit(demand)
+        return None if hit is None else self.servers[hit[0]]
 
     def num_up(self) -> int:
         """Servers currently in service (all of them absent fault injection)."""
@@ -157,20 +122,14 @@ class Cluster:
     def running_copy_count(self) -> int:
         return sum(len(s.running_copies) for s in self.servers)
 
-    def snapshot_available(self) -> list[Resources]:
-        """Immutable view of per-server availability (for what-if packing)."""
-        return [s.available for s in self.servers]
-
     @staticmethod
     def build(
         specs: Iterable[tuple[Resources, float]],
         topology: Topology | None = None,
-        *,
-        vectorized: bool | None = None,
     ) -> "Cluster":
         """Build a cluster from ``(capacity, slowdown)`` specs."""
         servers = [
             Server(i, cap, slowdown=slow)
             for i, (cap, slow) in enumerate(specs)
         ]
-        return Cluster(servers, topology, vectorized=vectorized)
+        return Cluster(servers, topology)

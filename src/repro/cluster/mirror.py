@@ -27,11 +27,12 @@ Invariants:
   per-server recompute (``tests/cluster/test_mirror_property.py`` checks
   this after arbitrary allocate/kill/finish sequences).
 * Scores are computed with the same floating-point expression and
-  operation order as the scalar reference (``demand.cpu * avail.cpu +
-  demand.mem * avail.mem``, then an optional per-server weight), so the
-  vectorized and scalar paths produce bit-identical scores.
+  operation order as the per-server reference loop in
+  ``tests/reference.py`` (``demand.cpu * avail.cpu + demand.mem *
+  avail.mem``, then an optional per-server weight), so the two produce
+  bit-identical scores.
 * Ties break to the **lowest server id**: ``np.argmax`` returns the
-  first maximal index, matching the scalar loop's strict ``>`` update.
+  first maximal index, matching the reference loop's strict ``>``.
 * The feasibility mask evaluates ``avail + EPS >= demand`` — the exact
   expression of :meth:`repro.resources.Resources.fits_in` (``demand <=
   avail + EPS``) with identical rounding.
@@ -232,28 +233,11 @@ class AvailabilityMirror:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def fitting_mask(self, demand: Resources) -> np.ndarray:
-        """Boolean mask of *up* servers that can host ``demand`` (Eq. 5)."""
-        if self._pending:
-            self.flush()
-        return (
-            self.up
-            & (self.avail_cpu + EPS >= demand.cpu)
-            & (self.avail_mem + EPS >= demand.mem)
-        )
-
     def num_up(self) -> int:
         """Servers currently in service (O(M) reduction on the mask)."""
         if self._pending:
             self.flush()
         return int(self.up.sum())
-
-    def any_fits(self, demand: Resources) -> bool:
-        return bool(self.fitting_mask(demand).any())
-
-    def fitting_ids(self, demand: Resources) -> np.ndarray:
-        """Server ids able to host ``demand``, ascending."""
-        return np.flatnonzero(self.fitting_mask(demand))
 
     def best_fit(
         self, demand: Resources, weights: np.ndarray | None = None

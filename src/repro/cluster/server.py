@@ -152,8 +152,8 @@ class Server:
         """Take the server out of service.  The caller (the engine's
         ``Fail`` applier) must have released every resident copy first,
         so the allocation is already snapped to exactly zero; a down
-        server advertises zero availability through both the scalar path
-        and the mirror."""
+        server advertises zero availability through both its own
+        bookkeeping and the mirror."""
         if not self.up:
             raise RuntimeError(f"server {self.server_id}: already down")
         if self._running:

@@ -2,7 +2,7 @@
 the online scheduler (Alg. 2), the cloning policy, and the theoretical
 analyses of Secs. 4.1 and 4.2."""
 
-from repro.core.knapsack import max_count_knapsack, max_count_knapsack_exact
+from repro.core.knapsack import max_count_knapsack
 from repro.core.volume import (
     dominant_share,
     phase_dominant_share,
@@ -31,7 +31,6 @@ from repro.core.theory import (
 
 __all__ = [
     "max_count_knapsack",
-    "max_count_knapsack_exact",
     "dominant_share",
     "phase_dominant_share",
     "job_volume",

@@ -8,9 +8,8 @@ i.e. a 0/1 knapsack with *unit profits*.  As the paper notes, with equal
 profits the oracle "can be solved efficiently by selecting items with the
 smallest weights" — the greedy is exactly optimal here, not an
 approximation.  :func:`max_count_knapsack` implements it in O(n log n);
-:func:`max_count_knapsack_exact` is an independent dynamic program kept
-for cross-validation in the test suite (and for integer-profit
-generalizations).
+the test suite cross-validates it against an independent dynamic
+program (``max_count_knapsack_exact`` in ``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "max_count_knapsack",
-    "max_count_knapsack_batch",
-    "max_count_knapsack_exact",
-]
+__all__ = ["max_count_knapsack", "max_count_knapsack_batch"]
 
 
 def max_count_knapsack(weights: Sequence[float], capacity: float) -> list[int]:
@@ -94,55 +89,3 @@ def max_count_knapsack_batch(
         results.append(np.sort(sel))
     return results
 
-
-def max_count_knapsack_exact(
-    weights: Sequence[float],
-    capacity: float,
-    *,
-    profits: Sequence[int] | None = None,
-) -> list[int]:
-    """Exact 0/1 knapsack by dynamic programming over total profit.
-
-    ``dp[p]`` = minimum weight achieving profit exactly ``p``; the answer
-    is the largest ``p`` with ``dp[p] ≤ capacity``.  With unit profits
-    this is O(n²) — the complexity the paper quotes for the oracle — and
-    agrees with the greedy; with general integer profits it solves the
-    weighted variant used in ablations.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    w = [float(x) for x in weights]
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
-    n = len(w)
-    p = [1] * n if profits is None else [int(x) for x in profits]
-    if len(p) != n:
-        raise ValueError("profits length must match weights")
-    if any(x < 0 for x in p):
-        raise ValueError("profits must be non-negative")
-    total_profit = sum(p)
-    INF = float("inf")
-    # dp[i][prof] = min weight achieving profit `prof` using items < i.
-    # Full table (not rolled) so the witness reconstruction is exact.
-    dp = np.full((n + 1, total_profit + 1), INF)
-    dp[0][0] = 0.0
-    for i in range(n):
-        dp[i + 1] = dp[i].copy()
-        shifted = dp[i][: total_profit + 1 - p[i]] + w[i] if p[i] > 0 else dp[i] + w[i]
-        if p[i] > 0:
-            np.minimum(dp[i + 1][p[i] :], shifted, out=dp[i + 1][p[i] :])
-        else:
-            np.minimum(dp[i + 1], shifted, out=dp[i + 1])
-    cap = capacity * (1 + 1e-12)
-    feasible = np.nonzero(dp[n] <= cap)[0]
-    best = int(feasible[-1]) if feasible.size else 0
-    # Reconstruct a witness subset walking the table backwards.
-    selected: list[int] = []
-    prof = best
-    for i in range(n - 1, -1, -1):
-        if dp[i + 1][prof] == dp[i][prof]:
-            continue  # item i not needed for this profit
-        selected.append(i)
-        prof -= p[i]
-    selected.reverse()
-    return selected

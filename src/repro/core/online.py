@@ -27,7 +27,6 @@ realizations.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.cloning_policy import CloningPolicy
@@ -36,7 +35,6 @@ from repro.core.volume import DEFAULT_R, JobMeasure, measure_job
 from repro.schedulers.base import Scheduler
 from repro.schedulers.packing import (
     CloneScoreCache,
-    _vectorized_clone_fill_default,
     fill_clones_best_fit,
     fill_tasks_best_fit,
     pending_by_phase,
@@ -48,18 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import ClusterView
 
 __all__ = ["DollyMPScheduler"]
-
-
-def _eager_priorities_default() -> bool:
-    """Eager per-arrival recompute only when REPRO_EAGER_PRIORITIES asks.
-
-    The default is *lazy* maintenance: arrivals arm a deferred recompute
-    that materializes at the next priority read (bit-identical to the
-    eager path; the escape hatch exists for the equivalence suite and
-    the legacy-mode benchmark runs, mirroring REPRO_SCALAR_PLACEMENT).
-    """
-    flag = os.environ.get("REPRO_EAGER_PRIORITIES", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
 
 
 class DollyMPScheduler(Scheduler):
@@ -121,8 +107,7 @@ class DollyMPScheduler(Scheduler):
         # Subclasses that override recompute_priorities (the estimating
         # scheduler's measures are *time-varying*) keep the eager path.
         self._eager = (
-            _eager_priorities_default()
-            or type(self).recompute_priorities is not DollyMPScheduler.recompute_priorities
+            type(self).recompute_priorities is not DollyMPScheduler.recompute_priorities
         )
         self._roster: dict[int, Job] = {}
         self._armed = False
@@ -359,11 +344,7 @@ class DollyMPScheduler(Scheduler):
         # Pass-scoped score cache: every availability change inside pass 2
         # is a clone launch made by the fills below, so the cache's
         # one-column-per-launch refresh rule holds for the whole pass.
-        score_cache = (
-            CloneScoreCache(view.cluster.mirror)
-            if view.cluster.vectorized and _vectorized_clone_fill_default()
-            else None
-        )
+        score_cache = CloneScoreCache(view.cluster.mirror)
         # The clone-target scan is the other repeat cost: re-running the
         # generator visits every task of every running phase again.  No
         # task changes state during a pass and live-copy counts only

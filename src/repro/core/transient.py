@@ -22,23 +22,14 @@ itself trivially compatible with trace recording and replay.
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.knapsack import max_count_knapsack, max_count_knapsack_batch
+from repro.core.knapsack import max_count_knapsack_batch
 from repro.core.volume import JobMeasure
 
 __all__ = ["num_levels", "compute_priorities", "priority_groups"]
-
-
-def _vectorized_priorities_default() -> bool:
-    """Vectorized category/knapsack pass unless REPRO_SCALAR_PRIORITIES
-    opts out (escape hatch mirroring REPRO_SCALAR_PLACEMENT; the
-    equivalence suite runs both paths against each other)."""
-    flag = os.environ.get("REPRO_SCALAR_PRIORITIES", "").strip().lower()
-    return flag in ("", "0", "false", "no")
 
 
 def num_levels(measures: Sequence[JobMeasure]) -> int:
@@ -64,53 +55,21 @@ def compute_priorities(measures: Sequence[JobMeasure]) -> dict[int, int]:
     priority: jobs never selected (possible only through float edge
     cases) fall to level g + 1.
 
-    Dispatches to the vectorized doubling-category pass unless
-    ``REPRO_SCALAR_PRIORITIES`` selects the scalar reference loop; the
-    two are bit-identical (see :func:`_compute_priorities_vectorized`).
-    """
-    if not measures:
-        return {}
-    ids = [m.job_id for m in measures]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate job ids in measures")
-    if _vectorized_priorities_default():
-        return _compute_priorities_vectorized(measures, ids)
-    return _compute_priorities_scalar(measures)
-
-
-def _compute_priorities_scalar(measures: Sequence[JobMeasure]) -> dict[int, int]:
-    """Reference per-level loop: one knapsack call per category."""
-    g = num_levels(measures)
-    priorities: dict[int, int] = {}
-    for level in range(1, g + 1):
-        cap = 2.0**level
-        # B_l: every job with effective length within the category — the
-        # oracle re-packs the whole set; jobs selected at earlier levels
-        # keep their priority (step 7 only assigns where p^{l-1} = ∞).
-        eligible = [m for m in measures if m.length <= cap]
-        if not eligible:
-            continue
-        chosen = max_count_knapsack([m.volume for m in eligible], cap)
-        for idx in chosen:
-            priorities.setdefault(eligible[idx].job_id, level)
-    for m in measures:  # float-edge fallback; the theory says unreachable
-        priorities.setdefault(m.job_id, g + 1)
-    return priorities
-
-
-def _compute_priorities_vectorized(
-    measures: Sequence[JobMeasure], ids: list[int]
-) -> dict[int, int]:
-    """All g categories in one batched knapsack over a single sort.
-
-    Bit-identical to the scalar loop: the batch oracle's masked cumsum
-    over the globally stable-sorted volumes adds exactly the floats the
+    All g categories run as one batched knapsack over a single sort,
+    bit-identical to Algorithm 1's per-level loop (the reference kernel
+    in ``tests/reference.py``): the batch oracle's masked cumsum over
+    the globally stable-sorted volumes adds exactly the floats each
     per-level ``max_count_knapsack`` would (stable sort of the eligible
     subset == subset of the stable-sorted whole), and the keep-earliest
     rule (step 7 assigns only where p^{l-1} = ∞) is the boolean
     ``assigned`` mask.  ``num_levels`` stays scalar on purpose — its
     sequential float sum is part of the identity contract.
     """
+    if not measures:
+        return {}
+    ids = [m.job_id for m in measures]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate job ids in measures")
     n = len(measures)
     vol = np.fromiter((m.volume for m in measures), np.float64, n)
     length = np.fromiter((m.length for m in measures), np.float64, n)

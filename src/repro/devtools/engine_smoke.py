@@ -2,28 +2,22 @@
 
 Drives a short chaos-profile DollyMP² simulation — the paper's 30-node
 testbed under the fault-smoke churn profile, 5-second slots — through
-the batched event loop twice:
+the batched event loop with the sanitizer validating every event.  The
+gate is deliberately non-vacuous (every job must finish and the chaos
+profile must fire) and enforces a conservative events/sec floor, so an
+accidental return to quadratic drains fails CI even before the nightly
+trajectory notices.
 
-1. **current** — batched drains, lazy priorities, vectorized
-   doubling-category knapsack and clone fill;
-2. **scalar** — the same binary with every escape hatch enabled
-   (``REPRO_EAGER_PRIORITIES``, ``REPRO_SCALAR_PRIORITIES``,
-   ``REPRO_SCALAR_CLONE_FILL``), i.e. the eager per-event reference
-   semantics.
-
-The two runs must agree byte-for-byte (decision journal *and* full
-``SimulationResult``) with the sanitizer validating every event — the
-batched engine's contract is *faster, not different*.  On top of the
-equality check the gate enforces a deliberately conservative events/sec
-floor, so an accidental return to quadratic drains fails CI even before
-the nightly trajectory notices.
+Byte-identity of this run against the reference kernels (eager
+priorities, per-level Algorithm 1, uncached clone fill, per-server
+placement loops) is a tier-1 test that calls :func:`_run_once`
+(``tests/integration/test_batched_equivalence.py``).
 
 Run:  PYTHONPATH=src python -m repro.devtools.engine_smoke
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -31,18 +25,9 @@ from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
 from repro.devtools.fault_smoke import SMOKE_PROFILE
 from repro.sim.engine import SimulationEngine
-from repro.sim.replay import ReplayDivergence, assert_replay_identical
 from repro.workload.mapreduce import pagerank_job, wordcount_job
 
-__all__ = ["main", "SCALAR_ENV", "MIN_EVENTS_PER_SEC"]
-
-#: Escape hatches that switch every batched/vectorized path back to the
-#: scalar reference (kept in sync with ``benchmarks.engine_bench``).
-SCALAR_ENV = (
-    "REPRO_EAGER_PRIORITIES",
-    "REPRO_SCALAR_PRIORITIES",
-    "REPRO_SCALAR_CLONE_FILL",
-)
+__all__ = ["main", "MIN_EVENTS_PER_SEC"]
 
 #: Floor for the *current* run, events per wall-clock second.  The
 #: 30-node chaos run clears 2000+ ev/s on a developer machine even with
@@ -63,11 +48,12 @@ def _make_jobs():
     return jobs
 
 
-def _run_once():
-    """One recorded chaos run; returns (result, trace, events, wall_s)."""
+def _run_once(scheduler=DollyMPScheduler):
+    """One recorded chaos run of ``scheduler`` (a DollyMP class);
+    returns (result, trace, events, wall_s)."""
     engine = SimulationEngine(
         paper_cluster_30_nodes(),
-        DollyMPScheduler(max_clones=2),
+        scheduler(max_clones=2),
         _make_jobs(),
         seed=7,
         schedule_interval=5.0,
@@ -80,21 +66,6 @@ def _run_once():
     result = engine.run()
     wall = time.perf_counter() - t0
     return result, engine.trace, engine.events_processed, wall
-
-
-def _run_scalar():
-    """The same run with every escape hatch enabled (restored after)."""
-    saved = {key: os.environ.get(key) for key in SCALAR_ENV}
-    try:
-        for key in SCALAR_ENV:
-            os.environ[key] = "1"
-        return _run_once()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def main() -> int:
@@ -117,20 +88,6 @@ def main() -> int:
         )
         return 1
 
-    scalar_result, scalar_trace, _, _ = _run_scalar()
-    if scalar_trace.decisions != trace.decisions:
-        print(
-            "engine-smoke: scalar escape-hatch run produced a different "
-            "decision trace — batched and scalar paths DIVERGED",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        assert_replay_identical(result, scalar_result)
-    except ReplayDivergence as exc:
-        print(f"engine-smoke: batched vs scalar results diverged — {exc}", file=sys.stderr)
-        return 1
-
     events_per_sec = events / wall if wall > 0 else float("inf")
     if events_per_sec < MIN_EVENTS_PER_SEC:
         print(
@@ -144,8 +101,7 @@ def main() -> int:
     print(
         f"engine-smoke: {events} events in {wall:.2f}s "
         f"({events_per_sec:.0f} ev/s, floor {MIN_EVENTS_PER_SEC:.0f}); "
-        f"{result.faults_injected} faults injected; scalar escape-hatch "
-        f"run byte-identical over {len(trace)} decisions"
+        f"{result.faults_injected} faults injected; {len(trace)} decisions"
     )
     return 0
 

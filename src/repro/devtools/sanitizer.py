@@ -257,8 +257,9 @@ class SimulationSanitizer:
         for server in self.engine.cluster:
             i = server.server_id
             # Bitwise equality on purpose: the mirror stores exactly the
-            # Server floats, and the vectorized/scalar equivalence proof
-            # depends on them never differing by even one ulp.
+            # Server floats, and the proof that placements equal the
+            # per-server reference loops depends on them never differing
+            # by even one ulp.
             pairs = (
                 ("avail_cpu", mirror.avail_cpu[i], server.available.cpu),
                 ("avail_mem", mirror.avail_mem[i], server.available.mem),

@@ -117,12 +117,9 @@ class Observability:
             self.tracer.clock = clock
 
     def bind_cluster(self, cluster) -> None:
-        """Install pre-bound placement-query counters on the cluster."""
+        """Install the placement-query counter on the cluster."""
         if self.sim is not None:
-            cluster._obs_placement = (
-                self.sim.placement_queries.labels(path="vectorized"),
-                self.sim.placement_queries.labels(path="scalar"),
-            )
+            cluster._obs_placement = self.sim.placement_queries.labels()
 
     # -- cold-path conveniences -----------------------------------------
     def inc(self, name: str, amount: float = 1.0, help: str = "", **labels) -> None:

@@ -20,7 +20,7 @@ Sim-derived families (deterministic under a fixed seed):
 ``repro_sim_job_flowtime_seconds``        histogram f_j − a_j per job
 ``repro_sim_active_jobs``                 gauge    arrived, unfinished jobs
 ``repro_sim_time_seconds``                gauge    sim clock at run end
-``repro_placement_queries_total{path}``   counter  cluster placement scans
+``repro_placement_queries_total``         counter  best-fit placement queries
 ``repro_placement_launched_total{mode}``  counter  fill-loop launches
 ``repro_workload_jobs_total`` (+tasks/phases)      workload composition
 ======================================== ======== ==========================
@@ -121,8 +121,7 @@ class SimInstruments:
         )
         self.placement_queries = r.counter(
             "repro_placement_queries_total",
-            "cluster placement scans (best-fit / fitting / any-fits)",
-            ("path",),
+            "best-fit placement queries (cluster scans and clone-fill lookups)",
         )
         self.placement_launched = r.counter(
             "repro_placement_launched_total",

@@ -22,8 +22,8 @@ __all__ = ["EPS", "Resources", "ZERO", "sum_resources"]
 # demands, so exact comparisons would spuriously reject feasible packings
 # after a few hundred float additions.  This is the *single* canonical
 # epsilon: every tolerance comparison in the library imports it (enforced
-# by repro-lint rule RL005), so the vectorized mirror, the scalar
-# placement path and the packing masks can never drift apart.
+# by repro-lint rule RL005), so the vectorized mirror's feasibility masks
+# and ``Resources.fits_in`` can never drift apart.
 EPS = 1e-9
 
 

@@ -10,27 +10,22 @@ one task at a time, choosing among equally-prioritized candidates the
 (task, server) pair maximizing the resource-fit inner product
 R_i^c·c + R_i^m·m.
 
-Two implementations produce identical placement sequences:
+Task fills score candidates against the cluster's availability mirror
+through its block-bound placement index (DESIGN.md §5.10): blocks are
+scored lazily and each launch only refreshes the launched server's
+column, so a pass is one column update plus a re-resolve of the rows
+that lost their best server.  Clone fills query the same index through
+a :class:`CloneScoreCache`.
 
-* the **vectorized** path (default) scores candidates against the
-  cluster's availability mirror through its block-bound placement index
-  (DESIGN.md §5.10): blocks are scored lazily, each launch only
-  refreshes the launched server's column, so a pass is one column
-  update plus a re-resolve of the rows that lost their best server;
-* the **scalar reference** path (``Cluster(vectorized=False)`` /
-  ``REPRO_SCALAR_PLACEMENT=1``) is the original per-server loop with an
-  incremental best-server cache.
-
-Tie-breaking contract (both paths): the *earliest candidate* in the
-given order wins equal scores, and within a candidate the *lowest
-server id* wins — the scalar loops use strict ``>`` so the first
-maximum is kept, and the vectorized path resolves exactly the
-row-major ``argmax`` of the candidate×server score matrix.
+Tie-breaking contract: the *earliest candidate* in the given order wins
+equal scores, and within a candidate the *lowest server id* wins — the
+fill resolves exactly the row-major ``argmax`` of the candidate×server
+score matrix, which is the launch sequence of the per-server reference
+loops in ``tests/reference.py`` (strict ``>`` keeps the first maximum).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
@@ -48,22 +43,9 @@ __all__ = [
     "CloneScoreCache",
     "fill_tasks_best_fit",
     "fill_clones_best_fit",
-    "first_fit_server",
     "pending_by_phase",
     "next_pending_task",
 ]
-
-
-def _vectorized_clone_fill_default() -> bool:
-    """Cached clone-fill scoring unless REPRO_SCALAR_CLONE_FILL opts out
-    (escape hatch mirroring REPRO_SCALAR_PLACEMENT)."""
-    flag = os.environ.get("REPRO_SCALAR_CLONE_FILL", "").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
-def first_fit_server(view: "ClusterView", demand) -> Server | None:
-    """Best-fit (max alignment) server for a demand, or None."""
-    return view.cluster.best_fit_server(demand)
 
 
 def pending_by_phase(job, now: float | None = None) -> list[tuple[Phase, list[Task]]]:
@@ -95,38 +77,6 @@ def next_pending_task(job, now: float | None = None) -> Task | None:
     return None
 
 
-class _Candidate:
-    """A queue of identical pending tasks (one phase of one job)."""
-
-    __slots__ = ("phase", "queue", "best_server", "best_score")
-
-    def __init__(self, phase: Phase, tasks: list[Task]) -> None:
-        self.phase = phase
-        self.queue = tasks  # consumed from the end
-        self.best_server: Server | None = None
-        self.best_score = -1.0
-
-    def rescore(
-        self,
-        servers: Iterable[Server],
-        server_weight: Callable[[Server], float] | None = None,
-    ) -> None:
-        demand = self.phase.demand
-        self.best_server = None
-        self.best_score = -1.0
-        for s in servers:
-            if not s.up:
-                continue
-            avail = s.available
-            if not demand.fits_in(avail):
-                continue
-            score = demand.dot(avail)
-            if server_weight is not None:
-                score *= server_weight(s)
-            if score > self.best_score:  # strict: ties keep the lowest id
-                self.best_server, self.best_score = s, score
-
-
 def fill_tasks_best_fit(
     view: "ClusterView",
     phases_with_tasks: list[tuple[Phase, list[Task]]],
@@ -141,8 +91,8 @@ def fill_tasks_best_fit(
     tasks to place.  Used per priority group by DollyMP and per ordering
     bucket by the baselines.  ``server_weight`` optionally scales each
     server's fit score (the straggler-avoidance extension multiplies by
-    the inverse of the server's learned slowdown); on the vectorized
-    path it is evaluated once per server and applied as a weight vector.
+    the inverse of the server's learned slowdown); it is evaluated once
+    per server and applied as a weight vector.
     """
     obs = view.observability
     frame = (
@@ -151,20 +101,12 @@ def fill_tasks_best_fit(
         else None
     )
     try:
-        if view.cluster.vectorized:
-            launched = _fill_tasks_vectorized(
-                view,
-                phases_with_tasks,
-                on_launch=on_launch,
-                server_weight=server_weight,
-            )
-        else:
-            launched = _fill_tasks_scalar(
-                view,
-                phases_with_tasks,
-                on_launch=on_launch,
-                server_weight=server_weight,
-            )
+        launched = _fill_tasks(
+            view,
+            phases_with_tasks,
+            on_launch=on_launch,
+            server_weight=server_weight,
+        )
     finally:
         if frame is not None:
             obs.profiler.exit(frame)
@@ -173,7 +115,7 @@ def fill_tasks_best_fit(
     return launched
 
 
-def _fill_tasks_vectorized(
+def _fill_tasks(
     view: "ClusterView",
     phases_with_tasks: list[tuple[Phase, list[Task]]],
     *,
@@ -247,49 +189,6 @@ def _fill_tasks_vectorized(
     return launched
 
 
-def _fill_tasks_scalar(
-    view: "ClusterView",
-    phases_with_tasks: list[tuple[Phase, list[Task]]],
-    *,
-    on_launch: Callable[[Task, Server], None] | None,
-    server_weight: Callable[[Server], float] | None,
-) -> int:
-    """Reference fill: per-candidate best-server cache, rescored only
-    when the cached best server's availability changes."""
-    cands = [
-        _Candidate(phase, list(tasks))
-        for phase, tasks in phases_with_tasks
-        if tasks
-    ]
-    servers = view.cluster.servers
-    for c in cands:
-        c.rescore(servers, server_weight)
-    launched = 0
-    while True:
-        best: _Candidate | None = None
-        for c in cands:
-            if c.queue and c.best_server is not None and (
-                best is None or c.best_score > best.best_score
-            ):
-                best = c
-        if best is None:
-            break
-        task = best.queue.pop()
-        server = best.best_server
-        assert server is not None
-        view.apply(Launch(task, server))
-        if on_launch is not None:
-            on_launch(task, server)
-        launched += 1
-        # Only `server`'s availability changed (shrank): rescore the
-        # candidates that were counting on it.
-        for c in cands:
-            if c.best_server is server:
-                c.rescore(servers, server_weight)
-        cands = [c for c in cands if c.queue and c.best_server is not None]
-    return launched
-
-
 class CloneScoreCache:
     """Per-pass memo of demand → block scores for clone fills.
 
@@ -342,9 +241,9 @@ def fill_clones_best_fit(
 
     ``budget_check`` gates each launch (DollyMP's δ budget); tasks are
     attempted in the given priority order, each placed on its best-fit
-    server if any fits.  ``score_cache`` (a pass-scoped
-    :class:`CloneScoreCache`) replaces the per-query best-fit scan with
-    cached score rows.  Returns the number of clones launched.
+    server if any fits.  ``score_cache`` is a pass-scoped
+    :class:`CloneScoreCache` shared across calls; without one the call
+    scores through its own.  Returns the number of clones launched.
     """
     obs = view.observability
     frame = (
@@ -376,10 +275,13 @@ def _fill_clones(
     budget_check: Callable[[Task], bool] | None,
     max_launches: int | None,
     on_launch: Callable[[Task, Server], None] | None,
-    score_cache: CloneScoreCache | None = None,
+    score_cache: CloneScoreCache | None,
 ) -> int:
+    cluster = view.cluster
+    if score_cache is None:
+        score_cache = CloneScoreCache(cluster.mirror)
+    servers = cluster.servers
     launched = 0
-    servers = view.cluster.servers
     # Availability only shrinks within a pass, so a demand that found no
     # server will never fit later in the pass — skip repeats (tasks of a
     # phase share one demand, making this cache very effective).
@@ -395,21 +297,16 @@ def _fill_clones(
             continue
         if budget_check is not None and not budget_check(task):
             continue
-        if score_cache is not None:
-            # A cache hit is still one placement query answered — keep
-            # the observability counter aligned with the uncached path.
-            if view.cluster._obs_placement is not None:
-                view.cluster._count_query()
-            sid = score_cache.best_fit_id(demand)
-            server = None if sid is None else servers[sid]
-        else:
-            server = view.cluster.best_fit_server(demand)
-        if server is None:
+        # A cache hit is still one placement query answered.
+        if cluster._obs_placement is not None:
+            cluster._count_query()
+        sid = score_cache.best_fit_id(demand)
+        if sid is None:
             unfittable.add(key)
             continue
+        server = servers[sid]
         view.apply(Launch(task, server, clone=True))
-        if score_cache is not None:
-            score_cache.on_launch(server.server_id)
+        score_cache.on_launch(sid)
         if on_launch is not None:
             on_launch(task, server)
         launched += 1

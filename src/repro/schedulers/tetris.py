@@ -68,23 +68,11 @@ class TetrisScheduler(Scheduler):
         return job.ready_phases(now)
 
     def _rescore(self, cand: _JobCandidate, cluster) -> None:
-        demand = cand.phase.demand
-        if cluster.vectorized:
-            hit = cluster.mirror.best_fit(demand)
-            if hit is None:
-                cand.best_server, cand.best_align = None, -1.0
-            else:
-                cand.best_server, cand.best_align = cluster.servers[hit[0]], hit[1]
-            return
-        cand.best_server = None
-        cand.best_align = -1.0
-        for s in cluster.servers:
-            avail = s.available
-            if not demand.fits_in(avail):
-                continue
-            align = demand.dot(avail)
-            if align > cand.best_align:  # strict: ties keep the lowest id
-                cand.best_server, cand.best_align = s, align
+        hit = cluster.mirror.best_fit(cand.phase.demand)
+        if hit is None:
+            cand.best_server, cand.best_align = None, -1.0
+        else:
+            cand.best_server, cand.best_align = cluster.servers[hit[0]], hit[1]
 
     def schedule(self, view: "ClusterView") -> None:
         jobs = view.active_jobs

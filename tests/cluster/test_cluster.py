@@ -65,16 +65,6 @@ class TestAggregates:
 
 
 class TestQueries:
-    def test_servers_fitting(self):
-        c = two_server_cluster()
-        fitting = c.servers_fitting(Resources.of(6, 6))
-        assert [s.server_id for s in fitting] == [0]
-
-    def test_any_fits(self):
-        c = two_server_cluster()
-        assert c.any_fits(Resources.of(4, 32))
-        assert not c.any_fits(Resources.of(9, 1))
-
     def test_best_fit_prefers_max_alignment(self):
         c = two_server_cluster()
         # Demand (1, 8): dot with (8,16)=8+128=136; with (4,32)=4+256=260.
@@ -91,54 +81,47 @@ class TestQueries:
         best = c.best_fit_server(Resources.of(1, 8))
         assert best is not None and best.server_id == 0
 
-    def test_snapshot_available(self):
-        c = two_server_cluster()
-        snap = c.snapshot_available()
-        assert snap == [Resources.of(8, 16), Resources.of(4, 32)]
-        c[0].allocate(make_copy(make_task(1, 1)))
-        assert snap[0] == Resources.of(8, 16)  # snapshot is immutable
-
     def test_iteration_order(self):
         c = two_server_cluster()
         assert [s.server_id for s in c] == [0, 1]
 
 
-def identical_cluster(n=4, vectorized=None):
-    return Cluster(
-        [Server(i, Resources.of(8, 16)) for i in range(n)], vectorized=vectorized
-    )
+def identical_cluster(n=4):
+    return Cluster([Server(i, Resources.of(8, 16)) for i in range(n)])
+
+
+def best_id(cluster, demand):
+    best = cluster.best_fit_server(demand)
+    return None if best is None else best.server_id
 
 
 class TestTieBreaking:
     """Equal alignment scores must resolve to the *lowest* server id in
-    both placement paths (scalar strict ``>`` keeps the first maximum;
-    ``np.argmax`` returns the first maximal index)."""
+    production and in the reference loop (``np.argmax`` returns the
+    first maximal index; the loop's strict ``>`` keeps the first
+    maximum)."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_all_equal_picks_server_zero(self, vectorized):
-        c = identical_cluster(vectorized=vectorized)
-        best = c.best_fit_server(Resources.of(2, 4))
-        assert best is not None and best.server_id == 0
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_all_equal_picks_server_zero(self, reference_kernels, reference):
+        if reference:
+            reference_kernels("best-fit")
+        assert best_id(identical_cluster(), Resources.of(2, 4)) == 0
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_tie_after_loading_lowest_wins(self, vectorized):
-        c = identical_cluster(vectorized=vectorized)
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_tie_after_loading_lowest_wins(self, reference_kernels, reference):
+        if reference:
+            reference_kernels("best-fit")
+        c = identical_cluster()
         # Load servers 0 and 1 identically: 2 and 3 now tie for best.
         c[0].allocate(make_copy(make_task(4, 8), server_id=0))
         c[1].allocate(make_copy(make_task(4, 8), server_id=1))
-        best = c.best_fit_server(Resources.of(2, 4))
-        assert best is not None and best.server_id == 2
+        assert best_id(c, Resources.of(2, 4)) == 2
 
-    def test_both_modes_agree_on_every_query(self):
-        cv = identical_cluster(vectorized=True)
-        cs = identical_cluster(vectorized=False)
-        for c in (cv, cs):
-            c[1].allocate(make_copy(make_task(3, 6), server_id=1))
-            c[3].allocate(make_copy(make_task(3, 6), server_id=3))
-        for demand in (Resources.of(2, 4), Resources.of(5, 10), Resources.of(8, 16)):
-            bv, bs = cv.best_fit_server(demand), cs.best_fit_server(demand)
-            assert (bv and bv.server_id) == (bs and bs.server_id)
-            assert [s.server_id for s in cv.servers_fitting(demand)] == [
-                s.server_id for s in cs.servers_fitting(demand)
-            ]
-            assert cv.any_fits(demand) == cs.any_fits(demand)
+    def test_both_modes_agree_on_every_query(self, reference_kernels):
+        c = identical_cluster()
+        c[1].allocate(make_copy(make_task(3, 6), server_id=1))
+        c[3].allocate(make_copy(make_task(3, 6), server_id=3))
+        demands = (Resources.of(2, 4), Resources.of(5, 10), Resources.of(8, 16))
+        production = [best_id(c, d) for d in demands]
+        reference_kernels("best-fit")
+        assert [best_id(c, d) for d in demands] == production

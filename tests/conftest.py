@@ -11,6 +11,7 @@ from repro.resources import Resources
 from repro.workload.distributions import Deterministic, ParetoType1
 from repro.workload.job import Job
 from repro.workload.phase import Phase
+from tests.reference import reference_kernels  # noqa: F401  (shared fixture)
 
 
 @pytest.fixture

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.knapsack import (
-    max_count_knapsack,
-    max_count_knapsack_batch,
-    max_count_knapsack_exact,
-)
+from repro.core.knapsack import max_count_knapsack, max_count_knapsack_batch
+from tests.reference import max_count_knapsack_exact
 
 
 class TestGreedy:
@@ -128,7 +125,7 @@ class TestBatchOracle:
     @settings(max_examples=200, deadline=None)
     def test_eligibility_matches_filtered_scalar(self, weights, data):
         """Per-instance masks == compact-then-solve-then-map-back, the
-        exact shape of the scalar per-level loop in compute_priorities."""
+        exact shape of Algorithm 1's per-level reference loop."""
         n = len(weights)
         caps = data.draw(self.caps_st)
         masks = [

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transient import (
-    _compute_priorities_scalar,
-    _compute_priorities_vectorized,
-    compute_priorities,
-    num_levels,
-    priority_groups,
-)
+from repro.core.transient import compute_priorities, num_levels, priority_groups
 from repro.core.volume import JobMeasure
+from tests import reference
 
 
 def m(job_id, volume, length, share=0.1):
@@ -152,8 +147,8 @@ class TestDoublingCategoryBoundaries:
 
 
 class TestVectorizedEquivalence:
-    """The vectorized doubling-category pass == the scalar reference
-    loop, exactly, over arbitrary measure sets."""
+    """The batched doubling-category pass == Algorithm 1's per-level
+    reference loop, exactly, over arbitrary measure sets."""
 
     measures_st = st.lists(
         st.tuples(
@@ -172,16 +167,4 @@ class TestVectorizedEquivalence:
             m(i, volume, length, share)
             for i, (volume, length, share) in enumerate(triples)
         ]
-        ids = [meas.job_id for meas in measures]
-        assert _compute_priorities_vectorized(measures, ids) == (
-            _compute_priorities_scalar(measures)
-        )
-
-    def test_env_hatch_selects_scalar(self, monkeypatch):
-        """REPRO_SCALAR_PRIORITIES flips the dispatcher (and the two
-        paths agree on the dispatched result)."""
-        measures = [m(0, 3.0, 2.0), m(1, 1.0, 1.0), m(2, 50.0, 40.0)]
-        monkeypatch.setenv("REPRO_SCALAR_PRIORITIES", "1")
-        scalar = compute_priorities(measures)
-        monkeypatch.delenv("REPRO_SCALAR_PRIORITIES")
-        assert compute_priorities(measures) == scalar
+        assert compute_priorities(measures) == reference.compute_priorities(measures)

@@ -1,14 +1,14 @@
-"""Batched/lazy/vectorized engine paths vs the eager scalar reference.
+"""Batched/lazy/cached engine paths vs the reference kernels.
 
-The batched event-loop engine ships three escape hatches —
-``REPRO_EAGER_PRIORITIES`` (per-event priority recompute instead of the
-lazy copy-on-write roster), ``REPRO_SCALAR_PRIORITIES`` (per-level
-knapsack loop instead of the batched doubling-category pass) and
-``REPRO_SCALAR_CLONE_FILL`` (fresh best-fit query per clone instead of
-the per-pass score cache).  Each hatch, and all of them together, must
-be a pure performance change: identical copy-launch sequences and
-bit-identical metrics, in event-driven and slotted modes, with and
-without fault injection (DESIGN.md §5.6).
+Every kernel of a DollyMP pass — the mirror-backed task fill, the cached
+clone fill, the batched doubling-category pass of Algorithm 1 and lazy
+priority maintenance — has a plain reference in ``tests/reference.py``.
+Each "hatch" below swaps one of them into production; each hatch, and
+all of them together, must be a pure performance change: identical
+copy-launch sequences and bit-identical metrics, in event-driven and
+slotted modes, with and without fault injection (DESIGN.md §5.6).  The
+best-fit scan, which DollyMP's fills do not call, is covered per
+scheduler in ``test_vectorized_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -18,30 +18,32 @@ import pytest
 
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
+from repro.devtools.engine_smoke import _run_once as engine_smoke_run
 from repro.devtools.fault_smoke import SMOKE_PROFILE
+from repro.sim.replay import assert_replay_identical
 from repro.sim.runner import run_simulation
 from tests.integration.test_vectorized_equivalence import (
     SEED,
     launch_log,
     mixed_dag_jobs,
 )
+from tests.reference import KERNELS, EagerDollyMP
 
-HATCHES = (
-    "REPRO_EAGER_PRIORITIES",
-    "REPRO_SCALAR_PRIORITIES",
-    "REPRO_SCALAR_CLONE_FILL",
-)
+#: Hatch → (DollyMP class, reference kernels swapped in).
+HATCHES = {
+    "task-fill": (DollyMPScheduler, ("task-fill",)),
+    "scalar-clone-fill": (DollyMPScheduler, ("clone-fill",)),
+    "scalar-priorities": (DollyMPScheduler, ("priorities",)),
+    "eager-priorities": (EagerDollyMP, ()),
+    "all-hatches": (EagerDollyMP, KERNELS),
+}
 
 
-def run_one(monkeypatch, env, *, schedule_interval=0.0, fault_profile=None):
-    for key in HATCHES:
-        monkeypatch.delenv(key, raising=False)
-    for key in env:
-        monkeypatch.setenv(key, "1")
+def run_one(scheduler=DollyMPScheduler, *, schedule_interval=0.0, fault_profile=None):
     jobs = mixed_dag_jobs()
     result = run_simulation(
         paper_cluster_30_nodes(),
-        DollyMPScheduler(max_clones=2),
+        scheduler(max_clones=2),
         jobs,
         seed=SEED,
         schedule_interval=schedule_interval,
@@ -49,6 +51,14 @@ def run_one(monkeypatch, env, *, schedule_interval=0.0, fault_profile=None):
         fault_profile=fault_profile,
     )
     return result, launch_log(jobs)
+
+
+def run_hatched(reference_kernels, hatch, **kw):
+    """(production, reference) runs with ``hatch`` swapped into the second."""
+    production = run_one(**kw)
+    scheduler, kernels = HATCHES[hatch]
+    reference_kernels(*kernels)
+    return production, run_one(scheduler, **kw)
 
 
 def assert_equivalent(a, b):
@@ -63,33 +73,35 @@ def assert_equivalent(a, b):
     assert res_a.avg_utilization == res_b.avg_utilization
 
 
-@pytest.mark.parametrize(
-    "env",
-    [
-        ("REPRO_EAGER_PRIORITIES",),
-        ("REPRO_SCALAR_PRIORITIES",),
-        ("REPRO_SCALAR_CLONE_FILL",),
-        HATCHES,
-    ],
-    ids=["eager-priorities", "scalar-priorities", "scalar-clone-fill", "all-hatches"],
-)
-def test_each_hatch_is_identity(monkeypatch, env):
-    assert_equivalent(run_one(monkeypatch, ()), run_one(monkeypatch, env))
+@pytest.mark.parametrize("hatch", list(HATCHES))
+def test_each_hatch_is_identity(reference_kernels, hatch):
+    assert_equivalent(*run_hatched(reference_kernels, hatch))
 
 
-def test_all_hatches_slotted(monkeypatch):
-    assert_equivalent(
-        run_one(monkeypatch, (), schedule_interval=5.0),
-        run_one(monkeypatch, HATCHES, schedule_interval=5.0),
-    )
+def test_all_hatches_slotted(reference_kernels):
+    assert_equivalent(*run_hatched(reference_kernels, "all-hatches", schedule_interval=5.0))
 
 
-def test_all_hatches_under_faults(monkeypatch):
+def test_all_hatches_under_faults(reference_kernels):
     """Fault churn exercises the batched drain's same-instant ordering
     (kills, requeues, server sweeps); the hatched run must still match."""
-    base = run_one(monkeypatch, (), schedule_interval=5.0, fault_profile=SMOKE_PROFILE)
-    hatched = run_one(
-        monkeypatch, HATCHES, schedule_interval=5.0, fault_profile=SMOKE_PROFILE
+    base, hatched = run_hatched(
+        reference_kernels,
+        "all-hatches",
+        schedule_interval=5.0,
+        fault_profile=SMOKE_PROFILE,
     )
     assert base[0].faults_injected > 0
     assert_equivalent(base, hatched)
+
+
+def test_engine_smoke_run_matches_all_references(reference_kernels):
+    """The engine-smoke gate's own run (its 10 jobs, seed 7, 5 s slots,
+    the chaos churn profile, sanitizer on, journal recorded) matches the
+    same run on every reference kernel at once."""
+    result, trace, _, _ = engine_smoke_run(DollyMPScheduler)
+    reference_kernels(*KERNELS)
+    ref_result, ref_trace, _, _ = engine_smoke_run(EagerDollyMP)
+    assert result.faults_injected > 0
+    assert ref_trace.decisions == trace.decisions
+    assert_replay_identical(result, ref_result)

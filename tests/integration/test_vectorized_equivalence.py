@@ -1,20 +1,18 @@
-"""Scalar/vectorized placement equivalence.
+"""Placement equivalence: production vs the per-server reference loops.
 
-The vectorized placement engine (availability mirror + batched fill)
-must be a pure performance change: under a fixed seed, the scalar
-reference path (``Cluster(vectorized=False)`` /
-``REPRO_SCALAR_PLACEMENT=1``) and the vectorized path must produce the
-*identical sequence of copy launches* — same task, same server, same
-time, same clone flag — and therefore bit-identical flowtimes and
-result metrics.  The workload mixes DAG jobs (PageRank iterations,
-WordCount map→reduce) with heavy-tailed straggler distributions so the
-runs exercise DAG gating, cloning, first-copy-wins kills and the δ
-budget.
+The mirror-backed best-fit scan, task fill and cached clone fill must
+be a pure performance change: under a fixed seed, swapping in the
+reference placement kernels (``best-fit``, ``task-fill`` and
+``clone-fill`` in ``tests/reference.py``, so every placement runs a
+per-server loop) must produce the *identical sequence of copy
+launches* — same task, same server, same time, same clone flag — and
+therefore bit-identical flowtimes and result metrics.  The workload
+mixes DAG jobs (PageRank iterations, WordCount map→reduce) with
+heavy-tailed straggler distributions so the runs exercise DAG gating,
+cloning, first-copy-wins kills and the δ budget.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ import pytest
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
 from repro.core.server_learning import LearningDollyMPScheduler
+from repro.schedulers.drf import DRFScheduler
 from repro.schedulers.tetris import TetrisScheduler
 from repro.sim.runner import run_simulation
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
@@ -43,7 +42,7 @@ def mixed_dag_jobs() -> list:
     gen = GoogleTraceGenerator(seed=SEED, mean_theta=25.0)
     trace_jobs = jobs_from_specs(gen.generate(8, mean_interarrival=3.0))
     # jobs_from_specs draws ids from the process-global job counter, so
-    # repeated builds (vectorized run, then scalar run) would otherwise
+    # repeated builds (production run, then reference run) would otherwise
     # get *different* ids — and ids feed tie-breaking via dict order.
     # Pin them so every build is byte-for-byte the same workload.
     for i, job in enumerate(trace_jobs):
@@ -73,22 +72,24 @@ def launch_log(jobs) -> list[tuple]:
     return log
 
 
-def run_both(make_sched, schedule_interval=0.0):
-    out = {}
-    for vectorized in (True, False):
-        cluster = paper_cluster_30_nodes()
-        cluster.vectorized = vectorized
-        jobs = mixed_dag_jobs()
-        result = run_simulation(
-            cluster,
-            make_sched(),
-            jobs,
-            seed=SEED,
-            schedule_interval=schedule_interval,
-            max_time=1e7,
-        )
-        out[vectorized] = (result, launch_log(jobs))
-    return out
+def run(make_sched, schedule_interval=0.0):
+    jobs = mixed_dag_jobs()
+    result = run_simulation(
+        paper_cluster_30_nodes(),
+        make_sched(),
+        jobs,
+        seed=SEED,
+        schedule_interval=schedule_interval,
+        max_time=1e7,
+    )
+    return result, launch_log(jobs)
+
+
+def run_both(reference_kernels, make_sched, schedule_interval=0.0):
+    """(production, reference) runs of the same seeded workload."""
+    production = run(make_sched, schedule_interval)
+    reference_kernels("best-fit", "task-fill", "clone-fill")
+    return production, run(make_sched, schedule_interval)
 
 
 @pytest.mark.parametrize(
@@ -98,44 +99,34 @@ def run_both(make_sched, schedule_interval=0.0):
         lambda: DollyMPScheduler(max_clones=0),
         lambda: TetrisScheduler(),
         lambda: LearningDollyMPScheduler(max_clones=2, bias=1.0),
+        # DRF places every task through Cluster.best_fit_server.
+        lambda: DRFScheduler(),
     ],
-    ids=["dollymp2", "dollymp0", "tetris", "learning-dollymp"],
+    ids=["dollymp2", "dollymp0", "tetris", "learning-dollymp", "drf"],
 )
-def test_identical_launches_and_metrics(make_sched):
-    runs = run_both(make_sched)
-    res_vec, log_vec = runs[True]
-    res_ref, log_ref = runs[False]
+def test_identical_launches_and_metrics(reference_kernels, make_sched):
+    (res_prod, log_prod), (res_ref, log_ref) = run_both(reference_kernels, make_sched)
 
     # Identical copy-launch sequences (task, server, time, clone flag,
     # outcome) — the strongest equivalence: every placement decision
     # matched, including clone placements and first-copy-wins kills.
-    assert log_vec == log_ref
+    assert log_prod == log_ref
 
     # Bit-identical flowtimes and aggregate metrics.
-    assert np.array_equal(res_vec.flowtimes(), res_ref.flowtimes())
-    assert res_vec.total_flowtime == res_ref.total_flowtime
-    assert res_vec.makespan == res_ref.makespan
-    assert res_vec.clones_launched == res_ref.clones_launched
-    assert res_vec.copies_launched == res_ref.copies_launched
-    assert res_vec.avg_utilization == res_ref.avg_utilization
-    assert res_vec.total_usage == res_ref.total_usage
+    assert np.array_equal(res_prod.flowtimes(), res_ref.flowtimes())
+    assert res_prod.total_flowtime == res_ref.total_flowtime
+    assert res_prod.makespan == res_ref.makespan
+    assert res_prod.clones_launched == res_ref.clones_launched
+    assert res_prod.copies_launched == res_ref.copies_launched
+    assert res_prod.avg_utilization == res_ref.avg_utilization
+    assert res_prod.total_usage == res_ref.total_usage
 
 
-def test_identical_in_slotted_mode():
+def test_identical_in_slotted_mode(reference_kernels):
     """The trace-simulator mode (5 s slots) hits different schedule-pass
-    batching; the paths must still agree exactly."""
-    runs = run_both(lambda: DollyMPScheduler(max_clones=2), schedule_interval=5.0)
-    res_vec, log_vec = runs[True]
-    res_ref, log_ref = runs[False]
-    assert log_vec == log_ref
-    assert np.array_equal(res_vec.flowtimes(), res_ref.flowtimes())
-
-
-def test_env_flag_selects_scalar_path(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_PLACEMENT", "1")
-    assert paper_cluster_30_nodes().vectorized is False
-    monkeypatch.setenv("REPRO_SCALAR_PLACEMENT", "0")
-    assert paper_cluster_30_nodes().vectorized is True
-    monkeypatch.delenv("REPRO_SCALAR_PLACEMENT")
-    assert paper_cluster_30_nodes().vectorized is True
-    assert os.environ.get("REPRO_SCALAR_PLACEMENT") is None
+    batching; the kernels must still agree exactly."""
+    (res_prod, log_prod), (res_ref, log_ref) = run_both(
+        reference_kernels, lambda: DollyMPScheduler(max_clones=2), schedule_interval=5.0
+    )
+    assert log_prod == log_ref
+    assert np.array_equal(res_prod.flowtimes(), res_ref.flowtimes())

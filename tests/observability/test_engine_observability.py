@@ -18,6 +18,7 @@ from repro.core.online import DollyMPScheduler
 from repro.observability import METRICS_ENV, Observability, observability_default
 from repro.observability.profiling import PROFILE_ENV
 from repro.resources import Resources
+from repro.schedulers.drf import DRFScheduler
 from repro.schedulers.tetris import TetrisScheduler
 from repro.sim.engine import SimulationEngine
 from repro.sim.replay import assert_replay_identical, replay_trace
@@ -139,22 +140,20 @@ def test_slotted_mode_counts_schedule_ticks():
 
 
 def test_placement_query_counters_follow_the_active_path():
-    for vectorized in (True, False):
-        cluster = homogeneous_cluster(8, Resources.of(16, 64))
-        cluster.vectorized = vectorized
+    """One unlabelled counter counts every best-fit query: DollyMP's
+    clone-fill lookups and the cluster scans DRF places tasks with."""
+    for scheduler in (DollyMPScheduler(max_clones=2), DRFScheduler()):
         obs = Observability()
         run_simulation(
-            cluster,
-            DollyMPScheduler(max_clones=2),
+            homogeneous_cluster(8, Resources.of(16, 64)),
+            scheduler,
             [make_chain_job(2, 6, sigma=5.0, job_id=0)],
             seed=1,
             observability=obs,
         )
-        m = obs.snapshot()["metrics"]
-        active = "vectorized" if vectorized else "scalar"
-        idle = "scalar" if vectorized else "vectorized"
-        assert _value(m, "repro_placement_queries_total", path=active) > 0
-        assert _value(m, "repro_placement_queries_total", path=idle) == 0
+        series = obs.snapshot()["metrics"]["repro_placement_queries_total"]["series"]
+        assert [s["labels"] for s in series] == [{}]
+        assert series[0]["value"] > 0
 
 
 def test_rejected_actions_are_counted():

@@ -1,0 +1,235 @@
+"""Reference kernels: the plain form of every optimized production kernel.
+
+``src/`` keeps one path per kernel — the block-indexed availability
+mirror, the batched doubling-category knapsack, the cached clone fill,
+lazy priorities.  The equivalence tests compare it, launch for launch,
+against the direct forms kept here:
+
+* :func:`best_fit` — the per-server best-fit loop behind
+  ``Cluster.best_fit_server`` and Tetris' rescore;
+* :func:`fill_tasks` — the candidate task fill, built on that loop;
+* :func:`fill_clones` — the clone fill, one fresh loop per clone;
+* :func:`compute_priorities` — Algorithm 1 as the paper states it, one
+  knapsack call per doubling level;
+* :func:`max_count_knapsack_exact` — an exact dynamic program for the
+  knapsack oracle;
+* :class:`EagerDollyMP` — DollyMP recomputing priorities at every
+  arrival.
+
+The :func:`reference_kernels` fixture patches the first four into
+production for one test; :class:`EagerDollyMP` is chosen by
+constructing it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+import pytest
+
+from repro.cluster.cluster import Cluster
+from repro.core import online
+from repro.core.knapsack import max_count_knapsack
+from repro.core.online import DollyMPScheduler
+from repro.core.transient import num_levels
+from repro.schedulers import packing
+from repro.schedulers.tetris import TetrisScheduler
+from repro.sim.actions import Launch
+from repro.workload.task import TaskState
+
+
+def best_fit(servers, demand, weight=None):
+    """(server, score) maximizing ``demand·available`` over the up
+    servers ``demand`` fits, or ``(None, -1.0)``.  ``weight(server)``
+    scales each score; strict ``>`` keeps the lowest id on ties."""
+    best, best_score = None, -1.0
+    for s in servers:
+        if not s.up:
+            continue
+        avail = s.available
+        if not demand.fits_in(avail):
+            continue
+        score = demand.dot(avail)
+        if weight is not None:
+            score *= weight(s)
+        if score > best_score:
+            best, best_score = s, score
+    return best, best_score
+
+
+class _Candidate:
+    """One phase's queue of pending tasks and its current best server."""
+
+    def __init__(self, phase, tasks, servers, weight) -> None:
+        self.phase = phase
+        self.queue = list(tasks)  # consumed from the end
+        self.rescore(servers, weight)
+
+    def rescore(self, servers, weight) -> None:
+        self.server, self.score = best_fit(servers, self.phase.demand, weight)
+
+
+def fill_tasks(view, phases_with_tasks, *, on_launch=None, server_weight=None):
+    """Task fill: launch the highest-scoring (candidate, best server)
+    pair, one task at a time; the earliest candidate wins ties.  A launch
+    rescores the candidates whose best server it shrank."""
+    servers = view.cluster.servers
+    cands = [
+        _Candidate(phase, tasks, servers, server_weight)
+        for phase, tasks in phases_with_tasks
+        if tasks
+    ]
+    launched = 0
+    while True:
+        cands = [c for c in cands if c.queue and c.server is not None]
+        if not cands:
+            return launched
+        best = cands[0]
+        for c in cands[1:]:
+            if c.score > best.score:
+                best = c
+        task, server = best.queue.pop(), best.server
+        view.apply(Launch(task, server))
+        if on_launch is not None:
+            on_launch(task, server)
+        launched += 1
+        for c in cands:
+            if c.server is server:
+                c.rescore(servers, server_weight)
+
+
+def fill_clones(
+    view, tasks, *, budget_check=None, max_launches=None, on_launch=None, score_cache=None
+):
+    """Clone fill: one clone per listed running task, on the server a
+    fresh best-fit loop picks (``score_cache`` is ignored)."""
+    launched = 0
+    for task in tasks:
+        if max_launches is not None and launched >= max_launches:
+            break
+        if task.state is not TaskState.RUNNING:
+            continue
+        if budget_check is not None and not budget_check(task):
+            continue
+        server, _ = best_fit(view.cluster.servers, task.demand)
+        if server is None:
+            continue
+        view.apply(Launch(task, server, clone=True))
+        if on_launch is not None:
+            on_launch(task, server)
+        launched += 1
+    return launched
+
+
+def compute_priorities(measures):
+    """Algorithm 1, steps 2–11: at each doubling level l the knapsack
+    packs the jobs of length ≤ 2^l into volume 2^l, and a job's priority
+    is the first level that packs it (g + 1 if none does)."""
+    g = num_levels(measures)
+    priorities: dict[int, int] = {}
+    for level in range(1, g + 1):
+        cap = 2.0**level
+        eligible = [m for m in measures if m.length <= cap]
+        for idx in max_count_knapsack([m.volume for m in eligible], cap):
+            priorities.setdefault(eligible[idx].job_id, level)
+    for m in measures:
+        priorities.setdefault(m.job_id, g + 1)
+    return priorities
+
+
+def max_count_knapsack_exact(
+    weights: Sequence[float],
+    capacity: float,
+    *,
+    profits: Sequence[int] | None = None,
+) -> list[int]:
+    """Exact 0/1 knapsack by dynamic programming over total profit.
+
+    ``dp[p]`` = minimum weight achieving profit exactly ``p``; the answer
+    is the largest ``p`` with ``dp[p] ≤ capacity``.  With unit profits
+    this is O(n²) — the complexity the paper quotes for the oracle — and
+    agrees with the greedy; with general integer profits it solves the
+    weighted variant used in ablations.
+    """
+    if capacity < 0:
+        raise ValueError(f"capacity must be non-negative, got {capacity}")
+    w = [float(x) for x in weights]
+    if any(x < 0 for x in w):
+        raise ValueError("weights must be non-negative")
+    n = len(w)
+    p = [1] * n if profits is None else [int(x) for x in profits]
+    if len(p) != n:
+        raise ValueError("profits length must match weights")
+    if any(x < 0 for x in p):
+        raise ValueError("profits must be non-negative")
+    total_profit = sum(p)
+    INF = float("inf")
+    # dp[i][prof] = min weight achieving profit `prof` using items < i.
+    # Full table (not rolled) so the witness reconstruction is exact.
+    dp = np.full((n + 1, total_profit + 1), INF)
+    dp[0][0] = 0.0
+    for i in range(n):
+        dp[i + 1] = dp[i].copy()
+        shifted = dp[i][: total_profit + 1 - p[i]] + w[i] if p[i] > 0 else dp[i] + w[i]
+        if p[i] > 0:
+            np.minimum(dp[i + 1][p[i] :], shifted, out=dp[i + 1][p[i] :])
+        else:
+            np.minimum(dp[i + 1], shifted, out=dp[i + 1])
+    cap = capacity * (1 + 1e-12)
+    feasible = np.nonzero(dp[n] <= cap)[0]
+    best = int(feasible[-1]) if feasible.size else 0
+    # Reconstruct a witness subset walking the table backwards.
+    selected: list[int] = []
+    prof = best
+    for i in range(n - 1, -1, -1):
+        if dp[i + 1][prof] == dp[i][prof]:
+            continue  # item i not needed for this profit
+        selected.append(i)
+        prof -= p[i]
+    selected.reverse()
+    return selected
+
+
+class EagerDollyMP(DollyMPScheduler):
+    """DollyMP on its eager priority path: overriding
+    ``recompute_priorities`` makes every arrival rerun Algorithm 1 over
+    the whole roster instead of arming a deferred recompute."""
+
+    def recompute_priorities(self, view) -> None:
+        super().recompute_priorities(view)
+
+
+def _best_fit_server(cluster, demand):
+    return best_fit(cluster.servers, demand)[0]
+
+
+def _tetris_rescore(scheduler, cand, cluster) -> None:
+    cand.best_server, cand.best_align = best_fit(cluster.servers, cand.phase.demand)
+
+
+#: Kernel name → the production attributes its reference replaces.
+SWAPS = {
+    "best-fit": (
+        (Cluster, "best_fit_server", _best_fit_server),
+        (TetrisScheduler, "_rescore", _tetris_rescore),
+    ),
+    "task-fill": ((packing, "_fill_tasks", fill_tasks),),
+    "clone-fill": ((packing, "_fill_clones", fill_clones),),
+    "priorities": ((online, "compute_priorities", compute_priorities),),
+}
+
+KERNELS = tuple(SWAPS)
+
+
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """``swap(*names)`` patches the named :data:`SWAPS` references into
+    production until the test ends."""
+
+    def swap(*names: str) -> None:
+        for name in names:
+            for owner, attr, reference in SWAPS[name]:
+                monkeypatch.setattr(owner, attr, reference)
+
+    return swap

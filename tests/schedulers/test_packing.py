@@ -25,6 +25,8 @@ from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskState
+from tests import reference
+from tests.cluster.test_server import make_copy, make_task
 from tests.conftest import make_chain_job, make_diamond_job
 
 
@@ -216,73 +218,89 @@ class TestCloneScoreCache:
         assert cache.best_fit_id(Resources(2.0, 2.0)) is None
 
 
+@st.composite
+def fill_scenarios(draw):
+    """(capacities, down ids, pre-loads, demands, task counts, weights)."""
+    m = draw(st.integers(1, 12))
+    caps = draw(
+        st.lists(
+            st.builds(Resources.of, st.integers(1, 16), st.integers(1, 32)),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    down = draw(st.sets(st.integers(0, m - 1), max_size=m // 3))
+    loads = [
+        (draw(st.integers(0, int(c.cpu))), draw(st.integers(0, int(c.mem))))
+        for c in caps
+    ]
+    # Each demand fits some server's capacity (the engine rejects
+    # jobs no server could ever host).
+    demands = []
+    for _ in range(draw(st.integers(2, 5))):
+        cap = draw(st.sampled_from(caps))
+        cpu = draw(st.integers(1, min(int(cap.cpu), 6)))
+        demands.append(Resources.of(cpu, draw(st.integers(1, min(int(cap.mem), 8)))))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=len(demands), max_size=len(demands)))
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=m, max_size=m))
+    return caps, down, loads, demands, sizes, weights
+
+
+def launch_sequence(scenario, fill_tasks, fill_clones, block=mirror_module.BLOCK_SIZE):
+    """(task uid, server id) of every launch: an unweighted and a weighted
+    task fill, then two clone fills sharing one cache and a cacheless one."""
+    caps, down, loads, demands, sizes, weights = scenario
+    with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
+        cluster = Cluster([Server(i, cap) for i, cap in enumerate(caps)])
+    for i, (cpu, mem) in enumerate(loads):
+        if i in down:
+            cluster[i].mark_down()
+        elif cpu or mem:
+            cluster[i].allocate(make_copy(make_task(cpu, mem), server_id=i))
+    jobs = [
+        Job([Phase(0, n, d, Deterministic(10.0))], job_id=i)
+        for i, (d, n) in enumerate(zip(demands, sizes))
+    ]
+    view = make_view(cluster, jobs)
+    seen = []
+
+    def record(task, server):
+        seen.append((task.uid, server.server_id))
+
+    half = len(jobs) // 2
+    fill_tasks(
+        view, [p for j in jobs[:half] for p in pending_by_phase(j)], on_launch=record
+    )
+    fill_tasks(
+        view,
+        [p for j in jobs[half:] for p in pending_by_phase(j)],
+        on_launch=record,
+        server_weight=lambda s: weights[s.server_id],
+    )
+    running = [
+        t for j in jobs for t in j.phases[0].tasks if t.state is TaskState.RUNNING
+    ]
+    cache = CloneScoreCache(cluster.mirror)
+    fill_clones(view, running[::2], on_launch=record, score_cache=cache)
+    fill_clones(view, running[1::2], on_launch=record, score_cache=cache)
+    fill_clones(view, running, on_launch=record)
+    return seen
+
+
 class TestBlockSizeIdentity:
-    """The placement index's block size prunes scoring work only: one
-    server per block and one block for the whole cluster must launch the
-    same copies on the same servers, in the same order, for task fills
-    (weighted or not) and clone fills (cached or not)."""
+    """The placement index's block size prunes scoring work only: for one
+    server per block, a few, and one block for the whole cluster, the
+    task fill (weighted or not) and the clone fill (pass-scoped or
+    call-local cache) launch the same copies on the same servers, in the
+    same order, as the reference loops — over random capacities,
+    pre-loads, down servers, demands and weights."""
 
-    caps = (
-        Resources.of(8, 16),
-        Resources.of(4, 32),
-        Resources.of(16, 8),
-        Resources.of(6, 6),
-        Resources.of(12, 24),
-    )
-    demands = (
-        Resources.of(2, 2),
-        Resources.of(1, 6),
-        Resources.of(5, 1),
-        Resources.of(3, 3),
-    )
-
-    def _launches(self, block, *, vectorized=True):
-        with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
-            cluster = Cluster(
-                [Server(i, self.caps[i * 3 % len(self.caps)]) for i in range(11)],
-                vectorized=vectorized,
+    @given(fill_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_one_server_per_block_matches_one_block(self, scenario):
+        expected = launch_sequence(scenario, reference.fill_tasks, reference.fill_clones)
+        for block in (1, 3, len(scenario[0])):
+            got = launch_sequence(
+                scenario, fill_tasks_best_fit, fill_clones_best_fit, block=block
             )
-        jobs = [
-            Job([Phase(0, 6, d, Deterministic(10.0))], job_id=i)
-            for i, d in enumerate(self.demands)
-        ]
-        view = make_view(cluster, jobs)
-        seen = []
-
-        def record(task, server):
-            seen.append((task.uid, server.server_id))
-
-        fill_tasks_best_fit(
-            view,
-            pending_by_phase(jobs[0]) + pending_by_phase(jobs[1]),
-            on_launch=record,
-        )
-        fill_tasks_best_fit(
-            view,
-            pending_by_phase(jobs[2]) + pending_by_phase(jobs[3]),
-            on_launch=record,
-            server_weight=lambda s: 1.0 / (1.0 + s.server_id % 3),
-        )
-        running = [
-            t
-            for job in jobs
-            for t in job.phases[0].tasks
-            if t.state is TaskState.RUNNING
-        ]
-        half = len(running) // 2
-        fill_clones_best_fit(
-            view,
-            running[:half],
-            on_launch=record,
-            score_cache=CloneScoreCache(cluster.mirror),
-        )
-        fill_clones_best_fit(view, running[half:], on_launch=record)
-        return seen
-
-    def test_one_server_per_block_matches_one_block(self):
-        single = self._launches(11)
-        assert self._launches(1) == single
-        assert self._launches(4) == single
-        # ...and both match the scalar reference loop.
-        assert self._launches(1, vectorized=False) == single
-        assert len(single) > 20
+            assert got == expected

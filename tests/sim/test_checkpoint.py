@@ -246,7 +246,9 @@ class TestJsonlEveryCutIdentity:
 class TestLegacyCheckpoint:
     """Checkpoints written by builds with the sharded event queue carry
     a ``shards`` count in the envelope and the mirror's old index slots
-    in the state; both restore, and the run finishes byte-identical."""
+    in the state; builds with the placement-path switch pickled
+    ``Cluster.vectorized`` and a path-labelled pair of placement-query
+    counters.  All of them restore, and the run finishes byte-identical."""
 
     @staticmethod
     def legacy_payload(engine) -> bytes:
@@ -295,6 +297,36 @@ class TestLegacyCheckpoint:
         e3.drain()
         assert e3.finalize().deterministic() == r1.deterministic()
         assert list(e3.trace) == list(e1.trace)
+
+    def test_placement_path_checkpoint_restores(self, tmp_path):
+        kw = dict(fault_profile=FAULT_PROFILES["chaos"], record_trace=True)
+        e1 = mk_engine(observability=Observability(), **kw)
+        r1 = e1.run()
+        queries = e1.observability.sim.placement_queries.value
+        e2 = mk_engine(observability=Observability(), **kw)
+        e2.start()
+        e2.run_until(60.0)
+        # Rewrite the live state the way those builds pickled it.
+        family = e2.observability.sim.placement_queries
+        vectorized = family._children.pop(())
+        assert 0 < vectorized.value < queries  # counting resumes after restore
+        scalar = family._new_child()
+        family.labelnames = ("path",)
+        family._children.update({("vectorized",): vectorized, ("scalar",): scalar})
+        e2.cluster._obs_placement = (vectorized, scalar)
+        e2.cluster.vectorized = True
+        path = tmp_path / "legacy.ckpt"
+        save_checkpoint(e2, path)
+
+        e3 = load_checkpoint(path)
+        assert not hasattr(e3.cluster, "vectorized")
+        restored = e3.observability.sim.placement_queries
+        assert e3.cluster._obs_placement is restored.labels(path="vectorized")
+        e3.drain()
+        assert e3.finalize().deterministic() == r1.deterministic()
+        assert list(e3.trace) == list(e1.trace)
+        assert restored.labels(path="vectorized").value == queries
+        assert restored.labels(path="scalar").value == 0
 
     def test_index_is_not_pickled(self):
         e = mk_engine()

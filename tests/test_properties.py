@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import cdf_at, empirical_cdf
-from repro.core.knapsack import max_count_knapsack, max_count_knapsack_exact
+from repro.core.knapsack import max_count_knapsack
 from repro.core.theory import flowtime_lower_bound
 from repro.core.transient import compute_priorities
 from repro.core.volume import JobMeasure
@@ -15,6 +15,7 @@ from repro.resources import Resources
 from repro.workload.dag import critical_path_length, topological_order, validate_dag
 from repro.workload.distributions import LogNormal, ParetoType1
 from repro.workload.speedup import ParetoSpeedup
+from tests.reference import max_count_knapsack_exact
 
 finite_pos = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
 

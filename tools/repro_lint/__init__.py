@@ -1,7 +1,7 @@
 """repro-lint: repo-specific static analysis for scheduler correctness.
 
-The simulator's guarantees (bit-identical vectorized/scalar placement,
-reproducible straggler draws, exact capacity conservation) rest on
+The simulator's guarantees (placements bit-identical to the reference
+loops, reproducible straggler draws, exact capacity conservation) rest on
 coding invariants that ordinary linters cannot see.  ``repro-lint``
 checks them mechanically, in two layers.
 
