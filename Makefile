@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # Coverage floor lives in pyproject.toml ([tool.coverage.report]).
 COV_FAIL_UNDER = $(shell sed -n 's/^fail_under *= *//p' pyproject.toml)
 
-.PHONY: check lint test smoke replay-smoke fault-smoke engine-smoke service-smoke trace-smoke bench-check coverage bench-trajectory
+.PHONY: check lint test identity bench-check coverage bench-trajectory
 
 check:
 	@MAKE="$(MAKE)" sh tools/check.sh
@@ -24,25 +24,12 @@ lint:
 test:
 	$(PYTHON) -m pytest -x -q
 
-smoke:
-	REPRO_SANITIZE=1 $(PYTHON) -m repro.devtools.smoke
-
-replay-smoke:
-	$(PYTHON) -m repro.devtools.replay_smoke
-
-fault-smoke:
-	$(PYTHON) -m repro.devtools.fault_smoke
-
-engine-smoke:
-	$(PYTHON) -m repro.devtools.engine_smoke
-
-service-smoke:
-	$(PYTHON) -m repro.devtools.service_smoke
-
-# Honors REPRO_TRACE_FIXTURES (CI points it at a cached directory keyed
-# on the fixture generator's source hash; warm runs skip generation).
-trace-smoke:
-	$(PYTHON) -m repro.devtools.trace_smoke
+# The determinism matrix: workloads × fault profiles × drivers, each
+# driver byte-identical to the one-shot run.  The testbed × none replay
+# leaves its metrics, spans and decision journal in artifacts/identity/
+# (uploaded by CI).
+identity:
+	$(PYTHON) -m repro.devtools.identity artifacts/identity
 
 bench-check:
 	$(PYTHON) -m benchmarks.check_regression

@@ -3,13 +3,10 @@
 * :mod:`repro.devtools.sanitizer` — the simulation sanitizer: after
   every event it re-derives the scheduler's correctness invariants from
   first principles and fails loudly on the first divergence.
-* :mod:`repro.devtools.smoke` — a small deterministic DollyMP run used
-  by CI as the sanitizer-enabled smoke test
-  (``python -m repro.devtools.smoke``).
-* :mod:`repro.devtools.replay_smoke` — the replay-determinism smoke:
-  records a DollyMP run's decision trace, JSONL round-trips it, replays
-  it against a fresh cluster and diffs the results bit-for-bit
-  (``python -m repro.devtools.replay_smoke``).
+* :mod:`repro.devtools.identity` — the identity gate: a table of
+  workloads × fault profiles × drivers (one-shot, streamed,
+  checkpoint-cut, replayed) in which every driver must reproduce the
+  one-shot run byte-for-byte (``python -m repro.devtools.identity``).
 
 The static half of the tooling lives outside the package in
 ``tools/repro_lint`` so that importing ``repro`` never pulls it in.

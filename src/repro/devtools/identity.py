@@ -1,0 +1,397 @@
+"""The identity gate: one determinism matrix (DESIGN.md §5.3).
+
+Rows are workloads, each a list of job specs; columns are the ``none``
+and ``chaos`` fault profiles; legs are drivers.  Every leg must match
+the one-shot ``run()`` on ``SimulationResult.deterministic()`` and on
+decision-journal bytes, so one table checks DollyMP's semantics (clone
+cap, first-copy-wins, capacity conservation) under the determinism
+contract: streamed, checkpoint-restored and replayed runs are
+byte-identical to the one-shot run.
+
+Run:  PYTHONPATH=src python -m repro.devtools.identity [ARTIFACT_DIR]
+
+One line per cell; the first failure names the row, column, leg and
+first differing quantity, and the gate exits 1.  ``ARTIFACT_DIR`` gets
+the testbed × none replay's metrics (JSON and Prometheus), spans and
+decision journal.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+import time
+import traceback
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Callable, Iterator
+
+from repro.cluster.heterogeneity import homogeneous_cluster, paper_cluster_30_nodes
+from repro.core.online import DollyMPScheduler
+from repro.faults import FAULT_PROFILES
+from repro.observability import Observability
+from repro.resources import Resources
+from repro.service import SignalAwareLineFeed, serve
+from repro.sim.actions import DecisionTrace
+from repro.sim.checkpoint import (
+    CHECKPOINT_FORMAT,
+    checkpoint_bytes,
+    checkpoint_info,
+    restore_bytes,
+)
+from repro.sim.engine import SimulationEngine
+from repro.sim.metrics import SimulationResult
+from repro.sim.replay import ReplayDivergence, assert_replay_identical, replay_trace
+from repro.workload.arrivals import JsonlSource
+from repro.workload.google_trace import (
+    GoogleTraceGenerator,
+    PhaseSpec,
+    TraceJobSpec,
+    jobs_from_specs,
+    spec_to_dict,
+)
+from repro.workload.ingest import (
+    TraceIngestSource,
+    materialize,
+    normalize_stream,
+    open_reader,
+)
+from repro.workload.mapreduce import DEFAULT_CV
+
+__all__ = ["COLUMNS", "LEGS", "IdentityFailure", "build_engine", "main", "run_cell"]
+
+#: Fault-profile columns (keys of ``FAULT_PROFILES``).
+COLUMNS = ("none", "chaos")
+
+#: Floor for the testbed × chaos one-shot leg under the sanitizer; it
+#: runs 2000+ events/s, so 300 still catches a de-batched event loop.
+MIN_EVENTS_PER_SEC = 300.0
+
+#: Checkpoint cuts inside the run, one every ``instants // (CUTS + 1)``
+#: instants; one more follows end-of-stream.
+CUTS = 3
+
+#: A restored leg that never winds down raises here instead of hanging.
+MAX_TIME = 1e6
+
+
+class IdentityFailure(Exception):
+    """``leg`` of a cell diverged from the one-shot leg or failed a check."""
+
+    def __init__(self, row: str, column: str, leg: str, detail: str) -> None:
+        super().__init__(f"{row} × {column} {leg}: {detail}")
+        self.row, self.column, self.leg, self.detail = row, column, leg, detail
+
+
+class CheckFailed(Exception):
+    """A leg's own check failed (reported without the exception type)."""
+
+
+@dataclass(frozen=True)
+class Row:
+    """One workload.  ``raw`` is the (file, schema) of a trace row, whose
+    pull source re-ingests the file; other rows pull JSONL spec lines."""
+
+    name: str
+    specs: tuple[TraceJobSpec, ...]
+    cluster: Callable
+    seed: int
+    schedule_interval: float = 5.0
+    sanitize: bool = False
+    raw: tuple[Path, str] | None = None
+
+    def jobs(self):
+        return jobs_from_specs(self.specs)
+
+    def lines(self) -> list[str]:
+        return [json.dumps(spec_to_dict(s), sort_keys=True) for s in self.specs]
+
+    def stream(self):
+        """The pull source's input, from the beginning."""
+        if self.raw is None:
+            return iter(self.lines())
+        return normalize_stream(open_reader(*self.raw), max_jobs=len(self.specs))
+
+
+def _phase(tasks: int, mem: float, theta: float, parents=()) -> PhaseSpec:
+    return PhaseSpec(tasks, 1.0, mem, theta, DEFAULT_CV * theta, parents)
+
+
+def paper_testbed_row() -> Row:
+    """The paper's 30-node cluster, 8 jobs 45 s apart alternating
+    ``wordcount_job(4.0)`` and ``pagerank_job(1.0)`` as specs (the
+    builders' block counts and duration arithmetic); seed 7,
+    event-driven, sanitizer on."""
+    wc_reduce = max(4.0, 0.5 * 12.0 * 32 / 8 * 0.2)  # wordcount_job's reduce θ
+    pr_reduce = max(4.0, 15.0 * 0.4)  # pagerank_job's reduce θ
+    wordcount = (_phase(32, 2.0, 12.0), _phase(8, 4.0, wc_reduce, (0,)))
+    pagerank = tuple(
+        phase
+        for k in (0, 2, 4)
+        for phase in (
+            _phase(8, 2.0, 15.0, (k - 1,) if k else ()),
+            _phase(2, 4.0, pr_reduce, (k,)),
+        )
+    )
+    specs = tuple(
+        TraceJobSpec("pagerank-1GB", 45.0 * i, pagerank, job_id=i)
+        if i % 2
+        else TraceJobSpec("wordcount-4GB", 45.0 * i, wordcount, job_id=i)
+        for i in range(8)
+    )
+    return Row(
+        "testbed",
+        specs,
+        paper_cluster_30_nodes,
+        seed=7,
+        schedule_interval=0.0,
+        sanitize=True,
+    )
+
+
+def google_synth_row() -> Row:
+    """200 generated jobs at a 6 s mean interarrival on 48 (16, 32)
+    servers, seed 11.  No sanitizer: it rescans every task of every
+    active job on each event, ~35× this row's run time."""
+    specs = GoogleTraceGenerator(seed=202).generate(200, mean_interarrival=6.0)
+    pinned = tuple(replace(s, job_id=i) for i, s in enumerate(specs))
+    return Row("google-synth", pinned, lambda: homogeneous_cluster(48), seed=11)
+
+
+def trace_rows(fixture_dir: str | Path) -> list[Row]:
+    """One row per trace schema: the first 30 jobs of a 500-row raw
+    fixture materialized under ``fixture_dir``, on 16 (16, 32) servers,
+    seed 31.  Two ingestion passes must give byte-identical JSON."""
+    rows = []
+    for schema, path in materialize(fixture_dir, rows=500, seed=0).items():
+        specs = tuple(normalize_stream(open_reader(path, schema), max_jobs=30))
+        row = Row(
+            schema, specs, lambda: homogeneous_cluster(16), seed=31, raw=(path, schema)
+        )
+        first, second = (
+            json.dumps([spec_to_dict(s) for s in run], sort_keys=True)
+            for run in (row.specs, row.stream())
+        )
+        if first != second:
+            raise IdentityFailure(schema, "-", "ingest", "two passes differ")
+        rows.append(row)
+    return rows
+
+
+def build_engine(
+    row: Row, column: str, jobs, scheduler=DollyMPScheduler
+) -> SimulationEngine:
+    """One cell's engine: ``scheduler`` with two extra clones per task,
+    the row's settings, the column's faults, decision journal on."""
+    return SimulationEngine(
+        row.cluster(),
+        scheduler(max_clones=2),
+        jobs,
+        seed=row.seed,
+        schedule_interval=row.schedule_interval,
+        max_time=MAX_TIME,
+        sanitize=row.sanitize,
+        record_trace=True,
+        fault_profile=FAULT_PROFILES[column],
+    )
+
+
+@dataclass
+class Cell:
+    row: Row
+    column: str
+    workdir: Path
+    artifacts: Path | None = None
+    # the one-shot reference
+    result: SimulationResult | None = None
+    trace: DecisionTrace | None = None
+    journal: list[str] | None = None
+    instants: int = 0
+
+
+def _one_shot(cell: Cell) -> None:
+    """``run()`` spelled out to count instants, plus the cell's checks."""
+    row = cell.row
+    engine = build_engine(row, cell.column, row.jobs())
+    t0 = time.perf_counter()
+    engine.start()
+    cell.instants = engine.drain()
+    wall = time.perf_counter() - t0
+    result = engine.finalize()
+    if result.num_jobs != len(row.specs):
+        raise CheckFailed(f"{result.num_jobs} of {len(row.specs)} jobs finished")
+    if cell.column != "none" and not (result.faults_injected and result.copies_lost):
+        raise CheckFailed(f"{result.faults_injected} faults, {result.copies_lost} lost")
+    for server in engine.cluster:
+        # Bitwise: a drained server is back at capacity, a down one at zero.
+        expected = server.capacity if server.up else Resources(0.0, 0.0)
+        if server.available != expected:
+            raise CheckFailed(f"server {server.server_id} exposes {server.available}")
+    rate = engine.events_processed / wall if wall > 0 else float("inf")
+    if (row.name, cell.column) == ("testbed", "chaos") and rate < MIN_EVENTS_PER_SEC:
+        raise CheckFailed(f"{rate:.0f} events/s, floor {MIN_EVENTS_PER_SEC:.0f}")
+    cell.result, cell.trace = result.deterministic(), engine.trace
+    cell.journal = _journal(engine.trace)
+
+
+Observation = tuple[str, SimulationResult, DecisionTrace]
+
+
+def _streamed(cell: Cell) -> Iterator[Observation]:
+    """``serve()`` over a line feed, checkpointing and publishing."""
+    horizon, ckpt, published = cell.result.simulated_time, cell.workdir / "ckpt", []
+    feed = SignalAwareLineFeed(iter(cell.row.lines()))
+    engine = build_engine(cell.row, cell.column, JsonlSource(feed))
+    result = serve(
+        engine,
+        feed=feed,
+        checkpoint_path=ckpt,
+        checkpoint_every=horizon / 5.0,
+        on_metrics=lambda eng: published.append(eng.now),
+        metrics_every=horizon / 10.0,
+        install_signals=False,
+    )
+    if not published:
+        raise CheckFailed("live metrics never published")
+    if (fmt := checkpoint_info(ckpt).format) != CHECKPOINT_FORMAT:
+        raise CheckFailed(f"checkpoint format {fmt!r}")
+    yield "served", result, engine.trace
+
+
+def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
+    """The row's pull source stepped an instant at a time, snapshotted at
+    every k-th instant and first after end-of-stream; then every
+    snapshot restored, re-attached to a fresh stream and drained."""
+    row, every = cell.row, max(1, cell.instants // (CUTS + 1))
+    source = (JsonlSource if row.raw is None else TraceIngestSource)(row.stream())
+    engine = build_engine(row, cell.column, source)
+    snapshots, instant, ended = [], 0, False
+    engine.start()
+    while engine.step():
+        instant += 1
+        first_after_end = engine.arrivals.exhausted and not ended
+        ended = engine.arrivals.exhausted
+        if instant % every == 0 or first_after_end:
+            snapshots.append((instant, *checkpoint_bytes(engine)))
+    yield "uninterrupted", engine.finalize(), engine.trace
+
+    jobs, events = len(row.specs), cell.result.events_processed
+    inside = [info for _, _, info in snapshots if info.events_processed < events]
+    if len(inside) < CUTS:
+        raise CheckFailed(f"only {len(inside)} cuts inside the run")
+    if not any(0 < info.arrivals_consumed < jobs for info in inside):
+        raise CheckFailed("no cut while the stream is live")
+    for instant, payload, info in snapshots:
+        label = f"cut at instant {instant} ({info.arrivals_consumed}/{jobs} arrivals)"
+        try:
+            revived = restore_bytes(payload)
+            revived.arrivals.attach(row.stream(), skip_consumed=True)
+            revived.drain()
+            result = revived.finalize()
+        except Exception as exc:
+            raise CheckFailed(f"{label}: {exc!r}") from exc
+        yield label, result, revived.trace
+
+
+def _replayed(cell: Cell) -> Iterator[Observation]:
+    """A JSONL round-trip of the journal, replayed with observability."""
+    row, path, obs = cell.row, cell.workdir / "journal.jsonl", Observability()
+    cell.trace.dump_jsonl(path)
+    loaded = DecisionTrace.load_jsonl(path)
+    result = replay_trace(
+        loaded,
+        row.cluster(),
+        row.jobs(),
+        seed=row.seed,
+        schedule_interval=row.schedule_interval,
+        max_time=MAX_TIME,
+        sanitize=row.sanitize,
+        observability=obs,
+        fault_profile=FAULT_PROFILES[cell.column],
+    )
+    if cell.artifacts is not None:
+        cell.artifacts.mkdir(parents=True, exist_ok=True)
+        obs.dump_metrics(cell.artifacts / "metrics.json")
+        obs.dump_metrics(cell.artifacts / "metrics.prom")
+        obs.dump_spans(cell.artifacts / "spans.jsonl")
+        loaded.dump_jsonl(cell.artifacts / "journal.jsonl")
+    yield "replay", result, loaded
+
+
+#: The legs compared with the one-shot reference, in run order.
+LEGS = (
+    ("streamed", _streamed),
+    ("checkpoint-cut", _checkpoint_cut),
+    ("replayed", _replayed),
+)
+
+
+def _journal(trace: DecisionTrace) -> list[str]:
+    return [d.to_json() for d in trace]
+
+
+def _difference(
+    cell: Cell, result: SimulationResult, trace: DecisionTrace
+) -> str | None:
+    """The first quantity in which a leg differs from the one-shot leg."""
+    if result.deterministic() != cell.result:
+        try:
+            assert_replay_identical(cell.result, result)
+        except ReplayDivergence as exc:
+            return str(exc)
+        return "SimulationResult differs"
+    ref, got = cell.journal, _journal(trace)
+    if got != ref:
+        i = next((i for i, (a, b) in enumerate(zip(ref, got)) if a != b), len(ref))
+        return f"journal differs at decision {i} of {len(got)} (one-shot {len(ref)})"
+    return None
+
+
+def run_cell(row: Row, column: str, artifacts: Path | None = None) -> str:
+    """Run one cell; return its report line or raise :class:`IdentityFailure`."""
+    t0, leg, compared = time.perf_counter(), "one-shot", 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cell = Cell(row, column, Path(tmp), artifacts)
+        try:
+            _one_shot(cell)
+            for leg, run in LEGS:
+                for label, result, trace in run(cell):
+                    if (diff := _difference(cell, result, trace)) is not None:
+                        raise CheckFailed(f"{label}: {diff}")
+                    compared += 1
+        except Exception as exc:
+            detail = str(exc) if isinstance(exc, CheckFailed) else repr(exc)
+            raise IdentityFailure(row.name, column, leg, detail) from exc
+    ref = cell.result
+    return (
+        f"{row.name:<12} × {column:<5} identical: {compared} runs, {ref.num_jobs} "
+        f"jobs, {ref.events_processed} events, {len(cell.journal)} decisions, "
+        f"{ref.faults_injected} faults, flowtime {ref.total_flowtime:.1f}s "
+        f"[{time.perf_counter() - t0:.1f}s]"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    artifacts = Path(args[0]) if args else None
+    t0, cells = time.perf_counter(), 0
+    try:
+        with tempfile.TemporaryDirectory() as fixtures:
+            for row in (paper_testbed_row(), google_synth_row(), *trace_rows(fixtures)):
+                for column in COLUMNS:
+                    keep = (row.name, column) == ("testbed", "none")
+                    report = run_cell(row, column, artifacts if keep else None)
+                    print(f"identity: {report}", flush=True)
+                    cells += 1
+    except IdentityFailure as exc:
+        traceback.print_exception(exc)
+        print(f"identity: DIVERGED {exc}", file=sys.stderr)
+        return 1
+    wall = time.perf_counter() - t0
+    print(f"identity: {cells} cells × {1 + len(LEGS)} legs identical in {wall:.1f}s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

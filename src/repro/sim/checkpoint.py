@@ -125,17 +125,38 @@ def checkpoint_bytes(engine: "SimulationEngine") -> tuple[bytes, CheckpointInfo]
     return buf.getvalue(), info
 
 
-def restore_bytes(payload: bytes) -> "SimulationEngine":
-    """Revive a session from :func:`checkpoint_bytes` output."""
-    envelope = pickle.loads(payload)
+def _envelope(payload: bytes) -> dict:
+    """Unpickle and check a checkpoint envelope.
+
+    A truncated or bit-flipped file usually breaks the envelope's own
+    pickle stream before the state digest can be checked, and unpickling
+    garbage raises almost anything (UnpicklingError, EOFError,
+    UnicodeDecodeError, …); every such failure becomes the same
+    ``ValueError`` the digest check raises.
+    """
+    try:
+        envelope = pickle.loads(payload)
+    except Exception as exc:
+        raise ValueError(
+            f"unreadable {CHECKPOINT_FORMAT} envelope (truncated or corrupted): {exc!r}"
+        ) from exc
     if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"not a {CHECKPOINT_FORMAT} checkpoint "
             f"(format={envelope.get('format') if isinstance(envelope, dict) else None!r})"
         )
+    state, info = envelope.get("state"), envelope.get("info")
+    if not isinstance(state, bytes) or not isinstance(info, dict):
+        raise ValueError(f"damaged {CHECKPOINT_FORMAT} envelope (truncated or corrupted)")
+    return envelope
+
+
+def restore_bytes(payload: bytes) -> "SimulationEngine":
+    """Revive a session from :func:`checkpoint_bytes` output."""
+    envelope = _envelope(payload)
     state = envelope["state"]
     digest = hashlib.sha256(state).hexdigest()
-    if digest != envelope["info"]["digest"]:
+    if digest != envelope["info"].get("digest"):
         raise ValueError("checkpoint state digest mismatch (truncated or corrupted)")
     return pickle.loads(state)
 
@@ -162,10 +183,7 @@ def load_checkpoint(path: str | Path) -> "SimulationEngine":
 
 def checkpoint_info(path: str | Path) -> CheckpointInfo:
     """Read only the metadata summary of a checkpoint file."""
-    envelope = pickle.loads(Path(path).read_bytes())
-    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
-    info = dict(envelope["info"])
+    info = dict(_envelope(Path(path).read_bytes())["info"])
     # Checkpoints from builds with the sharded event queue record a
     # shard count; the single-heap engine has none.
     info.pop("shards", None)

@@ -9,7 +9,7 @@ two runs of the same seed checkpoint at the same instants, and a
 restored run re-publishes from the same boundaries.
 
 The driver is also what the `python -m repro serve` loop and the
-service-smoke CI gate share; tests drive it directly with in-memory
+identity gate's streamed leg share; tests drive it directly with in-memory
 arrival sources.
 """
 

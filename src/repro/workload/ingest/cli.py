@@ -1,8 +1,7 @@
 """``python -m repro ingest`` — convert / validate / stats / fixture.
 
 Every subcommand streams: peak RSS is a function of trace concurrency,
-never of row count (the ``trace-smoke`` gate and the ingestion
-benchmark both measure this).
+never of row count (the ingestion benchmark measures this).
 
 Examples::
 

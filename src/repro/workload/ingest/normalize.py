@@ -34,7 +34,7 @@ Pipeline stages, all single-pass:
 Every numeric derivation (θ from the observed duration mean, σ from the
 population standard deviation, demand means) is a pure function of the
 input bytes, so two ingestions of the same file are byte-identical —
-the property the ``trace-smoke`` CI gate pins.
+the property the ``identity`` CI gate pins.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -99,8 +100,10 @@ def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
 
     Reads in :data:`CHUNK_LINES` batches so the file handle advances in
     large sequential reads while memory stays one chunk deep.  A gzip
-    member truncated mid-stream (EOFError / BadGzipFile mid-iteration)
-    becomes a TraceFormatError naming the last complete line.
+    member truncated or damaged mid-stream (EOFError / BadGzipFile /
+    zlib.error mid-iteration) becomes a TraceFormatError naming the last
+    complete line.  Undecodable bytes surface a whole chunk early, so
+    that error path re-scans the file to name the offending line.
     """
     raw: io.TextIOBase
     if path.suffix == ".gz":
@@ -113,7 +116,7 @@ def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
             while True:
                 try:
                     chunk = raw.readlines(CHUNK_LINES * 128)
-                except (EOFError, gzip.BadGzipFile, OSError) as exc:
+                except (EOFError, gzip.BadGzipFile, OSError, zlib.error) as exc:
                     raise TraceFormatError(
                         f"truncated or corrupt stream after line {line_no}: {exc}",
                         path=path,
@@ -126,10 +129,35 @@ def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
                     yield line_no, line
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
-            f"undecodable bytes after line {line_no}: {exc}",
+            f"undecodable bytes: {exc}",
             path=path,
+            line=_undecodable_line(path),
             schema=schema,
         ) from exc
+
+
+def _undecodable_line(path: Path) -> int | None:
+    """1-based line of the first non-UTF-8 line of ``path``, numbered as
+    the text reader numbers them (universal newlines: ``\\r\\n``, ``\\r``
+    and ``\\n`` each end a line), or None when a damaged gzip stream
+    hides it."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    line_no = 0
+    try:
+        with opener(path, "rb") as fh:
+            for raw in fh:
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return line_no + _line_ends(raw[: exc.start]) + 1
+                line_no += _line_ends(raw)
+    except (EOFError, gzip.BadGzipFile, OSError, zlib.error):
+        pass
+    return None
+
+
+def _line_ends(data: bytes) -> int:
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def _float_field(

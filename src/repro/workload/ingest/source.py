@@ -10,8 +10,9 @@ at a time, so engine + source peak RSS tracks cluster concurrency, not
 trace length.
 
 Checkpoint semantics mirror :class:`~repro.workload.arrivals.JsonlSource`:
-pickling detaches the live iterator and keeps only the consumed count
-and ordering watermark; :meth:`attach` re-binds a fresh spec stream
+pickling detaches the live iterator and keeps only the consumed count,
+the ordering watermark and the (terminal) exhaustion flag;
+:meth:`attach` re-binds a fresh spec stream
 (``skip_consumed=True`` fast-forwards a stream restarted from the
 beginning of the same file).  Because ingestion is deterministic, a
 re-ingested file yields byte-identical specs, so the revived session
@@ -86,7 +87,16 @@ class TraceIngestSource(ArrivalSource):
     def attach(
         self, specs: Iterable[TraceJobSpec], *, skip_consumed: bool = True
     ) -> None:
-        """Re-bind a spec stream after a checkpoint restore."""
+        """Re-bind a spec stream after a checkpoint restore.
+
+        Exhaustion is terminal: a checkpoint cut *after* end-of-stream
+        revives with ``exhausted`` already True, and attach keeps it
+        that way.  Clearing the flag here (the historical behaviour)
+        made ``workload_active()`` count the source as pending work
+        forever, so the fault-renewal chain never wound down and the
+        restored leg drained clear to ``max_time`` instead of stopping
+        where the original run stopped.
+        """
         it = iter(specs)
         if skip_consumed:
             for seen in range(self._consumed):
@@ -96,7 +106,6 @@ class TraceIngestSource(ArrivalSource):
                         f"past {self._consumed} already-consumed jobs"
                     )
         self._specs = it
-        self._exhausted = False
 
     @property
     def exhausted(self) -> bool:

@@ -1,0 +1,95 @@
+"""The identity matrix's cell function, on the rows cheap enough for tier 1.
+
+Every trace row × fault column runs through :func:`run_cell` exactly as
+``make identity`` runs it — one-shot, streamed, checkpoint-cut (including
+the cut after end-of-stream) and replayed legs — and must come back
+identical.  A perturbed leg must be reported by row, column and leg.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.devtools import identity
+from repro.sim.actions import DecisionTrace
+from repro.workload.mapreduce import pagerank_job, wordcount_job
+
+
+@pytest.fixture(scope="module")
+def trace_rows(tmp_path_factory):
+    fixtures = tmp_path_factory.mktemp("trace-fixtures")
+    return {row.name: row for row in identity.trace_rows(fixtures)}
+
+
+@pytest.mark.parametrize("column", identity.COLUMNS)
+@pytest.mark.parametrize("schema", ["google2011", "google2019", "alibaba2018"])
+def test_trace_cell_identical(trace_rows, schema, column):
+    report = identity.run_cell(trace_rows[schema], column)
+    assert report.startswith(f"{schema:<12} × {column:<5} identical")
+
+
+def _perturb_result(result, trace):
+    return replace(result, simulated_time=result.simulated_time + 1.0), trace
+
+
+def _perturb_journal(result, trace):
+    return result, DecisionTrace(_decisions=list(trace)[:-1])
+
+
+@pytest.mark.parametrize(
+    "leg, perturb, detail",
+    [
+        pytest.param("streamed", _perturb_result, "served: simulated_time", id="result"),
+        pytest.param(
+            "checkpoint-cut", _perturb_journal, "uninterrupted: journal differs", id="journal"
+        ),
+    ],
+)
+def test_perturbed_leg_is_reported(trace_rows, monkeypatch, leg, perturb, detail):
+    honest = dict(identity.LEGS)[leg]
+
+    def perturbed(cell):
+        for label, result, trace in honest(cell):
+            yield (label, *perturb(result, trace))
+
+    legs = tuple((name, perturbed if name == leg else run) for name, run in identity.LEGS)
+    monkeypatch.setattr(identity, "LEGS", legs)
+    with pytest.raises(identity.IdentityFailure) as exc:
+        identity.run_cell(trace_rows["alibaba2018"], "none")
+    failure = exc.value
+    assert (failure.row, failure.column, failure.leg) == ("alibaba2018", "none", leg)
+    assert failure.detail.startswith(detail)
+
+
+def test_testbed_specs_materialize_the_builder_jobs():
+    """The testbed row is ``wordcount_job(4.0)``/``pagerank_job(1.0)``
+    written as specs: same tasks, demands, DAG and duration laws."""
+
+    def shape(job):
+        return (
+            job.job_id,
+            job.name,
+            job.arrival_time,
+            [
+                (
+                    len(p.tasks),
+                    p.demand,
+                    p.parents,
+                    p.start_delay,
+                    p.distribution.x_m,
+                    p.distribution.alpha,
+                )
+                for p in job.phases
+            ],
+        )
+
+    built = [
+        wordcount_job(4.0, arrival_time=45.0 * i, job_id=i)
+        if i % 2 == 0
+        else pagerank_job(1.0, arrival_time=45.0 * i, job_id=i)
+        for i in range(8)
+    ]
+    row = identity.paper_testbed_row()
+    assert [shape(j) for j in row.jobs()] == [shape(j) for j in built]

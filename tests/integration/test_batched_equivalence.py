@@ -18,8 +18,8 @@ import pytest
 
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
-from repro.devtools.engine_smoke import _run_once as engine_smoke_run
-from repro.devtools.fault_smoke import SMOKE_PROFILE
+from repro.devtools.identity import build_engine, paper_testbed_row
+from repro.faults import FaultProfile
 from repro.sim.replay import assert_replay_identical
 from repro.sim.runner import run_simulation
 from tests.integration.test_vectorized_equivalence import (
@@ -37,6 +37,15 @@ HATCHES = {
     "eager-priorities": (EagerDollyMP, ()),
     "all-hatches": (EagerDollyMP, KERNELS),
 }
+
+#: Aggressive-but-survivable churn: a failure somewhere every ~3
+#: simulated minutes, quick repairs, a light per-copy failure hazard.
+CHURN = FaultProfile(
+    mtbf=180.0,
+    mttr=25.0,
+    copy_fail_rate=1.0 / 900.0,
+    slowdown_rate=1.0 / 600.0,
+)
 
 
 def run_one(scheduler=DollyMPScheduler, *, schedule_interval=0.0, fault_profile=None):
@@ -89,19 +98,25 @@ def test_all_hatches_under_faults(reference_kernels):
         reference_kernels,
         "all-hatches",
         schedule_interval=5.0,
-        fault_profile=SMOKE_PROFILE,
+        fault_profile=CHURN,
     )
     assert base[0].faults_injected > 0
     assert_equivalent(base, hatched)
 
 
 def test_engine_smoke_run_matches_all_references(reference_kernels):
-    """The engine-smoke gate's own run (its 10 jobs, seed 7, 5 s slots,
-    the chaos churn profile, sanitizer on, journal recorded) matches the
-    same run on every reference kernel at once."""
-    result, trace, _, _ = engine_smoke_run(DollyMPScheduler)
+    """The identity gate's testbed × chaos engine (8 jobs, seed 7,
+    event-driven, sanitizer on, journal recorded) matches the same run
+    on every reference kernel at once."""
+    row = paper_testbed_row()
+
+    def run(scheduler):
+        engine = build_engine(row, "chaos", row.jobs(), scheduler)
+        return engine.run(), engine.trace
+
+    result, trace = run(DollyMPScheduler)
     reference_kernels(*KERNELS)
-    ref_result, ref_trace, _, _ = engine_smoke_run(EagerDollyMP)
+    ref_result, ref_trace = run(EagerDollyMP)
     assert result.faults_injected > 0
     assert ref_trace.decisions == trace.decisions
     assert_replay_identical(result, ref_result)

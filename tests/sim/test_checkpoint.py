@@ -181,8 +181,30 @@ class TestFiles:
         # flip a byte inside the pickled state
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises((ValueError, Exception)):
+        with pytest.raises(ValueError, match="truncated or corrupted"):
             load_checkpoint(path)
+
+    def test_damage_at_every_offset_rejected(self, tmp_path, small_cluster):
+        job = make_single_task_job(theta=1.0, job_id=1)
+        engine = SimulationEngine(small_cluster, FIFOScheduler(), [job])
+        engine.start()
+        payload, _ = checkpoint_bytes(engine)
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError, match="truncated or corrupted"):
+                restore_bytes(payload[:cut])
+        for at in range(len(payload)):
+            flipped = bytearray(payload)
+            flipped[at] ^= 0xFF
+            try:
+                revived = restore_bytes(bytes(flipped))
+            except ValueError:
+                continue
+            # only summary fields outside the digested state were hit
+            assert revived.now == engine.now, f"flip at {at}"
+        path = tmp_path / "torn.ckpt"
+        path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(ValueError, match="truncated or corrupted"):
+            checkpoint_info(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not_a_ckpt.bin"

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import gzip
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload.ingest import (
     Alibaba2018Reader,
     Google2011Reader,
     Google2019Reader,
     TraceFormatError,
+    normalize_stream,
     open_reader,
 )
 from repro.workload.ingest.readers import _parse_dag_name
@@ -236,3 +240,77 @@ class TestOpenReader:
     def test_unknown_schema(self, tmp_path):
         with pytest.raises(ValueError, match="unknown trace schema 'facebook2009'"):
             open_reader(tmp_path / "x.csv", "facebook2009")
+
+
+CORPUS = Path(__file__).resolve().parents[2] / "fixtures" / "traces"
+FIXTURES = {
+    "google2011": CORPUS / "google2011-r200-s0.csv.gz",
+    "google2019": CORPUS / "google2019-r200-s0.jsonl",
+    "alibaba2018": CORPUS / "alibaba2018-r200-s0.csv",
+}
+
+
+class TestUndecodableLine:
+    """Undecodable bytes are reported at their own line, although the
+    text decoder meets them a whole chunk before the reader yields it."""
+
+    @pytest.mark.parametrize("line", [5, 120, 190])
+    @pytest.mark.parametrize("schema", sorted(FIXTURES))
+    def test_bad_byte_reports_its_line(self, tmp_path, schema, line):
+        fixture = FIXTURES[schema]
+        raw = fixture.read_bytes()
+        lines = (gzip.decompress(raw) if fixture.suffix == ".gz" else raw).split(b"\n")
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        data = b"\n".join(lines)
+        path = tmp_path / fixture.name
+        path.write_bytes(gzip.compress(data) if fixture.suffix == ".gz" else data)
+        with pytest.raises(TraceFormatError, match="undecodable bytes") as exc:
+            list(open_reader(path, schema).rows())
+        assert exc.value.line == line
+        assert f"line {line}" in str(exc.value)
+
+    def test_carriage_returns_end_lines(self, tmp_path):
+        good = [g2011_line(i, "j", i, 0).encode() for i in range(3)]
+        path = tmp_path / "t.csv"
+        path.write_bytes(good[0] + b"\r" + good[1] + b"\r\n" + good[2] + b"\n")
+        assert [r.line for r in Google2011Reader(path).rows()] == [1, 2, 3]
+        path.write_bytes(good[0] + b"\r" + good[1] + b"\r\n\xff\n")
+        with pytest.raises(TraceFormatError) as exc:
+            list(Google2011Reader(path).rows())
+        assert exc.value.line == 3
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A committed fixture with 1–3 bytes replaced, deleted or inserted."""
+    schema = draw(st.sampled_from(sorted(FIXTURES)))
+    data = bytearray(FIXTURES[schema].read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "delete":
+            del data[pos]
+        elif edit == "replace":
+            data[pos] = draw(st.integers(0, 255))
+        else:
+            data.insert(pos, draw(st.integers(0, 255)))
+    return schema, bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_fixture())
+def test_mutated_fixture_fails_loudly_or_parses(fuzz_dir, case):
+    """Damaged trace bytes raise only TraceFormatError, located at a line
+    unless the damage is to the gzip stream itself."""
+    schema, data = case
+    path = fuzz_dir / FIXTURES[schema].name
+    path.write_bytes(data)
+    try:
+        list(normalize_stream(open_reader(path, schema)))
+    except TraceFormatError as exc:
+        assert exc.line is not None or path.suffix == ".gz", str(exc)

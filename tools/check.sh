@@ -14,7 +14,7 @@
 
 set -u
 
-GATES="${*:-lint test smoke replay-smoke fault-smoke engine-smoke service-smoke trace-smoke bench-check coverage}"
+GATES="${*:-lint test identity bench-check coverage}"
 
 SUMMARY="artifacts/check_summary.json"
 mkdir -p "$(dirname "$SUMMARY")"
