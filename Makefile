@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # Coverage floor lives in pyproject.toml ([tool.coverage.report]).
 COV_FAIL_UNDER = $(shell sed -n 's/^fail_under *= *//p' pyproject.toml)
 
-.PHONY: check lint test identity bench-check coverage bench-trajectory
+.PHONY: check lint test identity bench-check coverage
 
 check:
 	@MAKE="$(MAKE)" sh tools/check.sh
@@ -31,8 +31,13 @@ test:
 identity:
 	$(PYTHON) -m repro.devtools.identity artifacts/identity
 
+# The benchmark harness: its own tests, then one full-size run of each
+# of the four workloads at seed 2022, failing on any failed check or any
+# result whose digest differs from benchmarks/bench/digests.json.  The
+# stamped record lands in artifacts/bench/ (uploaded by CI).
 bench-check:
-	$(PYTHON) -m benchmarks.check_regression
+	$(PYTHON) -m pytest -q benchmarks/bench/tests
+	$(PYTHON) -m benchmarks.bench --repeat 1 --seconds 0
 
 # Enforced in CI (pytest-cov is installed there); locally the gate
 # degrades to a skip when pytest-cov isn't available, since the repo
@@ -44,11 +49,3 @@ coverage:
 	else \
 		echo "coverage: pytest-cov not installed, skipping (floor $(COV_FAIL_UNDER)% enforced in CI)"; \
 	fi
-
-# Appends one line each to benchmarks/results/trajectory.jsonl (cron job):
-# placement microbench + end-to-end engine throughput (gate config) +
-# trace-ingestion throughput (rows/sec, peak RSS).
-bench-trajectory:
-	$(PYTHON) -m benchmarks.placement_microbench --append benchmarks/results/trajectory.jsonl
-	$(PYTHON) -m benchmarks.engine_bench --append benchmarks/results/trajectory.jsonl
-	$(PYTHON) -m benchmarks.ingest_bench --append benchmarks/results/trajectory.jsonl

@@ -13,10 +13,8 @@ separately assert the paper's 50 ms budget.  We also time one full
 schedule pass on the 30-node cluster against the 20 ms claim.
 """
 
-import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.cluster.heterogeneity import paper_cluster_30_nodes, trace_sim_cluster
@@ -28,7 +26,7 @@ from repro.schedulers.packing import fill_tasks_best_fit, pending_by_phase
 from repro.sim.engine import SimulationEngine
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 
-from benchmarks.conftest import RESULTS_DIR, SEED, save_figure_text
+from benchmarks.conftest import SEED, save_figure_text
 from tests import reference
 
 
@@ -80,7 +78,7 @@ def test_schedule_pass_on_testbed(benchmark):
     # The first pass places every launchable task (the expensive case);
     # the paper's budget refers to steady-state decisions, so allow 40 ms
     # at bench variance.
-    assert benchmark.stats["mean"] < 0.20
+    assert benchmark.stats["mean"] < 0.040
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +120,8 @@ def _time_fill_pass(fill_tasks):
 def test_placement_kernels_30k_servers():
     """Sec. 6.3.3 scale: the per-query placement kernels on 30 000
     servers, the per-server reference loops of ``tests/reference.py``
-    vs production.  Results go to ``BENCH_placement.json``
-    (machine-readable ops/s, before → after) and production
+    vs production.  Results go to ``overhead_placement_kernels.txt``
+    (ops/s and fill time, reference → production) and production
     ``best_fit_server`` must be >= 10x the reference loop while choosing
     the *identical* servers."""
     cluster = trace_sim_cluster(30_000, seed=SEED)
@@ -143,24 +141,13 @@ def test_placement_kernels_30k_servers():
     vector_fill_s, vector_launched = _time_fill_pass(fill_tasks_best_fit)
     assert vector_launched == scalar_launched
 
-    payload = {
-        "cluster_servers": 30_000,
-        "best_fit_server": {
-            "queries": len(demands),
-            "scalar_ops_per_s": round(scalar_ops, 1),
-            "vectorized_ops_per_s": round(vector_ops, 1),
-            "speedup": round(best_fit_speedup, 1),
-        },
-        "fill_tasks_best_fit": {
-            "queued_jobs": 30,
-            "copies_launched": vector_launched,
-            "scalar_ms": round(scalar_fill_s * 1e3, 2),
-            "vectorized_ms": round(vector_fill_s * 1e3, 2),
-            "speedup": round(scalar_fill_s / vector_fill_s, 1),
-        },
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_placement.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
+    save_figure_text(
+        "overhead_placement_kernels",
+        f"placement kernels on 30000 servers, reference -> production:\n"
+        f"best_fit_server, {len(demands)} queries: {scalar_ops:.1f} -> "
+        f"{vector_ops:.1f} ops/s ({best_fit_speedup:.1f}x)\n"
+        f"fill_tasks_best_fit, 30 queued jobs, {vector_launched} copies: "
+        f"{scalar_fill_s * 1e3:.2f} -> {vector_fill_s * 1e3:.2f} ms "
+        f"({scalar_fill_s / vector_fill_s:.1f}x)",
     )
     assert best_fit_speedup >= 10.0

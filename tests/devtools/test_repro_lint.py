@@ -8,9 +8,11 @@ go green and these tests would fail).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,19 @@ def test_repo_config_excludes_fixtures():
     """The real pyproject config must shield this fixture tree."""
     config = LintConfig.load(REPO_ROOT)
     assert config.is_excluded("tests/devtools/fixtures/lint_tree/src/repro/core/eps_bad.py")
+
+
+def test_config_falls_back_to_tomli(monkeypatch):
+    """Python 3.10 has no stdlib ``tomllib``; the config then reads
+    pyproject.toml through ``tomli`` and must load the same settings."""
+    tomllib = pytest.importorskip("tomllib")
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # import raises
+    monkeypatch.setitem(sys.modules, "tomli", tomllib)
+    spec = importlib.util.find_spec("tools.repro_lint.config")
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert asdict(fallback.LintConfig.load(REPO_ROOT)) == asdict(LintConfig.load(REPO_ROOT))
 
 
 # ----------------------------------------------------------------------

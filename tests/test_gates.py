@@ -1,0 +1,42 @@
+"""The CI gate wiring: every gate named resolves to something that exists.
+
+``tools/check.sh`` names the gates ``make check`` runs, CI calls make
+targets, and the Makefile runs Python modules.  A recipe left pointing at
+a deleted module, or a gate list naming a deleted target, fails here in
+the test suite instead of in the gate itself.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MAKEFILE = (ROOT / "Makefile").read_text()
+
+
+def _make_targets() -> set[str]:
+    return set(re.findall(r"^([\w-]+):", MAKEFILE, flags=re.MULTILINE))
+
+
+def test_check_sh_default_gates_are_make_targets():
+    script = (ROOT / "tools" / "check.sh").read_text()
+    (default,) = re.findall(r'GATES="\$\{\*:-([^}]*)\}"', script)
+    gates = default.split()
+    assert gates
+    assert set(gates) - _make_targets() == set()
+
+
+def test_ci_make_calls_are_make_targets():
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    called = set(re.findall(r"\bmake ([\w-]+)", workflow))
+    assert called
+    assert called - _make_targets() == set()
+
+
+def test_makefile_python_modules_resolve():
+    modules = re.findall(r"\$\(PYTHON\) -m ([\w.]+)", MAKEFILE)
+    assert modules
+    missing = [m for m in modules if importlib.util.find_spec(m) is None]
+    assert missing == []

@@ -15,7 +15,10 @@ covers the whole subtree).
 
 from __future__ import annotations
 
-import tomllib
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: tomllib is stdlib from 3.11
+    import tomli as tomllib
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
