@@ -9,7 +9,6 @@ tracker must discover them from completed-copy durations alone.
 
 from repro.analysis.report import format_table
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.core.online import DollyMPScheduler
 from repro.core.server_learning import LearningDollyMPScheduler
 from repro.resources import Resources
@@ -24,11 +23,9 @@ NUM_JOBS = 60
 
 
 def make_cluster():
-    servers = []
-    for i in range(NUM_SERVERS):
-        slow = 4.0 if i < NUM_SLOW else 1.0
-        servers.append(Server(i, Resources.of(8, 16), slowdown=slow))
-    return Cluster(servers)
+    return Cluster.build(
+        (Resources.of(8, 16), 4.0 if i < NUM_SLOW else 1.0) for i in range(NUM_SERVERS)
+    )
 
 
 def make_jobs():

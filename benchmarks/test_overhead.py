@@ -130,7 +130,7 @@ def test_placement_kernels_30k_servers():
     ]
 
     scalar_ops, scalar_ids = _time_best_fit(
-        lambda d: reference.best_fit(cluster.servers, d)[0], demands, repeats=3
+        lambda d: reference.best_fit(cluster, d)[0], demands, repeats=3
     )
     vector_ops, vector_ids = _time_best_fit(cluster.best_fit_server, demands, repeats=100)
 

@@ -12,7 +12,6 @@ Run:  python examples/straggler_learning.py
 from repro import DollyMPScheduler, LearningDollyMPScheduler, run_simulation
 from repro.analysis.plots import ascii_bars, ascii_cdf
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.core.server_learning import StragglerServerTracker
 from repro.resources import Resources
 from repro.workload.mapreduce import wordcount_job
@@ -22,11 +21,8 @@ SLOW_SERVERS = {0, 1, 2, 3}
 
 
 def make_cluster() -> Cluster:
-    return Cluster(
-        [
-            Server(i, Resources.of(8, 16), slowdown=4.0 if i in SLOW_SERVERS else 1.0)
-            for i in range(NUM_SERVERS)
-        ]
+    return Cluster.build(
+        (Resources.of(8, 16), 4.0 if i in SLOW_SERVERS else 1.0) for i in range(NUM_SERVERS)
     )
 
 

@@ -1,26 +1,30 @@
-"""The cluster: a collection of heterogeneous servers plus topology.
+"""The cluster: heterogeneous servers plus topology.
 
 Provides the aggregate quantities the schedulers need — total capacity
 (the denominators of the dominant-share Eqs. 9/15), availability scans,
-and utilization summaries — while each :class:`~repro.cluster.server.Server`
-owns its own allocation bookkeeping.
+and utilization summaries.  Per-server state lives only in the
+structure-of-arrays :class:`~repro.cluster.mirror.AvailabilityMirror`
+(capacity, allocation, availability, up flag, slowdown and resident
+copies); ``cluster[i]`` is a :class:`~repro.cluster.server.Server` view
+built on demand, so no per-server Python object exists at rest and a
+100K-server cluster builds from a few vectorized arrays.
 
-Placement scans run on a structure-of-arrays NumPy mirror of per-server
-availability (:class:`~repro.cluster.mirror.AvailabilityMirror`),
-updated incrementally on every allocate/release, so ``best_fit_server``
-is a blocked masked reduction rather than a Python loop.  The
-equivalence tests compare it against a per-server reference loop
-(``tests/reference.py``; DESIGN.md §5.1).
+``best_fit_server`` is a blocked masked reduction over the mirror rather
+than a Python loop.  The equivalence tests compare it against a
+per-server reference loop (``tests/reference.py``; DESIGN.md §5.1).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.cluster.mirror import AvailabilityMirror
 from repro.cluster.server import Server
 from repro.cluster.topology import Topology
-from repro.resources import Resources
+from repro.resources import EPS, Resources
 
 __all__ = ["Cluster"]
 
@@ -28,45 +32,65 @@ __all__ = ["Cluster"]
 class Cluster:
     """An indexed set of servers with cached aggregate capacity.
 
-    A server belongs to at most one cluster at a time: construction
-    points each server's mirror hook at this cluster's availability
-    arrays.
+    Built from per-server capacity arrays (server ``i`` has capacity
+    ``(cap_cpu[i], cap_mem[i])`` and slowdown ``slowdown[i]``, a scalar
+    meaning the same for every server); :meth:`build` is the small-
+    cluster form over ``(capacity, slowdown)`` specs.
     """
 
     def __init__(
         self,
-        servers: Sequence[Server],
+        cap_cpu,
+        cap_mem,
+        slowdown=1.0,
         topology: Topology | None = None,
     ) -> None:
-        if not servers:
+        cap_cpu = np.asarray(cap_cpu, dtype=np.float64)
+        cap_mem = np.asarray(cap_mem, dtype=np.float64)
+        n = len(cap_cpu)
+        if n == 0:
             raise ValueError("a cluster needs at least one server")
-        ids = [s.server_id for s in servers]
-        if ids != list(range(len(servers))):
-            raise ValueError("server ids must be 0..n-1 in order")
-        self.servers: list[Server] = list(servers)
-        self.topology = topology if topology is not None else Topology.single_rack(len(servers))
-        if len(self.topology) != len(self.servers):
+        if cap_cpu.shape != (n,) or cap_mem.shape != (n,):
+            raise ValueError("capacity arrays must hold one entry per server")
+        slowdown = np.broadcast_to(np.asarray(slowdown, dtype=np.float64), (n,))
+        bad = ~(np.isfinite(cap_cpu) & np.isfinite(cap_mem) & (cap_cpu > 0) & (cap_mem > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"server {i}: capacity must be positive, got "
+                f"({cap_cpu[i]:g}, {cap_mem[i]:g})"
+            )
+        bad = ~(np.isfinite(slowdown) & (slowdown > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"server {i}: slowdown must be positive, got {slowdown[i]:g}")
+        self.topology = topology if topology is not None else Topology.single_rack(n)
+        if len(self.topology) != n:
             raise ValueError("topology size does not match server count")
-        self._total_capacity = Resources(
-            sum(s.capacity.cpu for s in self.servers),
-            sum(s.capacity.mem for s in self.servers),
-        )
-        self.mirror = AvailabilityMirror(self.servers)
-        for s in self.servers:
-            s._mirror = self.mirror
+        # Left-to-right sums of the same floats in id order: np.sum sums
+        # pairwise and can differ in the last ulp.
+        self._total_capacity = Resources(sum(cap_cpu.tolist()), sum(cap_mem.tolist()))
+        self.mirror = AvailabilityMirror(cap_cpu, cap_mem, slowdown)
+        self._peak_alignment: float | None = None
         #: Pre-bound placement-query counter, installed by
         #: Observability.bind_cluster; None keeps the disabled query
         #: path at one attribute load + branch.
         self._obs_placement = None
 
-    def __setstate__(self, state) -> None:
-        # Checkpoints from builds with the placement-path switch carry
-        # ``vectorized`` and a (vectorized, scalar) pair of
-        # placement-query counters; keep counting into the first.
-        state.pop("vectorized", None)
-        if isinstance(state.get("_obs_placement"), tuple):
-            state["_obs_placement"] = state["_obs_placement"][0]
-        self.__dict__.update(state)
+    @staticmethod
+    def build(
+        specs: Iterable[tuple[Resources, float]],
+        topology: Topology | None = None,
+    ) -> "Cluster":
+        """Build a cluster from ``(capacity, slowdown)`` specs, server
+        ``i`` from the ``i``-th spec."""
+        specs = list(specs)
+        return Cluster(
+            [cap.cpu for cap, _ in specs],
+            [cap.mem for cap, _ in specs],
+            [slow for _, slow in specs],
+            topology,
+        )
 
     def _count_query(self) -> None:
         counter = self._obs_placement
@@ -90,17 +114,40 @@ class Cluster:
     def utilization(self) -> Resources:
         return self.total_allocated().normalized_by(self._total_capacity)
 
+    @property
+    def peak_alignment(self) -> float:
+        """``max_i (C_i² + M_i²)`` — the largest alignment score a
+        server's full capacity gives (Tetris' normalizer).  Capacities
+        never change, so it is computed once."""
+        if self._peak_alignment is None:
+            m = self.mirror
+            self._peak_alignment = float(np.max(m.cap_cpu * m.cap_cpu + m.cap_mem * m.cap_mem))
+        return self._peak_alignment
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.servers)
+        return len(self.mirror)
 
     def __iter__(self) -> Iterator[Server]:
-        return iter(self.servers)
+        mirror = self.mirror
+        return (Server(mirror, i) for i in range(len(mirror)))
 
     def __getitem__(self, server_id: int) -> Server:
-        return self.servers[server_id]
+        i = operator.index(server_id)
+        n = len(self.mirror)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"server {server_id} out of range for {n} servers")
+        return Server(self.mirror, i)
+
+    def can_host(self, demand: Resources) -> bool:
+        """Whether some server's full capacity fits ``demand`` —
+        :meth:`Resources.fits_in`'s exact expression, EPS included."""
+        m = self.mirror
+        return bool(np.any((m.cap_cpu + EPS >= demand.cpu) & (m.cap_mem + EPS >= demand.mem)))
 
     def best_fit_server(self, demand: Resources) -> Server | None:
         """The fitting server maximizing the demand·available alignment.
@@ -113,23 +160,11 @@ class Cluster:
         if self._obs_placement is not None:
             self._count_query()
         hit = self.mirror.best_fit(demand)
-        return None if hit is None else self.servers[hit[0]]
+        return None if hit is None else Server(self.mirror, hit[0])
 
     def num_up(self) -> int:
         """Servers currently in service (all of them absent fault injection)."""
         return self.mirror.num_up()
 
     def running_copy_count(self) -> int:
-        return sum(len(s.running_copies) for s in self.servers)
-
-    @staticmethod
-    def build(
-        specs: Iterable[tuple[Resources, float]],
-        topology: Topology | None = None,
-    ) -> "Cluster":
-        """Build a cluster from ``(capacity, slowdown)`` specs."""
-        servers = [
-            Server(i, cap, slowdown=slow)
-            for i, (cap, slow) in enumerate(specs)
-        ]
-        return Cluster(servers, topology)
+        return sum(map(len, self.mirror.resident.values()))

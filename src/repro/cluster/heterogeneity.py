@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.cluster.topology import Topology
 from repro.resources import Resources
 
@@ -45,24 +44,13 @@ def paper_cluster_30_nodes(
     small_slowdown: float = SMALL_SLOWDOWN,
 ) -> Cluster:
     """The 30-node / 328-core heterogeneous testbed of Sec. 6.1."""
-    servers: list[Server] = []
-
-    def add(cap: Resources, slowdown: float) -> None:
-        servers.append(Server(len(servers), cap, slowdown=slowdown))
-
-    for _ in range(2):  # powerful servers
-        add(Resources.of(24, 48), powerful_slowdown)
-    for i in range(7):  # normal servers, memory alternating through 32-64 GB
-        add(Resources.of(16, 32 if i % 2 == 0 else 64), normal_slowdown)
-    for _ in range(21):  # small nodes
-        add(Resources.of(8, 16), small_slowdown)
-
-    assert sum(s.capacity.cpu for s in servers) == 328
-    topo = Topology.two_racks(len(servers))
-    # Topology.two_racks splits by index; re-tag servers to match.
-    for s in servers:
-        s.rack = topo.rack(s.server_id)
-    return Cluster(servers, topo)
+    specs: list[tuple[Resources, float]] = []
+    specs += [(Resources.of(24, 48), powerful_slowdown)] * 2  # powerful servers
+    # normal servers, memory alternating through 32-64 GB
+    specs += [(Resources.of(16, 32 if i % 2 == 0 else 64), normal_slowdown) for i in range(7)]
+    specs += [(Resources.of(8, 16), small_slowdown)] * 21  # small nodes
+    assert sum(cap.cpu for cap, _ in specs) == 328
+    return Cluster.build(specs, Topology.two_racks(len(specs)))
 
 
 def trace_sim_cluster(
@@ -94,19 +82,17 @@ def trace_sim_cluster(
     ]
     weights = np.array([c[2] for c in classes])
     picks = rng.choice(len(classes), size=num_servers, p=weights / weights.sum())
-    servers = []
-    for i, k in enumerate(picks):
-        cap, slow, _ = classes[int(k)]
-        # Exact sentinel: 1.0 means "no scaling requested", not a measured
-        # quantity.
-        if cpu_scale != 1.0:  # repro-lint: ignore[RL003]
-            cap = Resources.of(max(1.0, round(cap.cpu * cpu_scale)), cap.mem)
-        servers.append(Server(i, cap, slowdown=slow))
+    cpu = np.array([c[0].cpu for c in classes])[picks]
+    mem = np.array([c[0].mem for c in classes])[picks]
+    slowdown = np.array([c[1] for c in classes])[picks]
+    # Exact sentinel: 1.0 means "no scaling requested", not a measured
+    # quantity.
+    if cpu_scale != 1.0:  # repro-lint: ignore[RL003]
+        # np.round rounds half to even, like the builtin round.
+        cpu = np.maximum(1.0, np.round(cpu * cpu_scale))
     racks = max(1, num_servers // 40)
-    topo = Topology([i % racks for i in range(num_servers)])
-    for s in servers:
-        s.rack = topo.rack(s.server_id)
-    return Cluster(servers, topo)
+    topo = Topology((np.arange(num_servers) % racks).tolist())
+    return Cluster(cpu, mem, slowdown, topo)
 
 
 def homogeneous_cluster(
@@ -116,12 +102,16 @@ def homogeneous_cluster(
     slowdown: float = 1.0,
 ) -> Cluster:
     """A uniform cluster (the setting of most of the theory analysis)."""
-    servers = [Server(i, capacity, slowdown=slowdown) for i in range(num_servers)]
-    return Cluster(servers, Topology.single_rack(num_servers))
+    return Cluster(
+        np.full(num_servers, capacity.cpu),
+        np.full(num_servers, capacity.mem),
+        slowdown,
+        Topology.single_rack(num_servers),
+    )
 
 
 def single_server_cluster(
     capacity: Resources = Resources.of(1.0, 1.0), *, slowdown: float = 1.0
 ) -> Cluster:
     """One server of (normalized) capacity — Sec. 4.2's transient setting."""
-    return Cluster([Server(0, capacity, slowdown=slowdown)], Topology.single_rack(1))
+    return Cluster.build([(capacity, slowdown)], Topology.single_rack(1))

@@ -1,31 +1,38 @@
-"""Structure-of-arrays NumPy mirror of per-server availability.
+"""Per-server state of a cluster as a structure of NumPy arrays.
 
-The placement hot path — ``Cluster.best_fit_server`` and the batched
-fill loops in :mod:`repro.schedulers.packing` — scores a demand against
-every server's remaining capacity.  Doing that with a Python loop over
-:class:`~repro.cluster.server.Server` objects costs O(M) attribute
-lookups and method calls per query; at the paper's 30K-server scale
-(Sec. 6.3.3) that dominates the scheduling overhead.  The mirror keeps
-the same information as four flat ``float64`` arrays so every query
-becomes a handful of vectorized kernels.
+The mirror is the one record of every server's state: there is no
+per-server Python object at rest (``Cluster[i]`` builds a
+:class:`~repro.cluster.server.Server` view on demand).  The placement
+hot path — ``Cluster.best_fit_server`` and the batched fill loops in
+:mod:`repro.schedulers.packing` — scores a demand against every server's
+remaining capacity with a handful of vectorized kernels over these
+arrays; at the paper's 30K-server scale (Sec. 6.3.3) a Python loop over
+server objects would dominate the scheduling overhead.
 
 Data layout (all arrays indexed by ``server_id``):
 
-* ``avail_cpu`` / ``avail_mem`` — the server's current availability,
-  exactly the floats stored in ``Server._available``;
-* ``alloc_cpu`` / ``alloc_mem`` — the server's current allocation,
-  exactly the floats stored in ``Server._allocated``;
-* ``cap_cpu`` / ``cap_mem`` — immutable capacities;
+* ``cap_cpu`` / ``cap_mem`` — immutable capacities (C_i, M_i), the
+  bounds Eq. (5) checks allocations against;
+* ``alloc_cpu`` / ``alloc_mem`` — the current allocation, written in
+  place by :meth:`AvailabilityMirror.allocate` / :meth:`release`;
+* ``avail_cpu`` / ``avail_mem`` — availability, *derived* from the
+  allocation: ``max(cap - alloc, 0.0)`` per dimension while up, exactly
+  ``0.0`` while down;
 * ``up`` — boolean liveness mask (fault injection): down servers are
-  masked out of every feasibility query.
+  masked out of every feasibility query;
+* ``slowdown`` — the per-server task-duration multiplier;
+* ``resident`` — ``{server_id: set of TaskCopy}`` for the servers that
+  host at least one copy (most servers of a large cluster never do, so
+  they pay for no set at all).
 
 Invariants:
 
-* The arrays are updated *incrementally*: every ``Server.allocate`` /
-  ``Server.release`` pushes that one server's new values through
-  :meth:`AvailabilityMirror.update`, so the mirror always equals a fresh
-  per-server recompute (``tests/cluster/test_mirror_property.py`` checks
-  this after arbitrary allocate/kill/finish sequences).
+* Allocation adds and clamps in a fixed order and the last release of a
+  server snaps it to exactly ``0.0``; :meth:`update` then re-derives the
+  server's availability.  Every availability entry therefore equals its
+  derivation bit for bit (``tests/cluster/test_mirror_property.py``
+  checks this after arbitrary allocate/kill/finish sequences; the
+  sanitizer after every event).
 * Scores are computed with the same floating-point expression and
   operation order as the per-server reference loop in
   ``tests/reference.py`` (``demand.cpu * avail.cpu + demand.mem *
@@ -40,14 +47,14 @@ Invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.resources import EPS, Resources
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.server import Server
+    from repro.workload.task import TaskCopy
 
 __all__ = ["AvailabilityMirror", "BLOCK_SIZE"]
 
@@ -56,13 +63,14 @@ __all__ = ["AvailabilityMirror", "BLOCK_SIZE"]
 #: benchmark sweep; any value >= 1 gives bit-identical placements.
 BLOCK_SIZE = 4096
 
-#: Slots rebuilt on restore rather than pickled: the block size comes
-#: from the module constant, the bounds are re-tightened from the arrays.
-_INDEX_SLOTS = frozenset({"_block", "_ub_cpu", "_ub_mem"})
+#: Slots rebuilt on restore rather than pickled: availability is derived
+#: from the allocation, the block size comes from the module constant and
+#: the bounds are re-tightened from the derived arrays.
+_DERIVED_SLOTS = frozenset({"avail_cpu", "avail_mem", "_block", "_ub_cpu", "_ub_mem"})
 
 
 class AvailabilityMirror:
-    """Incrementally-maintained SoA view of a cluster's availability.
+    """The SoA record of a cluster's per-server state.
 
     Block-bound placement index (DESIGN.md §5.10): the arrays split into
     contiguous blocks of ``BLOCK_SIZE`` servers, each with a *stale-high*
@@ -86,6 +94,8 @@ class AvailabilityMirror:
         "cap_cpu",
         "cap_mem",
         "up",
+        "slowdown",
+        "resident",
         "_coalescing",
         "_pending",
         "_alloc_cache",
@@ -94,16 +104,26 @@ class AvailabilityMirror:
         "_ub_mem",
     )
 
-    def __init__(self, servers: Sequence["Server"]) -> None:
-        m = len(servers)
+    def __init__(self, cap_cpu: np.ndarray, cap_mem: np.ndarray, slowdown: np.ndarray) -> None:
+        """Every server up and idle; the caller validated the inputs."""
+        self.cap_cpu = np.array(cap_cpu, dtype=np.float64)
+        self.cap_mem = np.array(cap_mem, dtype=np.float64)
+        self.slowdown = np.array(slowdown, dtype=np.float64)
+        m = len(self.cap_cpu)
+        self.alloc_cpu = np.zeros(m, np.float64)
+        self.alloc_mem = np.zeros(m, np.float64)
+        #: Liveness mask (fault injection): down servers are excluded
+        #: from every feasibility mask and advertise zero availability.
+        self.up = np.ones(m, dtype=bool)
+        self.resident: dict[int, set["TaskCopy"]] = {}
         # Coalesced-update window (batched event drains): while open,
-        # ``update`` calls park the server in ``_pending`` instead of
-        # storing immediately; ``flush`` replays each parked server's
-        # *current* state once.  ``update`` is idempotent (it pushes the
-        # server's present floats, not a delta), so deferring N updates
-        # of one server to a single store is exact.
+        # ``update`` parks the server id in ``_pending`` instead of
+        # deriving immediately; ``flush`` derives each parked server
+        # once from its *current* allocation.  A derivation reads the
+        # present state, not a delta, so deferring N updates of one
+        # server to a single derivation is exact.
         self._coalescing = False
-        self._pending: dict[int, "Server"] = {}
+        self._pending: set[int] = set()
         # Memoized (cpu, mem) allocation totals, invalidated by any
         # update: the engine reads them once per accounting window, and
         # windows bounded by events that move no capacity (bare ticks)
@@ -111,31 +131,26 @@ class AvailabilityMirror:
         # ``np.sum`` outputs — identical arrays give identical sums, so
         # memoization cannot perturb the utilization integrals.
         self._alloc_cache: tuple[float, float] | None = None
-        self.cap_cpu = np.fromiter((s.capacity.cpu for s in servers), np.float64, m)
-        self.cap_mem = np.fromiter((s.capacity.mem for s in servers), np.float64, m)
-        self.avail_cpu = np.empty(m, np.float64)
-        self.avail_mem = np.empty(m, np.float64)
-        self.alloc_cpu = np.empty(m, np.float64)
-        self.alloc_mem = np.empty(m, np.float64)
-        #: Liveness mask (fault injection): down servers are excluded
-        #: from every feasibility mask regardless of their availability
-        #: floats, matching ``Server.can_fit``'s up-check exactly.
-        self.up = np.empty(m, dtype=bool)
-        # Every bound starts at -inf; refresh's per-server updates then
-        # max-fold each block up to its exact maximum.
-        self._block = BLOCK_SIZE
-        self._ub_cpu = [-np.inf] * self.num_blocks()
-        self._ub_mem = [-np.inf] * self.num_blocks()
-        self.refresh(servers)
+        self._derive_all()
 
     # ------------------------------------------------------------------
-    # Maintenance
+    # Derivation
     # ------------------------------------------------------------------
-    def refresh(self, servers: Sequence["Server"]) -> None:
-        """Rebuild every entry from the servers (O(M); used at
-        construction and as the reference point of the property tests)."""
-        for s in servers:
-            self.update(s)
+    def derived_availability(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every server's availability derived from its allocation,
+        capacity and up flag — what ``avail_cpu``/``avail_mem`` must
+        equal bit for bit (vectorized IEEE ops round exactly like the
+        scalar derivation in :meth:`update`)."""
+        return (
+            np.where(self.up, np.maximum(self.cap_cpu - self.alloc_cpu, 0.0), 0.0),
+            np.where(self.up, np.maximum(self.cap_mem - self.alloc_mem, 0.0), 0.0),
+        )
+
+    def _derive_all(self) -> None:
+        """Derive every availability entry and tighten every block bound."""
+        self.avail_cpu, self.avail_mem = self.derived_availability()
+        self._block = BLOCK_SIZE
+        self._retighten_bounds()
 
     def num_blocks(self) -> int:
         return -(-len(self.cap_cpu) // self._block)
@@ -161,40 +176,43 @@ class AvailabilityMirror:
             or bm < self.avail_mem[k * block : (k + 1) * block].max()
         ]
 
-    def update(self, server: "Server") -> None:
-        """Push one server's availability/allocation into the arrays.
+    def update(self, i: int) -> None:
+        """Store server ``i``'s availability, derived from its allocation,
+        capacity and up flag, and fold it into its block bound.
 
-        Called by ``Server.allocate``/``Server.release`` after every
-        bookkeeping change — O(1), four scalar stores (or one pending-
-        dict store inside a coalesce window).
+        Called by every in-place state change (allocate, release,
+        mark_down, mark_up) — O(1), two scalar stores (or one set insert
+        inside a coalesce window).
         """
         if self._coalescing:
-            self._pending[server.server_id] = server
+            self._pending.add(i)
             return
         self._alloc_cache = None
-        i = server.server_id
-        avail = server.available
-        alloc = server.allocated
-        self.avail_cpu[i] = avail.cpu
-        self.avail_mem[i] = avail.mem
-        self.alloc_cpu[i] = alloc.cpu
-        self.alloc_mem[i] = alloc.mem
-        self.up[i] = server.up
+        self._derive(i)
+
+    def _derive(self, i: int) -> None:
+        if self.up[i]:
+            a_cpu = max(self.cap_cpu.item(i) - self.alloc_cpu.item(i), 0.0)
+            a_mem = max(self.cap_mem.item(i) - self.alloc_mem.item(i), 0.0)
+        else:
+            a_cpu = a_mem = 0.0
+        self.avail_cpu[i] = a_cpu
+        self.avail_mem[i] = a_mem
         # Stale-high bound: only growth (releases/recoveries) must be
         # folded in immediately; shrink is tolerated until the next full
         # block evaluation tightens the bound.
         k = i // self._block
-        if avail.cpu > self._ub_cpu[k]:
-            self._ub_cpu[k] = avail.cpu
-        if avail.mem > self._ub_mem[k]:
-            self._ub_mem[k] = avail.mem
+        if a_cpu > self._ub_cpu[k]:
+            self._ub_cpu[k] = a_cpu
+        if a_mem > self._ub_mem[k]:
+            self._ub_mem[k] = a_mem
 
     def begin_coalesce(self) -> None:
         """Open a deferred-update window: ``update`` calls park servers
         until :meth:`end_coalesce`/:meth:`flush`.  The engine brackets
         same-instant multi-release loops (first-copy-wins kills, server-
         crash victim sweeps) with this so a server touched k times gets
-        one store.  Every read kernel flushes first, so reads inside a
+        one derivation.  Every read flushes first, so reads inside a
         window stay exact."""
         self._coalescing = True
 
@@ -205,38 +223,119 @@ class AvailabilityMirror:
             self.flush()
 
     def flush(self) -> None:
-        """Apply deferred updates now (window state is unchanged)."""
+        """Derive every parked server now (window state is unchanged)."""
         pending = self._pending
         if not pending:
             return
         self._alloc_cache = None
-        avail_cpu, avail_mem = self.avail_cpu, self.avail_mem
-        alloc_cpu, alloc_mem = self.alloc_cpu, self.alloc_mem
-        up = self.up
-        block = self._block
-        ub_cpu, ub_mem = self._ub_cpu, self._ub_mem
-        for i, server in pending.items():
-            avail = server.available
-            alloc = server.allocated
-            avail_cpu[i] = avail.cpu
-            avail_mem[i] = avail.mem
-            alloc_cpu[i] = alloc.cpu
-            alloc_mem[i] = alloc.mem
-            up[i] = server.up
-            k = i // block
-            if avail.cpu > ub_cpu[k]:
-                ub_cpu[k] = avail.cpu
-            if avail.mem > ub_mem[k]:
-                ub_mem[k] = avail.mem
+        for i in pending:
+            self._derive(i)
         pending.clear()
+
+    # ------------------------------------------------------------------
+    # In-place state changes (the only writers of the arrays)
+    # ------------------------------------------------------------------
+    def allocate(self, i: int, copy: "TaskCopy") -> None:
+        """Reserve ``copy``'s demand on server ``i``; raises if the
+        server is down, the demand does not fit (Eq. 5), or the copy is
+        already resident."""
+        if not self.up[i]:
+            raise RuntimeError(f"server {i}: down, cannot allocate")
+        if self._pending:
+            self.flush()
+        demand = copy.task.demand
+        if not (
+            demand.cpu <= self.avail_cpu.item(i) + EPS
+            and demand.mem <= self.avail_mem.item(i) + EPS
+        ):
+            raise RuntimeError(f"server {i}: cannot fit {demand} in {self.available(i)}")
+        running = self.resident.get(i)
+        if running is None:
+            self.resident[i] = {copy}
+        elif copy in running:
+            raise RuntimeError(f"server {i}: copy {copy} already running")
+        else:
+            running.add(copy)
+        self.alloc_cpu[i] = self.alloc_cpu.item(i) + demand.cpu
+        self.alloc_mem[i] = self.alloc_mem.item(i) + demand.mem
+        self.update(i)
+
+    def release(self, i: int, copy: "TaskCopy") -> None:
+        """Free the demand of a finished or killed copy on server ``i``."""
+        running = self.resident.get(i)
+        if running is None or copy not in running:
+            raise RuntimeError(f"server {i}: copy {copy} not running here")
+        running.discard(copy)
+        if running:
+            demand = copy.task.demand
+            self.alloc_cpu[i] = max(self.alloc_cpu.item(i) - demand.cpu, 0.0)
+            self.alloc_mem[i] = max(self.alloc_mem.item(i) - demand.mem, 0.0)
+        else:
+            del self.resident[i]
+            # Snap accumulated float error back to exactly zero when idle.
+            self.alloc_cpu[i] = 0.0
+            self.alloc_mem[i] = 0.0
+        self.update(i)
+
+    def mark_down(self, i: int) -> None:
+        """Take server ``i`` out of service.  The caller (the engine's
+        ``Fail`` applier) must have released every resident copy first,
+        so the allocation is already exactly zero."""
+        if not self.up[i]:
+            raise RuntimeError(f"server {i}: already down")
+        running = self.resident.get(i)
+        if running:
+            raise RuntimeError(
+                f"server {i}: cannot go down with {len(running)} resident copies"
+            )
+        self.up[i] = False
+        self.update(i)
+
+    def mark_up(self, i: int) -> None:
+        """Return server ``i`` to service.  Its allocation is exactly
+        zero while down, so availability re-derives to the capacity
+        floats bit for bit."""
+        if self.up[i]:
+            raise RuntimeError(f"server {i}: already up")
+        self.up[i] = True
+        self.update(i)
+
+    def set_slowdown(self, i: int, slowdown: float) -> None:
+        """Scale the durations of copies launched on server ``i`` from
+        now on (the fault injector's transient brownouts)."""
+        self.slowdown[i] = slowdown
+
+    # ------------------------------------------------------------------
+    # One server's state
+    # ------------------------------------------------------------------
+    def capacity(self, i: int) -> Resources:
+        return Resources(self.cap_cpu.item(i), self.cap_mem.item(i))
+
+    def allocated(self, i: int) -> Resources:
+        return Resources(self.alloc_cpu.item(i), self.alloc_mem.item(i))
+
+    def available(self, i: int) -> Resources:
+        if self._pending:
+            self.flush()
+        return Resources(self.avail_cpu.item(i), self.avail_mem.item(i))
+
+    def can_fit(self, i: int, demand: Resources) -> bool:
+        """Whether server ``i`` is up and ``demand`` fits its availability
+        — :meth:`Resources.fits_in`'s exact expression."""
+        if not self.up[i]:
+            return False
+        if self._pending:
+            self.flush()
+        return (
+            demand.cpu <= self.avail_cpu.item(i) + EPS
+            and demand.mem <= self.avail_mem.item(i) + EPS
+        )
 
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
     def num_up(self) -> int:
         """Servers currently in service (O(M) reduction on the mask)."""
-        if self._pending:
-            self.flush()
         return int(self.up.sum())
 
     def best_fit(
@@ -350,8 +449,8 @@ class AvailabilityMirror:
         if self._pending:
             self.flush()
         k, col = divmod(server_id, self._index(weights)[0])
-        a_cpu = float(self.avail_cpu[server_id])
-        a_mem = float(self.avail_mem[server_id])
+        a_cpu = self.avail_cpu.item(server_id)
+        a_mem = self.avail_mem.item(server_id)
         s_up = bool(self.up[server_id])
         w = None if weights is None else weights[server_id]
         for d_cpu, d_mem, blocks in rows:
@@ -396,21 +495,16 @@ class AvailabilityMirror:
     # Pickling (checkpoint/restore)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # __slots__ classes pickle as (None, {slot: value}); the index is
-        # derived state and stays out of checkpoints.
+        # __slots__ classes pickle as (None, {slot: value}); derived
+        # state stays out of checkpoints.
         return None, {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in _INDEX_SLOTS
+            if name not in _DERIVED_SLOTS
         }
 
     def __setstate__(self, state) -> None:
-        # Checkpoints written by older builds also carry index slots
-        # (``_shard_slices``, ``_shard_of``, ``_ub_*``): everything not a
-        # persisted slot is dropped and the index rebuilt exactly.
         _, slots = state
-        for name in self.__slots__:
-            if name not in _INDEX_SLOTS:
-                setattr(self, name, slots[name])
-        self._block = BLOCK_SIZE
-        self._retighten_bounds()
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self._derive_all()

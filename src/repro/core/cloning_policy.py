@@ -125,14 +125,16 @@ class CloningPolicy:
 def clone_resource_occupancy(cluster: "Cluster") -> Resources:
     """Total resources currently held by live clone copies.
 
-    Copies are summed in launch order (``copy_uid``): ``running_copies``
-    is a set, and float addition is order-sensitive, so an unsorted sum
-    could differ between two runs of the same schedule.
+    Copies are summed by server id, then in launch order (``copy_uid``):
+    a server's resident copies are a set, and float addition is
+    order-sensitive, so an unsorted sum could differ between two runs of
+    the same schedule.
     """
+    resident = cluster.mirror.resident
     return sum_resources(
         c.task.demand
-        for server in cluster
-        for c in sorted(server.running_copies, key=lambda c: c.copy_uid)
+        for sid in sorted(resident)
+        for c in sorted(resident[sid], key=lambda c: c.copy_uid)
         if c.is_clone
     )
 

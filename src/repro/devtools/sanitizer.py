@@ -10,13 +10,15 @@ event and raises :class:`SanitizerError` on the first divergence.
 
 Invariants checked (paper references in parentheses):
 
-* **capacity-conservation** — per server, ``allocated + available ==
-  capacity`` within ``EPS`` in both dimensions (the capacity model of
-  Sec. 3 / Eq. 5), and the allocation equals the sum of the demands of
-  the copies actually running there;
-* **mirror-coherence** — the SoA availability mirror holds bit-for-bit
-  the same floats as the ``Server`` objects it mirrors, and every block
-  bound of its placement index is at least its members' availability;
+* **capacity-conservation** — per server, the allocation stays within
+  capacity (``EPS`` slack, Eq. 5 of Sec. 3's capacity model; with the
+  exact availability derivation below this is ``allocated + available
+  == capacity``), the allocation array equals the sum of the demands of
+  the server's resident copies, and an idle server's allocation is
+  exactly zero;
+* **mirror-coherence** — every availability entry equals its derivation
+  from allocation, capacity and up flag, bit for bit, and every block
+  bound of the placement index is at least its members' availability;
 * **clone-bound** — no task holds more than ``1 + max_extra_clones``
   live copies (the Sec. 5 cap behind Thm. 2's speedup bound), and each
   task's cached live-copy counter matches its copy list;
@@ -45,6 +47,8 @@ import enum
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.resources import EPS
 from repro.workload.task import TaskState
@@ -172,57 +176,79 @@ class SimulationSanitizer:
         return out
 
     def _check_servers(self, event: str) -> list[SanitizerViolation]:
+        """Per-server capacity checks, vectorized over the state arrays;
+        only flagged servers and the resident map are visited one by one."""
         out: list[SanitizerViolation] = []
-        for server in self.engine.cluster:
-            cap, alloc, avail = server.capacity, server.allocated, server.available
-            if not server.up:
-                # A crashed server hosts nothing: the Fail applier killed
-                # every resident first (snapping allocation to exactly
-                # zero) and mark_down zeroed the advertised availability.
-                problems = []
-                if server.running_copies:
-                    problems.append(f"{len(server.running_copies)} resident copies")
-                if alloc.cpu != 0.0 or alloc.mem != 0.0:
-                    problems.append(f"allocated={alloc!r}")
-                if avail.cpu != 0.0 or avail.mem != 0.0:
-                    problems.append(f"available={avail!r}")
-                if problems:
-                    out.append(
-                        SanitizerViolation(
-                            InvariantKind.FAILED_SERVER,
-                            "down server still holds " + ", ".join(problems),
-                            event,
-                            server_id=server.server_id,
-                        )
+        mirror = self.engine.cluster.mirror
+        resident = mirror.resident
+        up = mirror.up
+        cap = (mirror.cap_cpu, mirror.cap_mem)
+        alloc = (mirror.alloc_cpu, mirror.alloc_mem)
+        avail = (mirror.avail_cpu, mirror.avail_mem)
+        # A crashed server hosts nothing: the Fail applier killed every
+        # resident first (snapping allocation to exactly zero), and a
+        # down server's availability derives to exactly zero.
+        down = ~up
+        leaking = down & (
+            (alloc[0] != 0.0) | (alloc[1] != 0.0) | (avail[0] != 0.0) | (avail[1] != 0.0)
+        )
+        flagged = set(np.flatnonzero(leaking).tolist())
+        flagged.update(i for i in resident if not up[i])
+        for i in sorted(flagged):
+            problems = []
+            if resident.get(i):
+                problems.append(f"{len(resident[i])} resident copies")
+            if alloc[0][i] != 0.0 or alloc[1][i] != 0.0:
+                problems.append(f"allocated=({alloc[0][i]:g}, {alloc[1][i]:g})")
+            if avail[0][i] != 0.0 or avail[1][i] != 0.0:
+                problems.append(f"available=({avail[0][i]:g}, {avail[1][i]:g})")
+            out.append(
+                SanitizerViolation(
+                    InvariantKind.FAILED_SERVER,
+                    "down server still holds " + ", ".join(problems),
+                    event,
+                    server_id=i,
+                )
+            )
+        for a, v, c, dim in zip(alloc, avail, cap, ("cpu", "mem")):
+            for i in np.flatnonzero(up & ((v < -EPS) | (a < -EPS))).tolist():
+                out.append(
+                    SanitizerViolation(
+                        InvariantKind.NEGATIVE_AVAILABILITY,
+                        f"{dim}: available={v[i]:g}, allocated={a[i]:g}",
+                        event,
+                        server_id=i,
                     )
-                continue
-            for dim in ("cpu", "mem"):
-                a = getattr(alloc, dim)
-                v = getattr(avail, dim)
-                c = getattr(cap, dim)
-                if v < -EPS or a < -EPS:
-                    out.append(
-                        SanitizerViolation(
-                            InvariantKind.NEGATIVE_AVAILABILITY,
-                            f"{dim}: available={v:g}, allocated={a:g}",
-                            event,
-                            server_id=server.server_id,
-                        )
+                )
+            for i in np.flatnonzero(up & (a > c + EPS)).tolist():
+                out.append(
+                    SanitizerViolation(
+                        InvariantKind.CAPACITY_CONSERVATION,
+                        f"{dim}: allocated {a[i]:g} exceeds capacity {c[i]:g}",
+                        event,
+                        server_id=i,
                     )
-                if abs(a + v - c) > EPS:
-                    out.append(
-                        SanitizerViolation(
-                            InvariantKind.CAPACITY_CONSERVATION,
-                            f"{dim}: allocated {a:g} + available {v:g} != "
-                            f"capacity {c:g}",
-                            event,
-                            server_id=server.server_id,
-                        )
+                )
+        # An idle server's allocation is exactly zero: the last release
+        # snaps it, so any residue is a lost release.
+        idle = up & ((alloc[0] != 0.0) | (alloc[1] != 0.0))
+        for i in np.flatnonzero(idle).tolist():
+            if i not in resident:
+                out.append(
+                    SanitizerViolation(
+                        InvariantKind.CAPACITY_CONSERVATION,
+                        f"idle server allocates ({alloc[0][i]:g}, {alloc[1][i]:g})",
+                        event,
+                        server_id=i,
                     )
-            # Allocation must equal the sum of running-copy demands.  The
-            # engine adds/clamps incrementally, so allow one EPS of
-            # accumulated round-off per resident copy.
-            copies = sorted(server.running_copies, key=lambda c: c.copy_uid)
+                )
+        # A hosting server's allocation must equal the sum of its
+        # resident demands.  The engine adds/clamps incrementally, so
+        # allow one EPS of accumulated round-off per resident copy.
+        for i in sorted(resident):
+            if not up[i]:
+                continue  # reported as a failed server above
+            copies = sorted(resident[i], key=lambda c: c.copy_uid)
             tol = EPS * (len(copies) + 1)
             sum_cpu = 0.0
             sum_mem = 0.0
@@ -233,20 +259,21 @@ class SimulationSanitizer:
                             InvariantKind.CAPACITY_CONSERVATION,
                             f"dead copy {copy.copy_uid} still resident",
                             event,
-                            server_id=server.server_id,
+                            server_id=i,
                             task_uid=copy.task.uid,
                         )
                     )
                 sum_cpu += copy.task.demand.cpu
                 sum_mem += copy.task.demand.mem
-            if abs(sum_cpu - alloc.cpu) > tol or abs(sum_mem - alloc.mem) > tol:
+            a_cpu, a_mem = alloc[0].item(i), alloc[1].item(i)
+            if abs(sum_cpu - a_cpu) > tol or abs(sum_mem - a_mem) > tol:
                 out.append(
                     SanitizerViolation(
                         InvariantKind.CAPACITY_CONSERVATION,
-                        f"allocated {alloc!r} != sum of {len(copies)} running "
-                        f"copies ({sum_cpu:g}, {sum_mem:g})",
+                        f"allocated ({a_cpu:g}, {a_mem:g}) != sum of {len(copies)} "
+                        f"running copies ({sum_cpu:g}, {sum_mem:g})",
                         event,
-                        server_id=server.server_id,
+                        server_id=i,
                     )
                 )
         return out
@@ -254,32 +281,23 @@ class SimulationSanitizer:
     def _check_mirror(self, event: str) -> list[SanitizerViolation]:
         out: list[SanitizerViolation] = []
         mirror = self.engine.cluster.mirror
-        for server in self.engine.cluster:
-            i = server.server_id
-            # Bitwise equality on purpose: the mirror stores exactly the
-            # Server floats, and the proof that placements equal the
-            # per-server reference loops depends on them never differing
-            # by even one ulp.
-            pairs = (
-                ("avail_cpu", mirror.avail_cpu[i], server.available.cpu),
-                ("avail_mem", mirror.avail_mem[i], server.available.mem),
-                ("alloc_cpu", mirror.alloc_cpu[i], server.allocated.cpu),
-                ("alloc_mem", mirror.alloc_mem[i], server.allocated.mem),
-                ("cap_cpu", mirror.cap_cpu[i], server.capacity.cpu),
-                ("cap_mem", mirror.cap_mem[i], server.capacity.mem),
-                ("up", bool(mirror.up[i]), server.up),
-            )
-            for name, mirrored, truth in pairs:
-                if mirrored != truth:
-                    out.append(
-                        SanitizerViolation(
-                            InvariantKind.MIRROR_COHERENCE,
-                            f"mirror.{name}[{i}]={float(mirrored):g} != "
-                            f"server value {truth:g}",
-                            event,
-                            server_id=server.server_id,
-                        )
+        # Bitwise on purpose: availability is stored as exactly its
+        # derivation, and the proof that placements equal the per-server
+        # reference loops depends on it never differing by one ulp.
+        derived = mirror.derived_availability()
+        for name, stored, truth in zip(
+            ("avail_cpu", "avail_mem"), (mirror.avail_cpu, mirror.avail_mem), derived
+        ):
+            for i in np.flatnonzero(stored != truth).tolist():
+                out.append(
+                    SanitizerViolation(
+                        InvariantKind.MIRROR_COHERENCE,
+                        f"mirror.{name}[{i}]={stored[i]:g} != {truth[i]:g} "
+                        "derived from its allocation",
+                        event,
+                        server_id=i,
                     )
+                )
         for k in mirror.loose_bounds():
             out.append(
                 SanitizerViolation(
@@ -297,9 +315,9 @@ class SimulationSanitizer:
         # missing from its server means it was released early (or twice)
         # while the engine still expects it to finish.
         resident = {
-            (s.server_id, c.copy_uid)
-            for s in self.engine.cluster
-            for c in s.running_copies
+            (sid, c.copy_uid)
+            for sid, copies in self.engine.cluster.mirror.resident.items()
+            for c in copies
         }
         for job_id in sorted(self.engine.active_jobs):
             job = self.engine.active_jobs[job_id]
@@ -399,8 +417,8 @@ class SimulationSanitizer:
         sum_cpu = 0.0
         sum_mem = 0.0
         live_clones = 0
-        for server in engine.cluster:
-            for copy in server.running_copies:
+        for copies in engine.cluster.mirror.resident.values():
+            for copy in copies:
                 if copy.is_clone and copy.live:
                     live_clones += 1
                     sum_cpu += copy.task.demand.cpu

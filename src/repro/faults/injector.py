@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cluster.server import server_id_of
 from repro.faults.profile import FaultProfile
 from repro.sim.events import EventKind
 
@@ -77,39 +78,40 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def prime(self) -> None:
         """Push each server's first failure/slowdown event (ascending
-        server id, so the draw order is reproducible)."""
+        server id, so the draw order is reproducible).  Fault events
+        carry server ids."""
         profile = self.profile
         events = self.engine.events
-        for server in self.engine.cluster:
+        for sid in range(len(self.engine.cluster)):
             if profile.server_churn:
-                events.push(self._exp(profile.mtbf), EventKind.SERVER_FAIL, server)
+                events.push(self._exp(profile.mtbf), EventKind.SERVER_FAIL, sid)
             if profile.slowdown_rate > 0.0:
                 events.push(
                     self._exp(1.0 / profile.slowdown_rate),
                     EventKind.SERVER_SLOW_START,
-                    server,
+                    sid,
                 )
 
-    def schedule_recovery(self, server: "Server") -> None:
+    def schedule_recovery(self, server: "Server | int") -> None:
         """After a crash: one repair-time draw, then the recover event."""
         self.engine.events.push(
             self.engine.now + self._exp(self.profile.mttr),
             EventKind.SERVER_RECOVER,
-            server,
+            server_id_of(server),
         )
 
-    def schedule_next_failure(self, server: "Server") -> None:
+    def schedule_next_failure(self, server: "Server | int") -> None:
         """Extend the server's churn chain — unless the workload is done
         (the draw still happens, keeping the stream position independent
         of *when* the workload drains)."""
         t = self.engine.now + self._exp(self.profile.mtbf)
         if self.engine.workload_active():
-            self.engine.events.push(t, EventKind.SERVER_FAIL, server)
+            self.engine.events.push(t, EventKind.SERVER_FAIL, server_id_of(server))
 
-    def schedule_next_slowdown(self, server: "Server") -> None:
+    def schedule_next_slowdown(self, server: "Server | int") -> None:
         t = self.engine.now + self._exp(1.0 / self.profile.slowdown_rate)
         if self.engine.workload_active():
-            self.engine.events.push(t, EventKind.SERVER_SLOW_START, server)
+            self.engine.events.push(t, EventKind.SERVER_SLOW_START, server_id_of(server))
 
     # ------------------------------------------------------------------
     # Copy failures
@@ -128,24 +130,27 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Transient slowdown windows
     # ------------------------------------------------------------------
-    def on_slow_start(self, server: "Server") -> None:
+    def on_slow_start(self, server: "Server | int") -> None:
         """Open a background-load window: scale the server's slowdown
         and arm the window's end.  Only *newly sampled* durations see
         the scaled factor — copies already running keep their draw,
         modelling contention at launch time."""
-        sid = server.server_id
+        sid = server_id_of(server)
         if sid not in self._saved_slowdown:  # nested windows don't stack
-            self._saved_slowdown[sid] = server.slowdown
-            server.slowdown = server.slowdown * self.profile.slowdown_factor
+            mirror = self.engine.cluster.mirror
+            saved = mirror.slowdown.item(sid)
+            self._saved_slowdown[sid] = saved
+            mirror.set_slowdown(sid, saved * self.profile.slowdown_factor)
         self.engine.events.push(
             self.engine.now + self._exp(self.profile.slowdown_duration),
             EventKind.SERVER_SLOW_END,
-            server,
+            sid,
         )
 
-    def on_slow_end(self, server: "Server") -> None:
+    def on_slow_end(self, server: "Server | int") -> None:
         """Close the window, restoring the exact pre-window slowdown."""
-        saved = self._saved_slowdown.pop(server.server_id, None)
+        sid = server_id_of(server)
+        saved = self._saved_slowdown.pop(sid, None)
         if saved is not None:
-            server.slowdown = saved
-        self.schedule_next_slowdown(server)
+            self.engine.cluster.mirror.set_slowdown(sid, saved)
+        self.schedule_next_slowdown(sid)

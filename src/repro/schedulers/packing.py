@@ -143,11 +143,10 @@ def _fill_tasks(
         return 0
     cluster = view.cluster
     mirror = cluster.mirror
-    servers = cluster.servers
     weights = None
     if server_weight is not None:
         weights = np.fromiter(
-            (server_weight(s) for s in servers), np.float64, len(servers)
+            (server_weight(s) for s in cluster), np.float64, len(cluster)
         )
     queues = [tasks for _, tasks in rows]
     scored = [
@@ -173,10 +172,9 @@ def _fill_tasks(
             break  # nothing placeable remains
         sj = best_col[ci]
         task = queues[ci].pop()
-        server = servers[sj]
-        view.apply(Launch(task, server))
+        view.apply(Launch(task, sj))
         if on_launch is not None:
-            on_launch(task, server)
+            on_launch(task, cluster[sj])
         launched += 1
         if not queues[ci]:
             best_score[ci] = neg_inf  # exhausted candidate leaves the race
@@ -280,7 +278,6 @@ def _fill_clones(
     cluster = view.cluster
     if score_cache is None:
         score_cache = CloneScoreCache(cluster.mirror)
-    servers = cluster.servers
     launched = 0
     # Availability only shrinks within a pass, so a demand that found no
     # server will never fit later in the pass — skip repeats (tasks of a
@@ -304,10 +301,9 @@ def _fill_clones(
         if sid is None:
             unfittable.add(key)
             continue
-        server = servers[sid]
-        view.apply(Launch(task, server, clone=True))
+        view.apply(Launch(task, sid, clone=True))
         score_cache.on_launch(sid)
         if on_launch is not None:
-            on_launch(task, server)
+            on_launch(task, cluster[sid])
         launched += 1
     return launched

@@ -29,21 +29,20 @@ from repro.workload.phase import Phase
 from repro.workload.task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.server import Server
     from repro.sim.engine import ClusterView
 
 __all__ = ["TetrisScheduler"]
 
 
 class _JobCandidate:
-    __slots__ = ("job", "phase", "queue", "shortness", "best_server", "best_align")
+    __slots__ = ("job", "phase", "queue", "shortness", "best_server_id", "best_align")
 
     def __init__(self, job: Job, phase: Phase, queue: list[Task], shortness: float) -> None:
         self.job = job
         self.phase = phase
         self.queue = queue
         self.shortness = shortness
-        self.best_server: "Server | None" = None
+        self.best_server_id: int | None = None
         self.best_align = -1.0
 
 
@@ -70,9 +69,9 @@ class TetrisScheduler(Scheduler):
     def _rescore(self, cand: _JobCandidate, cluster) -> None:
         hit = cluster.mirror.best_fit(cand.phase.demand)
         if hit is None:
-            cand.best_server, cand.best_align = None, -1.0
+            cand.best_server_id, cand.best_align = None, -1.0
         else:
-            cand.best_server, cand.best_align = cluster.servers[hit[0]], hit[1]
+            cand.best_server_id, cand.best_align = hit
 
     def schedule(self, view: "ClusterView") -> None:
         jobs = view.active_jobs
@@ -88,14 +87,14 @@ class TetrisScheduler(Scheduler):
                 if pending:
                     cands.append(_JobCandidate(j, phase, pending, shortness))
         cluster = view.cluster
-        align_scale = max(s.capacity.dot(s.capacity) for s in cluster.servers)
+        align_scale = cluster.peak_alignment
         for c in cands:
             self._rescore(c, cluster)
         while True:
             best: _JobCandidate | None = None
             best_score = -1.0
             for c in cands:
-                if not c.queue or c.best_server is None:
+                if not c.queue or c.best_server_id is None:
                     continue
                 score = c.best_align / align_scale + self.epsilon * c.shortness
                 if score > best_score:
@@ -103,11 +102,11 @@ class TetrisScheduler(Scheduler):
             if best is None:
                 break
             task = best.queue.pop()
-            server = best.best_server
-            assert server is not None
-            view.apply(Launch(task, server))
+            sid = best.best_server_id
+            assert sid is not None
+            view.apply(Launch(task, sid))
             for c in cands:
-                if c.best_server is server:
+                if c.best_server_id == sid:
                     self._rescore(c, cluster)
-            cands = [c for c in cands if c.queue and c.best_server is not None]
+            cands = [c for c in cands if c.queue and c.best_server_id is not None]
         self.speculation.launch_backups(view, jobs)

@@ -20,10 +20,10 @@ every wall-clock read is segregated into profiling fields that never
 feed back into decisions (repro-lint RL010 enforces this), and every
 decision flows through the ``apply`` choke point.  Pickling snapshots
 exactly that closure of state — aliasing included, because pickle's
-memo preserves object identity (a task copy referenced by both a server
-and the event queue revives as one object, not two).  The only
-deliberately excluded state is host-specific: the observability clock
-closure (rebound to the revived engine by ``__setstate__``) and the
+memo preserves object identity (a task copy referenced by both the
+resident map and the event queue revives as one object, not two).  The
+only deliberately excluded state is host-specific: the observability
+clock closure (rebound to the revived engine by ``__setstate__``) and the
 wall-time anchor of the run (``finalize`` after restore skips the
 wall_run gauge).  Pull-based arrival sources serialize their consumed
 count and re-attach the byte stream after restore; the engine pulls the
@@ -57,8 +57,10 @@ __all__ = [
     "checkpoint_info",
 ]
 
-#: Format tag in the envelope; bumped on any layout change.
-CHECKPOINT_FORMAT = "repro-checkpoint-v1"
+#: Format tag in the envelope; bumped on any layout change.  v2 pickles
+#: per-server state as the mirror's arrays and resident map (no Server
+#: objects); a v1 file is rejected by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v2"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.
@@ -183,8 +185,4 @@ def load_checkpoint(path: str | Path) -> "SimulationEngine":
 
 def checkpoint_info(path: str | Path) -> CheckpointInfo:
     """Read only the metadata summary of a checkpoint file."""
-    info = dict(_envelope(Path(path).read_bytes())["info"])
-    # Checkpoints from builds with the sharded event queue record a
-    # shard count; the single-heap engine has none.
-    info.pop("shards", None)
-    return CheckpointInfo(**info)
+    return CheckpointInfo(**_envelope(Path(path).read_bytes())["info"])

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
+from repro.cluster.server import Server, server_id_of
 from repro.devtools.sanitizer import SimulationSanitizer, sanitize_default
 from repro.faults import FaultInjector, FaultProfile
 from repro.observability import Observability, PhaseProfiler, observability_default
@@ -140,7 +140,7 @@ class ClusterView:
         """Submit a typed action; returns the new copy for a Launch."""
         return self._engine.apply(action)
 
-    def launch(self, task: Task, server: Server, *, clone: bool = False) -> TaskCopy:
+    def launch(self, task: Task, server: Server | int, *, clone: bool = False) -> TaskCopy:
         copy = self._engine.apply(Launch(task, server, clone=clone))
         assert copy is not None
         return copy
@@ -310,23 +310,30 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def _validate_feasible(self) -> None:
         """Reject workloads containing tasks no server could ever host."""
-        self._max_cap = Resources(
-            max(s.capacity.cpu for s in self.cluster),
-            max(s.capacity.mem for s in self.cluster),
-        )
+        # (cpu, mem) of every demand some server's capacity fits: jobs
+        # share a handful of distinct demands, so each costs one
+        # vectorized check over the cluster.
+        self._hostable: set[tuple[float, float]] = set()
         for job in self.jobs:
             self._validate_job(job)
 
     def _validate_job(self, job: Job) -> None:
         """Feasibility gate for one job — applied to the construction
-        workload and to every job entering later through ingest()."""
-        max_cap = self._max_cap
+        workload and to every job entering later through ingest().  A
+        demand must fit one real server whole, not the per-dimension
+        maxima of different servers."""
+        hostable = self._hostable
         for phase in job.phases:
-            if not phase.demand.fits_in(max_cap):
+            demand = phase.demand
+            key = (demand.cpu, demand.mem)
+            if key in hostable:
+                continue
+            if not self.cluster.can_host(demand):
                 raise ValueError(
                     f"job {job.job_id} phase {phase.index}: demand "
-                    f"{phase.demand} exceeds every server (max {max_cap})"
+                    f"{demand} exceeds every server's capacity"
                 )
+            hostable.add(key)
         if job.arrival_time < 0:
             raise ValueError(f"job {job.job_id}: negative arrival time")
 
@@ -345,14 +352,15 @@ class SimulationEngine:
         """
         ins = self._ins
         if isinstance(action, Launch):
+            sid = server_id_of(action.server)
             try:
-                self._validate_launch(action.task, action.server)
+                self._validate_launch(action.task, sid)
             except InvalidAction:
                 if ins is not None:
                     ins.rejected_launches.inc()
                 raise
-            copy = self._apply_launch(action.task, action.server, clone=action.clone)
-            self._record(action.task, action.server.server_id, clone=copy.is_clone)
+            copy = self._apply_launch(action.task, sid, clone=action.clone)
+            self._record(action.task, sid, clone=copy.is_clone)
             if ins is not None:
                 ins.launches.inc()
             return copy
@@ -375,28 +383,28 @@ class SimulationEngine:
                 ins.kills.inc()
             return None
         if isinstance(action, Fail):
-            server = action.server
-            if not server.up:
+            sid = server_id_of(action.server)
+            if not self.cluster.mirror.up[sid]:
                 raise InvalidAction(
-                    f"server {server.server_id} is already down at t={self.now:g}",
+                    f"server {sid} is already down at t={self.now:g}",
                     kind="fail",
                     time=self.now,
-                    server_id=server.server_id,
+                    server_id=sid,
                 )
-            self._apply_fail(server)
-            self._record_fault("fail", server.server_id)
+            self._apply_fail(sid)
+            self._record_fault("fail", sid)
             return None
         if isinstance(action, Recover):
-            server = action.server
-            if server.up:
+            sid = server_id_of(action.server)
+            if self.cluster.mirror.up[sid]:
                 raise InvalidAction(
-                    f"server {server.server_id} is already up at t={self.now:g}",
+                    f"server {sid} is already up at t={self.now:g}",
                     kind="recover",
                     time=self.now,
-                    server_id=server.server_id,
+                    server_id=sid,
                 )
-            self._apply_recover(server)
-            self._record_fault("recover", server.server_id)
+            self._apply_recover(sid)
+            self._record_fault("recover", sid)
             return None
         raise TypeError(f"not an action: {action!r}")
 
@@ -456,7 +464,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Validation (raises InvalidAction before any state is touched)
     # ------------------------------------------------------------------
-    def _validate_launch(self, task: Task, server: Server) -> None:
+    def _validate_launch(self, task: Task, sid: int) -> None:
         job = task.job
 
         def bad(message: str) -> InvalidAction:
@@ -465,7 +473,7 @@ class SimulationEngine:
                 kind="launch",
                 time=self.now,
                 task_uid=task.uid,
-                server_id=server.server_id,
+                server_id=sid,
             )
 
         if job.job_id not in self.active_jobs:
@@ -484,13 +492,13 @@ class SimulationEngine:
             and len(task.copies) - task.fault_losses >= self.max_copies_per_task
         ):
             raise bad(f"task {task.uid}: copy cap {self.max_copies_per_task} reached")
-        if not server.up:
-            raise bad(f"server {server.server_id} is down")
-        if not server.can_fit(task.demand):
-            raise bad(
-                f"server {server.server_id}: cannot fit {task.demand} "
-                f"in {server.available}"
-            )
+        mirror = self.cluster.mirror
+        if not 0 <= sid < len(mirror):
+            raise bad(f"server {sid} does not exist")
+        if not mirror.up[sid]:
+            raise bad(f"server {sid} is down")
+        if not mirror.can_fit(sid, task.demand):
+            raise bad(f"server {sid}: cannot fit {task.demand} in {mirror.available(sid)}")
 
     def _validate_kill(self, copy: TaskCopy) -> None:
         if copy.live:
@@ -510,16 +518,16 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Appliers (assume validated input; used by apply() and internally)
     # ------------------------------------------------------------------
-    def _apply_launch(self, task: Task, server: Server, *, clone: bool) -> TaskCopy:
+    def _apply_launch(self, task: Task, sid: int, *, clone: bool) -> TaskCopy:
         # A RUNNING task already has a live copy, so any further launch
         # is a clone even if the policy didn't flag it.  Keyed on state
         # rather than `has_run`: a fault-requeued task keeps its dead
         # copies in the history, but its next launch is a fresh primary.
         is_clone = clone or task.state is TaskState.RUNNING
         self._account_until(self.now)
-        duration = self._sample_duration(task, server)
-        copy = TaskCopy(task, server.server_id, self.now, duration, is_clone=is_clone)
-        server.allocate(copy)  # re-checks Eq. (5) at the owner layer
+        duration = self._sample_duration(task, sid)
+        copy = TaskCopy(task, sid, self.now, duration, is_clone=is_clone)
+        self.cluster.mirror.allocate(sid, copy)  # re-checks Eq. (5) at the owner layer
         task.add_copy(copy)
         self.events.push(copy.finish_time, EventKind.COPY_FINISH, copy)
         self.copies_launched += 1
@@ -543,14 +551,14 @@ class SimulationEngine:
         # Truncate the copy's charged duration to the time it ran; the
         # resource-usage metrics (Fig. 8b) charge only actual occupancy.
         copy.duration = max(self.now - copy.start_time, 1e-12)
-        self.cluster[copy.server_id].release(copy)
+        self.cluster.mirror.release(copy.server_id, copy)
         if copy.is_clone:
             self._release_clone(copy.task)
 
     def _release_clone(self, task: Task) -> None:
         """Return one clone's demand to the incremental δ-budget
         occupancy.  Snaps to exactly zero when the last live clone
-        leaves (mirroring Server.release's idle snap), so repeated
+        leaves (mirroring the idle snap of a server's allocation), so repeated
         add/subtract rounding cannot leak budget across a long run —
         `CloningPolicy.budget_remaining` sees the full δ ceiling again
         whenever no clone is live."""
@@ -563,19 +571,19 @@ class SimulationEngine:
                 self.clone_occupancy - task.demand
             ).clamp_nonnegative()
 
-    def _apply_fail(self, server: Server) -> None:
+    def _apply_fail(self, sid: int) -> None:
         """Crash one server: kill every resident copy (deterministic
         copy-uid order), take the capacity out of both placement paths,
         and sort each victim task into clone-masked vs orphaned.  The
         kills are engine consequences of the Fail action, not scheduler
         decisions, so they bypass the journal like first-copy-wins kills."""
         self._account_until(self.now)
-        victims = sorted(server.running_copies, key=lambda c: c.copy_uid)
+        mirror = self.cluster.mirror
+        victims = sorted(mirror.resident.get(sid, ()), key=lambda c: c.copy_uid)
         tasks: list[Task] = []
         # One crash releases every resident copy on the same server:
         # coalesce the whole victim sweep (plus the down-flag flip) into
-        # a single mirror store for that server.
-        mirror = self.cluster.mirror
+        # a single availability derivation for that server.
         mirror.begin_coalesce()
         try:
             for copy in victims:
@@ -583,7 +591,7 @@ class SimulationEngine:
                 copy.task.fault_losses += 1
                 if copy.task not in tasks:
                     tasks.append(copy.task)
-            server.mark_down()
+            mirror.mark_down(sid)
         finally:
             mirror.end_coalesce()
         requeued: list[Task] = []
@@ -610,17 +618,19 @@ class SimulationEngine:
                 fins.tasks_requeued.inc(len(requeued))
             fins.servers_down.set(len(self.cluster) - self.cluster.num_up())
 
-    def _apply_recover(self, server: Server) -> None:
+    def _apply_recover(self, sid: int) -> None:
         """Return a crashed server to service at full capacity."""
         self._account_until(self.now)
-        server.mark_up()
+        self.cluster.mirror.mark_up(sid)
         fins = self._fault_ins
         if fins is not None:
             fins.server_recovers.inc()
             fins.servers_down.set(len(self.cluster) - self.cluster.num_up())
 
     # -- back-compat imperative entry points (thin action wrappers) -----
-    def launch_copy(self, task: Task, server: Server, *, clone: bool = False) -> TaskCopy:
+    def launch_copy(
+        self, task: Task, server: Server | int, *, clone: bool = False
+    ) -> TaskCopy:
         copy = self.apply(Launch(task, server, clone=clone))
         assert copy is not None
         return copy
@@ -628,7 +638,7 @@ class SimulationEngine:
     def kill_copy(self, copy: TaskCopy) -> None:
         self.apply(Kill(copy))
 
-    def _sample_duration(self, task: Task, server: Server) -> float:
+    def _sample_duration(self, task: Task, sid: int) -> float:
         """Duration of one copy: a fresh draw from the phase's straggler
         distribution scaled by the server's slowdown.
 
@@ -637,7 +647,7 @@ class SimulationEngine:
         phase" (Sec. 6.3) — and first-copy-wins takes the minimum.
         """
         base = task.phase.distribution.sample(self.duration_rng)
-        return float(base) * server.slowdown
+        return float(base) * self.cluster.mirror.slowdown.item(sid)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -732,7 +742,7 @@ class SimulationEngine:
         mirror.begin_coalesce()
         try:
             copy.finished = True
-            self.cluster[copy.server_id].release(copy)
+            mirror.release(copy.server_id, copy)
             if copy.is_clone:
                 self._release_clone(task)
             if task.state is TaskState.FINISHED:
@@ -806,34 +816,36 @@ class SimulationEngine:
             faults.on_slow_end(ev.payload)
         return False  # slowdowns don't change placement feasibility
 
-    def _process_server_fail(self, server: Server) -> bool:
+    def _process_server_fail(self, sid: int) -> bool:
         faults = self.faults
         assert faults is not None
-        if not server.up:
+        if not self.cluster.mirror.up[sid]:
             return False  # defensive: chains schedule one fail per server
         if faults.profile.keep_one_up and self.cluster.num_up() <= 1:
             # Never crash the last healthy server — but extend the
             # renewal chain anyway so the failure process (and its RNG
             # stream position) is independent of cluster state.
-            faults.schedule_next_failure(server)
+            faults.schedule_next_failure(sid)
             return False
         self._open_decision_point("server_fail")
-        self.apply(Fail(server))
+        self.apply(Fail(sid))
         orphans = self._orphaned
         self._orphaned = []
-        self._run_hook("server_fail", self.scheduler.on_server_fail, server, orphans)
-        faults.schedule_recovery(server)
+        self._run_hook(
+            "server_fail", self.scheduler.on_server_fail, self.cluster[sid], orphans
+        )
+        faults.schedule_recovery(sid)
         return True
 
-    def _process_server_recover(self, server: Server) -> bool:
+    def _process_server_recover(self, sid: int) -> bool:
         faults = self.faults
         assert faults is not None
-        if server.up:
+        if self.cluster.mirror.up[sid]:
             return False  # defensive: one recovery is scheduled per crash
         self._open_decision_point("server_recover")
-        self.apply(Recover(server))
-        self._run_hook("server_recover", self.scheduler.on_server_recover, server)
-        faults.schedule_next_failure(server)
+        self.apply(Recover(sid))
+        self._run_hook("server_recover", self.scheduler.on_server_recover, self.cluster[sid])
+        faults.schedule_next_failure(sid)
         return True
 
     def _process_copy_fail(self, copy: TaskCopy) -> bool:
@@ -1103,10 +1115,6 @@ class SimulationEngine:
         return state
 
     def __setstate__(self, state) -> None:
-        # Checkpoints from builds with the sharded event queue carry its
-        # (always single-heap when restorable) shard attributes.
-        state.pop("shard_map", None)
-        state.pop("shards", None)
         self.__dict__.update(state)
         # The observability clock is a closure over this engine (dropped
         # by SpanTracer.__getstate__); rebind it to the revived instance.

@@ -140,7 +140,7 @@ class ReplayScheduler(Scheduler):
                 "the replayed workload"
             ) from None
         if d.kind == "launch":
-            return Launch(task, view.cluster[d.server_id], clone=d.clone)
+            return Launch(task, d.server_id, clone=d.clone)
         if d.kind == "kill":
             assert d.copy_index is not None
             if d.copy_index >= len(task.copies):

@@ -11,25 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import networkx as nx
-
 __all__ = [
     "validate_dag",
     "topological_order",
     "critical_path_length",
     "critical_path",
-    "as_networkx",
 ]
-
-
-def as_networkx(parents: Sequence[tuple[int, ...]]) -> nx.DiGraph:
-    """Build a DiGraph with an edge parent → child per dependency."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(parents)))
-    for child, ps in enumerate(parents):
-        for p in ps:
-            g.add_edge(p, child)
-    return g
 
 
 def validate_dag(parents: Sequence[tuple[int, ...]]) -> None:
@@ -42,9 +29,7 @@ def validate_dag(parents: Sequence[tuple[int, ...]]) -> None:
                 raise ValueError(f"phase {child}: parent {p} out of range")
             if p == child:
                 raise ValueError(f"phase {child} depends on itself")
-    g = as_networkx(parents)
-    if not nx.is_directed_acyclic_graph(g):
-        raise ValueError("phase dependencies contain a cycle")
+    topological_order(parents)  # raises on a cycle
 
 
 def topological_order(parents: Sequence[tuple[int, ...]]) -> list[int]:

@@ -3,30 +3,33 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.cluster.topology import Topology
 from repro.resources import Resources, ZERO
 from tests.cluster.test_server import make_copy, make_task
 
 
 def two_server_cluster():
-    return Cluster(
-        [Server(0, Resources.of(8, 16)), Server(1, Resources.of(4, 32))]
-    )
+    return Cluster.build([(Resources.of(8, 16), 1.0), (Resources.of(4, 32), 1.0)])
 
 
 class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Cluster([])
+            Cluster.build([])
 
     def test_ids_must_be_sequential(self):
+        # Ids are array positions: 0..n-1 in order, nothing else exists.
+        c = Cluster.build([(Resources.of(1, 1), 1.0)] * 3)
+        assert [s.server_id for s in c] == [0, 1, 2]
+        assert c[-1].server_id == 2
+        with pytest.raises(IndexError):
+            c[3]
         with pytest.raises(ValueError):
-            Cluster([Server(1, Resources.of(1, 1))])
+            Cluster([1.0, 1.0], [1.0])  # one capacity pair per server
 
     def test_topology_size_checked(self):
         with pytest.raises(ValueError):
-            Cluster([Server(0, Resources.of(1, 1))], Topology([0, 0]))
+            Cluster.build([(Resources.of(1, 1), 1.0)], Topology([0, 0]))
 
     def test_default_topology_single_rack(self):
         c = two_server_cluster()
@@ -87,7 +90,7 @@ class TestQueries:
 
 
 def identical_cluster(n=4):
-    return Cluster([Server(i, Resources.of(8, 16)) for i in range(n)])
+    return Cluster.build([(Resources.of(8, 16), 1.0)] * n)
 
 
 def best_id(cluster, demand):

@@ -27,7 +27,7 @@ class TestPaperCluster:
     def test_two_racks(self):
         c = paper_cluster_30_nodes()
         assert c.topology.num_racks == 2
-        assert {s.rack for s in c} == {0, 1}
+        assert {c.topology.rack(s.server_id) for s in c} == {0, 1}
 
     def test_heterogeneous_slowdowns(self):
         c = paper_cluster_30_nodes()

@@ -1,10 +1,12 @@
-"""Property tests: the availability mirror always equals a fresh recompute.
+"""Property tests: the mirror's arrays always equal their derivation.
 
-The mirror is updated *incrementally* (one O(1) store per
-allocate/release); these tests drive arbitrary operation sequences —
-including the engine's clone first-copy-wins kill path — and assert the
-arrays are bit-identical to a mirror rebuilt from scratch off the
-servers' own bookkeeping.
+Allocation is written in place (one add or clamp per allocate/release)
+and availability derived from it; these tests drive arbitrary operation
+sequences — including the engine's clone first-copy-wins kill path —
+and assert every availability entry is bit-identical to its derivation
+from allocation, capacity and up flag, and (for direct operation
+sequences) that allocation and availability equal an independent
+per-server model using the same float expressions.
 """
 
 import numpy as np
@@ -13,8 +15,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
-from repro.cluster.mirror import AvailabilityMirror
-from repro.cluster.server import Server
 from repro.core.online import DollyMPScheduler
 from repro.resources import Resources
 from repro.sim.runner import run_simulation
@@ -23,48 +23,93 @@ from tests.cluster.test_server import make_copy, make_task
 
 
 def assert_mirror_fresh(cluster: Cluster) -> None:
-    """The incrementally-maintained arrays must equal a from-scratch
-    rebuild, bit for bit (no tolerance: both read the same floats)."""
-    fresh = AvailabilityMirror(cluster.servers)
+    """Stored availability equals its derivation bit for bit (no
+    tolerance), idle servers allocate exactly zero and the block bounds
+    hold."""
     mirror = cluster.mirror
-    for field in ("avail_cpu", "avail_mem", "alloc_cpu", "alloc_mem"):
-        assert np.array_equal(getattr(mirror, field), getattr(fresh, field)), field
+    derived = mirror.derived_availability()
+    for field, truth in zip(("avail_cpu", "avail_mem"), derived):
+        assert np.array_equal(getattr(mirror, field), truth), field
+    idle = np.ones(len(mirror), dtype=bool)
+    idle[list(mirror.resident)] = False
+    assert not mirror.alloc_cpu[idle].any() and not mirror.alloc_mem[idle].any()
+    assert mirror.loose_bounds() == []
 
 
-def small_cluster() -> Cluster:
-    return Cluster(
-        [
-            Server(0, Resources.of(8, 16)),
-            Server(1, Resources.of(4, 8)),
-            Server(2, Resources.of(16, 8), slowdown=1.5),
-            Server(3, Resources.of(6, 6)),
-        ]
-    )
+class ServerModel:
+    """Per-server allocation bookkeeping in plain floats, with the
+    expressions the mirror must reproduce: add on allocate, clamp on
+    release, snap to exactly zero when the last copy leaves."""
+
+    def __init__(self, cap: Resources) -> None:
+        self.cap = cap
+        self.cpu = self.mem = 0.0
+        self.copies: list = []
+
+    def allocate(self, copy) -> None:
+        self.copies.append(copy)
+        self.cpu += copy.task.demand.cpu
+        self.mem += copy.task.demand.mem
+
+    def release(self, copy) -> None:
+        self.copies.remove(copy)
+        if not self.copies:
+            self.cpu = self.mem = 0.0
+        else:
+            self.cpu = max(self.cpu - copy.task.demand.cpu, 0.0)
+            self.mem = max(self.mem - copy.task.demand.mem, 0.0)
+
+    def state(self) -> tuple[float, float, float, float]:
+        return (
+            self.cpu,
+            self.mem,
+            max(self.cap.cpu - self.cpu, 0.0),
+            max(self.cap.mem - self.mem, 0.0),
+        )
+
+
+CAPS = [
+    (Resources.of(8, 16), 1.0),
+    (Resources.of(4, 8), 1.0),
+    (Resources.of(16, 8), 1.5),
+    (Resources.of(6, 6), 1.0),
+]
+
+
+def assert_matches_model(cluster: Cluster, models: list[ServerModel]) -> None:
+    m = cluster.mirror
+    for i, model in enumerate(models):
+        stored = (m.alloc_cpu[i], m.alloc_mem[i], m.avail_cpu[i], m.avail_mem[i])
+        assert stored == model.state(), i
 
 
 @given(ops=st.lists(st.integers(min_value=0, max_value=10**9), max_size=80))
 @settings(max_examples=60, deadline=None)
 def test_mirror_matches_recompute_after_arbitrary_ops(ops):
     """Arbitrary interleavings of allocate and release (kill/finish both
-    reduce to Server.release) keep the mirror exact."""
-    cluster = small_cluster()
-    running: list[tuple[Server, object]] = []
+    reduce to a release) keep the mirror exact."""
+    cluster = Cluster.build(CAPS)
+    models = [ServerModel(cap) for cap, _ in CAPS]
+    running: list[tuple[int, object]] = []
     for op in ops:
         if op % 3 == 0 and running:
-            server, copy = running.pop(op % len(running))
-            server.release(copy)
+            sid, copy = running.pop(op % len(running))
+            cluster[sid].release(copy)
+            models[sid].release(copy)
         else:
-            sid = op % len(cluster.servers)
-            server = cluster.servers[sid]
+            sid = op % len(cluster)
+            server = cluster[sid]
             task = make_task(cpu=1.0 + op % 5, mem=1.0 + op % 7)
             if server.can_fit(task.demand):
                 copy = make_copy(task, server_id=sid, duration=5.0)
                 server.allocate(copy)
-                running.append((server, copy))
+                models[sid].allocate(copy)
+                running.append((sid, copy))
         assert_mirror_fresh(cluster)
+        assert_matches_model(cluster, models)
     # Drain everything: the mirror must land back on full availability.
-    for server, copy in running:
-        server.release(copy)
+    for sid, copy in running:
+        cluster[sid].release(copy)
     assert_mirror_fresh(cluster)
     assert cluster.total_allocated() == Resources.of(0, 0)
 

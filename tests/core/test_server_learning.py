@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.core.server_learning import LearningDollyMPScheduler, StragglerServerTracker
 from repro.core.online import DollyMPScheduler
 from repro.resources import Resources
@@ -134,8 +133,7 @@ class TestLearningScheduler:
         s.tracker = StragglerServerTracker(alpha=1.0, min_samples=1)
         s.tracker.observe(0, 40.0, 10.0)  # 4× slow
         s.tracker.observe(1, 10.0, 10.0)  # nominal
-        slow = Server(0, Resources.of(8, 8))
-        fast = Server(1, Resources.of(8, 8))
+        slow, fast = Cluster.build([(Resources.of(8, 8), 1.0)] * 2)
         assert s.server_weight(fast) > s.server_weight(slow)
 
     def test_avoids_learned_slow_server(self):
@@ -143,12 +141,13 @@ class TestLearningScheduler:
         scheduler shifts work away and beats plain DollyMP⁰."""
 
         def make_cluster():
-            servers = [
-                Server(0, Resources.of(4, 8), slowdown=8.0),  # the bad node
-                Server(1, Resources.of(4, 8), slowdown=1.0),
-                Server(2, Resources.of(4, 8), slowdown=1.0),
-            ]
-            return Cluster(servers)
+            return Cluster.build(
+                [
+                    (Resources.of(4, 8), 8.0),  # the bad node
+                    (Resources.of(4, 8), 1.0),
+                    (Resources.of(4, 8), 1.0),
+                ]
+            )
 
         def make_jobs():
             return [
@@ -176,7 +175,7 @@ class TestLearningScheduler:
 
     def test_bias_zero_matches_plain_dollymp(self):
         def make_cluster():
-            return Cluster([Server(0, Resources.of(8, 16)), Server(1, Resources.of(8, 16))])
+            return Cluster.build([(Resources.of(8, 16), 1.0)] * 2)
 
         def make_jobs():
             return [make_chain_job(2, 4, theta=5.0, sigma=2.0, job_id=k) for k in range(5)]

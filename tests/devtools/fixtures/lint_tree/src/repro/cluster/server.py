@@ -1,7 +1,10 @@
-"""RL001 allowed idiom: the owner module may write its own bookkeeping."""
+"""RL001 allowed idiom: a view reads the state and calls the owner's API."""
 
 
 class Server:
-    def allocate(self, demand):
-        self._allocated = self._allocated + demand
-        self._available = self.capacity - self._allocated
+    @property
+    def up(self):
+        return bool(self.mirror.up[self.server_id])
+
+    def allocate(self, copy):
+        self.mirror.allocate(self.server_id, copy)

@@ -17,3 +17,8 @@ def scrub(values):
 
 def reset(mirror):
     scrub(mirror.avail_cpu)                 # line 19: escapes into mutator
+
+
+def evict(mirror, copy):
+    hosted = mirror.resident
+    hosted[0].discard(copy)                 # line 24: mutator on an alias item

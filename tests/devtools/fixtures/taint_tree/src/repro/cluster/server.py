@@ -1,14 +1,13 @@
-"""Owner module: sanctioned writer of capacity state."""
+"""Clean: a view reads the state and calls the owner's methods."""
 
 
 class Server:
-    def __init__(self, cap_cpu, cap_mem):
-        self._available = [cap_cpu, cap_mem]
+    def __init__(self, mirror, server_id):
+        self.mirror = mirror
+        self.server_id = server_id
+
+    def headroom(self):
+        return self.mirror.avail_cpu[self.server_id]
 
     def allocate(self, demand):
-        self._available[0] -= demand.cpu
-        self._available[1] -= demand.mem
-
-    def release(self, demand):
-        self._available[0] += demand.cpu
-        self._available[1] += demand.mem
+        self.mirror.update(self.server_id, demand.cpu, demand.mem)

@@ -30,6 +30,17 @@ def test_trace_cell_identical(trace_rows, schema, column):
     assert report.startswith(f"{schema:<12} × {column:<5} identical")
 
 
+def test_trace_rows_test_distinct_engine_runs(trace_rows):
+    """Every trace row gives the engine its own run: no two rows share a
+    decision journal, so each row tests more than its reader."""
+    journals = set()
+    for row in trace_rows.values():
+        engine = identity.build_engine(row, "none", row.jobs())
+        engine.run()
+        journals.add(tuple(d.to_json() for d in engine.trace))
+    assert len(journals) == len(trace_rows)
+
+
 def _perturb_result(result, trace):
     return replace(result, simulated_time=result.simulated_time + 1.0), trace
 

@@ -3,8 +3,8 @@
 Each test launches a real copy through the engine, then corrupts state
 the way a buggy scheduler or bookkeeping refactor would, and asserts the
 sanitizer names the right violation class (and entity).  Direct writes
-to ``_available``/``_allocated``/mirror arrays are the *point* of these
-tests — the file is on RL001's ignore list in ``[tool.repro-lint]``.
+to the mirror's state arrays are the *point* of these tests — the file
+is on RL001's ignore list in ``[tool.repro-lint]``.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ class TestCleanState:
 class TestCapacityConservation:
     def test_phantom_allocation_detected(self):
         engine, _, copy = engine_with_running_copy()
-        server = engine.cluster[0]
+        mirror = engine.cluster.mirror
         # A lost release: allocation grows without a resident copy.
-        server._allocated = server._allocated + Resources.of(1, 2)
-        server._mirror.update(server)  # keep the mirror coherent on purpose
+        mirror.alloc_cpu[0] += 1.0
+        mirror.alloc_mem[0] += 2.0
+        mirror.update(0)  # keep availability coherent on purpose
         violations = SimulationSanitizer(engine).check("corrupt")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
         v = next(
@@ -81,6 +82,20 @@ class TestCapacityConservation:
         assert v.task_uid == task.uid
         assert "released" in v.message
 
+    def test_idle_server_allocation_residue_detected(self):
+        engine, _, _ = engine_with_running_copy()
+        mirror = engine.cluster.mirror
+        # Server 1 hosts nothing: any allocation, however tiny, is a
+        # release that missed the idle snap to exactly zero.
+        mirror.alloc_cpu[1] = 1e-12
+        mirror.update(1)
+        violations = SimulationSanitizer(engine).check("residue")
+        v = next(
+            v for v in violations if v.kind is InvariantKind.CAPACITY_CONSERVATION
+        )
+        assert v.server_id == 1
+        assert "idle" in v.message
+
     def test_dead_copy_still_resident_detected(self):
         engine, task, copy = engine_with_running_copy()
         # Mark the copy dead without releasing its reservation.
@@ -99,26 +114,39 @@ class TestMirrorCoherence:
         assert v.server_id == 1
         assert "avail_cpu" in v.message
 
-    def test_stale_mirror_after_direct_server_write_detected(self):
+    def test_allocation_write_without_update_detected(self):
         engine, _, _ = engine_with_running_copy()
-        server = engine.cluster[1]
-        server._available = Resources.of(1, 1)  # mirror not notified
+        # Availability not re-derived after an allocation change.
+        engine.cluster.mirror.alloc_mem[0] += 1.0
         violations = SimulationSanitizer(engine).check("stale")
-        assert InvariantKind.MIRROR_COHERENCE in kinds(violations)
+        v = next(v for v in violations if v.kind is InvariantKind.MIRROR_COHERENCE)
+        assert v.server_id == 0
+        assert "avail_mem" in v.message
+
+    def test_loose_block_bound_detected(self):
+        engine, _, _ = engine_with_running_copy()
+        engine.cluster.mirror._ub_cpu[0] = 0.0  # below every member
+        violations = SimulationSanitizer(engine).check("bound")
+        assert kinds(violations) == {InvariantKind.MIRROR_COHERENCE}
+        assert "block 0" in violations[0].message
 
 
 class TestNegativeAvailability:
     def test_negative_available_detected(self):
         engine, _, _ = engine_with_running_copy()
-        server = engine.cluster[1]
-        cap = server.capacity
-        # Conservation-preserving corruption: only the sign check fires
-        # on the server itself (plus mirror staleness).
-        server._available = Resources.of(-1.0, cap.mem + 1.0)
-        server._allocated = Resources.of(cap.cpu + 1.0, -1.0)
-        server._mirror.update(server)
+        mirror = engine.cluster.mirror
+        # Conservation-preserving corruption of server 1's arrays: only
+        # the sign check fires on the server itself (plus staleness).
+        mirror.avail_cpu[1] = -1.0
+        mirror.avail_mem[1] += 1.0
+        mirror.alloc_cpu[1] = mirror.cap_cpu[1] + 1.0
+        mirror.alloc_mem[1] = -1.0
         violations = SimulationSanitizer(engine).check("negative")
         assert InvariantKind.NEGATIVE_AVAILABILITY in kinds(violations)
+        v = next(
+            v for v in violations if v.kind is InvariantKind.NEGATIVE_AVAILABILITY
+        )
+        assert v.server_id == 1
 
 
 class TestCloneBound:
@@ -240,8 +268,7 @@ class TestFailedServerInvariant:
         engine, _, _ = engine_with_running_copy()
         # Flip the server down without the Fail applier's cleanup: the
         # resident copy, its allocation and the availability all linger.
-        server = engine.cluster[0]
-        server.up = False
+        engine.cluster.mirror.up[0] = False
         violations = SimulationSanitizer(engine).check("bad mark_down")
         assert InvariantKind.FAILED_SERVER in kinds(violations)
         v = next(v for v in violations if v.kind is InvariantKind.FAILED_SERVER)
@@ -255,7 +282,7 @@ class TestFailedServerInvariant:
         engine.apply(Fail(engine.cluster[1]))  # clean crash of the idle server
         assert SimulationSanitizer(engine).check() == []
         # Corrupt: a down server advertising capacity again.
-        engine.cluster[1]._available = Resources.of(1, 1)
+        engine.cluster.mirror.avail_cpu[1] = 1.0
         violations = SimulationSanitizer(engine).check("leak")
         assert InvariantKind.FAILED_SERVER in kinds(violations)
 

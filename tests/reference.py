@@ -14,7 +14,9 @@ against the direct forms kept here:
 * :func:`max_count_knapsack_exact` — an exact dynamic program for the
   knapsack oracle;
 * :class:`EagerDollyMP` — DollyMP recomputing priorities at every
-  arrival.
+  arrival;
+* :func:`validate_dag` — phase-graph validation by depth-first search,
+  an oracle independent of the Kahn's-algorithm check in ``src/``.
 
 The :func:`reference_kernels` fixture patches the first four into
 production for one test; :class:`EagerDollyMP` is chosen by
@@ -74,7 +76,7 @@ def fill_tasks(view, phases_with_tasks, *, on_launch=None, server_weight=None):
     """Task fill: launch the highest-scoring (candidate, best server)
     pair, one task at a time; the earliest candidate wins ties.  A launch
     rescores the candidates whose best server it shrank."""
-    servers = view.cluster.servers
+    servers = list(view.cluster)
     cands = [
         _Candidate(phase, tasks, servers, server_weight)
         for phase, tasks in phases_with_tasks
@@ -95,7 +97,7 @@ def fill_tasks(view, phases_with_tasks, *, on_launch=None, server_weight=None):
             on_launch(task, server)
         launched += 1
         for c in cands:
-            if c.server is server:
+            if c.server is not None and c.server.server_id == server.server_id:
                 c.rescore(servers, server_weight)
 
 
@@ -112,7 +114,7 @@ def fill_clones(
             continue
         if budget_check is not None and not budget_check(task):
             continue
-        server, _ = best_fit(view.cluster.servers, task.demand)
+        server, _ = best_fit(view.cluster, task.demand)
         if server is None:
             continue
         view.apply(Launch(task, server, clone=True))
@@ -200,12 +202,43 @@ class EagerDollyMP(DollyMPScheduler):
         super().recompute_priorities(view)
 
 
+def validate_dag(parents) -> None:
+    """``repro.workload.dag.validate_dag`` by depth-first search: the
+    same range and self-loop errors in the same scan order, then a
+    three-colour DFS that raises on the first back edge."""
+    n = len(parents)
+    for child, ps in enumerate(parents):
+        for p in ps:
+            if not (0 <= p < n):
+                raise ValueError(f"phase {child}: parent {p} out of range")
+            if p == child:
+                raise ValueError(f"phase {child} depends on itself")
+    state = [0] * n  # 0 unvisited, 1 on the DFS stack, 2 finished
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(parents[root]))]
+        while stack:
+            node, edges = stack[-1]
+            nxt = next(edges, None)
+            if nxt is None:
+                state[node] = 2
+                stack.pop()
+            elif state[nxt] == 1:
+                raise ValueError("phase dependencies contain a cycle")
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                stack.append((nxt, iter(parents[nxt])))
+
+
 def _best_fit_server(cluster, demand):
-    return best_fit(cluster.servers, demand)[0]
+    return best_fit(cluster, demand)[0]
 
 
 def _tetris_rescore(scheduler, cand, cluster) -> None:
-    cand.best_server, cand.best_align = best_fit(cluster.servers, cand.phase.demand)
+    server, cand.best_align = best_fit(cluster, cand.phase.demand)
+    cand.best_server_id = None if server is None else server.server_id
 
 
 #: Kernel name → the production attributes its reference replaces.

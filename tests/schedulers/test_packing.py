@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.cluster import mirror as mirror_module
 from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import homogeneous_cluster
-from repro.cluster.mirror import AvailabilityMirror
-from repro.cluster.server import Server
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.packing import (
@@ -85,12 +83,7 @@ class TestFillTasks:
 
     def test_best_fit_prefers_aligned_server(self):
         # Memory-heavy task should land on the memory-rich server.
-        from repro.cluster.cluster import Cluster
-        from repro.cluster.server import Server
-
-        cluster = Cluster(
-            [Server(0, Resources.of(16, 8)), Server(1, Resources.of(4, 64))]
-        )
+        cluster = Cluster.build([(Resources.of(16, 8), 1.0), (Resources.of(4, 64), 1.0)])
         phase = Phase(0, 1, Resources.of(1, 8), Deterministic(5.0))
         job = Job([phase])
         view = make_view(cluster, [job])
@@ -163,17 +156,6 @@ class TestFillClones:
         assert launched == 2
 
 
-class _StubServer:
-    """Just enough Server surface for AvailabilityMirror."""
-
-    def __init__(self, sid: int, capacity: Resources) -> None:
-        self.server_id = sid
-        self.capacity = capacity
-        self.available = capacity
-        self.allocated = Resources(0.0, 0.0)
-        self.up = True
-
-
 class TestCloneScoreCache:
     """The per-pass memo must answer exactly like a fresh
     ``mirror.best_fit`` at every step, as long as every availability
@@ -190,11 +172,11 @@ class TestCloneScoreCache:
     @settings(max_examples=100, deadline=None)
     def test_matches_best_fit_under_launch_sequences(self, data):
         caps = [Resources(4.0, 4.0), Resources(8.0, 6.0), Resources(2.0, 3.0)]
-        servers = [
-            _StubServer(i, caps[data.draw(st.integers(0, len(caps) - 1))])
-            for i in range(data.draw(st.integers(1, 8)))
-        ]
-        mirror = AvailabilityMirror(servers)
+        cluster = Cluster.build(
+            (caps[data.draw(st.integers(0, len(caps) - 1))], 1.0)
+            for _ in range(data.draw(st.integers(1, 8)))
+        )
+        mirror = cluster.mirror
         cache = CloneScoreCache(mirror)
         for _ in range(data.draw(st.integers(0, 25))):
             demand = data.draw(st.sampled_from(self.demands))
@@ -206,15 +188,12 @@ class TestCloneScoreCache:
             assert got == expect[0]
             # Launch on the chosen server: shrink availability through
             # the mirror, then invalidate via the cache's own hook.
-            server = servers[got]
-            server.available = server.available - demand
-            server.allocated = server.allocated + demand
-            mirror.update(server)
+            mirror.allocate(got, make_copy(make_task(demand.cpu, demand.mem), server_id=got))
             cache.on_launch(got)
 
     def test_returns_none_when_nothing_fits(self):
-        servers = [_StubServer(0, Resources(1.0, 1.0))]
-        cache = CloneScoreCache(AvailabilityMirror(servers))
+        cluster = Cluster.build([(Resources(1.0, 1.0), 1.0)])
+        cache = CloneScoreCache(cluster.mirror)
         assert cache.best_fit_id(Resources(2.0, 2.0)) is None
 
 
@@ -251,7 +230,7 @@ def launch_sequence(scenario, fill_tasks, fill_clones, block=mirror_module.BLOCK
     task fill, then two clone fills sharing one cache and a cacheless one."""
     caps, down, loads, demands, sizes, weights = scenario
     with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
-        cluster = Cluster([Server(i, cap) for i, cap in enumerate(caps)])
+        cluster = Cluster.build((cap, 1.0) for cap in caps)
     for i, (cpu, mem) in enumerate(loads):
         if i in down:
             cluster[i].mark_down()

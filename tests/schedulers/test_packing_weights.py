@@ -1,7 +1,6 @@
 """Tests for the server-weight hook in the placement loop."""
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.packing import fill_tasks_best_fit, pending_by_phase
@@ -26,7 +25,7 @@ def make_view(cluster, jobs):
 
 
 def identical_two_server_cluster():
-    return Cluster([Server(0, Resources.of(8, 8)), Server(1, Resources.of(8, 8))])
+    return Cluster.build([(Resources.of(8, 8), 1.0)] * 2)
 
 
 class TestServerWeight:
@@ -52,7 +51,7 @@ class TestServerWeight:
 
     def test_zero_weight_still_places_when_only_option(self):
         """A down-weighted server is dispreferred, not forbidden."""
-        cluster = Cluster([Server(0, Resources.of(8, 8))])
+        cluster = Cluster.build([(Resources.of(8, 8), 1.0)])
         phase = Phase(0, 1, Resources.of(1, 1), Deterministic(5.0))
         job = Job([phase])
         view = make_view(cluster, [job])

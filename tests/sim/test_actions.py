@@ -8,6 +8,7 @@ trace, and the JSONL export format.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -297,3 +298,19 @@ class TestDecisionTrace:
     def test_decision_task_uid(self):
         d = _decision(4, job_id=2, phase_index=1)
         assert d.task_uid == (2, 1, 4)
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},  # launch, copy_index None
+            {"clone": True, "time": 0.1 + 0.2},
+            {"kind": "kill", "copy_index": 0},
+            {"kind": "kill", "copy_index": 3, "clone": True},
+            {"kind": "fail", "policy": "fault-injector", "job_id": -1, "task_index": -1},
+        ],
+    )
+    def test_to_json_bytes_match_asdict_encoding(self, over):
+        d = _decision(7, **over)
+        expect = json.dumps(asdict(d), separators=(",", ":"), sort_keys=True)
+        assert d.to_json() == expect
+        assert Decision.from_json(d.to_json()) == d

@@ -9,12 +9,10 @@ injection and observability enabled.
 import json
 import pickle
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster
-from repro.cluster.mirror import AvailabilityMirror
 from repro.core.online import DollyMPScheduler
 from repro.faults import FAULT_PROFILES
 from repro.observability import Observability
@@ -266,89 +264,22 @@ class TestJsonlEveryCutIdentity:
 
 
 class TestLegacyCheckpoint:
-    """Checkpoints written by builds with the sharded event queue carry
-    a ``shards`` count in the envelope and the mirror's old index slots
-    in the state; builds with the placement-path switch pickled
-    ``Cluster.vectorized`` and a path-labelled pair of placement-query
-    counters.  All of them restore, and the run finishes byte-identical."""
+    """v1 checkpoints pickled every server as a ``Server`` object; v2
+    pickles the mirror's arrays and resident map.  A v1 file is rejected
+    by its format name, like a foreign file — nothing revives it."""
 
-    @staticmethod
-    def legacy_payload(engine) -> bytes:
-        current = AvailabilityMirror.__getstate__
-
-        def legacy_getstate(mirror):
-            _, slots = current(mirror)
-            n = len(mirror)
-            # Bounds far too low: honoring them would skip every block.
-            slots.update(
-                _shard_slices=[(0, n // 2), (n // 2, n)],
-                _shard_of=[0] * (n // 2) + [1] * (n - n // 2),
-                _ub_cpu=[-1.0, -1.0],
-                _ub_mem=[-1.0, -1.0],
-            )
-            return None, slots
-
-        engine.__dict__.update(shards=4, shard_map=None)
-        try:
-            with mock.patch.object(AvailabilityMirror, "__getstate__", legacy_getstate):
-                payload, _ = checkpoint_bytes(engine)
-        finally:
-            del engine.shards, engine.shard_map
-        envelope = pickle.loads(payload)
-        envelope["info"]["shards"] = 4
-        return pickle.dumps(envelope, protocol=4)
-
-    def test_restores_and_finishes_byte_identical(self, tmp_path):
-        kw = dict(fault_profile=FAULT_PROFILES["chaos"], record_trace=True)
-        e1 = mk_engine(**kw)
-        r1 = e1.run()
-        e2 = mk_engine(**kw)
-        e2.start()
-        e2.run_until(60.0)
-        path = tmp_path / "legacy.ckpt"
-        path.write_bytes(self.legacy_payload(e2))
-
-        info = checkpoint_info(path)
-        assert "shards" not in info.to_dict()
-        assert info.sim_time == e2.now
-        e3 = load_checkpoint(path)
-        assert not hasattr(e3, "shards") and not hasattr(e3, "shard_map")
-        mirror = e3.cluster.mirror
-        assert not hasattr(mirror, "_shard_of")
-        assert mirror.loose_bounds() == []
-        e3.drain()
-        assert e3.finalize().deterministic() == r1.deterministic()
-        assert list(e3.trace) == list(e1.trace)
-
-    def test_placement_path_checkpoint_restores(self, tmp_path):
-        kw = dict(fault_profile=FAULT_PROFILES["chaos"], record_trace=True)
-        e1 = mk_engine(observability=Observability(), **kw)
-        r1 = e1.run()
-        queries = e1.observability.sim.placement_queries.value
-        e2 = mk_engine(observability=Observability(), **kw)
-        e2.start()
-        e2.run_until(60.0)
-        # Rewrite the live state the way those builds pickled it.
-        family = e2.observability.sim.placement_queries
-        vectorized = family._children.pop(())
-        assert 0 < vectorized.value < queries  # counting resumes after restore
-        scalar = family._new_child()
-        family.labelnames = ("path",)
-        family._children.update({("vectorized",): vectorized, ("scalar",): scalar})
-        e2.cluster._obs_placement = (vectorized, scalar)
-        e2.cluster.vectorized = True
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(e2, path)
-
-        e3 = load_checkpoint(path)
-        assert not hasattr(e3.cluster, "vectorized")
-        restored = e3.observability.sim.placement_queries
-        assert e3.cluster._obs_placement is restored.labels(path="vectorized")
-        e3.drain()
-        assert e3.finalize().deterministic() == r1.deterministic()
-        assert list(e3.trace) == list(e1.trace)
-        assert restored.labels(path="vectorized").value == queries
-        assert restored.labels(path="scalar").value == 0
+    def test_v1_checkpoint_rejected_by_name(self, tmp_path):
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v2"
+        engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
+        engine.start()
+        engine.run_until(60.0)
+        envelope = pickle.loads(checkpoint_bytes(engine)[0])
+        envelope["format"] = envelope["info"]["format"] = "repro-checkpoint-v1"
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps(envelope, protocol=4))
+        for read in (load_checkpoint, checkpoint_info):
+            with pytest.raises(ValueError, match="format='repro-checkpoint-v1'"):
+                read(path)
 
     def test_index_is_not_pickled(self):
         e = mk_engine()

@@ -10,7 +10,9 @@ import math
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import homogeneous_cluster, single_server_cluster
+from repro.core.online import DollyMPScheduler
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.fifo import FIFOScheduler
@@ -86,6 +88,15 @@ class TestCapacityEnforcement:
         job = make_single_task_job(cpu=5.0, mem=1.0)
         with pytest.raises(ValueError, match="exceeds every server"):
             SimulationEngine(cluster, FIFOScheduler(), [job])
+
+    def test_demand_fitting_no_single_server_rejected_upfront(self):
+        """(20, 40) fits the per-dimension maxima (24 CPU on one server,
+        48 GB on the other) but no real server: admitting it would
+        starve the job and blame the scheduler."""
+        cluster = Cluster.build([(Resources.of(24, 16), 1.0), (Resources.of(8, 48), 1.0)])
+        job = make_single_task_job(cpu=20.0, mem=40.0, job_id=7)
+        with pytest.raises(ValueError, match="job 7 phase 0: demand .* exceeds every server"):
+            SimulationEngine(cluster, DollyMPScheduler(max_clones=2), [job])
 
     def test_memory_constrains_too(self):
         cluster = homogeneous_cluster(1, Resources.of(8, 4))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import homogeneous_cluster
 from repro.faults import FAULT_PROFILES
 from repro.resources import Resources
@@ -174,6 +175,14 @@ class TestIngest:
         huge = make_single_task_job(cpu=10_000.0, theta=1.0, job_id=2)
         with pytest.raises(ValueError, match="exceeds every server"):
             engine.ingest(huge)
+
+    def test_ingest_rejects_demand_fitting_no_single_server(self):
+        cluster = Cluster.build([(Resources.of(24, 16), 1.0), (Resources.of(8, 48), 1.0)])
+        engine = SimulationEngine(cluster, FIFOScheduler(), [])
+        job = make_single_task_job(cpu=20.0, mem=40.0, job_id=3)
+        with pytest.raises(ValueError, match="job 3 phase 0: demand .* exceeds every server"):
+            engine.ingest(job)
+        assert engine.jobs == []
 
     def test_ingest_restarts_idle_slotted_session(self, small_cluster):
         # Let the tick chain die on an empty queue, then ingest: the

@@ -1,9 +1,11 @@
 """The CI gate wiring: every gate named resolves to something that exists.
 
 ``tools/check.sh`` names the gates ``make check`` runs, CI calls make
-targets, and the Makefile runs Python modules.  A recipe left pointing at
-a deleted module, or a gate list naming a deleted target, fails here in
-the test suite instead of in the gate itself.
+targets, the Makefile runs Python modules, and the benchmark's traced run
+wraps program functions by name.  A recipe left pointing at a deleted
+module, a gate list naming a deleted target, or a traced layer naming a
+renamed method fails here in the test suite instead of in the gate
+itself.
 """
 
 from __future__ import annotations
@@ -39,4 +41,19 @@ def test_makefile_python_modules_resolve():
     modules = re.findall(r"\$\(PYTHON\) -m ([\w.]+)", MAKEFILE)
     assert modules
     missing = [m for m in modules if importlib.util.find_spec(m) is None]
+    assert missing == []
+
+
+def test_benchmark_layers_resolve():
+    """Every layer of the benchmark's traced run names code that exists;
+    a class target defines the attribute in its own ``__dict__``, which
+    is what ``LayerTracer.wrap`` requires (an inherited one raises)."""
+    from benchmarks.bench.layers import LAYERS, resolve
+
+    missing = []
+    for layer, target, attr in LAYERS:
+        owner = resolve(target)
+        found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
+        if not found:
+            missing.append(f"{layer}: {target}.{attr}")
     assert missing == []

@@ -1,6 +1,8 @@
 """Unit tests for DAG helpers (validation, topo order, critical path)."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.workload.dag import (
     critical_path,
@@ -8,6 +10,7 @@ from repro.workload.dag import (
     topological_order,
     validate_dag,
 )
+from tests import reference
 
 
 class TestValidation:
@@ -27,6 +30,34 @@ class TestValidation:
         # construction; use an explicit back edge.
         with pytest.raises(ValueError):
             validate_dag([(1,), (0,)])
+
+
+@st.composite
+def parent_lists(draw):
+    """Arbitrary parent lists: back edges, duplicates, self-loops and
+    out-of-range indices (-1 and n) all occur."""
+    n = draw(st.integers(0, 7))
+    return [tuple(draw(st.lists(st.integers(-1, n), max_size=2))) for _ in range(n)]
+
+
+def error_of(validate, parents):
+    try:
+        validate(parents)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationOracle:
+    @given(parent_lists())
+    @example([(), (5,)])  # out of range
+    @example([(-1,)])
+    @example([(0,)])  # self-loop
+    @example([(), (1, 1)])
+    @example([(1,), (0,)])  # two-node cycle
+    @example([(), (0, 0), (1, 0)])  # duplicate edges, acyclic
+    def test_raises_exactly_when_dfs_finds_a_problem(self, parents):
+        assert error_of(validate_dag, parents) == error_of(reference.validate_dag, parents)
 
 
 class TestTopologicalOrder:

@@ -8,8 +8,8 @@ checks them mechanically, in two layers.
 **Per-file rules** — one AST at a time:
 
 ========  ==============================================================
-RL001     capacity bookkeeping is written only by its owners
-          (``cluster/server.py`` and ``cluster/mirror.py``)
+RL001     per-server state (the mirror's arrays and resident map) is
+          written only by its owner, ``cluster/mirror.py``
 RL002     no unseeded or legacy global randomness — RNGs are threaded
           as explicit ``numpy.random.Generator`` objects
 RL003     no ``==``/``!=`` on resource/time floats in decision code —
@@ -38,8 +38,8 @@ RL011     unseeded-RNG values laundered through helpers into decision
           sinks
 RL012     iteration-order-dependent values (``id``/``hash``/set order)
           reaching decision sinks
-RL013     capacity state mutated through aliases or param-mutating
-          helpers outside the owner modules (escape analysis)
+RL013     per-server state mutated through aliases or param-mutating
+          helpers outside the owner module (escape analysis)
 RL014     shard-unsafe shared state: module-level mutable containers,
           class-level containers, class-attribute writes from methods
 ========  ==============================================================

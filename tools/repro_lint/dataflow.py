@@ -25,8 +25,8 @@ Direct source calls inside ``src/repro`` are left to the per-file rules
 boundary — exactly the hazard the per-file pass cannot see.
 
 **State-ownership escape analysis (RL013).**  Generalizes RL001: the
-protected capacity arrays/attributes may only be mutated by the two
-owner modules, and RL001 only catches *syntactically direct* stores.
+protected per-server arrays and resident map may only be mutated by the
+owner module, and RL001 only catches *syntactically direct* writes.
 This pass catches (a) mutation through a local alias
 (``arr = mirror.avail_cpu; arr[0] = x``) and (b) passing a protected
 array into a helper — in any module — that mutates its parameter
@@ -60,6 +60,7 @@ from tools.repro_lint.graph import (
 )
 from tools.repro_lint.rules import (
     _EVENT_QUEUE_NAME,
+    _MUTATOR_METHODS,
     _NP_RANDOM_OK,
     _NP_SEEDED_CTORS,
     _PROTECTED_ATTRS,
@@ -94,26 +95,6 @@ _KIND_NOUN = {
     "order": "iteration-order-dependent",
     "set-order": "set-ordered",
 }
-
-#: Methods that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "discard",
-        "remove",
-        "pop",
-        "popitem",
-        "clear",
-        "update",
-        "setdefault",
-        "sort",
-        "reverse",
-        "fill",
-    }
-)
 
 _MUTABLE_CTORS = frozenset(
     {"list", "dict", "set", "defaultdict", "deque", "Counter", "OrderedDict"}
@@ -461,7 +442,7 @@ def _root_name(node: ast.expr) -> Optional[str]:
 
 
 def _protected_attr_expr(node: ast.expr) -> Optional[str]:
-    """``mirror.avail_cpu`` / ``server._available`` → the attr name."""
+    """``mirror.avail_cpu`` / ``mirror.resident`` → the attr name."""
     if isinstance(node, ast.Attribute) and node.attr in _PROTECTED_ATTRS:
         return node.attr
     return None
@@ -559,26 +540,30 @@ def _escape_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                         fn.relpath,
                         target.lineno,
                         target.col_offset,
-                        f"write to {hit} mutates protected capacity state "
-                        f"outside the owner modules — route it through "
-                        "Server.allocate/release or AvailabilityMirror.update",
+                        f"write to {hit} mutates protected server state "
+                        f"outside the owner module — route it through "
+                        "the AvailabilityMirror methods",
                     )
             if isinstance(node, ast.Call):
                 func = node.func
+                # `alias.clear()` / `alias[i].add(x)` (an item of the
+                # resident map is a set)
+                receiver = func.value if isinstance(func, ast.Attribute) else None
+                while isinstance(receiver, ast.Subscript):
+                    receiver = receiver.value
                 if (
-                    isinstance(func, ast.Attribute)
+                    isinstance(receiver, ast.Name)
+                    and receiver.id in aliases
                     and func.attr in _MUTATOR_METHODS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in aliases
                 ):
                     yield ProgramFinding(
                         "RL013",
                         fn.relpath,
                         node.lineno,
                         node.col_offset,
-                        f"`.{func.attr}()` on `{func.value.id}` (alias of "
-                        f"`{aliases[func.value.id]}`) mutates protected "
-                        "capacity state outside the owner modules",
+                        f"`.{func.attr}()` on `{receiver.id}` (alias of "
+                        f"`{aliases[receiver.id]}`) mutates protected "
+                        "server state outside the owner module",
                     )
                 # (b) protected state escaping into a param-mutating helper
                 callee = graph.resolve_call(node, fn)
@@ -598,8 +583,8 @@ def _escape_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                                 arg.col_offset,
                                 f"protected `{attr}` escapes into `{callee}`, "
                                 f"which mutates its `{callee_fn.params[i]}` "
-                                "parameter — capacity state must not be "
-                                "mutated outside the owner modules",
+                                "parameter — server state must not be "
+                                "mutated outside the owner module",
                             )
                     for kw in node.keywords:
                         attr = _protected_attr_expr(kw.value)
@@ -611,8 +596,8 @@ def _escape_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                                 kw.value.col_offset,
                                 f"protected `{attr}` escapes into `{callee}`, "
                                 f"which mutates its `{kw.arg}` parameter — "
-                                "capacity state must not be mutated outside "
-                                "the owner modules",
+                                "server state must not be mutated outside "
+                                "the owner module",
                             )
 
 

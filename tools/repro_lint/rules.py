@@ -85,32 +85,54 @@ def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
 
 
 # ======================================================================
-# RL001 — capacity bookkeeping has exactly two owners
+# RL001 — per-server state has exactly one owner
 # ======================================================================
 
-#: Server allocation state and the mirror's SoA arrays.  Nothing outside
-#: the two owner modules may store into these — every mutation must flow
-#: through Server.allocate/release so the mirror stays coherent.
+#: The per-server state arrays and the resident-copy map of
+#: AvailabilityMirror.  Nothing outside the owner module may store into,
+#: delete from or call a mutating method on them — every change flows
+#: through the mirror's allocate/release/mark_down/mark_up/set_slowdown,
+#: which re-derive availability through ``update``.
 _PROTECTED_ATTRS = frozenset(
     {
-        "_available",
-        "_allocated",
-        "_running",
         "avail_cpu",
         "avail_mem",
         "alloc_cpu",
         "alloc_mem",
         "cap_cpu",
         "cap_mem",
+        "up",
+        "slowdown",
+        "resident",
     }
 )
 
-_RL001_OWNERS = ("src/repro/cluster/server.py", "src/repro/cluster/mirror.py")
+_RL001_OWNERS = ("src/repro/cluster/mirror.py",)
+
+#: Methods that mutate their receiver in place.
+_MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "add",
+        "discard",
+        "remove",
+        "pop",
+        "popitem",
+        "clear",
+        "update",
+        "setdefault",
+        "sort",
+        "reverse",
+        "fill",
+    }
+)
 
 
 class _RL001:
     rule_id = "RL001"
-    summary = "capacity state written outside cluster/server.py + cluster/mirror.py"
+    summary = "per-server state written outside cluster/mirror.py"
 
     def applies_to(self, relpath: str) -> bool:
         return relpath not in _RL001_OWNERS
@@ -118,27 +140,34 @@ class _RL001:
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(tree):
             targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
+            if isinstance(node, (ast.Assign, ast.Delete)):
                 targets = list(node.targets)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATOR_METHODS
+            ):
+                # x.resident[i].add(...) / x.resident.pop(...)
+                targets = [node.func.value]
             for target in targets:
                 hit = self._protected_store(target)
                 if hit is not None:
                     yield Finding(
                         target.lineno,
                         target.col_offset,
-                        f"write to protected capacity state `{hit}` — only "
-                        "Server.allocate/release and AvailabilityMirror.update "
-                        "may mutate it",
+                        f"write to protected server state `{hit}` — only "
+                        "AvailabilityMirror's allocate/release/mark_down/"
+                        "mark_up/set_slowdown may mutate it",
                     )
 
     @staticmethod
     def _protected_store(target: ast.expr) -> str | None:
-        # x._available = ... / x._allocated += ...
+        # x.up = ... / x.resident = ...
         if isinstance(target, ast.Attribute) and target.attr in _PROTECTED_ATTRS:
             return target.attr
-        # mirror.avail_cpu[i] = ...
+        # mirror.avail_cpu[i] = ... / del mirror.resident[i]
         if (
             isinstance(target, ast.Subscript)
             and isinstance(target.value, ast.Attribute)
@@ -405,7 +434,7 @@ _ENTITY_NAME = re.compile(
 )
 
 #: Attributes that are `set`/`frozenset` views in this codebase.
-_SET_ATTRS = frozenset({"running_copies", "_running"})
+_SET_ATTRS = frozenset({"running_copies"})
 
 
 class _RL006:
@@ -638,6 +667,6 @@ RULE_CATALOG: dict[str, str] = {
     "RL010": "wall-clock value reaches a decision sink through helper calls",
     "RL011": "unseeded/global RNG value reaches a decision sink through helper calls",
     "RL012": "iteration-order-dependent value (id/hash/set order) reaches a decision sink",
-    "RL013": "capacity state mutated via alias or helper escape outside the owner modules",
+    "RL013": "per-server state mutated via alias or helper escape outside the owner module",
     "RL014": "shard-unsafe shared state (module globals, class-level containers, class-attr writes)",
 }
