@@ -91,7 +91,7 @@ def trace_sim_cluster(
         # np.round rounds half to even, like the builtin round.
         cpu = np.maximum(1.0, np.round(cpu * cpu_scale))
     racks = max(1, num_servers // 40)
-    topo = Topology((np.arange(num_servers) % racks).tolist())
+    topo = Topology(np.arange(num_servers, dtype=np.int32) % racks)
     return Cluster(cpu, mem, slowdown, topo)
 
 

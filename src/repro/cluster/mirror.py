@@ -21,9 +21,9 @@ Data layout (all arrays indexed by ``server_id``):
 * ``up`` — boolean liveness mask (fault injection): down servers are
   masked out of every feasibility query;
 * ``slowdown`` — the per-server task-duration multiplier;
-* ``resident`` — ``{server_id: set of TaskCopy}`` for the servers that
-  host at least one copy (most servers of a large cluster never do, so
-  they pay for no set at all).
+* ``resident`` — ``{server_id: list of TaskCopy}`` in launch order for
+  the servers that host at least one copy (most servers of a large
+  cluster never do, so they pay for no list at all).
 
 Invariants:
 
@@ -115,7 +115,7 @@ class AvailabilityMirror:
         #: Liveness mask (fault injection): down servers are excluded
         #: from every feasibility mask and advertise zero availability.
         self.up = np.ones(m, dtype=bool)
-        self.resident: dict[int, set["TaskCopy"]] = {}
+        self.resident: dict[int, list["TaskCopy"]] = {}
         # Coalesced-update window (batched event drains): while open,
         # ``update`` parks the server id in ``_pending`` instead of
         # deriving immediately; ``flush`` derives each parked server
@@ -251,11 +251,11 @@ class AvailabilityMirror:
             raise RuntimeError(f"server {i}: cannot fit {demand} in {self.available(i)}")
         running = self.resident.get(i)
         if running is None:
-            self.resident[i] = {copy}
+            self.resident[i] = [copy]
         elif copy in running:
             raise RuntimeError(f"server {i}: copy {copy} already running")
         else:
-            running.add(copy)
+            running.append(copy)
         self.alloc_cpu[i] = self.alloc_cpu.item(i) + demand.cpu
         self.alloc_mem[i] = self.alloc_mem.item(i) + demand.mem
         self.update(i)
@@ -265,7 +265,7 @@ class AvailabilityMirror:
         running = self.resident.get(i)
         if running is None or copy not in running:
             raise RuntimeError(f"server {i}: copy {copy} not running here")
-        running.discard(copy)
+        running.remove(copy)
         if running:
             demand = copy.task.demand
             self.alloc_cpu[i] = max(self.alloc_cpu.item(i) - demand.cpu, 0.0)

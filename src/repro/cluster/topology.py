@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["LocalityLevel", "Topology"]
 
 
@@ -34,11 +36,14 @@ class Topology:
     The folded-CLOS fabric of the testbed is full-bisection within a rack
     and oversubscribed across racks, which is exactly what the three-level
     preference captures.
+
+    The rack map is one int32 array: at 100K servers a list of Python
+    ints costs megabytes, and int32 pickles to half of int64.
     """
 
     def __init__(self, rack_of: Sequence[int]) -> None:
-        self._rack_of = list(rack_of)
-        self.num_racks = (max(self._rack_of) + 1) if self._rack_of else 0
+        self._rack_of = np.array(rack_of, dtype=np.int32)
+        self.num_racks = int(self._rack_of.max()) + 1 if len(self._rack_of) else 0
 
     @staticmethod
     def two_racks(num_servers: int) -> "Topology":
@@ -51,7 +56,7 @@ class Topology:
         return Topology([0] * num_servers)
 
     def rack(self, server_id: int) -> int:
-        return self._rack_of[server_id]
+        return self._rack_of.item(server_id)
 
     def locality(self, server_id: int, preferred_servers: Sequence[int]) -> LocalityLevel:
         """Locality level of running on ``server_id`` given the servers
@@ -66,7 +71,7 @@ class Topology:
         return LocalityLevel.OFF_RACK
 
     def servers_in_rack(self, rack: int) -> list[int]:
-        return [i for i, r in enumerate(self._rack_of) if r == rack]
+        return np.flatnonzero(self._rack_of == rack).tolist()
 
     def __len__(self) -> int:
         return len(self._rack_of)

@@ -125,17 +125,13 @@ class CloningPolicy:
 def clone_resource_occupancy(cluster: "Cluster") -> Resources:
     """Total resources currently held by live clone copies.
 
-    Copies are summed by server id, then in launch order (``copy_uid``):
-    a server's resident copies are a set, and float addition is
-    order-sensitive, so an unsorted sum could differ between two runs of
-    the same schedule.
+    Copies are summed by server id, then in launch order (a server's
+    resident list): float addition is order-sensitive, so the sum must
+    not depend on the order servers first hosted a copy.
     """
     resident = cluster.mirror.resident
     return sum_resources(
-        c.task.demand
-        for sid in sorted(resident)
-        for c in sorted(resident[sid], key=lambda c: c.copy_uid)
-        if c.is_clone
+        c.task.demand for sid in sorted(resident) for c in resident[sid] if c.is_clone
     )
 
 

@@ -248,7 +248,7 @@ class SimulationSanitizer:
         for i in sorted(resident):
             if not up[i]:
                 continue  # reported as a failed server above
-            copies = sorted(resident[i], key=lambda c: c.copy_uid)
+            copies = resident[i]
             tol = EPS * (len(copies) + 1)
             sum_cpu = 0.0
             sum_mem = 0.0

@@ -19,7 +19,6 @@ even though wall-clock scrape times are not.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -61,21 +60,30 @@ class TextfilePublisher:
         self.publications += 1
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # The exposition provider is installed on the server instance.
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.split("?", 1)[0] != "/metrics":
-            self.send_error(404, "only /metrics is served")
-            return
-        body = self.server.exposition().encode()  # type: ignore[attr-defined]
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+def _handler_class() -> type:
+    """The ``/metrics`` request handler.  Defined on first use, so that
+    importing this module (every run does) does not load
+    :mod:`http.server` and its dependencies; only a served endpoint
+    pays for them."""
+    from http.server import BaseHTTPRequestHandler
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrape logging is noise on a long-lived service
+    class Handler(BaseHTTPRequestHandler):
+        # The exposition provider is installed on the server instance.
+        def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            if self.path.split("?", 1)[0] != "/metrics":
+                self.send_error(404, "only /metrics is served")
+                return
+            body = self.server.exposition().encode()  # type: ignore[attr-defined]
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; version=0.0.4")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            pass  # scrape logging is noise on a long-lived service
+
+    return Handler
 
 
 class MetricsServer:
@@ -88,10 +96,12 @@ class MetricsServer:
     """
 
     def __init__(self, host: str, port: int, *, include_wall: bool = False) -> None:
+        from http.server import ThreadingHTTPServer
+
         self.include_wall = include_wall
         self._lock = threading.Lock()
         self._text = ""
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = ThreadingHTTPServer((host, port), _handler_class())
         self._httpd.daemon_threads = True
         self._httpd.exposition = self._current  # type: ignore[attr-defined]
         self._thread = threading.Thread(

@@ -125,18 +125,21 @@ def _fill_tasks(
     """Blocked fill over the mirror's placement index — the launch
     sequence of a dense candidate×server argmax, without the matrix.
 
-    Each candidate row keeps a lazily-scored block cache
-    (:meth:`AvailabilityMirror.scan_blocks`): a block is scored only
+    Candidate phases with equal ``(cpu, mem)`` demand share one score
+    row: ``d·avail`` is the same IEEE expression for both, so they share
+    one lazily-scored block cache (:meth:`AvailabilityMirror.
+    scan_blocks`) and one best (column, score).  A block is scored only
     when the index's availability bounds cannot rule it out, so in the
     mostly-idle regime a row stops at its first block.  A launch
-    refreshes one column per row (:meth:`AvailabilityMirror.
-    rescore_column`) and re-resolves only the rows whose best server it
-    was — availability only shrinks within a pass, so no other row's
-    best can change.  The global pick is the flat row-major argmax of
-    the dense matrix decomposed exactly: the first column achieving each
-    row's max, then the first row achieving the global max.
-    ``server_weight`` is evaluated once per server and scores the whole
-    cluster as one block.
+    refreshes one column per live demand (:meth:`AvailabilityMirror.
+    rescore_column`) and re-resolves only the demands whose best server
+    it was — availability only shrinks within a pass, so no other
+    demand's best can change.  The global pick is the flat row-major
+    argmax of the dense matrix decomposed exactly: the first column
+    achieving each row's max, then the first non-empty candidate row
+    achieving the global max.  A demand leaves the race when its last
+    candidate row empties.  ``server_weight`` is evaluated once per
+    server and scores the whole cluster as one block.
     """
     rows = [(phase, list(tasks)) for phase, tasks in phases_with_tasks if tasks]
     if not rows:
@@ -148,42 +151,49 @@ def _fill_tasks(
         weights = np.fromiter(
             (server_weight(s) for s in cluster), np.float64, len(cluster)
         )
-    queues = [tasks for _, tasks in rows]
-    scored = [
-        (phase.demand.cpu, phase.demand.mem, mirror.new_blocks(weights))
-        for phase, _ in rows
-    ]
-    nrows = len(rows)
-    best_col = [0] * nrows
-    best_score = [0.0] * nrows
-    for i, (dc, dm, blocks) in enumerate(scored):
-        best_col[i], best_score[i] = mirror.scan_blocks(dc, dm, blocks, weights)
+    # One score row per distinct demand: (d_cpu, d_mem, block cache).
+    index: dict[tuple[float, float], int] = {}
+    scored: list[tuple[float, float, list]] = []
+    live_rows: list[tuple[list[Task], int]] = []  # (pending tasks, demand)
+    for phase, tasks in rows:
+        key = (phase.demand.cpu, phase.demand.mem)
+        if key not in index:
+            index[key] = len(scored)
+            scored.append((key[0], key[1], mirror.new_blocks(weights)))
+        live_rows.append((tasks, index[key]))
+    best_col = [0] * len(scored)
+    best_score = [0.0] * len(scored)
+    for g, (dc, dm, blocks) in enumerate(scored):
+        best_col[g], best_score[g] = mirror.scan_blocks(dc, dm, blocks, weights)
+    live = list(range(len(scored)))  # demands with a non-empty row
     neg_inf = float("-inf")
     launched = 0
     while True:
-        ci = -1
+        ck = cg = -1
         bs = neg_inf
-        for i in range(nrows):
-            s = best_score[i]
-            if s > bs:  # strict: ties keep the lowest candidate index
-                bs = s
-                ci = i
-        if ci < 0:
+        for k, (_, g) in enumerate(live_rows):
+            s = best_score[g]
+            if s > bs:  # strict: ties keep the earliest candidate
+                bs, ck, cg = s, k, g
+        if ck < 0:
             break  # nothing placeable remains
-        sj = best_col[ci]
-        task = queues[ci].pop()
+        sj = best_col[cg]
+        queue = live_rows[ck][0]
+        task = queue.pop()
         view.apply(Launch(task, sj))
         if on_launch is not None:
             on_launch(task, cluster[sj])
         launched += 1
-        if not queues[ci]:
-            best_score[ci] = neg_inf  # exhausted candidate leaves the race
-        # Only `server`'s availability changed (shrank).
-        mirror.rescore_column(sj, scored, weights)
-        for i in range(nrows):
-            if best_col[i] == sj and best_score[i] != neg_inf:
-                dc, dm, blocks = scored[i]
-                best_col[i], best_score[i] = mirror.scan_blocks(dc, dm, blocks, weights)
+        if not queue:
+            del live_rows[ck]
+            if all(g != cg for _, g in live_rows):
+                live.remove(cg)  # its last candidate emptied
+        # Only `sj`'s availability changed (shrank).
+        mirror.rescore_column(sj, [scored[g] for g in live], weights)
+        for g in live:
+            if best_col[g] == sj:
+                dc, dm, blocks = scored[g]
+                best_col[g], best_score[g] = mirror.scan_blocks(dc, dm, blocks, weights)
     return launched
 
 

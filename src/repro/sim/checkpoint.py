@@ -57,10 +57,13 @@ __all__ = [
     "checkpoint_info",
 ]
 
-#: Format tag in the envelope; bumped on any layout change.  v2 pickles
+#: Format tag in the envelope; bumped on any layout change.  v2 pickled
 #: per-server state as the mirror's arrays and resident map (no Server
-#: objects); a v1 file is rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v2"
+#: objects); v3 pickles queued events as plain ``Event`` tuples, each
+#: server's resident copies as a list in launch order and the rack map
+#: as an int32 array.  v1 and v2 files are rejected by name, like a
+#: foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v3"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.

@@ -572,14 +572,15 @@ class SimulationEngine:
             ).clamp_nonnegative()
 
     def _apply_fail(self, sid: int) -> None:
-        """Crash one server: kill every resident copy (deterministic
-        copy-uid order), take the capacity out of both placement paths,
+        """Crash one server: kill every resident copy (in launch
+        order), take the capacity out of both placement paths,
         and sort each victim task into clone-masked vs orphaned.  The
         kills are engine consequences of the Fail action, not scheduler
         decisions, so they bypass the journal like first-copy-wins kills."""
         self._account_until(self.now)
         mirror = self.cluster.mirror
-        victims = sorted(mirror.resident.get(sid, ()), key=lambda c: c.copy_uid)
+        # A copy of the list: each kill removes its victim from it.
+        victims = list(mirror.resident.get(sid, ()))
         tasks: list[Task] = []
         # One crash releases every resident copy on the same server:
         # coalesce the whole victim sweep (plus the down-flag flip) into

@@ -41,8 +41,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["EventKind", "BASE_EVENT_KINDS", "Event", "EventQueue"]
 
@@ -70,39 +69,37 @@ BASE_EVENT_KINDS = (
 )
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
     time: float
     kind: EventKind
-    seq: int = field(compare=True, default=0)
-    payload: Any = field(compare=False, default=None)
+    seq: int
+    payload: Any
 
 
 class EventQueue:
     """A heap of events with stable FIFO tie-breaking.
 
-    Heap entries are ``(time, kind, seq, Event)`` tuples rather than the
-    events themselves: tuple comparison is C-speed and short-circuits on
-    ``time``, where the dataclass ``__lt__`` was a measured hotspot in
-    long runs (millions of comparisons).  ``seq`` is unique, so the
-    ``Event`` slot is never compared.
+    The heap holds the events themselves: an :class:`Event` is a tuple
+    ordered by ``(time, kind, seq)``, so comparison is C-speed and
+    short-circuits on ``time``, and a queued event costs one tuple.
+    ``seq`` is unique, so ``payload`` is never compared.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         ev = Event(time, kind, next(self._seq), payload)
-        heapq.heappush(self._heap, (time, kind, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
     def pop(self) -> Event:
         if not self._heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)[3]
+        return heapq.heappop(self._heap)
 
     def pop_batch(self) -> list[Event]:
         """Pop every event sharing the earliest timestamp, in pop order.
@@ -117,13 +114,13 @@ class EventQueue:
             raise IndexError("pop from empty event queue")
         heap = self._heap
         t = heap[0][0]
-        batch = [heapq.heappop(heap)[3]]
+        batch = [heapq.heappop(heap)]
         while heap and heap[0][0] == t:
-            batch.append(heapq.heappop(heap)[3])
+            batch.append(heapq.heappop(heap))
         return batch
 
     def peek(self) -> Optional[Event]:
-        return self._heap[0][3] if self._heap else None
+        return self._heap[0] if self._heap else None
 
     def peek_time(self) -> Optional[float]:
         """Earliest pending timestamp, or ``None`` when empty."""

@@ -21,11 +21,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -241,6 +236,10 @@ def _run_parallel(
     fault_profile: FaultProfile | None = None,
     churn_seed: int | None = None,
 ) -> dict[tuple[str, int], SimulationResult]:
+    # Imported here: concurrent.futures loads multiprocessing, which
+    # only a parallel sweep needs.
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+
     try:
         pickle.dumps((make_cluster, make_jobs, [m for _, m, _ in combos]))
         pool_cls = ProcessPoolExecutor

@@ -215,6 +215,11 @@ class JsonlSource(ArrivalSource):
     restored session re-reading the same stream materializes identical
     jobs — the process-global job counter is not stable across legs.
 
+    A line that fails to decode or validate raises ``ValueError``
+    prefixed with its stream ordinal (``JSONL line k``: the 0-based
+    count of non-blank lines before it, the id a line without
+    ``job_id`` gets).
+
     Checkpointable by detaching: pickling keeps the consumed count, the
     ordering watermark and the (terminal) exhaustion flag; a revived
     mid-stream source refuses :meth:`take` until :meth:`attach` re-binds
@@ -266,10 +271,16 @@ class JsonlSource(ArrivalSource):
         for line in self._lines:
             if not line.strip():
                 continue
-            job = self._decode(line)
+            try:
+                job = self._decode(line)
+            except KeyError as exc:
+                raise ValueError(f"JSONL line {self._consumed}: missing {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"JSONL line {self._consumed}: {exc}") from exc
             if job.arrival_time < self._last_arrival:
                 raise ValueError(
-                    f"job {job.job_id}: arrival {job.arrival_time:g} out of order "
+                    f"JSONL line {self._consumed}: job {job.job_id}: arrival "
+                    f"{job.arrival_time:g} out of order "
                     f"(previous arrival {self._last_arrival:g})"
                 )
             self._last_arrival = job.arrival_time

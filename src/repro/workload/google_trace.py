@@ -19,6 +19,7 @@ the same JSON can be replayed through :func:`load_trace` unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +58,12 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if self.num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
+        # NaN passes every comparison below and an infinity fails only
+        # mid-run, so both are rejected here, by field name.
+        for name in ("theta", "sigma", "cpu", "mem"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if self.sigma < 0:
@@ -76,6 +83,12 @@ class TraceJobSpec:
     arrival_time: float
     phases: tuple[PhaseSpec, ...] = field(default_factory=tuple)
     job_id: int | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time!r}"
+            )
 
     def num_tasks(self) -> int:
         return sum(p.num_tasks for p in self.phases)

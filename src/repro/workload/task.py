@@ -96,9 +96,6 @@ class TaskCopy:
     def __hash__(self) -> int:
         return self.copy_uid
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "clone" if self.is_clone else "orig"
         return (

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import mirror as mirror_module
 from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import homogeneous_cluster
+from repro.cluster.server import server_id_of
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.packing import (
@@ -283,3 +284,65 @@ class TestBlockSizeIdentity:
                 scenario, fill_tasks_best_fit, fill_clones_best_fit, block=block
             )
             assert got == expected
+
+
+@st.composite
+def shared_demand_fills(draw):
+    """(capacities, demands, task counts, weights) where candidate phases
+    share demands: at least three rows drawn from a pool of at most two
+    demands, servers of two capacity shapes (equal scores across servers
+    and rows), weights from three values (equal weighted scores too),
+    and rows of one to three tasks, so a row empties while a row of the
+    same demand remains."""
+    m = draw(st.integers(1, 10))
+    shapes = [Resources.of(4, 8), Resources.of(8, 4)]
+    caps = draw(st.lists(st.sampled_from(shapes), min_size=m, max_size=m))
+    pool = draw(
+        st.lists(
+            st.builds(Resources.of, st.integers(1, 4), st.integers(1, 4)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    demands = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=8))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(demands), max_size=len(demands)))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=m, max_size=m))
+    return caps, demands, sizes, weights
+
+
+def fill_launches(scenario, fill, weighted):
+    """The exact ``Launch`` sequence one task fill applies — one phase
+    per candidate row, equal-demand phases included."""
+    caps, demands, sizes, weights = scenario
+    cluster = Cluster.build((cap, 1.0) for cap in caps)
+    jobs = [
+        Job([Phase(0, n, d, Deterministic(10.0))], job_id=i)
+        for i, (d, n) in enumerate(zip(demands, sizes))
+    ]
+    view = make_view(cluster, jobs)
+    applied = []
+    apply = view.apply
+
+    def record(action):
+        applied.append((action.task.uid, server_id_of(action.server), action.clone))
+        return apply(action)
+
+    view.apply = record
+    fill(
+        view,
+        [p for j in jobs for p in pending_by_phase(j)],
+        server_weight=(lambda s: weights[s.server_id]) if weighted else None,
+    )
+    return applied
+
+
+class TestSharedDemandRows:
+    """Candidate phases with equal demand share one score row in the
+    task fill; the launch sequence must stay the reference loop's, which
+    scores every candidate separately."""
+
+    @given(shared_demand_fills(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_launch_sequence_matches_reference(self, scenario, weighted):
+        expected = fill_launches(scenario, reference.fill_tasks, weighted)
+        assert fill_launches(scenario, fill_tasks_best_fit, weighted) == expected

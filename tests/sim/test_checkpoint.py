@@ -265,21 +265,46 @@ class TestJsonlEveryCutIdentity:
 
 class TestLegacyCheckpoint:
     """v1 checkpoints pickled every server as a ``Server`` object; v2
-    pickles the mirror's arrays and resident map.  A v1 file is rejected
-    by its format name, like a foreign file — nothing revives it."""
+    pickled the mirror's arrays with a set of resident copies per server
+    and events wrapped in heap tuples; v3 pickles resident lists in
+    launch order and bare ``Event`` tuples.  Older files are rejected by
+    their format name, like a foreign file — nothing revives them."""
 
-    def test_v1_checkpoint_rejected_by_name(self, tmp_path):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v2"
+    @pytest.mark.parametrize("old", ["v1", "v2"])
+    def test_old_format_rejected_by_name(self, tmp_path, old):
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v3"
         engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
         engine.start()
         engine.run_until(60.0)
         envelope = pickle.loads(checkpoint_bytes(engine)[0])
-        envelope["format"] = envelope["info"]["format"] = "repro-checkpoint-v1"
-        path = tmp_path / "v1.ckpt"
+        name = f"repro-checkpoint-{old}"
+        envelope["format"] = envelope["info"]["format"] = name
+        path = tmp_path / f"{old}.ckpt"
         path.write_bytes(pickle.dumps(envelope, protocol=4))
         for read in (load_checkpoint, checkpoint_info):
-            with pytest.raises(ValueError, match="format='repro-checkpoint-v1'"):
+            with pytest.raises(ValueError, match=f"format='{name}'"):
                 read(path)
+
+    def test_restored_resident_lists_keep_launch_order(self):
+        """A mid-run cut while servers host several copies: every
+        restored resident list holds its server's copies in the order
+        the decision journal launched them."""
+        engine = mk_engine(record_trace=True)
+        engine.start()
+        engine.run_until(60.0)
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        resident = revived.cluster.mirror.resident
+        assert max(map(len, resident.values())) >= 2
+        # The k-th launch of a task in the journal is its k-th copy.
+        launches: dict[tuple, list[int]] = {}
+        for d in revived.trace:
+            if d.kind == "launch":
+                launches.setdefault(d.task_uid, []).append(d.seq)
+        for sid, copies in resident.items():
+            assert isinstance(copies, list)
+            assert all(c.server_id == sid for c in copies)
+            order = [launches[c.task.uid][c.task.copies.index(c)] for c in copies]
+            assert order == sorted(order), f"server {sid}: {order}"
 
     def test_index_is_not_pickled(self):
         e = mk_engine()

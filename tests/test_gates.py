@@ -37,6 +37,16 @@ def test_ci_make_calls_are_make_targets():
     assert called - _make_targets() == set()
 
 
+def test_ci_installs_the_declared_test_extra():
+    """CI installs what pyproject.toml declares for testing (tomli on
+    3.10 included), not a hand-kept package list that can drift."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    installs = re.findall(r"pip install (.+)", workflow)
+    assert installs == ['-e ".[test]"']
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^test = \[", pyproject, flags=re.MULTILINE)
+
+
 def test_makefile_python_modules_resolve():
     modules = re.findall(r"\$\(PYTHON\) -m ([\w.]+)", MAKEFILE)
     assert modules

@@ -1,8 +1,12 @@
 """Unit tests for the synthetic Google trace generator and trace I/O."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from repro.workload.arrivals import JsonlSource
 from repro.workload.google_trace import (
     GoogleTraceGenerator,
     PhaseSpec,
@@ -10,6 +14,7 @@ from repro.workload.google_trace import (
     jobs_from_specs,
     load_trace,
     save_trace,
+    spec_to_dict,
 )
 
 
@@ -21,6 +26,19 @@ class TestSpecs:
             PhaseSpec(num_tasks=1, cpu=1, mem=1, theta=0.0, sigma=0.0)
         with pytest.raises(ValueError):
             PhaseSpec(num_tasks=1, cpu=1, mem=1, theta=1.0, sigma=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["theta", "sigma", "cpu", "mem"])
+    def test_non_finite_phase_field_rejected_by_name(self, name, value):
+        kw = dict(num_tasks=1, cpu=1.0, mem=1.0, theta=1.0, sigma=0.5)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PhaseSpec(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_arrival_time_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="^arrival_time must be finite and non-negative"):
+            TraceJobSpec(name="j", arrival_time=value)
 
     def test_job_spec_task_count(self):
         spec = TraceJobSpec(
@@ -117,3 +135,48 @@ class TestTraceIO:
         path.write_text('{"format": "something-else", "jobs": []}')
         with pytest.raises(ValueError):
             load_trace(path)
+
+
+class TestJsonlErrors:
+    """Hostile stream lines fail when they are read, naming the line by
+    its stream ordinal and the field at fault."""
+
+    @staticmethod
+    def lines(**bad):
+        specs = GoogleTraceGenerator(seed=3).generate(3, mean_interarrival=5.0)
+        rows = [spec_to_dict(s) for s in specs]
+        for key, value in bad.items():
+            if key == "arrival_time":
+                rows[1][key] = value
+            else:
+                rows[1]["phases"][0][key] = value
+        # json writes NaN/Infinity tokens and reads them back as floats.
+        return ["", *(json.dumps(r) for r in rows)]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("arrival_time", math.nan),
+            ("arrival_time", math.inf),
+            ("theta", math.nan),
+            ("sigma", math.nan),
+            ("cpu", math.nan),
+            ("mem", math.inf),
+        ],
+    )
+    def test_non_finite_field_names_line_and_field(self, name, value):
+        src = JsonlSource(self.lines(**{name: value}))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match=f"^JSONL line 1: {name} must be finite"):
+            src.take()
+
+    def test_undecodable_line_named(self):
+        src = JsonlSource([self.lines()[1], "{oops"])
+        src.take()
+        with pytest.raises(ValueError, match="^JSONL line 1: Expecting property name"):
+            src.take()
+
+    def test_missing_field_named(self):
+        src = JsonlSource(['{"name": "a", "phases": []}'])
+        with pytest.raises(ValueError, match="^JSONL line 0: missing 'arrival_time'"):
+            src.take()

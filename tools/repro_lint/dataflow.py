@@ -546,8 +546,8 @@ def _escape_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                     )
             if isinstance(node, ast.Call):
                 func = node.func
-                # `alias.clear()` / `alias[i].add(x)` (an item of the
-                # resident map is a set)
+                # `alias.clear()` / `alias[i].append(x)` (an item of the
+                # resident map is a list)
                 receiver = func.value if isinstance(func, ast.Attribute) else None
                 while isinstance(receiver, ast.Subscript):
                     receiver = receiver.value

@@ -149,7 +149,7 @@ class _RL001:
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATOR_METHODS
             ):
-                # x.resident[i].add(...) / x.resident.pop(...)
+                # x.resident[i].append(...) / x.resident.pop(...)
                 targets = [node.func.value]
             for target in targets:
                 hit = self._protected_store(target)
