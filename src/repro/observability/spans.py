@@ -46,10 +46,14 @@ def _zero_clock() -> float:
     return 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One enter/exit interval.  ``t_*`` are simulated seconds;
-    ``wall_ms`` is host time and excluded from deterministic exports."""
+    ``wall_ms`` is host time and excluded from deterministic exports.
+
+    Slotted, with no per-span ``__dict__``: a served session keeps every
+    span it records, and checkpoints pickle them all.
+    """
 
     seq: int
     name: str
@@ -74,6 +78,26 @@ class Span:
         if include_wall:
             out["wall_ms"] = self.wall_ms
         return out
+
+    def __reduce__(self):
+        # One argument tuple per span instead of a per-object state dict
+        # (what a slotted class pickles through otherwise).  Every field
+        # is a scalar or the attrs dict of scalars, so the tuple holds no
+        # back-reference into the engine's object graph.
+        return (
+            Span,
+            (
+                self.seq,
+                self.name,
+                self.depth,
+                self.parent,
+                self.t_enter,
+                self.attrs,
+                self.t_exit,
+                self.wall_ms,
+                self._wall_start,
+            ),
+        )
 
 
 class SpanTracer:

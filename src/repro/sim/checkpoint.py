@@ -30,9 +30,13 @@ count and re-attach the byte stream after restore; the engine pulls the
 next job at exactly the same decision point either way.
 
 Checkpoints are *internal* state snapshots built on :mod:`pickle`: load
-only files you produced (the standard pickle caveat).  The envelope
-carries a format tag and a state fingerprint so a truncated or foreign
-file fails loudly instead of reviving garbage.
+only files you produced (the standard pickle caveat).  A checkpoint is
+two pickles back to back: a small header ``{"format", "info",
+"state_bytes"}`` and then the engine state itself, pickled once.  The
+header carries a format tag, the summary and the state's sha256, and
+must end exactly ``state_bytes`` before the end of the file, so a
+truncated, extended or foreign file fails loudly instead of reviving
+garbage.
 """
 
 from __future__ import annotations
@@ -57,17 +61,22 @@ __all__ = [
     "checkpoint_info",
 ]
 
-#: Format tag in the envelope; bumped on any layout change.  v2 pickled
+#: Format tag in the header; bumped on any layout change.  v2 pickled
 #: per-server state as the mirror's arrays and resident map (no Server
 #: objects); v3 pickles queued events as plain ``Event`` tuples, each
 #: server's resident copies as a list in launch order and the rack map
-#: as an int32 array.  v1 and v2 files are rejected by name, like a
-#: foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v3"
+#: as an int32 array; v4 writes the state pickle once, after a header
+#: naming its length, instead of nesting it as bytes in an envelope
+#: pickle.  v1, v2 and v3 files are rejected by name, like a foreign
+#: one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v4"
 
 #: Fixed pickle protocol so checkpoints written by any supported
-#: interpreter (3.10–3.12) load on any other.
-_PROTOCOL = 4
+#: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each
+#: mirror array in-band from its own buffer (a ``PickleBuffer``) instead
+#: of through a temporary ``bytes`` the pickler's memo keeps alive, and
+#: loads it with one copy into a fresh, writable ``bytearray``.
+_PROTOCOL = 5
 
 
 @dataclass(frozen=True)
@@ -112,56 +121,67 @@ def _info_for(engine: "SimulationEngine", digest: str) -> CheckpointInfo:
     )
 
 
+def _dump(engine: "SimulationEngine") -> tuple[bytes, bytes, CheckpointInfo]:
+    """Pickle the engine once; returns ``(header, state, info)``."""
+    state = pickle.dumps(engine, protocol=_PROTOCOL)
+    info = _info_for(engine, hashlib.sha256(state).hexdigest())
+    header = pickle.dumps(
+        {"format": CHECKPOINT_FORMAT, "info": info.to_dict(), "state_bytes": len(state)},
+        protocol=_PROTOCOL,
+    )
+    return header, state, info
+
+
 def checkpoint_bytes(engine: "SimulationEngine") -> tuple[bytes, CheckpointInfo]:
     """Serialize a session to bytes; returns ``(payload, info)``.
 
     The engine must be between instants (not inside ``step()``) — every
     public session increment leaves it there.
     """
-    state = pickle.dumps(engine, protocol=_PROTOCOL)
-    digest = hashlib.sha256(state).hexdigest()
-    info = _info_for(engine, digest)
-    buf = io.BytesIO()
-    pickle.dump(
-        {"format": CHECKPOINT_FORMAT, "info": info.to_dict(), "state": state},
-        buf,
-        protocol=_PROTOCOL,
-    )
-    return buf.getvalue(), info
+    header, state, info = _dump(engine)
+    return header + state, info
 
 
-def _envelope(payload: bytes) -> dict:
-    """Unpickle and check a checkpoint envelope.
+def _header(payload: bytes) -> tuple[dict, int]:
+    """Unpickle and check a checkpoint header; returns it with the offset
+    at which the state begins.
 
-    A truncated or bit-flipped file usually breaks the envelope's own
-    pickle stream before the state digest can be checked, and unpickling
-    garbage raises almost anything (UnpicklingError, EOFError,
-    UnicodeDecodeError, …); every such failure becomes the same
-    ``ValueError`` the digest check raises.
+    A truncated or bit-flipped file usually breaks the header's own
+    pickle stream, and unpickling garbage raises almost anything
+    (UnpicklingError, EOFError, UnicodeDecodeError, …); every such
+    failure becomes the same ``ValueError`` the length and digest
+    checks raise.  The header must end exactly ``state_bytes`` before
+    the end of the payload: a cut anywhere after the header, or bytes
+    appended, fails that check before the state is read.
     """
+    stream = io.BytesIO(payload)
     try:
-        envelope = pickle.loads(payload)
+        header = pickle.load(stream)
     except Exception as exc:
         raise ValueError(
-            f"unreadable {CHECKPOINT_FORMAT} envelope (truncated or corrupted): {exc!r}"
+            f"unreadable {CHECKPOINT_FORMAT} header (truncated or corrupted): {exc!r}"
         ) from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"not a {CHECKPOINT_FORMAT} checkpoint "
-            f"(format={envelope.get('format') if isinstance(envelope, dict) else None!r})"
+            f"(format={header.get('format') if isinstance(header, dict) else None!r})"
         )
-    state, info = envelope.get("state"), envelope.get("info")
-    if not isinstance(state, bytes) or not isinstance(info, dict):
-        raise ValueError(f"damaged {CHECKPOINT_FORMAT} envelope (truncated or corrupted)")
-    return envelope
+    info, size = header.get("info"), header.get("state_bytes")
+    start = stream.tell()
+    if (
+        not isinstance(info, dict)
+        or type(size) is not int
+        or len(payload) != start + size
+    ):
+        raise ValueError(f"damaged {CHECKPOINT_FORMAT} checkpoint (truncated or corrupted)")
+    return header, start
 
 
 def restore_bytes(payload: bytes) -> "SimulationEngine":
     """Revive a session from :func:`checkpoint_bytes` output."""
-    envelope = _envelope(payload)
-    state = envelope["state"]
-    digest = hashlib.sha256(state).hexdigest()
-    if digest != envelope["info"].get("digest"):
+    header, start = _header(payload)
+    state = memoryview(payload)[start:]
+    if hashlib.sha256(state).hexdigest() != header["info"].get("digest"):
         raise ValueError("checkpoint state digest mismatch (truncated or corrupted)")
     return pickle.loads(state)
 
@@ -171,12 +191,15 @@ def save_checkpoint(engine: "SimulationEngine", path: str | Path) -> CheckpointI
 
     The rename makes a crash mid-write leave either the previous
     checkpoint or the new one, never a torn file — the service loop
-    overwrites one path periodically and relies on this.
+    overwrites one path periodically and relies on this.  Header and
+    state are written one after the other, never joined in memory.
     """
-    payload, info = checkpoint_bytes(engine)
+    header, state, info = _dump(engine)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with tmp.open("wb") as fh:
+        fh.write(header)
+        fh.write(state)
     tmp.replace(path)
     return info
 
@@ -188,4 +211,4 @@ def load_checkpoint(path: str | Path) -> "SimulationEngine":
 
 def checkpoint_info(path: str | Path) -> CheckpointInfo:
     """Read only the metadata summary of a checkpoint file."""
-    return CheckpointInfo(**_envelope(Path(path).read_bytes())["info"])
+    return CheckpointInfo(**_header(Path(path).read_bytes())[0]["info"])

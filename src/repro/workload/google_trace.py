@@ -56,6 +56,10 @@ class PhaseSpec:
     parents: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # JSON decodes 2.5 and true as a float and a bool; neither is a
+        # task count.
+        if type(self.num_tasks) is bool or not isinstance(self.num_tasks, int):
+            raise ValueError(f"num_tasks must be an integer, got {self.num_tasks!r}")
         if self.num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
         # NaN passes every comparison below and an infinity fails only
@@ -64,6 +68,10 @@ class PhaseSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("cpu", "mem"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if self.sigma < 0:

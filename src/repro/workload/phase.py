@@ -51,6 +51,10 @@ class Phase:
     ) -> None:
         if num_tasks < 1:
             raise ValueError(f"phase needs at least one task, got {num_tasks}")
+        if demand.cpu < 0 or demand.mem < 0:
+            field = "cpu" if demand.cpu < 0 else "mem"
+            value = getattr(demand, field)
+            raise ValueError(f"demand {field} must be non-negative, got {value!r}")
         if demand.cpu <= 0 and demand.mem <= 0:
             raise ValueError("phase tasks must demand some resource")
         if any(p >= index for p in parents):

@@ -2,10 +2,12 @@
 buffer's count-and-drop overflow, and the deterministic JSONL export."""
 
 import json
+import pickle
+from dataclasses import fields
 
 import pytest
 
-from repro.observability.spans import SPAN_SCHEMA, SpanTracer
+from repro.observability.spans import SPAN_SCHEMA, Span, SpanTracer
 
 
 class FakeClock:
@@ -107,3 +109,20 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_text(json.dumps({"schema": "nope/v9"}) + "\n")
     with pytest.raises(ValueError, match="unknown span schema"):
         SpanTracer.load_jsonl(path)
+
+
+def test_pickled_span_round_trips_every_field():
+    clock = FakeClock()
+    tracer = SpanTracer(clock)
+    with tracer.span("outer"):
+        clock.t = 2.5
+        with tracer.span("inner", job=7, kind="launch", ok=True, r=None):
+            clock.t = 4.0
+    open_span = tracer.enter("open", x=1.5)
+    for span in (*tracer.spans, open_span):
+        revived = pickle.loads(pickle.dumps(span, protocol=5))
+        assert type(revived) is Span
+        for f in fields(Span):
+            assert getattr(revived, f.name) == getattr(span, f.name), f.name
+    assert open_span._wall_start is not None
+    assert not hasattr(open_span, "__dict__")

@@ -6,6 +6,7 @@ trace, replay journal, and metrics snapshot — including with fault
 injection and observability enabled.
 """
 
+import io
 import json
 import pickle
 from dataclasses import replace
@@ -187,9 +188,18 @@ class TestFiles:
         engine = SimulationEngine(small_cluster, FIFOScheduler(), [job])
         engine.start()
         payload, _ = checkpoint_bytes(engine)
-        for cut in range(len(payload)):
+        path = tmp_path / "torn.ckpt"
+        # A cut at any offset, or bytes appended, fails both readers;
+        # the summary reader never looks at the state, so only the
+        # header's length check catches a cut inside it.
+        damaged = [payload[:cut] for cut in range(len(payload))]
+        damaged += [payload + b"\x00", payload + payload[-3:]]
+        for bad in damaged:
             with pytest.raises(ValueError, match="truncated or corrupted"):
-                restore_bytes(payload[:cut])
+                restore_bytes(bad)
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="truncated or corrupted"):
+                checkpoint_info(path)
         for at in range(len(payload)):
             flipped = bytearray(payload)
             flipped[at] ^= 0xFF
@@ -199,10 +209,6 @@ class TestFiles:
                 continue
             # only summary fields outside the digested state were hit
             assert revived.now == engine.now, f"flip at {at}"
-        path = tmp_path / "torn.ckpt"
-        path.write_bytes(payload[: len(payload) // 2])
-        with pytest.raises(ValueError, match="truncated or corrupted"):
-            checkpoint_info(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not_a_ckpt.bin"
@@ -263,22 +269,70 @@ class TestJsonlEveryCutIdentity:
             assert revived.finalize().deterministic() == ref, f"cut at line {cut}"
 
 
+class TestSpansAcrossRestore:
+    """The span trace is part of the checkpointed state: a session cut
+    at any arrival count, restored, re-attached and drained exports the
+    same spans (wall time excluded) as the uninterrupted session."""
+
+    def test_span_export_identical_after_restore(self, tmp_path):
+        specs = trace_specs(n=12, seed=5, gap=8.0)
+        lines = [json.dumps(spec_to_dict(s)) for s in specs]
+
+        def mk():
+            return mk_engine(
+                jobs=JsonlSource(iter(lines)),
+                observability=Observability(),
+                fault_profile=FAULT_PROFILES["chaos"],
+                churn_seed=3,
+            )
+
+        def spans_of(engine, name):
+            engine.finalize()
+            path = tmp_path / name
+            engine.observability.dump_spans(path)
+            return path.read_bytes()
+
+        one_shot = mk()
+        one_shot.start()
+        one_shot.drain()
+        reference = spans_of(one_shot, "reference.jsonl")
+        assert reference.count(b"\n") > 100
+        for cut in (1, 4, 9, len(lines)):
+            engine = mk()
+            engine.start()
+            while engine.arrivals.consumed < cut and engine.events:
+                engine.step()
+            revived = restore_bytes(checkpoint_bytes(engine)[0])
+            revived.arrivals.attach(iter(lines), skip_consumed=True)
+            revived.drain()
+            assert spans_of(revived, f"cut{cut}.jsonl") == reference, f"cut at {cut}"
+
+
 class TestLegacyCheckpoint:
     """v1 checkpoints pickled every server as a ``Server`` object; v2
     pickled the mirror's arrays with a set of resident copies per server
     and events wrapped in heap tuples; v3 pickles resident lists in
-    launch order and bare ``Event`` tuples.  Older files are rejected by
-    their format name, like a foreign file — nothing revives them."""
+    launch order and bare ``Event`` tuples.  v1–v3 nest the state pickle
+    as bytes inside one envelope pickle; v4 writes a header and then the
+    state.  Older files are rejected by their format name, like a
+    foreign file — nothing revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v3"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v4"
         engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
         engine.start()
         engine.run_until(60.0)
-        envelope = pickle.loads(checkpoint_bytes(engine)[0])
+        payload = checkpoint_bytes(engine)[0]
+        stream = io.BytesIO(payload)
+        header = pickle.load(stream)
         name = f"repro-checkpoint-{old}"
-        envelope["format"] = envelope["info"]["format"] = name
+        # The envelope layout every earlier format used.
+        envelope = {
+            "format": name,
+            "info": {**header["info"], "format": name},
+            "state": payload[stream.tell():],
+        }
         path = tmp_path / f"{old}.ckpt"
         path.write_bytes(pickle.dumps(envelope, protocol=4))
         for read in (load_checkpoint, checkpoint_info):

@@ -11,6 +11,7 @@ itself.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -67,3 +68,18 @@ def test_benchmark_layers_resolve():
         if not found:
             missing.append(f"{layer}: {target}.{attr}")
     assert missing == []
+
+
+def test_checkpoint_format_bump_reaches_docs_and_tests():
+    """A checkpoint format bump names the new format in DESIGN.md, pins
+    it in the legacy test, and adds the previous one to the formats that
+    test rejects by name."""
+    from repro.sim.checkpoint import CHECKPOINT_FORMAT
+    from tests.sim.test_checkpoint import TestLegacyCheckpoint
+
+    assert CHECKPOINT_FORMAT in (ROOT / "DESIGN.md").read_text()
+    test = TestLegacyCheckpoint.test_old_format_rejected_by_name
+    assert f'CHECKPOINT_FORMAT == "{CHECKPOINT_FORMAT}"' in inspect.getsource(test)
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    current = int(re.fullmatch(r"repro-checkpoint-v(\d+)", CHECKPOINT_FORMAT).group(1))
+    assert mark.args == ("old", [f"v{k}" for k in range(1, current)])

@@ -170,6 +170,20 @@ class TestJsonlErrors:
         with pytest.raises(ValueError, match=f"^JSONL line 1: {name} must be finite"):
             src.take()
 
+    @pytest.mark.parametrize("name", ["cpu", "mem"])
+    def test_negative_demand_names_line_and_field(self, name):
+        src = JsonlSource(self.lines(**{name: -4.0}))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match=f"^JSONL line 1: {name} must be non-negative"):
+            src.take()
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_task_count_names_line_and_field(self, value):
+        src = JsonlSource(self.lines(num_tasks=value))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match="^JSONL line 1: num_tasks must be an integer"):
+            src.take()
+
     def test_undecodable_line_named(self):
         src = JsonlSource([self.lines()[1], "{oops"])
         src.take()

@@ -26,6 +26,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Phase(0, 1, Resources.of(0, 0), Deterministic(1.0))
 
+    @pytest.mark.parametrize("cpu, mem", [(-4.0, 2.0), (1.0, -0.5)])
+    def test_rejects_negative_demand(self, cpu, mem):
+        field = "cpu" if cpu < 0 else "mem"
+        with pytest.raises(ValueError, match=f"^demand {field} must be non-negative"):
+            Phase(0, 1, Resources.of(cpu, mem), Deterministic(1.0))
+
     def test_rejects_forward_parents(self):
         with pytest.raises(ValueError):
             Phase(1, 1, Resources.of(1, 1), Deterministic(1.0), parents=(1,))
