@@ -67,9 +67,11 @@ __all__ = [
 #: server's resident copies as a list in launch order and the rack map
 #: as an int32 array; v4 writes the state pickle once, after a header
 #: naming its length, instead of nesting it as bytes in an envelope
-#: pickle.  v1, v2 and v3 files are rejected by name, like a foreign
-#: one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v4"
+#: pickle; v5 pickles each phase's h(r) as ``_speedup``, ``None`` until
+#: first read, where v4 pickled a fitted ``speedup``, and a task that
+#: never launched holds an empty tuple of copies.  v1–v4 files are
+#: rejected by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v5"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

@@ -5,6 +5,11 @@ any of its tasks may start (Eq. 7).  These helpers validate the graph,
 produce topological orders, and compute critical paths over arbitrary
 per-phase length functions — the L_j of Eq. (14) and the remaining-phase
 variant L_j(t) of Eq. (17).
+
+A graph whose every parent index is below its child's is acyclic by
+construction, and its lowest-index-first topological order is
+``0..n-1``; every job's graph has that shape, so the helpers skip
+Kahn's sort for it.
 """
 
 from __future__ import annotations
@@ -21,19 +26,46 @@ __all__ = [
 
 def validate_dag(parents: Sequence[tuple[int, ...]]) -> None:
     """Raise ``ValueError`` unless the phase graph is a proper DAG with
-    in-range parent indices."""
+    integer, in-range parent indices."""
     n = len(parents)
+    ordered = True
     for child, ps in enumerate(parents):
         for p in ps:
+            if type(p) is bool or not isinstance(p, int):
+                raise ValueError(f"phase {child}: parent {p!r} is not an integer")
             if not (0 <= p < n):
                 raise ValueError(f"phase {child}: parent {p} out of range")
             if p == child:
                 raise ValueError(f"phase {child} depends on itself")
-    topological_order(parents)  # raises on a cycle
+            if p > child:
+                ordered = False
+    if not ordered:
+        _kahn_order(parents)  # raises on a cycle
+
+
+def _index_ordered(parents: Sequence[tuple[int, ...]]) -> bool:
+    """True when every parent is an ``int`` below its child's index —
+    the graph of every :class:`~repro.workload.job.Job`, whose phases
+    reject any other parent.  Such a graph is acyclic by construction,
+    and lowest-index-first Kahn visits it in index order."""
+    for child, ps in enumerate(parents):
+        for p in ps:
+            if type(p) is not int or not 0 <= p < child:
+                return False
+    return True
 
 
 def topological_order(parents: Sequence[tuple[int, ...]]) -> list[int]:
-    """A topological order of phase indices (parents before children)."""
+    """A topological order of phase indices (parents before children):
+    the lowest-index-first Kahn order, which is ``0..n-1`` for an
+    index-ordered graph."""
+    if _index_ordered(parents):
+        return list(range(len(parents)))
+    return _kahn_order(parents)
+
+
+def _kahn_order(parents: Sequence[tuple[int, ...]]) -> list[int]:
+    """Kahn's sort, lowest index first; raises on a cycle."""
     n = len(parents)
     indeg = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
@@ -41,7 +73,6 @@ def topological_order(parents: Sequence[tuple[int, ...]]) -> list[int]:
         indeg[child] = len(ps)
         for p in ps:
             children[p].append(child)
-    # Deterministic Kahn: process lowest index first.
     ready = sorted(i for i in range(n) if indeg[i] == 0)
     order: list[int] = []
     while ready:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.resources import Resources
-from repro.workload.distributions import ParetoType1
+from repro.workload.distributions import Deterministic, ParetoType1
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 
@@ -63,9 +63,12 @@ class PhaseSpec:
         if self.num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
         # NaN passes every comparison below and an infinity fails only
-        # mid-run, so both are rejected here, by field name.
+        # mid-run, so both are rejected here, by field name; so is true,
+        # which would run as 1.
         for name in ("theta", "sigma", "cpu", "mem"):
             value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("cpu", "mem"):
@@ -76,6 +79,16 @@ class PhaseSpec:
             raise ValueError("theta must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
+        # A JSON list arrives as a list; a string or a float index would
+        # fail only inside the DAG helpers.
+        parents = self.parents
+        if not isinstance(parents, (list, tuple)):
+            raise ValueError(f"parents must be a list of integers, got {parents!r}")
+        for p in parents:
+            if type(p) is bool or not isinstance(p, int):
+                raise ValueError(f"parents must be a list of integers, got {parents!r}")
+        if type(parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(parents))
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,15 @@ class TraceJobSpec:
             raise ValueError(
                 f"arrival_time must be finite and non-negative, got {self.arrival_time!r}"
             )
+        # Ids are compared and ordered against each other mid-run; "7"
+        # or 7.5 would fail there, far from the line that carried it.
+        job_id = self.job_id
+        if job_id is not None and (type(job_id) is bool or not isinstance(job_id, int)):
+            raise ValueError(f"job_id must be an integer, got {job_id!r}")
+        for k, phase in enumerate(self.phases):
+            for p in phase.parents:
+                if not 0 <= p < k:
+                    raise ValueError(f"parents of phase {k} must lie in [0, {k}), got {p}")
 
     def num_tasks(self) -> int:
         return sum(p.num_tasks for p in self.phases)
@@ -238,7 +260,10 @@ class GoogleTraceGenerator:
 # Spec → Job materialization
 # ----------------------------------------------------------------------
 def jobs_from_specs(specs: Sequence[TraceJobSpec]) -> list[Job]:
-    """Materialize :class:`Job` objects (Pareto-fitted task times)."""
+    """Materialize :class:`Job` objects (Pareto-fitted task times).
+
+    Phases with equal demands share one (frozen) :class:`Resources`."""
+    demands: dict[tuple[float, float], Resources] = {}
     jobs: list[Job] = []
     for spec in specs:
         phases = []
@@ -246,16 +271,18 @@ def jobs_from_specs(specs: Sequence[TraceJobSpec]) -> list[Job]:
             if ps.sigma > 0:
                 dist = ParetoType1.from_moments(ps.theta, ps.sigma)
             else:
-                from repro.workload.distributions import Deterministic
-
                 dist = Deterministic(ps.theta)
+            key = (ps.cpu, ps.mem)
+            demand = demands.get(key)
+            if demand is None:
+                demand = demands[key] = Resources.of(ps.cpu, ps.mem)
             phases.append(
                 Phase(
                     k,
                     ps.num_tasks,
-                    Resources.of(ps.cpu, ps.mem),
+                    demand,
                     dist,
-                    parents=tuple(ps.parents),
+                    parents=ps.parents,
                     name=f"{spec.name}-p{k}",
                 )
             )
@@ -306,7 +333,7 @@ def spec_from_dict(j: dict) -> TraceJobSpec:
             mem=p["mem"],
             theta=p["theta"],
             sigma=p["sigma"],
-            parents=tuple(p["parents"]),
+            parents=p["parents"],
         )
         for p in j["phases"]
     )

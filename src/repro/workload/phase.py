@@ -29,7 +29,7 @@ class Phase:
         "name",
         "demand",
         "distribution",
-        "speedup",
+        "_speedup",
         "parents",
         "tasks",
         "start_delay",
@@ -49,6 +49,9 @@ class Phase:
         speedup: SpeedupFunction | None = None,
         start_delay: float = 0.0,
     ) -> None:
+        # True and 2.5 are not task counts (range() accepts the first).
+        if type(num_tasks) is bool or not isinstance(num_tasks, int):
+            raise ValueError(f"num_tasks must be an integer, got {num_tasks!r}")
         if num_tasks < 1:
             raise ValueError(f"phase needs at least one task, got {num_tasks}")
         if demand.cpu < 0 or demand.mem < 0:
@@ -57,8 +60,14 @@ class Phase:
             raise ValueError(f"demand {field} must be non-negative, got {value!r}")
         if demand.cpu <= 0 and demand.mem <= 0:
             raise ValueError("phase tasks must demand some resource")
-        if any(p >= index for p in parents):
-            raise ValueError("parents must precede the phase (indices < own index)")
+        if type(parents) is not tuple:
+            parents = tuple(parents)
+        for p in parents:
+            # The DAG helpers' index-ordered fast path relies on these two.
+            if type(p) is bool or not isinstance(p, int):
+                raise ValueError(f"parent {p!r} must be an integer phase index")
+            if p >= index:
+                raise ValueError("parents must precede the phase (indices < own index)")
         if start_delay < 0:
             raise ValueError(f"start_delay must be non-negative, got {start_delay}")
         self.job: Optional["Job"] = None  # set by Job.__init__
@@ -66,7 +75,7 @@ class Phase:
         self.name = name if name is not None else f"phase{index}"
         self.demand = demand
         self.distribution = distribution
-        self.parents = tuple(sorted(set(parents)))
+        self.parents = tuple(sorted(set(parents))) if len(parents) > 1 else parents
         #: Seconds after the last parent finishes before this phase's
         #: tasks may launch — models the shuffle/data-transfer gap
         #: between dependent phases (0 = instantaneous handoff).
@@ -78,10 +87,8 @@ class Phase:
         # may be a scan.
         self._finished_count = 0
         self._pending_count = num_tasks
-        if speedup is not None:
-            self.speedup = speedup
-        else:
-            self.speedup = _default_speedup(distribution)
+        # None until the default h(r) is first read (see ``speedup``).
+        self._speedup = speedup
 
     # ------------------------------------------------------------------
     # Statistics (θ, σ, effective processing time)
@@ -95,6 +102,16 @@ class Phase:
     def sigma(self) -> float:
         """σ_j^k — standard deviation of task execution time."""
         return self.distribution.std
+
+    @property
+    def speedup(self) -> SpeedupFunction:
+        """h(r) of Eq. (3): the one given at construction, else the
+        default fitted to (θ, σ) on first read — only the category-target
+        cloning rule reads it, so most phases never pay for the fit."""
+        h = self._speedup
+        if h is None:
+            h = self._speedup = _default_speedup(self.distribution)
+        return h
 
     def effective_time(self, r: float) -> float:
         """e_j^k = θ + r·σ (Sec. 5): the variance-penalized phase length.

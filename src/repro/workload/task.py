@@ -104,6 +104,11 @@ class TaskCopy:
         )
 
 
+#: Read once per task built: Python 3.11 resolves ``TaskState.PENDING``
+#: through a descriptor, about ten times slower than a module global.
+_PENDING = TaskState.PENDING
+
+
 class Task:
     """A single task of a job phase.
 
@@ -125,8 +130,11 @@ class Task:
     def __init__(self, phase: "Phase", index: int) -> None:
         self.phase = phase
         self.index = index
-        self.copies: list[TaskCopy] = []
-        self.state = TaskState.PENDING
+        #: Every copy launched, in launch order: the shared empty tuple
+        #: until the first launch makes it a list, so building a task
+        #: allocates no list for the garbage collector to track.
+        self.copies: list[TaskCopy] | tuple[()] = ()
+        self.state = _PENDING
         self.finish_time: Optional[float] = None
         #: Servers holding this task's input replicas (data locality);
         #: empty means unconstrained.
@@ -176,7 +184,12 @@ class Task:
     def add_copy(self, copy: TaskCopy) -> None:
         if self.state is TaskState.FINISHED:
             raise RuntimeError(f"task {self.uid} already finished")
-        self.copies.append(copy)
+        copies = self.copies
+        if not copies:
+            # Grown by append from empty (four slots): a [copy] literal
+            # holds one and reallocates to eight at the first clone.
+            copies = self.copies = []
+        copies.append(copy)
         self._live_count += 1
         if self.state is TaskState.PENDING:
             self.phase.task_left_pending()

@@ -16,7 +16,10 @@ against the direct forms kept here:
 * :class:`EagerDollyMP` — DollyMP recomputing priorities at every
   arrival;
 * :func:`validate_dag` — phase-graph validation by depth-first search,
-  an oracle independent of the Kahn's-algorithm check in ``src/``.
+  an oracle independent of the Kahn's-algorithm check in ``src/``;
+* :func:`jobs_from_specs` — spec → job materialization in its eager
+  form: a fresh demand vector per phase, h(r) fitted when the phase is
+  built, and every phase graph run through Kahn's sort.
 
 The :func:`reference_kernels` fixture patches the first four into
 production for one test; :class:`EagerDollyMP` is chosen by
@@ -37,7 +40,12 @@ from repro.core.online import DollyMPScheduler
 from repro.core.transient import num_levels
 from repro.schedulers import packing
 from repro.schedulers.tetris import TetrisScheduler
+from repro.resources import Resources
 from repro.sim.actions import Launch
+from repro.workload import dag
+from repro.workload.distributions import Deterministic, ParetoType1
+from repro.workload.job import Job
+from repro.workload.phase import Phase, _default_speedup
 from repro.workload.task import TaskState
 
 
@@ -209,6 +217,8 @@ def validate_dag(parents) -> None:
     n = len(parents)
     for child, ps in enumerate(parents):
         for p in ps:
+            if type(p) is bool or not isinstance(p, int):
+                raise ValueError(f"phase {child}: parent {p!r} is not an integer")
             if not (0 <= p < n):
                 raise ValueError(f"phase {child}: parent {p} out of range")
             if p == child:
@@ -230,6 +240,37 @@ def validate_dag(parents) -> None:
             elif state[nxt] == 0:
                 state[nxt] = 1
                 stack.append((nxt, iter(parents[nxt])))
+
+
+def jobs_from_specs(specs) -> list[Job]:
+    """``repro.workload.google_trace.jobs_from_specs`` in its eager
+    form: one ``Resources.of`` per phase, each phase's h(r) fitted as it
+    is built, and each job's phase graph run through Kahn's sort, which
+    the index-ordered fast path of ``repro.workload.dag`` skips."""
+    jobs = []
+    for spec in specs:
+        phases = []
+        for k, ps in enumerate(spec.phases):
+            if ps.sigma > 0:
+                dist = ParetoType1.from_moments(ps.theta, ps.sigma)
+            else:
+                dist = Deterministic(ps.theta)
+            phases.append(
+                Phase(
+                    k,
+                    ps.num_tasks,
+                    Resources.of(ps.cpu, ps.mem),
+                    dist,
+                    parents=tuple(ps.parents),
+                    name=f"{spec.name}-p{k}",
+                    speedup=_default_speedup(dist),
+                )
+            )
+        dag._kahn_order([p.parents for p in phases])  # raises on a cycle
+        jobs.append(
+            Job(phases, arrival_time=spec.arrival_time, name=spec.name, job_id=spec.job_id)
+        )
+    return jobs
 
 
 def _best_fit_server(cluster, demand):

@@ -314,27 +314,32 @@ class TestLegacyCheckpoint:
     and events wrapped in heap tuples; v3 pickles resident lists in
     launch order and bare ``Event`` tuples.  v1–v3 nest the state pickle
     as bytes inside one envelope pickle; v4 writes a header and then the
-    state.  Older files are rejected by their format name, like a
-    foreign file — nothing revives them."""
+    state, with each phase's fitted h(r) in a ``speedup`` slot that v5
+    renamed ``_speedup``.  Older files are rejected by their format
+    name, like a foreign file — nothing revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v4"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v5"
         engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
         engine.start()
         engine.run_until(60.0)
         payload = checkpoint_bytes(engine)[0]
         stream = io.BytesIO(payload)
         header = pickle.load(stream)
+        state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
-        # The envelope layout every earlier format used.
-        envelope = {
-            "format": name,
-            "info": {**header["info"], "format": name},
-            "state": payload[stream.tell():],
-        }
+        info = {**header["info"], "format": name}
+        if old == "v4":
+            # Header then state, the layout v5 kept.
+            blob = pickle.dumps(
+                {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
+            ) + state
+        else:
+            # The envelope layout every earlier format used.
+            blob = pickle.dumps({"format": name, "info": info, "state": state}, protocol=4)
         path = tmp_path / f"{old}.ckpt"
-        path.write_bytes(pickle.dumps(envelope, protocol=4))
+        path.write_bytes(blob)
         for read in (load_checkpoint, checkpoint_info):
             with pytest.raises(ValueError, match=f"format='{name}'"):
                 read(path)

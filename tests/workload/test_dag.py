@@ -1,9 +1,12 @@
 """Unit tests for DAG helpers (validation, topo order, critical path)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.workload import dag
 from repro.workload.dag import (
     critical_path,
     critical_path_length,
@@ -31,6 +34,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_dag([(1,), (0,)])
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True, False, "0"])
+    def test_non_integer_parent_rejected_by_name(self, bad):
+        # 0.5 and "0" used to fail inside Kahn's sort with a TypeError;
+        # False used to pass as parent 0.
+        with pytest.raises(ValueError, match=f"^phase 2: parent {bad!r} is not an integer"):
+            validate_dag([(), (0,), (bad,)])
+
 
 @st.composite
 def parent_lists(draw):
@@ -56,8 +66,75 @@ class TestValidationOracle:
     @example([(), (1, 1)])
     @example([(1,), (0,)])  # two-node cycle
     @example([(), (0, 0), (1, 0)])  # duplicate edges, acyclic
+    @example([(), (0.5,)])  # float parent
+    @example([(), (0.0,)])
+    @example([(), (), (True,)])  # bool parents
+    @example([(), (False,)])
+    @example([(), ("0",)])  # string parent
     def test_raises_exactly_when_dfs_finds_a_problem(self, parents):
         assert error_of(validate_dag, parents) == error_of(reference.validate_dag, parents)
+
+
+@st.composite
+def index_ordered(draw):
+    """Phase graphs whose every parent precedes its child — the shape of
+    every job's graph — with duplicate edges."""
+    n = draw(st.integers(0, 8))
+    return [
+        tuple(draw(st.lists(st.integers(0, k - 1), max_size=3))) if k else ()
+        for k in range(n)
+    ]
+
+
+@st.composite
+def relabelled(draw):
+    """An index-ordered graph with its phases renumbered, so parents may
+    follow their children: acyclic, but off the fast path."""
+    parents = draw(index_ordered())
+    perm = draw(st.permutations(range(len(parents))))
+    out = [()] * len(parents)
+    for k, ps in enumerate(parents):
+        out[perm[k]] = tuple(perm[p] for p in ps)
+    return out
+
+
+def lengths_of(parents):
+    return lambda k: 1.0 / (k + 3) + 0.1 * len(parents[k])
+
+
+class TestIndexOrderedFastPath:
+    """``topological_order`` returns ``0..n-1`` for index-ordered graphs
+    without running Kahn's sort; the order, and so every float sum over
+    it, equals the sort's."""
+
+    @given(index_ordered())
+    def test_fast_path_order_is_kahns(self, parents):
+        with mock.patch.object(dag, "_kahn_order", side_effect=AssertionError):
+            order = topological_order(parents)
+            validate_dag(parents)
+        assert order == dag._kahn_order(parents) == list(range(len(parents)))
+
+    @given(st.one_of(index_ordered(), relabelled()))
+    def test_same_order_and_critical_path_as_kahn(self, parents):
+        assert topological_order(parents) == dag._kahn_order(parents)
+        length = lengths_of(parents)
+        got = critical_path_length(parents, length, include=lambda k: k % 3 != 1)
+        path = critical_path(parents, length)
+        with mock.patch.object(dag, "topological_order", dag._kahn_order):
+            want = critical_path_length(parents, length, include=lambda k: k % 3 != 1)
+            want_path = critical_path(parents, length)
+        assert got.hex() == want.hex()
+        assert path == want_path
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[(-1,)], [(), (0.5,)], [(), (True,)], [(), (2,), ()]],
+        ids=["negative", "float", "bool", "forward"],
+    )
+    def test_other_graphs_take_kahns_sort(self, parents):
+        with mock.patch.object(dag, "_kahn_order", side_effect=LookupError):
+            with pytest.raises(LookupError):
+                topological_order(parents)
 
 
 class TestTopologicalOrder:

@@ -146,7 +146,7 @@ class TestJsonlErrors:
         specs = GoogleTraceGenerator(seed=3).generate(3, mean_interarrival=5.0)
         rows = [spec_to_dict(s) for s in specs]
         for key, value in bad.items():
-            if key == "arrival_time":
+            if key in ("arrival_time", "job_id"):
                 rows[1][key] = value
             else:
                 rows[1]["phases"][0][key] = value
@@ -182,6 +182,39 @@ class TestJsonlErrors:
         src = JsonlSource(self.lines(num_tasks=value))
         assert src.take().job_id == 0
         with pytest.raises(ValueError, match="^JSONL line 1: num_tasks must be an integer"):
+            src.take()
+
+    @pytest.mark.parametrize("value", ["7", 7.5, True])
+    def test_non_integer_job_id_names_line_and_field(self, value):
+        # "7" among integer ids used to be admitted and crash mid-run,
+        # when priority groups sorted the ids.
+        src = JsonlSource(self.lines(job_id=value))
+        assert src.take().job_id == 0
+        message = f"^JSONL line 1: job_id must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            src.take()
+
+    @pytest.mark.parametrize("value", [["0"], [0.0], [True], 5, "0"])
+    def test_non_integer_parents_name_line_and_field(self, value):
+        src = JsonlSource(self.lines(parents=value))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match="^JSONL line 1: parents must be a list of integers"):
+            src.take()
+
+    @pytest.mark.parametrize("value", [[0], [-1], [3]])
+    def test_parents_outside_preceding_phases_name_line_and_field(self, value):
+        src = JsonlSource(self.lines(parents=value))
+        assert src.take().job_id == 0
+        message = rf"^JSONL line 1: parents of phase 0 must lie in \[0, 0\), got {value[0]}"
+        with pytest.raises(ValueError, match=message):
+            src.take()
+
+    @pytest.mark.parametrize("name", ["theta", "sigma", "cpu", "mem"])
+    def test_bool_number_names_line_and_field(self, name):
+        # true used to run as 1.
+        src = JsonlSource(self.lines(**{name: True}))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match=f"^JSONL line 1: {name} must be a number, got True"):
             src.take()
 
     def test_undecodable_line_named(self):

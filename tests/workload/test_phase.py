@@ -32,9 +32,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^demand {field} must be non-negative"):
             Phase(0, 1, Resources.of(cpu, mem), Deterministic(1.0))
 
+    @pytest.mark.parametrize("n", [True, 2.5])
+    def test_rejects_non_integer_task_count(self, n):
+        # True used to build a 1-task phase; 2.5 failed inside range().
+        with pytest.raises(ValueError, match=f"^num_tasks must be an integer, got {n!r}"):
+            Phase(0, n, Resources.of(1, 1), Deterministic(1.0))
+
     def test_rejects_forward_parents(self):
         with pytest.raises(ValueError):
             Phase(1, 1, Resources.of(1, 1), Deterministic(1.0), parents=(1,))
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True, "0"])
+    def test_rejects_non_integer_parent(self, bad):
+        # 0.5 used to pass here and fail only in the job's Kahn sort.
+        with pytest.raises(ValueError, match=f"^parent {bad!r} must be an integer"):
+            Phase(2, 1, Resources.of(1, 1), Deterministic(1.0), parents=(0, bad))
 
     def test_parents_sorted_and_deduped(self):
         p = Phase(3, 1, Resources.of(1, 1), Deterministic(1.0), parents=(2, 0, 2))
@@ -70,6 +82,14 @@ class TestStatistics:
         h = ParetoSpeedup(2.0)
         p = Phase(0, 1, Resources.of(1, 1), Deterministic(1.0), speedup=h)
         assert p.speedup is h
+
+    def test_default_speedup_fitted_on_first_read(self):
+        p = make_phase(theta=10.0, sigma=4.0)
+        assert p._speedup is None
+        h = p.speedup
+        assert p.speedup is h
+        want = ParetoSpeedup.from_moments(10.0, p.distribution.std)
+        assert h.alpha.hex() == want.alpha.hex()
 
 
 class TestProgress:
