@@ -8,8 +8,8 @@ action is journaled as a frozen :class:`Decision` carrying the
 simulated time, the event cause that opened the scheduling opportunity,
 and the policy that decided — making a whole schedule an auditable,
 serializable sequence of decisions, the representation the
-competitive-analysis literature reasons about and the prerequisite for
-batched application and multi-process sharding.
+competitive-analysis literature reasons about and the basis of batched
+application and of replay.
 
 Three layers:
 

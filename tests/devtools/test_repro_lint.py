@@ -163,3 +163,48 @@ def test_cli_clean_on_real_tree():
 def test_cli_unknown_path():
     proc = _run_cli(["no/such/dir"], cwd=FIXTURE_ROOT)
     assert proc.returncode == 2
+
+
+#: pyproject.toml text → what the one-line error must name.
+_BAD_CONFIGS = {
+    # tomllib names the position of the syntax error.
+    "malformed-toml": ('[tool.repro-lint]\nexclude ["a"]\n', "line 2"),
+    "unknown-key": ('[tool.repro-lint]\nexlude = ["a"]\n', "'exlude'"),
+    # The retired baseline and whole-program settings are unknown too.
+    "stale-baseline-key": ('[tool.repro-lint]\nbaseline = "b.json"\n', "'baseline'"),
+    "stale-whole-program-key": (
+        "[tool.repro-lint]\nwhole-program = false\n",
+        "'whole-program'",
+    ),
+    "unknown-rule": ('[tool.repro-lint.ignore]\nRL404 = ["a"]\n', "'RL404'"),
+    # A bare string would be read as one glob per character, and its
+    # lone `*` would waive RL004 on every file.
+    "string-glob": ('[tool.repro-lint.ignore]\nRL004 = "*/x.py"\n', "RL004"),
+    "string-exclude": ('[tool.repro-lint]\nexclude = "tests/*"\n', "exclude"),
+    "ignore-not-a-table": (
+        '[tool.repro-lint]\nignore = ["a"]\n',
+        "[tool.repro-lint.ignore]",
+    ),
+    "tool-not-a-table": ("tool = 3\n", "[tool.repro-lint]"),
+    "program-root-not-a-string": (
+        "[tool.repro-lint]\nprogram-root = 3\n",
+        "program-root",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_CONFIGS)
+def test_malformed_config_is_usage_error(tmp_path, case):
+    table, named = _BAD_CONFIGS[case]
+    sim = tmp_path / "src" / "repro" / "sim"
+    sim.mkdir(parents=True)
+    (sim / "clock.py").write_text(
+        "import time\n\n\ndef stamp(event):\n    event.t = time.time()\n"
+    )
+    (tmp_path / "pyproject.toml").write_text(table)
+    proc = _run_cli(["src"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert "pyproject.toml" in line
+    assert named in line

@@ -6,10 +6,11 @@ way ``fixtures/lint_tree`` pins the per-file pack: bad fixtures must be
 flagged at exactly the expected lines, good fixtures must stay silent.
 On top of that: graph-construction determinism (same tree ⇒
 byte-identical dump regardless of filesystem listing order), golden
-JSON/SARIF reports, the baseline lifecycle, the CLI exit-code contract,
-git-aware ``--changed-only``, ``--unused-ignores``, and an end-to-end
-"seeded corruption" check that plants a laundered wall-clock read in a
-copy of the real ``src/repro`` and expects the gate to fail.
+JSON/SARIF reports and their line-free fingerprints, the CLI exit-code
+contract, git-aware ``--changed-only``, ``--unused-ignores``, and
+end-to-end "seeded corruption" checks that plant a laundered wall-clock
+read, or module state shared between runs, in a copy of the real
+``src/repro`` and expect the gate to fail.
 """
 
 from __future__ import annotations
@@ -24,18 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from tools.repro_lint import (
-    Baseline,
-    LintConfig,
-    build_program_graph,
-    lint_paths,
-)
-from tools.repro_lint.baseline import (
-    BaselineError,
-    fingerprint_violations,
-    is_baselineable,
-)
-from tools.repro_lint.engine import Violation
+from tools.repro_lint import LintConfig, build_program_graph, lint_paths
+from tools.repro_lint.engine import Violation, fingerprint_violations
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "taint_tree"
 GOLDEN_ROOT = Path(__file__).parent / "fixtures" / "golden"
@@ -128,8 +119,8 @@ def test_allowed_idioms_not_flagged(fixture_violations, filename):
 
 
 def test_messages_never_embed_line_numbers(fixture_violations):
-    """Baseline fingerprints hash (rule, path, message); a line number in
-    the message would invalidate pins on unrelated edits."""
+    """Report fingerprints hash (rule, path, message); a line number in
+    the message would change a finding's fingerprint on unrelated edits."""
     for v in fixture_violations:
         assert f":{v.line}" not in v.message
         assert f"line {v.line}" not in v.message
@@ -207,7 +198,7 @@ def test_findings_filtered_to_lint_targets(fixture_violations):
 
 
 # ----------------------------------------------------------------------
-# Baseline: fingerprints and lifecycle
+# Report fingerprints
 # ----------------------------------------------------------------------
 def _violation(rule="RL014", path="src/repro/x.py", line=3, col=0, message="m"):
     return Violation(rule, path, line, col, message)
@@ -220,78 +211,8 @@ def test_fingerprints_disambiguate_identical_findings():
     fps = fingerprint_violations([a, b, c])
     assert fps[0] != fps[1] != fps[2]
     assert fps[1] == f"{fps[0]}#2"
-    # Line numbers do not enter the hash: shifting code keeps the pin.
+    # Line numbers do not enter the hash: shifting code keeps the fingerprint.
     assert fingerprint_violations([_violation(line=77)])[0] == fps[0]
-
-
-def test_baseline_partition_and_update(tmp_path):
-    path = tmp_path / "baseline.json"
-    a, b = _violation(message="kept"), _violation(message="fixed")
-    Baseline.load(None).updated([a, b]).write(path)
-    loaded = Baseline.load(path)
-    new, baselined, stale = loaded.partition([a, _violation(message="fresh")])
-    assert [v.message for v in new] == ["fresh"]
-    assert [v.message for v in baselined] == ["kept"]
-    assert len(stale) == 1  # the pin for "fixed" no longer matches
-
-
-def test_rl014_under_engine_packages_is_unbaselineable(tmp_path):
-    """RL014 in src/repro/sim/ or src/repro/cluster/ is a hard failure:
-    a pin for it — even one hand-edited into the file — is ignored, and
-    --update-baseline's rewrite refuses to create one."""
-    path = tmp_path / "baseline.json"
-    sim = _violation(path="src/repro/sim/engine.py", message="global leak")
-    cluster = _violation(path="src/repro/cluster/mirror.py", message="global leak")
-    elsewhere = _violation(path="src/repro/workload/arrivals.py", message="global leak")
-
-    written = Baseline.load(None).updated([sim, cluster, elsewhere])
-    assert len(written.entries) == 1  # only the workload finding pinned
-    assert next(iter(written.entries.values()))["path"] == elsewhere.relpath
-
-    # Forge pins for all three; the engine-package ones must not waive.
-    forged = Baseline(
-        path=path,
-        entries={
-            fp: {"rule": v.rule, "path": v.relpath, "message": v.message}
-            for v, fp in zip(
-                [sim, cluster, elsewhere],
-                fingerprint_violations([sim, cluster, elsewhere]),
-            )
-        },
-    )
-    new, baselined, _stale = forged.partition([sim, cluster, elsewhere])
-    assert {v.relpath for v in new} == {sim.relpath, cluster.relpath}
-    assert [v.relpath for v in baselined] == [elsewhere.relpath]
-
-    # Other rules in those packages stay baselineable.
-    assert is_baselineable("RL010", "src/repro/sim/engine.py")
-    assert not is_baselineable("RL014", "src/repro/sim/engine.py")
-    assert not is_baselineable("RL014", "src/repro/cluster/mirror.py")
-    assert is_baselineable("RL014", "src/repro/workload/arrivals.py")
-
-
-def test_baseline_update_preserves_justifications(tmp_path):
-    path = tmp_path / "baseline.json"
-    v = _violation()
-    first = Baseline.load(None).updated([v])
-    fp = next(iter(first.entries))
-    first.entries[fp]["justification"] = "accepted: migration pending"
-    first.write(path)
-    updated = Baseline.load(path).updated([v])
-    assert updated.entries[fp]["justification"] == "accepted: migration pending"
-
-
-def test_baseline_malformed_file_raises(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"format": "wrong/v0", "entries": {}}')
-    with pytest.raises(BaselineError):
-        Baseline.load(path)
-
-
-def test_committed_baseline_is_valid():
-    baseline = Baseline.load(REPO_ROOT / "tools" / "repro_lint" / "baseline.json")
-    for entry in baseline.entries.values():
-        assert entry.get("justification"), "every pin needs a justification"
 
 
 # ----------------------------------------------------------------------
@@ -339,32 +260,6 @@ def test_cli_output_flag_writes_report_and_echoes_text(tmp_path):
     assert proc.returncode == 1
     assert json.loads(out.read_text())["version"] == "2.1.0"
     assert "RL010" in proc.stdout  # findings still readable on stdout
-
-
-def test_cli_baseline_roundtrip(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    update = _run_cli(
-        ["--update-baseline", "--baseline", str(baseline), "src"], cwd=FIXTURE_ROOT
-    )
-    assert update.returncode == 0
-    assert len(json.loads(baseline.read_text())["entries"]) == 17
-    # Pinned findings no longer fail the gate ...
-    rerun = _run_cli(["--baseline", str(baseline), "src"], cwd=FIXTURE_ROOT)
-    assert rerun.returncode == 0, rerun.stdout + rerun.stderr
-    assert rerun.stdout == ""
-    assert "17 baselined" in rerun.stderr
-    # ... but --no-baseline surfaces everything again.
-    bare = _run_cli(
-        ["--no-baseline", "--baseline", str(baseline), "src"], cwd=FIXTURE_ROOT
-    )
-    assert bare.returncode == 1
-
-
-def test_cli_malformed_baseline_is_usage_error(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("not json at all")
-    proc = _run_cli(["--baseline", str(bad), "src"], cwd=FIXTURE_ROOT)
-    assert proc.returncode == 2
 
 
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
@@ -438,9 +333,13 @@ def test_cli_unused_ignores(tmp_path):
 # ----------------------------------------------------------------------
 # End-to-end: a seeded corruption of the real tree must fail the gate
 # ----------------------------------------------------------------------
-def test_gate_catches_laundered_wall_clock_in_real_tree(tmp_path):
+def _copy_real_tree(tmp_path):
     shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
     shutil.copy(REPO_ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
+
+
+def test_gate_catches_laundered_wall_clock_in_real_tree(tmp_path):
+    _copy_real_tree(tmp_path)
     before = _run_cli(["src"], cwd=tmp_path)
     assert before.returncode == 0, before.stdout + before.stderr
 
@@ -476,3 +375,33 @@ def test_gate_catches_laundered_wall_clock_in_real_tree(tmp_path):
     assert after.returncode == 1, after.stdout + after.stderr
     assert "RL010" in after.stdout
     assert "_wallclock_bad.py" in after.stdout
+
+
+def test_gate_fails_rl014_in_every_package(tmp_path):
+    """Module state that a function mutates outlives one engine, and the
+    identity matrix and this suite run many engines per process: RL014
+    fails the gate wherever in ``src/repro`` it appears."""
+    _copy_real_tree(tmp_path)
+    planted = [
+        f"src/repro/{pkg}/_shared_bad.py" for pkg in ("sim", "cluster", "workload")
+    ]
+    for relpath in planted:
+        (tmp_path / relpath).write_text(
+            textwrap.dedent(
+                '''
+                """Deliberately corrupt fixture: state shared between runs."""
+
+                _SEEN = {}
+
+
+                def remember(key, value):
+                    _SEEN[key] = value
+                '''
+            ).lstrip()
+        )
+    proc = _run_cli(["src"], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    flagged = {
+        line.split(":", 1)[0] for line in proc.stdout.splitlines() if " RL014 " in line
+    }
+    assert flagged == set(planted)

@@ -1,11 +1,11 @@
 """The CI gate wiring: every gate named resolves to something that exists.
 
 ``tools/check.sh`` names the gates ``make check`` runs, CI calls make
-targets, the Makefile runs Python modules, and the benchmark's traced run
-wraps program functions by name.  A recipe left pointing at a deleted
-module, a gate list naming a deleted target, or a traced layer naming a
-renamed method fails here in the test suite instead of in the gate
-itself.
+targets, the Makefile runs Python modules with flags, and the
+benchmark's traced run wraps program functions by name.  A recipe left
+pointing at a deleted module or passing a deleted flag, a gate list
+naming a deleted target, or a traced layer naming a renamed method fails
+here in the test suite instead of in the gate itself.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MAKEFILE = (ROOT / "Makefile").read_text()
@@ -53,6 +56,21 @@ def test_makefile_python_modules_resolve():
     assert modules
     missing = [m for m in modules if importlib.util.find_spec(m) is None]
     assert missing == []
+
+
+def test_make_lint_arguments_parse():
+    """The ``make lint`` recipe passes only arguments repro-lint accepts,
+    and its targets exist."""
+    from tools.repro_lint.engine import _build_parser
+
+    (recipe,) = re.findall(r"^lint:\n((?:\t.*\n)+)", MAKEFILE, flags=re.MULTILINE)
+    command = shlex.split(recipe.replace("\\\n", " "))
+    assert command[:3] == ["$(PYTHON)", "-m", "tools.repro_lint"]
+    try:
+        args = _build_parser().parse_args(command[3:])
+    except SystemExit:
+        pytest.fail(f"repro-lint rejects the `make lint` arguments {command[3:]}")
+    assert [t for t in args.targets if not (ROOT / t).exists()] == []
 
 
 def test_benchmark_layers_resolve():

@@ -40,8 +40,9 @@ RL012     iteration-order-dependent values (``id``/``hash``/set order)
           reaching decision sinks
 RL013     per-server state mutated through aliases or param-mutating
           helpers outside the owner module (escape analysis)
-RL014     shard-unsafe shared state: module-level mutable containers,
-          class-level containers, class-attribute writes from methods
+RL014     mutable state shared between runs in one process:
+          module-level mutable containers, class-level containers,
+          class-attribute writes from methods
 ========  ==============================================================
 
 Run it from the repository root::
@@ -52,17 +53,14 @@ Run it from the repository root::
     python -m tools.repro_lint --list-rules
 
 Findings print as ``path:line:col: RLxxx message``.  Exit codes: 0 clean,
-1 new findings, 2 usage error, 3 internal linter error.  Pre-existing
-accepted findings are pinned (with justifications) in the committed
-baseline (``tools/repro_lint/baseline.json``, see
-:mod:`tools.repro_lint.baseline`); per-rule ignore globs live in
+1 findings, 2 usage error, 3 internal linter error.  Every finding fails
+the run unless it is waived: per-rule ignore globs live in
 ``[tool.repro-lint]`` in ``pyproject.toml``; a single line can be
 exempted with ``# repro-lint: ignore[RL003]`` (or a bare
 ``# repro-lint: ignore`` for all rules).
 """
 
-from tools.repro_lint.baseline import Baseline
-from tools.repro_lint.config import LintConfig
+from tools.repro_lint.config import ConfigError, LintConfig
 from tools.repro_lint.dataflow import run_whole_program
 from tools.repro_lint.engine import Violation, lint_file, lint_paths, main
 from tools.repro_lint.graph import ProgramGraph, build_program_graph
@@ -70,7 +68,7 @@ from tools.repro_lint.rules import ALL_RULES, RULE_CATALOG
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
+    "ConfigError",
     "LintConfig",
     "ProgramGraph",
     "RULE_CATALOG",

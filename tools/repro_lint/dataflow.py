@@ -33,17 +33,18 @@ array into a helper — in any module — that mutates its parameter
 (summaries computed to a fixpoint, so a pass-through wrapper is caught
 too).
 
-**Shard-safety pre-check (RL014).**  Inventories the state that blocks
-partitioning the engine across shards (ROADMAP Open item 2): module-
-level mutable containers (flagged harder when some function actually
-mutates them), class-level mutable containers (shared by every
-instance), and class-attribute writes from instance methods.  Module-
-scope initialization (building a table right after binding it) is not
-treated as mutation.
+**State shared between runs (RL014).**  Inventories mutable state that
+outlives one engine: module-level mutable containers (flagged harder
+when some function actually mutates them), class-level mutable
+containers (shared by every instance), and class-attribute writes from
+instance methods.  The identity matrix and the test suite run many
+engines in one process, so such state lets one run change the next and
+breaks the determinism contract.  Module-scope initialization (building
+a table right after binding it) is not treated as mutation.
 
 All passes iterate sorted structures only, so findings come out in a
 deterministic order with deterministic messages.  Messages name
-functions and modules, never line numbers, so baseline fingerprints
+functions and modules, never line numbers, so report fingerprints
 survive unrelated edits.
 """
 
@@ -602,7 +603,7 @@ def _escape_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
 
 
 # ======================================================================
-# RL014 — shard-safety pre-check
+# RL014 — mutable state shared between runs
 # ======================================================================
 
 
@@ -683,7 +684,7 @@ def _find_global_mutation(
     return None
 
 
-def _shard_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
+def _shared_state_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
     # (a) module-level mutable containers
     for modname in sorted(graph.modules):
         info = graph.modules[modname]
@@ -700,15 +701,15 @@ def _shard_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                 if mutator is not None:
                     msg = (
                         f"module-level mutable `{name}` is mutated by "
-                        f"`{mutator}` — process-global state cannot be "
-                        "partitioned across shards; move it into per-run "
-                        "engine state"
+                        f"`{mutator}` — process-global state leaks from one "
+                        "run into the next; move it into per-run engine "
+                        "state"
                     )
                 else:
                     msg = (
                         f"module-level mutable container `{name}` — freeze "
-                        "it (tuple/frozenset/MappingProxyType) so shard "
-                        "workers can never diverge through shared "
+                        "it (tuple/frozenset/MappingProxyType) so runs in "
+                        "one process can never diverge through shared "
                         "module state"
                     )
                 yield ProgramFinding(
@@ -767,7 +768,7 @@ def _shard_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                         target.lineno,
                         target.col_offset,
                         f"`{qname}` writes class attribute `{hit}` — the "
-                        "write is visible to every instance on the shard; "
+                        "write is visible to every instance in the process; "
                         "store per-run state on the instance instead",
                     )
 
@@ -782,6 +783,6 @@ def run_whole_program(graph: ProgramGraph) -> list[ProgramFinding]:
     findings: list[ProgramFinding] = []
     findings.extend(_taint_findings(graph))
     findings.extend(_escape_findings(graph))
-    findings.extend(_shard_findings(graph))
+    findings.extend(_shared_state_findings(graph))
     findings.sort(key=lambda f: (f.relpath, f.line, f.col, f.rule, f.message))
     return findings

@@ -14,15 +14,13 @@ The pipeline per run:
    whole-program rules.  With ``--unused-ignores``, suppression comments
    that never matched a finding are reported as RL009 — stale waivers
    hide future regressions.
-4. **Baseline**: findings fingerprinted in the committed baseline file
-   are reported as baselined (visible in JSON/SARIF, counted in the
-   summary) but do not fail the run; anything new does.
 
-Exit codes are distinct and stable::
+Every finding that survives the suppressions fails the run.  Exit codes
+are distinct and stable::
 
-    0  clean (possibly modulo baseline)
-    1  new findings
-    2  usage error (unknown path, bad flags)
+    0  clean
+    1  findings
+    2  usage error (unknown path, bad flags, bad ``[tool.repro-lint]``)
     3  internal error (the linter itself crashed)
 """
 
@@ -30,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import re
 import subprocess
@@ -39,13 +38,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from tools.repro_lint.baseline import Baseline, BaselineError, fingerprint_violations
-from tools.repro_lint.config import LintConfig
+from tools.repro_lint.config import ConfigError, LintConfig
 from tools.repro_lint.dataflow import run_whole_program
 from tools.repro_lint.graph import build_program_graph
 from tools.repro_lint.rules import ALL_RULES, RULE_CATALOG, FileContext, build_import_map
 
-__all__ = ["Violation", "lint_file", "lint_paths", "main"]
+__all__ = ["Violation", "fingerprint_violations", "lint_file", "lint_paths", "main"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -67,6 +65,26 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.relpath}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+def fingerprint_violations(violations: Sequence[Violation]) -> list[str]:
+    """One report fingerprint per violation, positionally aligned.
+
+    A fingerprint is ``sha256(rule | path | message)`` truncated to 16
+    hex chars.  Line numbers are left out (and messages never embed
+    them), so a finding keeps its fingerprint when unrelated edits shift
+    the code.  Duplicate (rule, path, message) triples get ``#2``,
+    ``#3``… suffixes in (line, col) order."""
+    counts: dict[str, int] = {}
+    out: list[str] = []
+    for v in violations:
+        base = hashlib.sha256(
+            "\0".join((v.rule, v.relpath, v.message)).encode("utf-8")
+        ).hexdigest()[:16]
+        n = counts.get(base, 0) + 1
+        counts[base] = n
+        out.append(base if n == 1 else f"{base}#{n}")
+    return out
 
 
 def _suppressed_rules(source_line: str) -> frozenset[str] | None:
@@ -177,18 +195,17 @@ def lint_paths(
     root: Path | str | None = None,
     config: LintConfig | None = None,
     *,
-    whole_program: bool = True,
     unused_ignores: bool = False,
 ) -> list[Violation]:
     """Lint every ``.py`` file under the targets.
 
     ``root`` anchors relative paths for rule scoping and config globs
     (default: the current working directory).  ``config`` defaults to
-    the ``[tool.repro-lint]`` table of ``<root>/pyproject.toml``.  The
-    whole-program passes run over ``config.program_root`` when it exists
-    and ``whole_program`` is true; their findings are filtered to files
-    under the targets.  With ``unused_ignores``, stale inline waivers
-    are reported as RL009.
+    the ``[tool.repro-lint]`` table of ``<root>/pyproject.toml``
+    (:class:`ConfigError` when that table is malformed).  The
+    whole-program passes run over ``config.program_root`` when it
+    exists; their findings are filtered to files under the targets.
+    With ``unused_ignores``, stale inline waivers are reported as RL009.
     """
     root = Path(root).resolve() if root is not None else Path.cwd()
     if config is None:
@@ -215,46 +232,45 @@ def lint_paths(
             if supp is not None:
                 suppressions[supp.relpath] = supp
 
-    if whole_program and config.whole_program:
-        graph = build_program_graph(root, config.program_root)
-        if graph is not None:
-            for relpath, line, msg in graph.syntax_errors:
-                if _under_targets(relpath, target_rels) and not config.is_excluded(
-                    relpath
-                ):
-                    violations.append(
-                        Violation("RL000", relpath, line, 0, f"syntax error: {msg}")
-                    )
-            for finding in run_whole_program(graph):
-                if config.is_excluded(finding.relpath):
-                    continue
-                if config.is_ignored(finding.rule, finding.relpath):
-                    continue
-                supp = suppressions.get(finding.relpath)
-                if supp is None and (root / finding.relpath).is_file():
-                    # File not among the targets: still honor its inline
-                    # waivers, but never report its unused ones.
-                    supp = _Suppressions(
-                        finding.relpath,
-                        (root / finding.relpath).read_text().splitlines(),
-                    )
-                if supp is not None and supp.waives(finding.rule, finding.line):
-                    # Mark usage on the *linted* copy too so RL009 agrees.
-                    linted = suppressions.get(finding.relpath)
-                    if linted is not None:
-                        linted.waives(finding.rule, finding.line)
-                    continue
-                if not _under_targets(finding.relpath, target_rels):
-                    continue
+    graph = build_program_graph(root, config.program_root)
+    if graph is not None:
+        for relpath, line, msg in graph.syntax_errors:
+            if _under_targets(relpath, target_rels) and not config.is_excluded(
+                relpath
+            ):
                 violations.append(
-                    Violation(
-                        finding.rule,
-                        finding.relpath,
-                        finding.line,
-                        finding.col,
-                        finding.message,
-                    )
+                    Violation("RL000", relpath, line, 0, f"syntax error: {msg}")
                 )
+        for finding in run_whole_program(graph):
+            if config.is_excluded(finding.relpath):
+                continue
+            if config.is_ignored(finding.rule, finding.relpath):
+                continue
+            supp = suppressions.get(finding.relpath)
+            if supp is None and (root / finding.relpath).is_file():
+                # File not among the targets: still honor its inline
+                # waivers, but never report its unused ones.
+                supp = _Suppressions(
+                    finding.relpath,
+                    (root / finding.relpath).read_text().splitlines(),
+                )
+            if supp is not None and supp.waives(finding.rule, finding.line):
+                # Mark usage on the *linted* copy too so RL009 agrees.
+                linted = suppressions.get(finding.relpath)
+                if linted is not None:
+                    linted.waives(finding.rule, finding.line)
+                continue
+            if not _under_targets(finding.relpath, target_rels):
+                continue
+            violations.append(
+                Violation(
+                    finding.rule,
+                    finding.relpath,
+                    finding.line,
+                    finding.col,
+                    finding.message,
+                )
+            )
 
     if unused_ignores:
         for relpath in sorted(suppressions):
@@ -283,19 +299,13 @@ def lint_paths(
 # ----------------------------------------------------------------------
 
 
-def _render_text(new: list[Violation]) -> str:
-    return "".join(f"{v}\n" for v in new)
+def _render_text(violations: list[Violation]) -> str:
+    return "".join(f"{v}\n" for v in violations)
 
 
-def _render_json(new: list[Violation], baselined: list[Violation]) -> str:
-    everything = sorted(
-        [(v, "new") for v in new] + [(v, "baselined") for v in baselined],
-        key=lambda pair: (pair[0].relpath, pair[0].line, pair[0].col, pair[0].rule),
-    )
-    fps = fingerprint_violations([v for v, _ in everything])
+def _render_json(violations: list[Violation]) -> str:
     payload = {
-        "format": "repro-lint/v1",
-        "counts": {"new": len(new), "baselined": len(baselined)},
+        "format": "repro-lint/v2",
         "violations": [
             {
                 "rule": v.rule,
@@ -304,25 +314,17 @@ def _render_json(new: list[Violation], baselined: list[Violation]) -> str:
                 "col": v.col,
                 "message": v.message,
                 "fingerprint": fp,
-                "status": status,
             }
-            for (v, status), fp in zip(everything, fps)
+            for v, fp in zip(violations, fingerprint_violations(violations))
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _render_sarif(new: list[Violation], baselined: list[Violation]) -> str:
-    """SARIF 2.1.0 — baselined findings carry an external suppression so
-    viewers show them muted while new findings surface normally."""
-    everything = sorted(
-        [(v, True) for v in new] + [(v, False) for v in baselined],
-        key=lambda pair: (pair[0].relpath, pair[0].line, pair[0].col, pair[0].rule),
-    )
-    fps = fingerprint_violations([v for v, _ in everything])
-    results = []
-    for (v, is_new), fp in zip(everything, fps):
-        result = {
+def _render_sarif(violations: list[Violation]) -> str:
+    """SARIF 2.1.0, one error-level result per finding."""
+    results = [
+        {
             "ruleId": v.rule,
             "level": "error",
             "message": {"text": v.message},
@@ -342,9 +344,8 @@ def _render_sarif(new: list[Violation], baselined: list[Violation]) -> str:
                 }
             ],
         }
-        if not is_new:
-            result["suppressions"] = [{"kind": "external"}]
-        results.append(result)
+        for v, fp in zip(violations, fingerprint_violations(violations))
+    ]
     payload = {
         "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
         "version": "2.1.0",
@@ -428,23 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "echoed as text to stdout so the gate output stays readable",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file (default: [tool.repro-lint] baseline, "
-        "tools/repro_lint/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to pin exactly the current findings "
-        "(keeps existing justifications) and exit 0",
-    )
-    parser.add_argument(
         "--changed-only",
         action="store_true",
         help="only report findings in files changed vs HEAD (git-aware "
@@ -454,11 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--unused-ignores",
         action="store_true",
         help="flag stale `# repro-lint: ignore[...]` comments as RL009",
-    )
-    parser.add_argument(
-        "--no-whole-program",
-        action="store_true",
-        help="skip the cross-module passes (RL010+); per-file rules only",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -473,36 +452,14 @@ def _run(args: argparse.Namespace) -> int:
         print(f"repro-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
 
-    config = LintConfig.load(root)
+    try:
+        config = LintConfig.load(root)
+    except ConfigError as exc:
+        print(f"repro-lint: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     violations = lint_paths(
-        args.targets,
-        root=root,
-        config=config,
-        whole_program=not args.no_whole_program,
-        unused_ignores=args.unused_ignores,
+        args.targets, root=root, config=config, unused_ignores=args.unused_ignores
     )
-
-    baseline_path = Path(args.baseline) if args.baseline else root / config.baseline
-    if args.no_baseline:
-        baseline = Baseline(path=None)
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    if args.update_baseline:
-        updated = baseline.updated(violations)
-        updated.write(baseline_path)
-        print(
-            f"repro-lint: baseline updated with {len(updated.entries)} "
-            f"entr{'y' if len(updated.entries) == 1 else 'ies'} at {baseline_path}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-
-    new, baselined, stale = baseline.partition(violations)
 
     if args.changed_only:
         changed = _changed_relpaths(root)
@@ -513,38 +470,31 @@ def _run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            new = [v for v in new if v.relpath in changed]
+            violations = [v for v in violations if v.relpath in changed]
 
     if args.format == "json":
-        report = _render_json(new, baselined)
+        report = _render_json(violations)
     elif args.format == "sarif":
-        report = _render_sarif(new, baselined)
+        report = _render_sarif(violations)
     else:
-        report = _render_text(new)
+        report = _render_text(violations)
 
     if args.output:
         out_path = Path(args.output)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(report)
-        sys.stdout.write(_render_text(new))
+        sys.stdout.write(_render_text(violations))
     else:
         sys.stdout.write(report)
 
-    for fp in stale:
-        entry = baseline.entries[fp]
-        print(
-            f"repro-lint: stale baseline entry {fp} ({entry.get('rule')} in "
-            f"{entry.get('path')}) no longer matches — run --update-baseline",
-            file=sys.stderr,
-        )
-    if new or baselined:
-        extra = f", {len(baselined)} baselined" if baselined else ""
-        print(
-            f"repro-lint: {len(new)} violation(s) in "
-            f"{len({v.relpath for v in new})} file(s){extra}",
-            file=sys.stderr,
-        )
-    return EXIT_FINDINGS if new else EXIT_CLEAN
+    if not violations:
+        return EXIT_CLEAN
+    print(
+        f"repro-lint: {len(violations)} violation(s) in "
+        f"{len({v.relpath for v in violations})} file(s)",
+        file=sys.stderr,
+    )
+    return EXIT_FINDINGS
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -342,7 +342,7 @@ class ProgramGraph:
             # Unique-method fallback: exactly one program class defines a
             # method with this name → assume the call lands there.  This
             # buys cross-module reach on untyped code at the cost of rare
-            # false positives, which the baseline absorbs.
+            # false positives, which an inline or per-rule waiver absorbs.
             candidates = self._method_index.get(func.attr, ())
             if len(candidates) == 1:
                 return candidates[0]

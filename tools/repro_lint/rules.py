@@ -668,5 +668,5 @@ RULE_CATALOG: dict[str, str] = {
     "RL011": "unseeded/global RNG value reaches a decision sink through helper calls",
     "RL012": "iteration-order-dependent value (id/hash/set order) reaches a decision sink",
     "RL013": "per-server state mutated via alias or helper escape outside the owner module",
-    "RL014": "shard-unsafe shared state (module globals, class-level containers, class-attr writes)",
+    "RL014": "mutable state shared between runs in one process (module globals, class-level containers, class-attr writes)",
 }
