@@ -32,7 +32,7 @@ from repro.core.volume import JobMeasure, phase_dominant_share
 from repro.workload.dag import critical_path_length
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import ClusterView
@@ -82,27 +82,24 @@ class PhaseStatsEstimator:
 
     @staticmethod
     def _phase_durations(phase: Phase) -> list[float]:
-        """Winner-copy durations of the phase's finished tasks."""
+        """Winner-copy durations of the phase's finished tasks, read
+        from their ledgers."""
         out = []
         for task in phase.tasks:
-            if task.state is TaskState.FINISHED:
-                for copy in task.copies:
-                    if copy.finished:
-                        out.append(copy.duration)
-                        break
+            ledger = task.ledger
+            if ledger is not None and ledger.winner_duration is not None:
+                out.append(ledger.winner_duration)
         return out
 
     def record_task(self, task: Task) -> None:
         """Fold a finished task's winner duration into the history."""
-        job = task.job
-        key = self._key(job, task.phase)
-        for copy in task.copies:
-            if copy.finished:
-                hist = self._history.setdefault(key, [])
-                hist.append(copy.duration)
-                if len(hist) > self.max_history:
-                    del hist[: len(hist) - self.max_history]
-                break
+        ledger = task.ledger
+        if ledger is None or ledger.winner_duration is None:
+            return
+        hist = self._history.setdefault(self._key(task.job, task.phase), [])
+        hist.append(ledger.winner_duration)
+        if len(hist) > self.max_history:
+            del hist[: len(hist) - self.max_history]
 
     def history_size(self, job: Job, phase: Phase) -> int:
         return len(self._history.get(self._key(job, phase), ()))

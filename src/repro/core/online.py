@@ -208,6 +208,10 @@ class DollyMPScheduler(Scheduler):
         for jid, j in self._roster.items():
             m = snaps.get(jid)
             if m is None:
+                # A job that finished in the window answers with the
+                # snapshot its first task finish took; release() left
+                # nothing to re-measure.
+                assert not j.released, f"job {jid} finished without an at-arrival snapshot"
                 m = cache.get(jid)
                 if m is None:  # defensive; the arm invariant covers this
                     m = measure_job(j, total, r=self.r)

@@ -99,7 +99,12 @@ class StragglerServerTracker:
         feed the win-rate signal (killed copies are censored — their
         durations are NOT used, which would bias estimates, but their
         *losses* are exactly the evidence that identifies slow servers).
+        Needs each copy's server, which the task's ledger does not keep:
+        call it from ``on_task_finish``, before the engine folds the
+        copies away.
         """
+        if len(task.copies) != task.num_copies:
+            raise RuntimeError(f"task {task.uid}: copies already folded into its ledger")
         theta = task.phase.theta
         k = len(task.copies)
         for copy in task.copies:

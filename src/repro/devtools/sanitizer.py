@@ -389,14 +389,15 @@ class SimulationSanitizer:
                         )
                     # Fault-killed copies don't count against the
                     # lifetime cap (they never competed for the task).
+                    launched = task.num_copies
                     if (
                         lifetime_cap is not None
-                        and len(task.copies) - task.fault_losses > lifetime_cap
+                        and launched - task.fault_losses > lifetime_cap
                     ):
                         out.append(
                             SanitizerViolation(
                                 InvariantKind.CLONE_BOUND,
-                                f"{len(task.copies)} total copies "
+                                f"{launched} total copies "
                                 f"({task.fault_losses} fault losses) exceed "
                                 f"max_copies_per_task={lifetime_cap}",
                                 event,

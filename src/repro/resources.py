@@ -87,9 +87,6 @@ class Resources:
             self.cpu <= capacity.cpu + EPS and self.mem <= capacity.mem + EPS
         )
 
-    def is_nonnegative(self) -> bool:
-        return self.cpu >= -EPS and self.mem >= -EPS
-
     def is_zero(self) -> bool:
         return abs(self.cpu) <= EPS and abs(self.mem) <= EPS
 

@@ -69,9 +69,13 @@ __all__ = [
 #: naming its length, instead of nesting it as bytes in an envelope
 #: pickle; v5 pickles each phase's h(r) as ``_speedup``, ``None`` until
 #: first read, where v4 pickled a fitted ``speedup``, and a task that
-#: never launched holds an empty tuple of copies.  v1–v4 files are
+#: never launched holds an empty tuple of copies; v6 holds only live
+#: work: a finished task keeps a ``ledger`` in place of its copies
+#: (and of v5's ``finish_time`` slot), a finished job is present only
+#: as its ``JobRecord`` in ``records`` (v5 kept every finished job in
+#: ``finished_jobs`` and every job in ``jobs``).  v1–v5 files are
 #: rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v5"
+CHECKPOINT_FORMAT = "repro-checkpoint-v6"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each
@@ -114,8 +118,8 @@ def _info_for(engine: "SimulationEngine", digest: str) -> CheckpointInfo:
         format=CHECKPOINT_FORMAT,
         sim_time=engine.now,
         events_processed=engine.events_processed,
-        jobs_total=len(engine.jobs),
-        jobs_finished=len(engine.finished_jobs),
+        jobs_total=len(engine._job_ids),
+        jobs_finished=len(engine.records),
         jobs_active=len(engine.active_jobs),
         arrivals_consumed=engine.arrivals.consumed,
         scheduler=engine.scheduler.name,

@@ -80,7 +80,7 @@ from repro.sim.actions import (
     Recover,
 )
 from repro.sim.events import BASE_EVENT_KINDS, EventKind, EventQueue
-from repro.sim.metrics import SimulationResult, build_result
+from repro.sim.metrics import JobRecord, SimulationResult, build_result, record_for_job
 from repro.workload.arrivals import ArrivalSource, StaticSource
 from repro.workload.job import Job
 from repro.workload.task import Task, TaskCopy, TaskState
@@ -178,12 +178,13 @@ class SimulationEngine:
         # A plain job list — today's callers, and an *empty* list for a
         # session that starts idle — wraps into the eager StaticSource,
         # which start() primes exactly like the pre-session engine did.
-        if isinstance(jobs, ArrivalSource):
-            self.arrivals: ArrivalSource = jobs
-            self.jobs = sorted(jobs.initial_jobs(), key=lambda j: j.arrival_time)
-        else:
-            self.jobs = sorted(jobs, key=lambda j: j.arrival_time)
-            self.arrivals = StaticSource(self.jobs)
+        # `jobs` holds the known workload only until start() queues its
+        # arrivals; from then on the engine names a job only while it is
+        # queued or active, and a finished one only by its record.
+        if not isinstance(jobs, ArrivalSource):
+            jobs = StaticSource(jobs)
+        self.arrivals: ArrivalSource = jobs
+        self.jobs = sorted(jobs.initial_jobs(), key=lambda j: j.arrival_time)
         self.schedule_interval = float(schedule_interval)
         self.max_time = float(max_time)
         self.max_copies_per_task = max_copies_per_task
@@ -196,7 +197,9 @@ class SimulationEngine:
         self.now = 0.0
         self.events = EventQueue()
         self.active_jobs: dict[int, Job] = {}
-        self.finished_jobs: list[Job] = []
+        #: One record per finished job, in finish order (build_result
+        #: sorts them by job id).
+        self.records: list[JobRecord] = []
         self.view = ClusterView(self)
 
         # Fault injection (DESIGN.md §5.5).  The injector owns a third
@@ -504,14 +507,18 @@ class SimulationEngine:
         if copy.live:
             return
         state = "finished" if copy.finished else "killed"
+        # A finished task has folded its copy list, so its dead copies
+        # no longer have an index to report.
+        copies = copy.task.copies
+        index = next((i for i, c in enumerate(copies) if c is copy), None)
         raise InvalidAction(
             f"kill of already-{state} copy {copy.task.uid}#"
-            f"{copy.task.copies.index(copy)} on server {copy.server_id} "
+            f"{'?' if index is None else index} on server {copy.server_id} "
             f"at t={self.now:g} — occupancy was already released",
             kind="kill",
             time=self.now,
             task_uid=copy.task.uid,
-            copy_index=copy.task.copies.index(copy),
+            copy_index=index,
             server_id=copy.server_id,
         )
 
@@ -764,15 +771,21 @@ class SimulationEngine:
         if ins is not None and kills:
             ins.preempt_kills.inc(kills)
         self._policy_entry("task_finish", self.scheduler.on_task_finish, task)
+        # The hook was the last reader of the copies (DESIGN.md §5.8).
+        task.fold()
         job = task.job
         if job.mark_finished_if_done(self.now):
             del self.active_jobs[job.job_id]
-            self.finished_jobs.append(job)
             if ins is not None:
                 assert job.finish_time is not None
                 ins.job_flowtime.observe(job.finish_time - job.arrival_time)
                 ins.active_jobs.set(len(self.active_jobs))
             self._policy_entry("job_finish", self.scheduler.on_job_finish, job)
+            # The job leaves as its record: everything the record reads
+            # is final, and releasing the graph lets reference counting
+            # free it now instead of at a rare full collection.
+            self.records.append(record_for_job(job))
+            job.release()
         elif task.phase.is_finished:
             self._arm_delayed_children(job, task.phase)
 
@@ -938,10 +951,12 @@ class SimulationEngine:
         self._run_t0 = _wallclock.perf_counter()
         first_arrival: float | None = None
         if self.arrivals.eager:
-            for job in self.jobs:
+            # Once queued, a job is named by its arrival event alone.
+            jobs, self.jobs = self.jobs, []
+            for job in jobs:
                 self.events.push(job.arrival_time, EventKind.JOB_ARRIVAL, job)
-            if self.jobs:
-                first_arrival = self.jobs[0].arrival_time
+            if jobs:
+                first_arrival = jobs[0].arrival_time
         else:
             job = self._pull_arrival()
             if job is not None:
@@ -996,7 +1011,6 @@ class SimulationEngine:
             )
         if job.job_id in self._job_ids:
             raise ValueError(f"job {job.job_id}: duplicate job id in this session")
-        self.jobs.append(job)
         self._job_ids.add(job.job_id)
         self._pending_arrivals += 1
         self._halted = False

@@ -189,7 +189,11 @@ class SimulationResult:
 
 
 def record_for_job(job: "Job") -> JobRecord:
-    """Build the per-job record from a finished job's task copies."""
+    """Build the per-job record from a finished job's task ledgers.
+
+    Usage adds one product per copy, in (phase, task, launch) order —
+    the order a walk over the copies themselves would take, so the sums
+    are bit-identical to it."""
     if job.finish_time is None:
         raise ValueError(f"job {job.job_id} has not finished")
     first_start = job.first_start_time()
@@ -200,15 +204,18 @@ def record_for_job(job: "Job") -> JobRecord:
     cpu_seconds = 0.0
     mem_seconds = 0.0
     for phase in job.phases:
+        cpu = phase.demand.cpu
+        mem = phase.demand.mem
         for task in phase.tasks:
-            num_copies += len(task.copies)
-            clones_here = sum(1 for c in task.copies if c.is_clone)
-            num_clones += clones_here
-            if clones_here:
+            ledger = task.ledger
+            assert ledger is not None, f"task {task.uid} has not finished"
+            num_copies += len(ledger.durations)
+            num_clones += ledger.clones
+            if ledger.clones:
                 tasks_with_clones += 1
-            for c in task.copies:
-                cpu_seconds += phase.demand.cpu * c.duration
-                mem_seconds += phase.demand.mem * c.duration
+            for d in ledger.durations:
+                cpu_seconds += cpu * d
+                mem_seconds += mem * d
     return JobRecord(
         job_id=job.job_id,
         name=job.name,
@@ -226,9 +233,7 @@ def record_for_job(job: "Job") -> JobRecord:
 
 
 def build_result(engine: "SimulationEngine") -> SimulationResult:
-    records = tuple(
-        record_for_job(j) for j in sorted(engine.finished_jobs, key=lambda j: j.job_id)
-    )
+    records = tuple(sorted(engine.records, key=lambda r: r.job_id))
     return SimulationResult(
         scheduler_name=engine.scheduler.name,
         records=records,

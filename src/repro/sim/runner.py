@@ -7,9 +7,8 @@ when comparing schedulers on "the same" workload — see
 :func:`compare_schedulers`.
 
 ``compare_schedulers`` additionally supports multi-seed sweeps
-(``seeds=[...]``) and parallel execution (``workers=N``) so benchmark
-sweeps use all cores: each (scheduler, seed) combination is an
-independent simulation, dispatched through ``concurrent.futures``.
+(``seeds=[...]``): each (scheduler, seed) combination is an
+independent simulation on a freshly built cluster and workload.
 
 ``run_recorded`` is the journaling variant: same simulation, but every
 scheduler decision is recorded in a :class:`DecisionTrace` (DESIGN.md
@@ -20,7 +19,6 @@ bit-identically against a fresh cluster/workload.
 from __future__ import annotations
 
 import math
-import pickle
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -137,30 +135,6 @@ def run_recorded(
     return result, trace
 
 
-def _run_combo(
-    make_cluster: Callable[[], Cluster],
-    make_sched: Callable[[], Scheduler],
-    make_jobs: Callable[[], list[Job]],
-    seed: int,
-    schedule_interval: float,
-    max_time: float,
-    fault_profile: FaultProfile | None = None,
-    churn_seed: int | None = None,
-) -> SimulationResult:
-    """One (scheduler, seed) cell of a sweep — module-level so worker
-    processes can unpickle it."""
-    return run_simulation(
-        make_cluster(),
-        make_sched(),
-        make_jobs(),
-        seed=seed,
-        schedule_interval=schedule_interval,
-        max_time=max_time,
-        fault_profile=fault_profile,
-        churn_seed=churn_seed,
-    )
-
-
 def compare_schedulers(
     make_cluster: Callable[[], Cluster],
     make_jobs: Callable[[], list[Job]],
@@ -170,7 +144,6 @@ def compare_schedulers(
     seeds: Sequence[int] | None = None,
     schedule_interval: float = 0.0,
     max_time: float = math.inf,
-    workers: int | None = None,
     fault_profile: FaultProfile | None = None,
     churn_seed: int | None = None,
 ):
@@ -183,86 +156,28 @@ def compare_schedulers(
       returns ``{name: SimulationResult}`` (the historical shape).
     * ``seeds=[s0, s1, ...]``: a multi-seed sweep; returns
       ``{name: {seed: SimulationResult}}``.
-    * ``workers=N`` (N > 1): run the independent (scheduler, seed)
-      cells in parallel.  Picklable factories (module-level functions)
-      are dispatched to a process pool so sweeps use all cores;
-      unpicklable factories (lambdas, closures) fall back to a thread
-      pool, which is still correct but GIL-bound.
     """
     seed_list = [seed] if seeds is None else list(seeds)
     if not seed_list:
         raise ValueError("seeds must be non-empty when provided")
     combos = [(name, make, s) for name, make in schedulers.items() for s in seed_list]
 
-    cells: dict[tuple[str, int], SimulationResult] = {}
-    if workers is not None and workers > 1 and len(combos) > 1:
-        cells = _run_parallel(
-            make_cluster,
-            make_jobs,
-            combos,
-            schedule_interval,
-            max_time,
-            workers,
-            fault_profile,
-            churn_seed,
+    cells = {
+        (name, s): run_simulation(
+            make_cluster(),
+            make(),
+            make_jobs(),
+            seed=s,
+            schedule_interval=schedule_interval,
+            max_time=max_time,
+            fault_profile=fault_profile,
+            churn_seed=churn_seed,
         )
-    else:
-        for name, make, s in combos:
-            cells[(name, s)] = _run_combo(
-                make_cluster,
-                make,
-                make_jobs,
-                s,
-                schedule_interval,
-                max_time,
-                fault_profile,
-                churn_seed,
-            )
+        for name, make, s in combos
+    }
 
     if seeds is None:
         return {name: cells[(name, seed)] for name in schedulers}
     return {
         name: {s: cells[(name, s)] for s in seed_list} for name in schedulers
     }
-
-
-def _run_parallel(
-    make_cluster: Callable[[], Cluster],
-    make_jobs: Callable[[], list[Job]],
-    combos: list[tuple[str, Callable[[], Scheduler], int]],
-    schedule_interval: float,
-    max_time: float,
-    workers: int,
-    fault_profile: FaultProfile | None = None,
-    churn_seed: int | None = None,
-) -> dict[tuple[str, int], SimulationResult]:
-    # Imported here: concurrent.futures loads multiprocessing, which
-    # only a parallel sweep needs.
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-
-    try:
-        pickle.dumps((make_cluster, make_jobs, [m for _, m, _ in combos]))
-        pool_cls = ProcessPoolExecutor
-    except Exception:
-        # Lambdas/closures can't cross a process boundary; threads keep
-        # the parallel API usable (numpy kernels release the GIL).
-        pool_cls = ThreadPoolExecutor
-    out: dict[tuple[str, int], SimulationResult] = {}
-    with pool_cls(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                _run_combo,
-                make_cluster,
-                make,
-                make_jobs,
-                s,
-                schedule_interval,
-                max_time,
-                fault_profile,
-                churn_seed,
-            ): (name, s)
-            for name, make, s in combos
-        }
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out

@@ -117,7 +117,11 @@ class ArrivalSource:
     eager: bool = False
 
     def initial_jobs(self) -> list[Job]:
-        """Jobs known before the session starts (eager sources only)."""
+        """Jobs known before the session starts (eager sources only).
+
+        The engine calls this once; an eager source hands its jobs over
+        and forgets them, so that only the engine's queue names a job
+        whose arrival it has queued."""
         return []
 
     def take(self) -> Job | None:
@@ -152,7 +156,8 @@ class StaticSource(ArrivalSource):
         self.jobs = sorted(jobs, key=lambda j: j.arrival_time)
 
     def initial_jobs(self) -> list[Job]:
-        return list(self.jobs)
+        jobs, self.jobs = self.jobs, []
+        return jobs
 
 
 class GeneratorSource(ArrivalSource):

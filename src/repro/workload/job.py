@@ -141,6 +141,8 @@ class Job:
         return self.finish_time - self.arrival_time
 
     def first_start_time(self) -> Optional[float]:
+        """Earliest copy start over the job's tasks, finished tasks
+        answering from their ledgers."""
         starts = [t.start_time for p in self.phases for t in p.tasks if t.start_time is not None]
         return min(starts) if starts else None
 
@@ -163,9 +165,39 @@ class Job:
         for p in self.phases:
             per_second = p.demand.cpu + p.demand.mem
             for t in p.tasks:
-                for c in t.copies:
-                    total += per_second * c.duration
+                ledger = t.ledger
+                if ledger is not None:
+                    for d in ledger.durations:
+                        total += per_second * d
+                else:
+                    for c in t.copies:
+                        total += per_second * c.duration
         return total
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def released(self) -> bool:
+        """Whether :meth:`release` dropped the phase/task graph (a job
+        is built with at least one phase, so only a release empties it)."""
+        return not self.phases
+
+    def release(self) -> None:
+        """Drop the phase/task graph of a finished job.
+
+        ``Job`` ↔ ``Phase`` ↔ ``Task`` are reference cycles, which only
+        the cyclic collector frees, and a job built at set-up sits in its
+        oldest generation long before it finishes.  Emptying both lists
+        breaks the cycles, so reference counting frees the graph as soon
+        as nothing else names it.  What remains answers identity,
+        arrival and finish time; every metric lives in the job's record.
+        """
+        if self.finish_time is None:
+            raise RuntimeError(f"job {self.job_id}: release before finish")
+        for p in self.phases:
+            p.tasks = []
+        self.phases = []
 
     # ------------------------------------------------------------------
     # Effective lengths (Sec. 5)

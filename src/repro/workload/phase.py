@@ -127,9 +127,6 @@ class Phase:
     def num_tasks(self) -> int:
         return len(self.tasks)
 
-    def unfinished_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state is not TaskState.FINISHED]
-
     def pending_tasks(self) -> list[Task]:
         return [t for t in self.tasks if t.state is TaskState.PENDING]
 

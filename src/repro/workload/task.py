@@ -5,20 +5,25 @@ creates a :class:`TaskCopy`.  Cloning launches additional copies of the
 same task — the paper's semantics are *first-copy-wins*: the task
 finishes when its earliest copy finishes and the remaining copies are
 killed (Secs. 3 and 5).
+
+After that a finished task's copies matter only for the time they
+consumed, so completing a task writes a :class:`TaskLedger` and the
+engine drops the copy list once ``on_task_finish`` has read it
+(DESIGN.md §5.8).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.resources import Resources
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.phase import Phase
 
-__all__ = ["Task", "TaskCopy", "TaskState"]
+__all__ = ["Task", "TaskCopy", "TaskLedger", "TaskState"]
 
 _copy_counter = itertools.count()
 
@@ -104,6 +109,24 @@ class TaskCopy:
         )
 
 
+class TaskLedger(NamedTuple):
+    """What a finished task keeps of its copies.
+
+    ``durations`` holds every copy's charged duration in launch order
+    (a killed copy's is truncated to the time it ran), so per-job usage
+    sums the same products in the same order as a walk over the copies.
+    ``start_time`` is the earliest copy start and ``winner_duration``
+    the duration of the copy that finished; both are None, and
+    ``durations`` empty, for a task completed without a copy.
+    """
+
+    finish_time: float
+    start_time: Optional[float]
+    winner_duration: Optional[float]
+    clones: int
+    durations: tuple[float, ...]
+
+
 #: Read once per task built: Python 3.11 resolves ``TaskState.PENDING``
 #: through a descriptor, about ten times slower than a module global.
 _PENDING = TaskState.PENDING
@@ -121,7 +144,7 @@ class Task:
         "index",
         "copies",
         "state",
-        "finish_time",
+        "ledger",
         "preferred_servers",
         "fault_losses",
         "_live_count",
@@ -132,10 +155,12 @@ class Task:
         self.index = index
         #: Every copy launched, in launch order: the shared empty tuple
         #: until the first launch makes it a list, so building a task
-        #: allocates no list for the garbage collector to track.
+        #: allocates no list for the garbage collector to track, and
+        #: again once :meth:`fold` drops the list of a finished task.
         self.copies: list[TaskCopy] | tuple[()] = ()
         self.state = _PENDING
-        self.finish_time: Optional[float] = None
+        #: Written by :meth:`complete`; None while the task is unfinished.
+        self.ledger: Optional[TaskLedger] = None
         #: Servers holding this task's input replicas (data locality);
         #: empty means unconstrained.
         self.preferred_servers: tuple[int, ...] = ()
@@ -171,15 +196,31 @@ class Task:
         return self._live_count
 
     @property
+    def num_copies(self) -> int:
+        """Copies launched so far, live or dead; a finished task counts
+        the ones its ledger folded."""
+        ledger = self.ledger
+        return len(self.copies if ledger is None else ledger.durations)
+
+    @property
     def has_run(self) -> bool:
-        return bool(self.copies)
+        return self.num_copies > 0
 
     @property
     def start_time(self) -> Optional[float]:
         """When the first copy was launched (None when pending)."""
+        ledger = self.ledger
+        if ledger is not None:
+            return ledger.start_time
         if not self.copies:
             return None
         return min(c.start_time for c in self.copies)
+
+    @property
+    def finish_time(self) -> Optional[float]:
+        """When the first copy finished (None while unfinished)."""
+        ledger = self.ledger
+        return None if ledger is None else ledger.finish_time
 
     def add_copy(self, copy: TaskCopy) -> None:
         if self.state is TaskState.FINISHED:
@@ -216,14 +257,36 @@ class Task:
         self.phase.task_requeued()
 
     def complete(self, time: float) -> None:
-        """Mark the task finished at ``time`` (first copy won)."""
+        """Mark the task finished at ``time`` (first copy won) and write
+        its ledger.  Every copy is final by then: the winner finished
+        and the rest were killed, so no duration changes again."""
         if self.state is TaskState.FINISHED:
             raise RuntimeError(f"task {self.uid} finished twice")
         if self.state is TaskState.PENDING:
             self.phase.task_left_pending()
         self.state = TaskState.FINISHED
-        self.finish_time = time
+        copies = self.copies
+        self.ledger = TaskLedger(
+            time,
+            min((c.start_time for c in copies), default=None),
+            next((c.duration for c in copies if c.finished), None),
+            sum(1 for c in copies if c.is_clone),
+            tuple([c.duration for c in copies]),
+        )
         self.phase.task_finished()
+
+    def fold(self) -> None:
+        """Drop a finished task's copy list; its ledger stands in for it.
+
+        The engine calls this once ``on_task_finish`` has run, so that
+        hook is the last reader of the copies themselves.  Dropping the
+        list also breaks the task ↔ copy reference cycle: a killed copy
+        still waiting for its stale finish event is freed by reference
+        counting when the event is popped.
+        """
+        if self.ledger is None:
+            raise RuntimeError(f"task {self.uid}: fold before completion")
+        self.copies = ()
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -232,4 +295,4 @@ class Task:
         return self is other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Task{self.uid}[{self.state.value}, copies={len(self.copies)}]"
+        return f"Task{self.uid}[{self.state.value}, copies={self.num_copies}]"

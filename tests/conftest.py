@@ -92,3 +92,39 @@ def make_diamond_job(
         Phase(3, 1, Resources.of(1, 1), mk(), parents=(1, 2)),
     ]
     return Job(phases, arrival_time=arrival_time, job_id=job_id, name="diamond")
+
+
+def after_finish_hooks(scheduler, *, task=None, job=None):
+    """Call ``task(t)`` after ``scheduler``'s own ``on_task_finish`` and
+    ``job(j)`` after its ``on_job_finish``.
+
+    These are the last moments a finished task still holds its copies
+    (the engine folds them into the task's ledger next) and a finished
+    job its phase/task graph (the engine releases it next), so checks
+    of finished work run here.  Returns the scheduler.
+    """
+    if task is not None:
+        inner_task = scheduler.on_task_finish
+
+        def on_task_finish(t, view):
+            inner_task(t, view)
+            task(t)
+
+        scheduler.on_task_finish = on_task_finish
+    if job is not None:
+        inner_job = scheduler.on_job_finish
+
+        def on_job_finish(j, view):
+            inner_job(j, view)
+            job(j)
+
+        scheduler.on_job_finish = on_job_finish
+    return scheduler
+
+
+def snapshot_copies(scheduler) -> dict:
+    """Every finished task's copies in launch order, keyed by task uid,
+    taken as each task finishes (before the engine folds them)."""
+    copies: dict = {}
+    after_finish_hooks(scheduler, task=lambda t: copies.__setitem__(t.uid, list(t.copies)))
+    return copies

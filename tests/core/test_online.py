@@ -105,13 +105,14 @@ class TestCloning:
     def test_idle_resources_host_clones(self):
         cluster = homogeneous_cluster(2, Resources.of(8, 16))
         job = make_chain_job(1, 2, theta=10.0, sigma=5.0)
+        tasks = list(job.phases[0].tasks)
         engine = SimulationEngine(
             cluster, DollyMPScheduler(max_clones=2, delta=1.0), [job], max_time=1e5
         )
         engine.run()
         assert engine.clones_launched > 0
-        for t in job.phases[0].tasks:
-            assert len(t.copies) <= 3  # ≤ 2 extra clones
+        for t in tasks:
+            assert len(t.ledger.durations) <= 3  # ≤ 2 extra clones
 
     def test_max_clones_zero_never_clones(self):
         cluster = homogeneous_cluster(2, Resources.of(8, 16))
@@ -126,6 +127,7 @@ class TestCloning:
         for cap in (1, 2, 3):
             cluster = homogeneous_cluster(4, Resources.of(8, 16))
             job = make_chain_job(1, 2, theta=10.0, sigma=5.0)
+            tasks = list(job.phases[0].tasks)
             engine = SimulationEngine(
                 cluster,
                 DollyMPScheduler(max_clones=cap, delta=1.0),
@@ -133,7 +135,7 @@ class TestCloning:
                 max_time=1e5,
             )
             engine.run()
-            assert all(len(t.copies) <= cap + 1 for t in job.phases[0].tasks)
+            assert all(len(t.ledger.durations) <= cap + 1 for t in tasks)
 
     def test_delta_budget_limits_clone_resources(self):
         """δ = 0 blocks all cloning even with idle resources."""
@@ -160,9 +162,9 @@ class TestCloning:
             seed=2,
             max_time=1e6,
         )
-        engine.run()
         small_task = small.phases[0].tasks[0]
-        assert any(c.is_clone for c in small_task.copies)
+        engine.run()
+        assert small_task.ledger.clones > 0
 
     def test_cloning_improves_stochastic_running_time(self):
         """DollyMP² beats DollyMP⁰ on running time with heavy stragglers."""
@@ -273,6 +275,37 @@ class TestPriorityCache:
         sched.on_job_finish(jobs[1], view)
         assert 2 not in sched._measures
         assert sched.priority_of(jobs[1]) is None
+
+    def _finish_in_armed_window(self):
+        """Both jobs arrive (arming a deferred recompute), then job 2
+        finishes and is released before anything reads a priority."""
+        _, jobs, view = self.make_setup()
+        eager = DollyMPScheduler()
+        eager.recompute_priorities(view)  # what the last arrival saw
+        sched = DollyMPScheduler()
+        for job in jobs:
+            sched.on_job_arrival(job, view)
+        done = jobs[1]
+        for phase in done.phases:
+            for task in phase.tasks:
+                task.complete(3.0)
+                sched.on_task_finish(task, view)
+        done.mark_finished_if_done(3.0)
+        sched.on_job_finish(done, view)
+        done.release()
+        return sched, jobs, eager._priorities
+
+    def test_resolve_answers_released_job_from_snapshot(self):
+        sched, jobs, at_arrival = self._finish_in_armed_window()
+        assert sched.priority_of(jobs[0]) == at_arrival[1]
+        # The finished job competed in the knapsack, then left the ranking.
+        assert sched._priorities == {1: at_arrival[1]}
+
+    def test_resolve_never_measures_a_released_job(self):
+        sched, jobs, _ = self._finish_in_armed_window()
+        del sched._snapshots[jobs[1].job_id]
+        with pytest.raises(AssertionError, match="without an at-arrival snapshot"):
+            sched.priority_of(jobs[0])
 
     def test_new_cluster_resets_cache(self):
         _, jobs, view = self.make_setup()

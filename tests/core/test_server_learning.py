@@ -82,6 +82,12 @@ class TestTracker:
         assert t.samples(1) == 0  # censored duration ignored
         # ... but both copies feed the win-rate signal.
         assert t.contested(0) == 1 and t.contested(1) == 1
+        # Once folded the copies (and their servers) are gone: observing
+        # the task then is a caller bug, not an empty observation.
+        task.complete(12.0)
+        task.fold()
+        with pytest.raises(RuntimeError, match="already folded"):
+            t.observe_task(task)
 
     def test_win_rate_deficit_flags_censored_slow_server(self):
         """A server that always loses its races is flagged even though

@@ -7,10 +7,10 @@ flagged at exactly the expected lines, good fixtures must stay silent.
 On top of that: graph-construction determinism (same tree ⇒
 byte-identical dump regardless of filesystem listing order), golden
 JSON/SARIF reports and their line-free fingerprints, the CLI exit-code
-contract, git-aware ``--changed-only``, ``--unused-ignores``, and
-end-to-end "seeded corruption" checks that plant a laundered wall-clock
-read, or module state shared between runs, in a copy of the real
-``src/repro`` and expect the gate to fail.
+contract, ``--unused-ignores``, and end-to-end "seeded corruption"
+checks that plant a laundered wall-clock read, or module state shared
+between runs, in a copy of the real ``src/repro`` and expect the gate
+to fail.
 """
 
 from __future__ import annotations
@@ -278,37 +278,6 @@ def test_cli_list_rules():
     assert proc.returncode == 0
     for n in range(15):
         assert f"RL{n:03d}" in proc.stdout
-
-
-def _git(args, cwd):
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-    )
-
-
-def test_cli_changed_only_reports_changed_files_only(tmp_path):
-    sim = tmp_path / "src" / "repro" / "sim"
-    sim.mkdir(parents=True)
-    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
-    (sim / "__init__.py").write_text("")
-    bad = 'import time\n\n\ndef stamp(event):\n    event.t = time.time()\n'
-    (sim / "alpha.py").write_text(bad)
-    (sim / "beta.py").write_text(bad)
-    _git(["init", "-q"], cwd=tmp_path)
-    _git(["add", "."], cwd=tmp_path)
-    _git(["commit", "-q", "-m", "seed"], cwd=tmp_path)
-    # Everything committed and unchanged: nothing to report.
-    clean = _run_cli(["--changed-only", "src"], cwd=tmp_path)
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    # Touch one file: only its findings come back.
-    (sim / "beta.py").write_text(bad + "\n# touched\n")
-    dirty = _run_cli(["--changed-only", "src"], cwd=tmp_path)
-    assert dirty.returncode == 1
-    assert "beta.py" in dirty.stdout
-    assert "alpha.py" not in dirty.stdout
 
 
 def test_cli_unused_ignores(tmp_path):

@@ -48,17 +48,18 @@ class _CopyFailDriver(Scheduler):
 def _run_driver(*, clone: bool, fail_after: float):
     cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
     job = make_single_task_job(theta=10.0)
+    # Held here: the task's ledger outlives the finished job's graph.
+    task = job.phases[0].tasks[0]
     driver = _CopyFailDriver(clone=clone, fail_after=fail_after)
     engine = SimulationEngine(cluster, driver, [job], sanitize=True)
     driver.engine = engine
     result = engine.run()
-    return engine, job, result
+    return engine, task, result
 
 
 class TestCopyFail:
     def test_clone_masks_copy_failure(self):
-        engine, job, result = _run_driver(clone=True, fail_after=3.0)
-        task = job.phases[0].tasks[0]
+        engine, task, result = _run_driver(clone=True, fail_after=3.0)
         assert task.state is TaskState.FINISHED
         assert engine.copies_lost == 1
         assert engine.recoveries_masked_by_clone == 1
@@ -68,18 +69,19 @@ class TestCopyFail:
         assert result.records[0].flowtime == pytest.approx(10.0)
 
     def test_sole_copy_failure_requeues(self):
-        engine, job, result = _run_driver(clone=False, fail_after=3.0)
-        task = job.phases[0].tasks[0]
+        engine, task, result = _run_driver(clone=False, fail_after=3.0)
         assert task.state is TaskState.FINISHED
         assert engine.tasks_requeued == 1
         assert engine.recoveries_masked_by_clone == 0
         # Relaunched at t=3 on the second server: finishes at 13.
         assert result.records[0].flowtime == pytest.approx(13.0)
-        assert all(not c.is_clone for c in task.copies)
+        # The lost primary and its relaunch, neither a clone.
+        assert len(task.ledger.durations) == 2
+        assert task.ledger.clones == 0
 
     def test_stale_copy_fail_ignored(self):
         """A COPY_FAIL landing after the copy finished is a no-op."""
-        engine, job, result = _run_driver(clone=False, fail_after=15.0)
+        engine, _task, result = _run_driver(clone=False, fail_after=15.0)
         assert engine.copies_lost == 0
         assert engine.tasks_requeued == 0
         assert result.records[0].flowtime == pytest.approx(10.0)

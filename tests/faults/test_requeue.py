@@ -44,6 +44,7 @@ class TestLifetimeCap:
         raise the engine's copy-cap RuntimeError)."""
         cluster = homogeneous_cluster(3, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
+        task = job.phases[0].tasks[0]
         engine = SimulationEngine(
             cluster,
             CrashEveryLaunch(crashes=2),
@@ -52,9 +53,8 @@ class TestLifetimeCap:
             max_copies_per_task=1,
         )
         result = engine.run()
-        task = job.phases[0].tasks[0]
         assert task.state is TaskState.FINISHED
-        assert len(task.copies) == 3  # two fault losses + the survivor
+        assert len(task.ledger.durations) == 3  # two fault losses + the survivor
         assert task.fault_losses == 2
         assert engine.tasks_requeued == 2
         assert len(result.records) == 1
@@ -64,10 +64,12 @@ class TestRequeueCoherence:
     def test_requeued_task_is_fresh_primary(self):
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
+        task = job.phases[0].tasks[0]
         engine = SimulationEngine(cluster, CrashEveryLaunch(crashes=1), [job])
         engine.run()
-        task = job.phases[0].tasks[0]
-        assert all(not c.is_clone for c in task.copies)
+        # The crashed primary and its relaunch, neither a clone.
+        assert len(task.ledger.durations) == 2
+        assert task.ledger.clones == 0
         assert engine.clones_launched == 0
 
     def test_phase_counters_cohere_after_requeue(self):

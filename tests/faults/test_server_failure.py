@@ -11,7 +11,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.actions import Fail, InvalidAction, Recover
 from repro.sim.engine import SimulationEngine
 from repro.workload.task import TaskState
-from tests.conftest import make_single_task_job
+from tests.conftest import make_single_task_job, snapshot_copies
 
 
 class FailAfterLaunch(Scheduler):
@@ -46,11 +46,11 @@ class TestCrashSemantics:
         (clone-as-recovery) and finishes the job."""
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
-        engine = SimulationEngine(
-            cluster, FailAfterLaunch(clone=True), [job], sanitize=True
-        )
-        result = engine.run()
         task = job.phases[0].tasks[0]
+        sched = FailAfterLaunch(clone=True)
+        copies = snapshot_copies(sched)
+        engine = SimulationEngine(cluster, sched, [job], sanitize=True)
+        result = engine.run()
         assert task.state is TaskState.FINISHED
         assert task.fault_losses == 1
         assert engine.faults_injected == 1
@@ -58,8 +58,8 @@ class TestCrashSemantics:
         assert engine.recoveries_masked_by_clone == 1
         assert engine.tasks_requeued == 0
         # The surviving clone finished; the crashed primary shows killed.
-        assert sum(1 for c in task.copies if c.finished) == 1
-        assert sum(1 for c in task.copies if c.killed) == 1
+        assert sum(1 for c in copies[task.uid] if c.finished) == 1
+        assert sum(1 for c in copies[task.uid] if c.killed) == 1
         assert result.records[0].flowtime == pytest.approx(10.0)
 
     def test_sole_copy_requeues(self):
@@ -67,18 +67,18 @@ class TestCrashSemantics:
         on a healthy server as a fresh primary."""
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
+        task = job.phases[0].tasks[0]
         engine = SimulationEngine(
             cluster, FailAfterLaunch(clone=False), [job], sanitize=True
         )
         result = engine.run()
-        task = job.phases[0].tasks[0]
         assert task.state is TaskState.FINISHED
         assert engine.tasks_requeued == 1
         assert engine.recoveries_masked_by_clone == 0
-        assert len(task.copies) == 2
+        assert len(task.ledger.durations) == 2
         # The relaunch is a primary, not a clone (requeued tasks restart
         # their copy lifecycle), so no clone shows up in the record.
-        assert all(not c.is_clone for c in task.copies)
+        assert task.ledger.clones == 0
         assert result.records[0].num_clones == 0
 
     def test_down_server_capacity_coherent(self):

@@ -27,6 +27,7 @@ from tests.integration.test_vectorized_equivalence import (
     launch_log,
     mixed_dag_jobs,
 )
+from tests.conftest import snapshot_copies
 from tests.reference import KERNELS, EagerDollyMP
 
 #: Hatch → (DollyMP class, reference kernels swapped in).
@@ -49,17 +50,18 @@ CHURN = FaultProfile(
 
 
 def run_one(scheduler=DollyMPScheduler, *, schedule_interval=0.0, fault_profile=None):
-    jobs = mixed_dag_jobs()
+    sched = scheduler(max_clones=2)
+    copies = snapshot_copies(sched)
     result = run_simulation(
         paper_cluster_30_nodes(),
-        scheduler(max_clones=2),
-        jobs,
+        sched,
+        mixed_dag_jobs(),
         seed=SEED,
         schedule_interval=schedule_interval,
         max_time=1e7,
         fault_profile=fault_profile,
     )
-    return result, launch_log(jobs)
+    return result, launch_log(copies)
 
 
 def run_hatched(reference_kernels, hatch, **kw):

@@ -25,6 +25,7 @@ from repro.workload import dag
 from repro.workload.google_trace import PhaseSpec, TraceJobSpec, jobs_from_specs
 from repro.workload.speedup import ParetoSpeedup
 from tests import reference
+from tests.conftest import snapshot_copies
 from tests.integration.test_vectorized_equivalence import launch_log
 
 #: A few repeated demands, so phases share vectors, next to free ones.
@@ -101,20 +102,24 @@ class TestReferenceMaterializer:
         specs = SmallJobTrace(seed=5, mean_theta=40.0).generate(40, mean_interarrival=3.0)
         specs = [replace(s, job_id=i) for i, s in enumerate(specs)]
         lazy = jobs_from_specs(specs)
+        # Held here: a finished job releases its phases.
+        lazy_phases = [p for j in lazy for p in j.phases]
         logs = []
         for jobs in (lazy, reference.jobs_from_specs(specs)):
+            sched = DollyMPScheduler(max_clones=2, use_category_target=True)
+            copies = snapshot_copies(sched)
             run_simulation(
                 paper_cluster_30_nodes(),
-                DollyMPScheduler(max_clones=2, use_category_target=True),
+                sched,
                 jobs,
                 seed=11,
                 schedule_interval=5.0,
                 max_time=1e7,
             )
-            logs.append(launch_log(jobs))
+            logs.append(launch_log(copies))
         assert logs[0] == logs[1]
         # Fitted lazily, where the rule weighed a clone.
-        assert any(p._speedup is not None for j in lazy for p in j.phases)
+        assert any(p._speedup is not None for p in lazy_phases)
 
 
 class TestCallCounts:

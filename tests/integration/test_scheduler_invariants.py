@@ -20,6 +20,7 @@ from repro.core.online import DollyMPScheduler
 from repro.sim.engine import SimulationEngine
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 from repro.workload.task import TaskState
+from tests.conftest import after_finish_hooks, snapshot_copies
 
 ALL_SCHEDULERS = {
     "FIFO": FIFOScheduler,
@@ -44,16 +45,36 @@ def workload():
 
 @pytest.fixture(scope="module", params=sorted(ALL_SCHEDULERS))
 def engine(request):
-    """One completed run per scheduler, shared by all invariant tests."""
+    """One completed run per scheduler, shared by all invariant tests.
+
+    Finished work leaves the engine (a task folds its copies, a job
+    releases its graph), so the finish hooks collect what the tests
+    check: each task with its copies, and each dependent phase's
+    earliest start with its parents' finish times."""
+    finished_copies = []
+    gated_phases = []
+
+    def on_task(task):
+        finished_copies.append((task, list(task.copies)))
+
+    def on_job(job):
+        for phase in job.phases:
+            if phase.parents:
+                earliest = min(t.start_time for t in phase.tasks)
+                done = [job.phases[p].finish_time() for p in phase.parents]
+                gated_phases.append((earliest, done))
+
     eng = SimulationEngine(
         paper_cluster_30_nodes(),
-        ALL_SCHEDULERS[request.param](),
+        after_finish_hooks(ALL_SCHEDULERS[request.param](), task=on_task, job=on_job),
         workload(),
         seed=5,
         max_time=1e6,
     )
     eng.result = eng.run()
     eng.policy_name = request.param
+    eng.finished_copies = finished_copies
+    eng.gated_phases = gated_phases
     return eng
 
 
@@ -70,29 +91,33 @@ class TestInvariants:
             assert not server.running_copies
 
     def test_every_task_finished_exactly_once(self, engine):
-        for job in engine.finished_jobs:
-            for phase in job.phases:
-                for task in phase.tasks:
-                    assert task.state is TaskState.FINISHED
-                    winners = [c for c in task.copies if c.finished]
-                    assert len(winners) == 1
-                    losers = [c for c in task.copies if c.killed]
-                    assert len(losers) == len(task.copies) - 1
-                    assert task.num_live_copies == 0
+        checked = engine.finished_copies
+        assert len(checked) == sum(r.num_tasks for r in engine.result.records) > 0
+        assert len({task.uid for task, _ in checked}) == len(checked)
+        for task, copies in checked:
+            assert task.state is TaskState.FINISHED
+            winners = [c for c in copies if c.finished]
+            assert len(winners) == 1
+            losers = [c for c in copies if c.killed]
+            assert len(losers) == len(copies) - 1
+            assert task.num_live_copies == 0
+            # Folded after the hook: the ledger keeps every duration.
+            assert task.copies == ()
+            assert task.ledger.durations == tuple(c.duration for c in copies)
 
     def test_first_copy_wins_semantics(self, engine):
         """The winning copy's finish time equals the task finish time and
         is minimal among the task's copies' (untruncated) finish times."""
-        for job in engine.finished_jobs:
-            for phase in job.phases:
-                for task in phase.tasks:
-                    winner = next(c for c in task.copies if c.finished)
-                    assert winner.finish_time == pytest.approx(task.finish_time)
-                    for c in task.copies:
-                        if c.killed:
-                            # Killed at the winner's finish; its truncated
-                            # end cannot precede its start.
-                            assert c.duration > 0
+        assert engine.finished_copies
+        for task, copies in engine.finished_copies:
+            winner = next(c for c in copies if c.finished)
+            assert winner.finish_time == pytest.approx(task.finish_time)
+            assert task.ledger.winner_duration == winner.duration
+            for c in copies:
+                if c.killed:
+                    # Killed at the winner's finish; its truncated
+                    # end cannot precede its start.
+                    assert c.duration > 0
 
     def test_flowtimes_positive_and_causal(self, engine):
         for rec in engine.result.records:
@@ -102,14 +127,10 @@ class TestInvariants:
 
     def test_phase_dependencies_respected(self, engine):
         """No task started before all parent phases finished."""
-        for job in engine.finished_jobs:
-            for phase in job.phases:
-                earliest = min(
-                    c.start_time for t in phase.tasks for c in t.copies
-                )
-                for p in phase.parents:
-                    parent_done = job.phases[p].finish_time()
-                    assert earliest >= parent_done - 1e-9
+        assert engine.gated_phases
+        for earliest, parents_done in engine.gated_phases:
+            for parent_done in parents_done:
+                assert earliest >= parent_done - 1e-9
 
     def test_usage_accounting_consistent(self, engine):
         """Σ per-job cpu-seconds equals the engine's utilization integral."""
@@ -131,18 +152,19 @@ class TestInvariants:
 class TestCloneCapInvariant:
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
     def test_dollymp_copy_cap(self, cap):
+        sched = DollyMPScheduler(max_clones=cap)
+        copies = snapshot_copies(sched)
         engine = SimulationEngine(
             paper_cluster_30_nodes(),
-            DollyMPScheduler(max_clones=cap),
+            sched,
             workload(),
             seed=5,
             max_time=1e6,
         )
-        engine.run()
-        for job in engine.finished_jobs:
-            for phase in job.phases:
-                for task in phase.tasks:
-                    assert len(task.copies) <= cap + 1
+        result = engine.run()
+        assert len(copies) == sum(r.num_tasks for r in result.records) > 0
+        for launched in copies.values():
+            assert len(launched) <= cap + 1
 
 
 class TestSlottedEquivalence:

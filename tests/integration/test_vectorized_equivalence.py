@@ -25,6 +25,7 @@ from repro.schedulers.tetris import TetrisScheduler
 from repro.sim.runner import run_simulation
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 from repro.workload.mapreduce import pagerank_job, wordcount_job
+from tests.conftest import snapshot_copies
 
 SEED = 7
 
@@ -51,38 +52,40 @@ def mixed_dag_jobs() -> list:
     return jobs
 
 
-def launch_log(jobs) -> list[tuple]:
-    """Every copy ever launched, in a canonical order."""
+def launch_log(copies: dict) -> list[tuple]:
+    """Every copy ever launched, in a canonical order: by task uid, then
+    launch order.  ``copies`` is a ``snapshot_copies`` of a finished run,
+    taken as each task finished (the engine folds the copies after)."""
     log = []
-    for job in jobs:
-        for phase in job.phases:
-            for task in phase.tasks:
-                for copy in task.copies:
-                    log.append(
-                        (
-                            task.uid,
-                            copy.server_id,
-                            copy.start_time,
-                            copy.duration,
-                            copy.is_clone,
-                            copy.finished,
-                            copy.killed,
-                        )
-                    )
+    for uid in sorted(copies):
+        for copy in copies[uid]:
+            log.append(
+                (
+                    uid,
+                    copy.server_id,
+                    copy.start_time,
+                    copy.duration,
+                    copy.is_clone,
+                    copy.finished,
+                    copy.killed,
+                )
+            )
+    assert log, "no finished task was snapshotted"
     return log
 
 
 def run(make_sched, schedule_interval=0.0):
-    jobs = mixed_dag_jobs()
+    sched = make_sched()
+    copies = snapshot_copies(sched)
     result = run_simulation(
         paper_cluster_30_nodes(),
-        make_sched(),
-        jobs,
+        sched,
+        mixed_dag_jobs(),
         seed=SEED,
         schedule_interval=schedule_interval,
         max_time=1e7,
     )
-    return result, launch_log(jobs)
+    return result, launch_log(copies)
 
 
 def run_both(reference_kernels, make_sched, schedule_interval=0.0):

@@ -19,7 +19,9 @@ against the direct forms kept here:
   an oracle independent of the Kahn's-algorithm check in ``src/``;
 * :func:`jobs_from_specs` — spec → job materialization in its eager
   form: a fresh demand vector per phase, h(r) fitted when the phase is
-  built, and every phase graph run through Kahn's sort.
+  built, and every phase graph run through Kahn's sort;
+* :func:`record_for_job` — a finished job's record walked from its
+  tasks' copies, where production reads the ledgers they fold into.
 
 The :func:`reference_kernels` fixture patches the first four into
 production for one test; :class:`EagerDollyMP` is chosen by
@@ -42,6 +44,7 @@ from repro.schedulers import packing
 from repro.schedulers.tetris import TetrisScheduler
 from repro.resources import Resources
 from repro.sim.actions import Launch
+from repro.sim.metrics import JobRecord
 from repro.workload import dag
 from repro.workload.distributions import Deterministic, ParetoType1
 from repro.workload.job import Job
@@ -271,6 +274,49 @@ def jobs_from_specs(specs) -> list[Job]:
             Job(phases, arrival_time=spec.arrival_time, name=spec.name, job_id=spec.job_id)
         )
     return jobs
+
+
+def record_for_job(job, copies) -> JobRecord:
+    """``repro.sim.metrics.record_for_job`` walking copies instead of
+    ledgers.  A finished task folds its copies away once its finish hook
+    has run, so ``copies[task.uid]`` supplies them, in launch order, as
+    a wrapped ``on_task_finish`` saw them; call this before the job's
+    graph is released (from ``on_job_finish``)."""
+    if job.finish_time is None:
+        raise ValueError(f"job {job.job_id} has not finished")
+    first_start = min(
+        c.start_time for p in job.phases for t in p.tasks for c in copies[t.uid]
+    )
+    num_copies = 0
+    num_clones = 0
+    tasks_with_clones = 0
+    cpu_seconds = 0.0
+    mem_seconds = 0.0
+    for phase in job.phases:
+        for task in phase.tasks:
+            launched = copies[task.uid]
+            num_copies += len(launched)
+            clones_here = sum(1 for c in launched if c.is_clone)
+            num_clones += clones_here
+            if clones_here:
+                tasks_with_clones += 1
+            for c in launched:
+                cpu_seconds += phase.demand.cpu * c.duration
+                mem_seconds += phase.demand.mem * c.duration
+    return JobRecord(
+        job_id=job.job_id,
+        name=job.name,
+        arrival_time=job.arrival_time,
+        first_start_time=first_start,
+        finish_time=job.finish_time,
+        num_phases=job.num_phases,
+        num_tasks=job.num_tasks,
+        num_copies=num_copies,
+        num_clones=num_clones,
+        tasks_with_clones=tasks_with_clones,
+        cpu_seconds=cpu_seconds,
+        mem_seconds=mem_seconds,
+    )
 
 
 def _best_fit_server(cluster, demand):

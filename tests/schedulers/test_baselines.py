@@ -187,9 +187,10 @@ class TestCapacity:
         alice1.user = alice2.user = "alice"
         bob.user = "bob"
         sched = CapacityScheduler(queue_weights={"alice": 1.0, "bob": 1.0})
-        run_simulation(cluster, sched, [alice1, alice2, bob], max_time=1e5)
-        assert bob.first_start_time() == pytest.approx(0.0)
-        assert alice2.first_start_time() == pytest.approx(100.0)
+        result = run_simulation(cluster, sched, [alice1, alice2, bob], max_time=1e5)
+        start = {r.job_id: r.first_start_time for r in result.records}
+        assert start[bob.job_id] == pytest.approx(0.0)
+        assert start[alice2.job_id] == pytest.approx(100.0)
 
     def test_single_queue_fifo_order(self):
         """Without queue weights Capacity degenerates to FIFO order."""
@@ -198,8 +199,11 @@ class TestCapacity:
         alice2 = make_single_task_job(theta=100.0, job_id=11)
         bob = make_single_task_job(theta=100.0, job_id=12)
         bob.user = "bob"
-        run_simulation(cluster, CapacityScheduler(), [alice1, alice2, bob], max_time=1e5)
-        assert bob.first_start_time() == pytest.approx(100.0)
+        result = run_simulation(
+            cluster, CapacityScheduler(), [alice1, alice2, bob], max_time=1e5
+        )
+        start = {r.job_id: r.first_start_time for r in result.records}
+        assert start[bob.job_id] == pytest.approx(100.0)
 
 
 class TestCarbyne:

@@ -27,7 +27,7 @@ from repro.sim.actions import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_recorded
-from tests.conftest import make_chain_job, make_single_task_job
+from tests.conftest import after_finish_hooks, make_chain_job, make_single_task_job
 
 
 class NullScheduler(Scheduler):
@@ -71,12 +71,37 @@ class TestKillSemantics:
         assert isinstance(err, RuntimeError)  # back-compat contract
         assert err.kind == "kill"
         assert err.task_uid == task.uid
-        assert err.copy_index == 0
+        # The finished task folded its copy list, so the copy's index
+        # is gone with it (the finish hook below still sees it).
+        assert task.copies == ()
+        assert err.copy_index is None
         assert err.server_id == copy.server_id
         assert err.time == engine.now
         # The message names the copy and the server.
         assert "already-finished" in str(err)
-        assert f"server {copy.server_id}" in str(err)
+        assert f"{task.uid}#? on server {copy.server_id}" in str(err)
+
+    def test_kill_finished_copy_in_finish_hook_names_its_index(self):
+        """Inside ``on_task_finish`` the copies are not folded yet, so a
+        rejected kill of the winner still reports its index."""
+        job = make_single_task_job(theta=10.0, job_id=0)
+        errors = []
+
+        def kill_winner(task):
+            with pytest.raises(InvalidAction) as excinfo:
+                engine.apply(Kill(task.copies[0]))
+            errors.append(excinfo.value)
+
+        engine = make_engine([job])
+        after_finish_hooks(engine.scheduler, task=kill_winner)
+        activate(engine, job)
+        copy = engine.apply(Launch(job.phases[0].tasks[0], engine.cluster[0]))
+        engine.now = copy.finish_time
+        engine._process_copy_finish(copy)
+        (err,) = errors
+        assert err.copy_index == 0
+        assert f"{copy.task.uid}#0 on server {copy.server_id}" in str(err)
+        assert "already-finished" in str(err)
 
     def test_kill_killed_copy_raises_structured(self):
         job = make_single_task_job(theta=10.0, job_id=0)

@@ -20,6 +20,12 @@ divide the cluster, or one block for all — under chaos fault churn
 On top of the invariants, every block size must land on the same result
 as the single-block run — the index prunes work, never changes a
 placement.
+
+Chaos draws server failures, slowdowns and copy failures from Poisson
+processes, so a short run can draw none: at seed 346 (scale 1.0, gap
+5.0) the 6-job run ends at t ≈ 84 s without a fault.  The invariants
+must hold for every drawn seed, that one included; that chaos fires is
+asserted on pinned seeds known to inject faults.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 import math
 from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import mirror as mirror_module
@@ -59,12 +66,16 @@ def _make_jobs(scale: float, gap: float):
 
 
 def _make_engine(seed: int, scale: float, gap: float, block: int):
+    """The engine and every task of its workload, held here: a finished
+    job releases its phase/task graph, so the engine cannot list them."""
     with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
         cluster = homogeneous_cluster(NUM_SERVERS)
-    return SimulationEngine(
+    jobs = _make_jobs(scale, gap)
+    tasks = [task for job in jobs for phase in job.phases for task in phase.tasks]
+    engine = SimulationEngine(
         cluster,
         DollyMPScheduler(max_clones=2),
-        _make_jobs(scale, gap),
+        jobs,
         seed=seed,
         schedule_interval=5.0,
         max_time=1e9,
@@ -72,21 +83,21 @@ def _make_engine(seed: int, scale: float, gap: float, block: int):
         fault_profile=FAULT_PROFILES["chaos"],
         record_trace=True,
     )
+    return engine, tasks
 
 
-def _all_tasks(engine):
-    for job in engine.jobs:
-        for phase in job.phases:
-            yield from phase.tasks
-
-
-def _check_invariants(engine) -> None:
-    # Lifetime copy cap: fault losses are credits, not consumption.
-    for task in _all_tasks(engine):
-        assert len(task.copies) - task.fault_losses <= MAX_COPIES, (
-            f"task {task.uid}: {len(task.copies)} copies with "
+def _check_invariants(engine, tasks) -> None:
+    # Lifetime copy cap: fault losses are credits, not consumption.  A
+    # finished task counts the copies its ledger folded.
+    launched_tasks = 0
+    for task in tasks:
+        launched = task.num_copies
+        launched_tasks += launched > 0
+        assert launched - task.fault_losses <= MAX_COPIES, (
+            f"task {task.uid}: {launched} copies with "
             f"{task.fault_losses} fault losses exceeds cap {MAX_COPIES}"
         )
+    assert launched_tasks > 0
 
     # Clone-budget bitwise-zero snap.
     assert engine.clone_occupancy.cpu >= 0.0
@@ -138,10 +149,11 @@ class TestBlockSizes:
         gap=st.sampled_from([5.0, 20.0]),
     )
     @settings(max_examples=20, deadline=None)
+    @example(block=1, seed=346, scale=1.0, gap=5.0)  # chaos draws no fault
     def test_chaos_invariants_and_single_block_identity(
         self, block, seed, scale, gap
     ):
-        engine = _make_engine(seed, scale, gap, block)
+        engine, tasks = _make_engine(seed, scale, gap, block)
         assert engine.cluster.mirror.num_blocks() == -(-NUM_SERVERS // block)
 
         # Step through the run, checking invariants at mid-flight
@@ -149,15 +161,29 @@ class TestBlockSizes:
         # law would be vacuous).
         for t in (10.0, 35.0, 80.0):
             engine.run_until(t)
-            _check_invariants(engine)
+            _check_invariants(engine, tasks)
         result = engine.run()
-        _check_invariants(engine)
+        _check_invariants(engine, tasks)
         assert engine._live_clone_count == 0
         assert len(result.records) == 6  # chaos must not strand jobs
-        assert result.faults_injected > 0  # ...and chaos must actually fire
+        # Every task finished and folded its copies into its ledger.
+        assert all(t.ledger is not None and t.copies == () for t in tasks)
 
         # The block size prunes scoring work; it must never change the
         # outcome.
-        baseline = _make_engine(seed, scale, gap, NUM_SERVERS)
+        baseline, _ = _make_engine(seed, scale, gap, NUM_SERVERS)
         assert result.deterministic() == baseline.run().deterministic()
         assert list(engine.trace) == list(baseline.trace)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("gap", [5.0, 20.0])
+    def test_chaos_fires_on_pinned_seeds(self, scale, gap):
+        """Seed 0 injects faults in every workload cell (5 to 13 of them,
+        losing 3 to 24 copies), so a chaos profile that stopped firing
+        fails here."""
+        engine, tasks = _make_engine(0, scale, gap, 7)
+        result = engine.run()
+        _check_invariants(engine, tasks)
+        assert len(result.records) == 6
+        assert result.faults_injected > 0
+        assert result.copies_lost > 0

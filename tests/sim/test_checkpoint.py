@@ -315,12 +315,14 @@ class TestLegacyCheckpoint:
     launch order and bare ``Event`` tuples.  v1–v3 nest the state pickle
     as bytes inside one envelope pickle; v4 writes a header and then the
     state, with each phase's fitted h(r) in a ``speedup`` slot that v5
-    renamed ``_speedup``.  Older files are rejected by their format
-    name, like a foreign file — nothing revives them."""
+    renamed ``_speedup``; v5 kept every finished job and its copies,
+    which v6 holds only as a record and task ledgers.  Older files are
+    rejected by their format name, like a foreign file — nothing
+    revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v5"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v6"
         engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
         engine.start()
         engine.run_until(60.0)
@@ -330,8 +332,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old == "v4":
-            # Header then state, the layout v5 kept.
+        if old in ("v4", "v5"):
+            # Header then state, the layout v6 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state

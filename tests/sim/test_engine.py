@@ -6,22 +6,33 @@ first-copy-wins cloning, slotted vs event-driven scheduling, and the
 deadlock/starvation guards.
 """
 
+import gc
 import math
 
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.heterogeneity import homogeneous_cluster, single_server_cluster
+from repro.cluster.heterogeneity import (
+    homogeneous_cluster,
+    single_server_cluster,
+    trace_sim_cluster,
+)
 from repro.core.online import DollyMPScheduler
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.engine import SimulationEngine
 from repro.workload.distributions import Deterministic
+from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from repro.workload.task import TaskState
-from tests.conftest import make_chain_job, make_diamond_job, make_single_task_job
+from repro.workload.task import Task, TaskCopy, TaskState
+from tests.conftest import (
+    make_chain_job,
+    make_diamond_job,
+    make_single_task_job,
+    snapshot_copies,
+)
 
 
 def run(cluster, jobs, scheduler=None, **kw):
@@ -41,8 +52,8 @@ class TestBasicExecution:
 
     def test_arrival_time_respected(self, small_cluster):
         job = make_single_task_job(theta=10.0, arrival_time=5.0)
-        run(small_cluster, [job])
-        assert job.first_start_time() == pytest.approx(5.0)
+        _, result = run(small_cluster, [job])
+        assert result.records[0].first_start_time == pytest.approx(5.0)
         assert job.finish_time == pytest.approx(15.0)
 
     def test_slowdown_scales_duration(self):
@@ -154,14 +165,21 @@ class TestCloning:
                         view.launch(t, view.cluster[0])
                         view.launch(t, view.cluster[1], clone=True)
 
-        engine = SimulationEngine(cluster, CloneOnce(), [job])
-        result = engine.run()
         task = job.phases[0].tasks[0]
+        sched = CloneOnce()
+        copies = snapshot_copies(sched)
+        engine = SimulationEngine(cluster, sched, [job])
+        result = engine.run()
         assert task.state is TaskState.FINISHED
-        assert len(task.copies) == 2
-        finished = [c for c in task.copies if c.finished]
-        killed = [c for c in task.copies if c.killed]
+        assert len(copies[task.uid]) == 2
+        finished = [c for c in copies[task.uid] if c.finished]
+        killed = [c for c in copies[task.uid] if c.killed]
         assert len(finished) == 1 and len(killed) == 1
+        # Folded: the ledger keeps both copies' durations in launch order.
+        assert task.copies == ()
+        assert task.ledger.durations == tuple(c.duration for c in copies[task.uid])
+        assert task.ledger.clones == 1
+        assert task.ledger.winner_duration == finished[0].duration
         assert engine.clones_launched == 1
         assert result.records[0].num_clones == 1
         # All resources released at the end.
@@ -201,13 +219,18 @@ class TestCloning:
                         view.launch(t, view.cluster[0])
                         view.launch(t, view.cluster[0], clone=True)
 
-        engine = SimulationEngine(cluster, CloneOnce(), [job], seed=5)
-        engine.run()
         task = job.phases[0].tasks[0]
-        killed = [c for c in task.copies if c.killed]
-        finished = [c for c in task.copies if c.finished]
+        sched = CloneOnce()
+        copies = snapshot_copies(sched)
+        engine = SimulationEngine(cluster, sched, [job], seed=5)
+        result = engine.run()
+        killed = [c for c in copies[task.uid] if c.killed]
+        finished = [c for c in copies[task.uid] if c.finished]
         assert len(killed) == 1 and len(finished) == 1
         assert killed[0].duration <= finished[0].duration + 1e-9
+        # The record charges the truncated duration, not the sampled one.
+        charged = finished[0].duration + killed[0].duration
+        assert result.records[0].cpu_seconds == pytest.approx(1.0 * charged)
 
     def test_max_copies_cap_enforced(self):
         cluster = homogeneous_cluster(4, Resources.of(4, 4))
@@ -233,7 +256,7 @@ class TestSlottedMode:
         # Job arrives at t=3; with 5s slots it cannot start before t=5.
         job = make_single_task_job(theta=10.0, arrival_time=3.0)
         _, result = run(cluster, [job], schedule_interval=5.0)
-        assert job.first_start_time() == pytest.approx(5.0)
+        assert result.records[0].first_start_time == pytest.approx(5.0)
         assert job.finish_time == pytest.approx(15.0)
 
     def test_slot_jump_over_idle_gap(self):
@@ -249,8 +272,8 @@ class TestSlottedMode:
     def test_event_mode_schedules_immediately(self):
         cluster = homogeneous_cluster(1, Resources.of(8, 8))
         job = make_single_task_job(theta=10.0, arrival_time=3.0)
-        run(cluster, [job], schedule_interval=0.0)
-        assert job.first_start_time() == pytest.approx(3.0)
+        _, result = run(cluster, [job], schedule_interval=0.0)
+        assert result.records[0].first_start_time == pytest.approx(3.0)
 
 
 class TestGuards:
@@ -334,3 +357,61 @@ class TestAccounting:
             return result.records[0].finish_time
 
         assert go(1) != go(2)
+
+
+class TestFinishedWork:
+    """A finished task folds its copies into its ledger and a finished job
+    leaves the engine as its record (DESIGN.md §5.8)."""
+
+    @staticmethod
+    def _alive() -> dict:
+        objs = gc.get_objects()
+        return {
+            cls.__name__: sum(1 for o in objs if type(o) is cls)
+            for cls in (Job, Phase, Task, TaskCopy)
+        }
+
+    def test_finished_work_freed_by_reference_counting(self):
+        """With the cyclic collector off, nothing of a finished run's
+        jobs survives ``run()``: no engine or source list keeps a job,
+        and breaking the job ↔ phase ↔ task ↔ copy cycles lets reference
+        counting free each job as it finishes."""
+        gc.collect()
+        before = self._alive()
+        gc.disable()
+        try:
+            specs = GoogleTraceGenerator(seed=0).generate(300, mean_interarrival=2.0)
+            engine = SimulationEngine(
+                trace_sim_cluster(300, seed=0),
+                DollyMPScheduler(max_clones=2),
+                jobs_from_specs(specs),
+                seed=0,
+                schedule_interval=5.0,
+                max_time=1e9,
+            )
+            result = engine.run()
+            after = self._alive()
+        finally:
+            gc.enable()
+        assert result.num_jobs == 300
+        assert result.copies_launched > result.num_jobs
+        assert after == before
+        assert not engine.jobs and not engine.active_jobs
+        assert len(engine.records) == 300
+
+    def test_records_kept_in_finish_order(self, small_cluster):
+        late = make_single_task_job(theta=1.0, job_id=1)
+        early = make_single_task_job(theta=5.0, job_id=2)
+        engine, result = run(small_cluster, [early, late])
+        assert [r.job_id for r in engine.records] == [1, 2]
+        assert [r.job_id for r in result.records] == [1, 2]
+        assert late.released and early.released
+
+    def test_start_queues_jobs_and_forgets_them(self, small_cluster):
+        job = make_single_task_job(theta=1.0, job_id=3)
+        engine = SimulationEngine(small_cluster, FIFOScheduler(), [job])
+        assert engine.jobs == [job]
+        assert engine.arrivals.initial_jobs() == []  # handed over at construction
+        engine.start()
+        assert engine.jobs == []
+        assert engine.events.peek().payload is job

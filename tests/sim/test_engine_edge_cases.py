@@ -11,7 +11,12 @@ from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskState
-from tests.conftest import make_chain_job, make_single_task_job
+from tests.conftest import (
+    after_finish_hooks,
+    make_chain_job,
+    make_single_task_job,
+    snapshot_copies,
+)
 
 
 class CloneEverywhere(Scheduler):
@@ -33,12 +38,14 @@ class TestSimultaneousFinishes:
         one wins, the other is killed at zero-ish residual duration."""
         cluster = homogeneous_cluster(2, Resources.of(1, 1), slowdown=1.0)
         job = make_single_task_job(cpu=1.0, mem=1.0, theta=10.0)
-        engine = SimulationEngine(cluster, CloneEverywhere(), [job], max_time=1e4)
-        engine.run()
         task = job.phases[0].tasks[0]
+        sched = CloneEverywhere()
+        copies = snapshot_copies(sched)
+        engine = SimulationEngine(cluster, sched, [job], max_time=1e4)
+        engine.run()
         assert task.state is TaskState.FINISHED
-        assert sum(1 for c in task.copies if c.finished) == 1
-        assert sum(1 for c in task.copies if c.killed) == 1
+        assert sum(1 for c in copies[task.uid] if c.finished) == 1
+        assert sum(1 for c in copies[task.uid] if c.killed) == 1
         assert job.finish_time == pytest.approx(10.0)
 
     def test_many_tasks_finish_same_instant(self):
@@ -46,10 +53,16 @@ class TestSimultaneousFinishes:
         batch; the dependent phase starts exactly then."""
         cluster = homogeneous_cluster(2, Resources.of(8, 8))
         job = make_chain_job(2, 8, theta=5.0)
-        SimulationEngine(cluster, FIFOScheduler(), [job], max_time=1e4).run()
-        assert job.phases[0].finish_time() == pytest.approx(5.0)
-        starts = {t.start_time for t in job.phases[1].tasks}
-        assert starts == {5.0}
+        seen = []
+
+        def phase_times(j):
+            seen.append(j.phases[0].finish_time())
+            seen.append({t.start_time for t in j.phases[1].tasks})
+
+        sched = after_finish_hooks(FIFOScheduler(), job=phase_times)
+        SimulationEngine(cluster, sched, [job], max_time=1e4).run()
+        assert seen[0] == pytest.approx(5.0)
+        assert seen[1] == {5.0}
 
 
 class TestArrivalEdges:
@@ -122,6 +135,7 @@ class TestViewGuards:
         task still completes via the surviving copy."""
         cluster = homogeneous_cluster(2, Resources.of(1, 1))
         job = make_single_task_job(cpu=1.0, mem=1.0, theta=10.0)
+        task = job.phases[0].tasks[0]
 
         class LaunchThenRegret(Scheduler):
             name = "regret"
@@ -130,7 +144,6 @@ class TestViewGuards:
                 self.killed_once = False
 
             def schedule(self, view):
-                task = job.phases[0].tasks[0]
                 if task.state is TaskState.PENDING:
                     view.launch(task, view.cluster[0])
                     clone = view.launch(task, view.cluster[1], clone=True)

@@ -61,8 +61,6 @@ class TestCompareSchedulers:
         )
 
 
-# Module-level factories: picklable, so workers=N exercises the
-# ProcessPoolExecutor path rather than the thread fallback.
 def _mk_cluster():
     return homogeneous_cluster(2, Resources.of(4, 8))
 
@@ -86,35 +84,9 @@ class TestParallelSweeps:
         for per_seed in results.values():
             assert set(per_seed) == {1, 2, 3}
 
-    def test_parallel_matches_serial(self):
-        serial = compare_schedulers(_mk_cluster, _mk_jobs, self.SCHEDS, seeds=[1, 2])
-        par = compare_schedulers(
-            _mk_cluster, _mk_jobs, self.SCHEDS, seeds=[1, 2], workers=2
-        )
-        for name in self.SCHEDS:
-            for s in (1, 2):
-                assert par[name][s].total_flowtime == serial[name][s].total_flowtime
-                assert par[name][s].makespan == serial[name][s].makespan
-
-    def test_parallel_with_lambdas_falls_back_to_threads(self):
-        # Unpicklable factories must still produce correct results.
-        serial = compare_schedulers(_mk_cluster, _mk_jobs, self.SCHEDS, seed=5)
-        par = compare_schedulers(
-            lambda: _mk_cluster(),
-            lambda: _mk_jobs(),
-            self.SCHEDS,
-            seed=5,
-            seeds=[5],
-            workers=2,
-        )
-        for name in self.SCHEDS:
-            assert par[name][5].total_flowtime == serial[name].total_flowtime
-
     def test_single_seed_keeps_historical_shape(self):
-        results = compare_schedulers(
-            _mk_cluster, _mk_jobs, self.SCHEDS, seed=7, workers=2
-        )
-        # seeds=None: flat {name: result} even when run in parallel.
+        results = compare_schedulers(_mk_cluster, _mk_jobs, self.SCHEDS, seed=7)
+        # seeds=None: flat {name: result}.
         assert results["fifo"].num_jobs == 3
 
     def test_empty_seeds_rejected(self):

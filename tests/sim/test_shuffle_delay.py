@@ -64,22 +64,26 @@ class TestEngineHonorsDelay:
     def test_event_driven(self, make_sched):
         cluster = homogeneous_cluster(1, Resources.of(8, 8))
         job = delayed_chain(delay=7.0, theta=10.0)
+        # One task per phase; held here, their ledgers outlive the job's
+        # released graph.
+        (first,), (second,) = (p.tasks for p in job.phases)
         engine = SimulationEngine(cluster, make_sched(), [job], max_time=1e4)
         engine.run()
         # Phase 0: [0, 10); shuffle until 17; phase 1: [17, 27).
-        assert job.phases[0].finish_time() == pytest.approx(10.0)
-        assert job.phases[1].tasks[0].start_time == pytest.approx(17.0)
+        assert first.finish_time == pytest.approx(10.0)
+        assert second.start_time == pytest.approx(17.0)
         assert job.finish_time == pytest.approx(27.0)
 
     def test_slotted(self, make_sched):
         cluster = homogeneous_cluster(1, Resources.of(8, 8))
         job = delayed_chain(delay=7.0, theta=10.0)
+        second = job.phases[1].tasks[0]
         engine = SimulationEngine(
             cluster, make_sched(), [job], schedule_interval=5.0, max_time=1e4
         )
         engine.run()
         # Ready at 17, first slot after that is 20.
-        assert job.phases[1].tasks[0].start_time == pytest.approx(20.0)
+        assert second.start_time == pytest.approx(20.0)
 
 
 class TestMapReduceShuffle:

@@ -105,6 +105,20 @@ class TestCompletion:
         assert job.flowtime is None
         assert job.running_time is None
 
+    def test_release_drops_graph_keeps_identity_and_times(self):
+        job = make_chain_job(2, 2, arrival_time=5.0, job_id=41)
+        phases = list(job.phases)
+        with pytest.raises(RuntimeError, match="release before finish"):
+            job.release()
+        assert not job.released
+        for phase in phases:
+            finish_phase(phase, t=10.0)
+        job.mark_finished_if_done(10.0)
+        job.release()
+        assert job.released
+        assert job.phases == [] and all(p.tasks == [] for p in phases)
+        assert (job.job_id, job.arrival_time, job.finish_time) == (41, 5.0, 10.0)
+
 
 class TestEffectiveLengths:
     def test_single_phase(self):

@@ -6,7 +6,7 @@ from repro.resources import Resources
 from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from repro.workload.task import TaskCopy, TaskState
+from repro.workload.task import TaskCopy, TaskLedger, TaskState
 
 
 def make_task():
@@ -99,3 +99,53 @@ class TestTask:
     def test_demand_comes_from_phase(self):
         t = make_task()
         assert t.demand == Resources.of(1, 2)
+
+
+class TestLedger:
+    def _raced(self):
+        """A task whose clone (launched second, at t=1) beat the
+        original: the original was killed at t=5 after running 5 s."""
+        t = make_task()
+        orig = TaskCopy(t, 0, 0.0, 10.0, is_clone=False)
+        clone = TaskCopy(t, 1, 1.0, 4.0, is_clone=True)
+        t.add_copy(orig)
+        t.add_copy(clone)
+        clone.finished = True
+        orig.killed = True
+        orig.duration = 5.0
+        t.complete(5.0)
+        return t, orig, clone
+
+    def test_complete_writes_ledger(self):
+        t, orig, clone = self._raced()
+        assert t.ledger == TaskLedger(
+            finish_time=5.0,
+            start_time=0.0,
+            winner_duration=4.0,
+            clones=1,
+            durations=(5.0, 4.0),  # launch order, the loser truncated
+        )
+        # Until the fold the copies stay readable beside the ledger.
+        assert t.copies == [orig, clone]
+
+    def test_fold_drops_copies_ledger_answers(self):
+        t, _, _ = self._raced()
+        t.fold()
+        assert t.copies == ()
+        assert (t.start_time, t.finish_time) == (0.0, 5.0)
+        assert t.num_copies == 2 and t.has_run
+        assert t.live_copies() == []
+
+    def test_fold_before_completion_raises(self):
+        t = make_task()
+        t.add_copy(TaskCopy(t, 0, 0.0, 5.0, is_clone=False))
+        with pytest.raises(RuntimeError, match="fold before completion"):
+            t.fold()
+        assert t.ledger is None and t.finish_time is None
+
+    def test_completed_without_a_copy(self):
+        t = make_task()
+        t.complete(3.0)
+        t.fold()
+        assert t.ledger == TaskLedger(3.0, None, None, 0, ())
+        assert t.start_time is None and not t.has_run

@@ -49,7 +49,6 @@ Run it from the repository root::
 
     python -m tools.repro_lint src tests benchmarks
     python -m tools.repro_lint --format sarif --output lint.sarif src
-    python -m tools.repro_lint --changed-only          # fast local loop
     python -m tools.repro_lint --list-rules
 
 Findings print as ``path:line:col: RLxxx message``.  Exit codes: 0 clean,

@@ -31,7 +31,6 @@ import ast
 import hashlib
 import json
 import re
-import subprocess
 import sys
 import traceback
 from dataclasses import dataclass
@@ -373,34 +372,6 @@ def _render_sarif(violations: list[Violation]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Git integration
-# ----------------------------------------------------------------------
-
-
-def _changed_relpaths(root: Path) -> Optional[set[str]]:
-    """POSIX relpaths touched vs HEAD (staged, unstaged and untracked),
-    or None when ``root`` is not inside a git work tree."""
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain=v1", "-uall"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    changed: set[str] = set()
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:]
-        if " -> " in path:  # rename: report the new side
-            path = path.split(" -> ", 1)[1]
-        changed.add(path.strip().strip('"'))
-    return changed
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 
@@ -429,12 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "echoed as text to stdout so the gate output stays readable",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="only report findings in files changed vs HEAD (git-aware "
-        "fast mode; the whole-program graph is still built in full)",
-    )
-    parser.add_argument(
         "--unused-ignores",
         action="store_true",
         help="flag stale `# repro-lint: ignore[...]` comments as RL009",
@@ -460,17 +425,6 @@ def _run(args: argparse.Namespace) -> int:
     violations = lint_paths(
         args.targets, root=root, config=config, unused_ignores=args.unused_ignores
     )
-
-    if args.changed_only:
-        changed = _changed_relpaths(root)
-        if changed is None:
-            print(
-                "repro-lint: --changed-only: not a git work tree; "
-                "reporting everything",
-                file=sys.stderr,
-            )
-        else:
-            violations = [v for v in violations if v.relpath in changed]
 
     if args.format == "json":
         report = _render_json(violations)
