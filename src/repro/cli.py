@@ -194,9 +194,10 @@ def _add_observability(p: argparse.ArgumentParser) -> None:
 
 
 def _observability_for(args) -> Observability | None:
-    """A per-run bundle when any observability output was requested."""
+    """A per-run bundle when any observability output was requested;
+    it records spans only when ``--spans-out`` will export them."""
     if args.metrics_out or args.spans_out or args.profile:
-        return Observability(profile=args.profile or None)
+        return Observability(spans=bool(args.spans_out), profile=args.profile or None)
     return None
 
 
@@ -238,7 +239,7 @@ def cmd_run(args) -> int:
 def cmd_metrics(args) -> int:
     """Run a simulation and print/export its metrics snapshot."""
     jobs = make_app_jobs(args.app, args.jobs, args.gap, args.input_gb)
-    obs = Observability(profile=args.profile or None)
+    obs = Observability(spans=False, profile=args.profile or None)
     obs.record_workload(jobs)
     run_simulation(
         make_cluster(args.cluster, args.seed),
@@ -268,7 +269,7 @@ def cmd_compare(args) -> int:
     snapshots: dict[str, dict] = {}
     fault_profile, churn_seed = _fault_profile_for(args)
     for name in names:
-        obs = Observability() if args.metrics_out else None
+        obs = Observability(spans=False) if args.metrics_out else None
         results[name] = run_simulation(
             make_cluster(args.cluster, args.seed),
             make_scheduler(name),

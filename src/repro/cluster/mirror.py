@@ -64,9 +64,12 @@ __all__ = ["AvailabilityMirror", "BLOCK_SIZE"]
 BLOCK_SIZE = 4096
 
 #: Slots rebuilt on restore rather than pickled: availability is derived
-#: from the allocation, the block size comes from the module constant and
-#: the bounds are re-tightened from the derived arrays.
-_DERIVED_SLOTS = frozenset({"avail_cpu", "avail_mem", "_block", "_ub_cpu", "_ub_mem"})
+#: from the allocation, the block size comes from the module constant,
+#: the bounds are re-tightened from the derived arrays and the columns
+#: are packed again on the next save.
+_DERIVED_SLOTS = frozenset(
+    {"avail_cpu", "avail_mem", "_block", "_ub_cpu", "_ub_mem", "_packed"}
+)
 
 
 class AvailabilityMirror:
@@ -99,6 +102,7 @@ class AvailabilityMirror:
         "_coalescing",
         "_pending",
         "_alloc_cache",
+        "_packed",
         "_block",
         "_ub_cpu",
         "_ub_mem",
@@ -131,6 +135,10 @@ class AvailabilityMirror:
         # ``np.sum`` outputs — identical arrays give identical sums, so
         # memoization cannot perturb the utilization integrals.
         self._alloc_cache: tuple[float, float] | None = None
+        # Checkpoint form of the capacity and slowdown columns, packed on
+        # the first save and kept: capacities never change, and
+        # set_slowdown drops the slowdown entry.
+        self._packed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._derive_all()
 
     # ------------------------------------------------------------------
@@ -304,6 +312,7 @@ class AvailabilityMirror:
         """Scale the durations of copies launched on server ``i`` from
         now on (the fault injector's transient brownouts)."""
         self.slowdown[i] = slowdown
+        self._packed.pop("slowdown", None)
 
     # ------------------------------------------------------------------
     # One server's state
@@ -496,15 +505,64 @@ class AvailabilityMirror:
     # ------------------------------------------------------------------
     def __getstate__(self):
         # __slots__ classes pickle as (None, {slot: value}); derived
-        # state stays out of checkpoints.
-        return None, {
+        # state stays out of checkpoints, and the columns pickle in the
+        # compact forms below (a 30K-server cluster has three distinct
+        # capacities, a few thousand busy servers and all of them up).
+        state = {
             name: getattr(self, name)
             for name in self.__slots__
             if name not in _DERIVED_SLOTS
         }
+        packed = self._packed
+        for name in _DISTINCT_COLUMNS:
+            if name not in packed:
+                packed[name] = _pack_distinct(state[name])
+            state[name] = packed[name]
+        for name in _SPARSE_COLUMNS:
+            state[name] = _pack_sparse(state[name])
+        if self.up.all():
+            state["up"] = len(self.up)
+        return None, state
 
     def __setstate__(self, state) -> None:
         _, slots = state
+        self._packed = {}
+        for name in _DISTINCT_COLUMNS:
+            values, index = slots[name]
+            slots[name] = values[index]
+        for name in _SPARSE_COLUMNS:
+            n, index, values = slots[name]
+            column = np.zeros(n, np.float64)
+            column[index] = values
+            slots[name] = column
+        if isinstance(slots["up"], int):
+            slots["up"] = np.ones(slots["up"], dtype=bool)
         for name, value in slots.items():
             setattr(self, name, value)
         self._derive_all()
+
+
+#: Columns with few distinct values, pickled as (values, index).
+_DISTINCT_COLUMNS = ("cap_cpu", "cap_mem", "slowdown")
+#: Columns that are zero on idle servers, pickled as (length, index, values).
+_SPARSE_COLUMNS = ("alloc_cpu", "alloc_mem")
+
+
+def _pack_distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column's distinct values and, per entry, the index of its
+    value in the smallest unsigned integer type that holds it.  Values
+    are told apart by their bits, so the column revives bit for bit."""
+    values, index = np.unique(column.view(np.uint64), return_inverse=True)
+    return values.view(np.float64), index.astype(np.min_scalar_type(len(values) - 1))
+
+
+def _pack_sparse(column: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The column's length and its entries other than +0.0, with their
+    indices.  Selecting on the sign bit too keeps a -0.0, and every
+    other entry (a float residue included) is copied as it is."""
+    index = np.flatnonzero((column != 0) | np.signbit(column))
+    return (
+        len(column),
+        index.astype(np.min_scalar_type(max(len(column) - 1, 0))),
+        column[index],
+    )

@@ -75,3 +75,18 @@ class Topology:
 
     def __len__(self) -> int:
         return len(self._rack_of)
+
+    # -- pickling (checkpoint/restore) ---------------------------------
+    def __getstate__(self):
+        # A rack map that deals servers round-robin over the racks (the
+        # trace clusters, and any single rack) pickles as its recipe.
+        n, racks = len(self._rack_of), self.num_racks
+        if racks and np.array_equal(self._rack_of, np.arange(n, dtype=np.int32) % racks):
+            return n, racks
+        return self.__dict__
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            n, racks = state
+            state = {"_rack_of": np.arange(n, dtype=np.int32) % racks, "num_racks": racks}
+        self.__dict__.update(state)

@@ -126,13 +126,14 @@ class SimulationSanitizer:
     When not given it is inferred from the scheduler's
     ``CloningPolicy`` (``scheduler.policy.max_copies``) or the engine's
     ``max_copies_per_task``; with neither available the clone-cap check
-    is skipped (the copy-list coherence check still runs).
+    is skipped (the copy-list coherence check still runs).  The engine
+    is read at construction and passed to every check, never stored:
+    the sanitizer holds no reference back to the engine that owns it.
     """
 
     def __init__(
         self, engine: "SimulationEngine", *, max_copies: int | None = None
     ) -> None:
-        self.engine = engine
         if max_copies is None:
             policy = getattr(engine.scheduler, "policy", None)
             max_copies = getattr(policy, "max_copies", None)
@@ -142,27 +143,31 @@ class SimulationSanitizer:
         self._last_time = -float("inf")
 
     # ------------------------------------------------------------------
-    def check(self, event: str = "<manual check>") -> list[SanitizerViolation]:
+    def check(
+        self, engine: "SimulationEngine", event: str = "<manual check>"
+    ) -> list[SanitizerViolation]:
         """All current invariant violations (empty when the state is clean)."""
         out: list[SanitizerViolation] = []
-        out.extend(self._check_time(event))
-        out.extend(self._check_servers(event))
-        out.extend(self._check_mirror(event))
-        out.extend(self._check_clone_bounds(event))
-        out.extend(self._check_clone_budget(event))
+        out.extend(self._check_time(engine, event))
+        out.extend(self._check_servers(engine, event))
+        out.extend(self._check_mirror(engine, event))
+        out.extend(self._check_clone_bounds(engine, event))
+        out.extend(self._check_clone_budget(engine, event))
         return out
 
-    def after_event(self, event: str) -> None:
+    def after_event(self, engine: "SimulationEngine", event: str) -> None:
         """Engine hook: validate the post-event state, raise on breakage."""
-        violations = self.check(event)
+        violations = self.check(engine, event)
         if violations:
             raise SanitizerError(violations)
 
     # ------------------------------------------------------------------
     # Individual invariants
     # ------------------------------------------------------------------
-    def _check_time(self, event: str) -> list[SanitizerViolation]:
-        now = self.engine.now
+    def _check_time(
+        self, engine: "SimulationEngine", event: str
+    ) -> list[SanitizerViolation]:
+        now = engine.now
         out: list[SanitizerViolation] = []
         if now < self._last_time:
             out.append(
@@ -175,11 +180,13 @@ class SimulationSanitizer:
         self._last_time = max(self._last_time, now)
         return out
 
-    def _check_servers(self, event: str) -> list[SanitizerViolation]:
+    def _check_servers(
+        self, engine: "SimulationEngine", event: str
+    ) -> list[SanitizerViolation]:
         """Per-server capacity checks, vectorized over the state arrays;
         only flagged servers and the resident map are visited one by one."""
         out: list[SanitizerViolation] = []
-        mirror = self.engine.cluster.mirror
+        mirror = engine.cluster.mirror
         resident = mirror.resident
         up = mirror.up
         cap = (mirror.cap_cpu, mirror.cap_mem)
@@ -278,9 +285,11 @@ class SimulationSanitizer:
                 )
         return out
 
-    def _check_mirror(self, event: str) -> list[SanitizerViolation]:
+    def _check_mirror(
+        self, engine: "SimulationEngine", event: str
+    ) -> list[SanitizerViolation]:
         out: list[SanitizerViolation] = []
-        mirror = self.engine.cluster.mirror
+        mirror = engine.cluster.mirror
         # Bitwise on purpose: availability is stored as exactly its
         # derivation, and the proof that placements equal the per-server
         # reference loops depends on it never differing by one ulp.
@@ -308,19 +317,21 @@ class SimulationSanitizer:
             )
         return out
 
-    def _check_clone_bounds(self, event: str) -> list[SanitizerViolation]:
+    def _check_clone_bounds(
+        self, engine: "SimulationEngine", event: str
+    ) -> list[SanitizerViolation]:
         out: list[SanitizerViolation] = []
-        lifetime_cap = self.engine.max_copies_per_task
+        lifetime_cap = engine.max_copies_per_task
         # Every live copy must still hold its reservation — a live copy
         # missing from its server means it was released early (or twice)
         # while the engine still expects it to finish.
         resident = {
             (sid, c.copy_uid)
-            for sid, copies in self.engine.cluster.mirror.resident.items()
+            for sid, copies in engine.cluster.mirror.resident.items()
             for c in copies
         }
-        for job_id in sorted(self.engine.active_jobs):
-            job = self.engine.active_jobs[job_id]
+        for job_id in sorted(engine.active_jobs):
+            job = engine.active_jobs[job_id]
             for phase in job.phases:
                 pending = sum(
                     1 for t in phase.tasks if t.state is TaskState.PENDING
@@ -407,13 +418,14 @@ class SimulationSanitizer:
                         )
         return out
 
-    def _check_clone_budget(self, event: str) -> list[SanitizerViolation]:
+    def _check_clone_budget(
+        self, engine: "SimulationEngine", event: str
+    ) -> list[SanitizerViolation]:
         """The incremental clone occupancy must match a from-scratch
         rescan of live clone copies — the δ-budget accounting of
         ``CloningPolicy.budget_remaining`` reads it every pass, so any
         leak here silently starves (or overruns) cloning."""
         out: list[SanitizerViolation] = []
-        engine = self.engine
         occ = engine.clone_occupancy
         sum_cpu = 0.0
         sum_mem = 0.0

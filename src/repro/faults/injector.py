@@ -48,13 +48,17 @@ CHURN_SEED_OFFSET = 15_485_863
 
 
 class FaultInjector:
-    """Seeded failure processes feeding the engine's event queue."""
+    """Seeded failure processes feeding the engine's event queue.
 
-    __slots__ = ("engine", "profile", "rng", "churn_seed", "_saved_slowdown")
+    The injector keeps only its profile, RNG stream and open slowdown
+    windows; the engine passes itself to every call, so the injector
+    holds no reference back to the engine that owns it.
+    """
+
+    __slots__ = ("profile", "rng", "churn_seed", "_saved_slowdown")
 
     def __init__(
         self,
-        engine: "SimulationEngine",
         profile: FaultProfile,
         *,
         churn_seed: int | None = None,
@@ -62,7 +66,6 @@ class FaultInjector:
     ) -> None:
         if not profile.enabled:
             raise ValueError("FaultInjector needs a profile that injects something")
-        self.engine = engine
         self.profile = profile
         self.churn_seed = seed + CHURN_SEED_OFFSET if churn_seed is None else churn_seed
         self.rng = np.random.default_rng(self.churn_seed)
@@ -76,13 +79,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Process priming and renewal
     # ------------------------------------------------------------------
-    def prime(self) -> None:
+    def prime(self, engine: "SimulationEngine") -> None:
         """Push each server's first failure/slowdown event (ascending
         server id, so the draw order is reproducible).  Fault events
         carry server ids."""
         profile = self.profile
-        events = self.engine.events
-        for sid in range(len(self.engine.cluster)):
+        events = engine.events
+        for sid in range(len(engine.cluster)):
             if profile.server_churn:
                 events.push(self._exp(profile.mtbf), EventKind.SERVER_FAIL, sid)
             if profile.slowdown_rate > 0.0:
@@ -92,31 +95,35 @@ class FaultInjector:
                     sid,
                 )
 
-    def schedule_recovery(self, server: "Server | int") -> None:
+    def schedule_recovery(self, engine: "SimulationEngine", server: "Server | int") -> None:
         """After a crash: one repair-time draw, then the recover event."""
-        self.engine.events.push(
-            self.engine.now + self._exp(self.profile.mttr),
+        engine.events.push(
+            engine.now + self._exp(self.profile.mttr),
             EventKind.SERVER_RECOVER,
             server_id_of(server),
         )
 
-    def schedule_next_failure(self, server: "Server | int") -> None:
+    def schedule_next_failure(
+        self, engine: "SimulationEngine", server: "Server | int"
+    ) -> None:
         """Extend the server's churn chain — unless the workload is done
         (the draw still happens, keeping the stream position independent
         of *when* the workload drains)."""
-        t = self.engine.now + self._exp(self.profile.mtbf)
-        if self.engine.workload_active():
-            self.engine.events.push(t, EventKind.SERVER_FAIL, server_id_of(server))
+        t = engine.now + self._exp(self.profile.mtbf)
+        if engine.workload_active():
+            engine.events.push(t, EventKind.SERVER_FAIL, server_id_of(server))
 
-    def schedule_next_slowdown(self, server: "Server | int") -> None:
-        t = self.engine.now + self._exp(1.0 / self.profile.slowdown_rate)
-        if self.engine.workload_active():
-            self.engine.events.push(t, EventKind.SERVER_SLOW_START, server_id_of(server))
+    def schedule_next_slowdown(
+        self, engine: "SimulationEngine", server: "Server | int"
+    ) -> None:
+        t = engine.now + self._exp(1.0 / self.profile.slowdown_rate)
+        if engine.workload_active():
+            engine.events.push(t, EventKind.SERVER_SLOW_START, server_id_of(server))
 
     # ------------------------------------------------------------------
     # Copy failures
     # ------------------------------------------------------------------
-    def on_copy_launched(self, copy: "TaskCopy") -> None:
+    def on_copy_launched(self, engine: "SimulationEngine", copy: "TaskCopy") -> None:
         """Engine hook, called once per launched copy: draw the copy's
         time-to-failure and arm a COPY_FAIL event if it precedes the
         copy's finish.  Exactly one draw per launch regardless of the
@@ -125,32 +132,32 @@ class FaultInjector:
             return
         fail_at = copy.start_time + self._exp(1.0 / self.profile.copy_fail_rate)
         if fail_at < copy.finish_time:
-            self.engine.events.push(fail_at, EventKind.COPY_FAIL, copy)
+            engine.events.push(fail_at, EventKind.COPY_FAIL, copy)
 
     # ------------------------------------------------------------------
     # Transient slowdown windows
     # ------------------------------------------------------------------
-    def on_slow_start(self, server: "Server | int") -> None:
+    def on_slow_start(self, engine: "SimulationEngine", server: "Server | int") -> None:
         """Open a background-load window: scale the server's slowdown
         and arm the window's end.  Only *newly sampled* durations see
         the scaled factor — copies already running keep their draw,
         modelling contention at launch time."""
         sid = server_id_of(server)
         if sid not in self._saved_slowdown:  # nested windows don't stack
-            mirror = self.engine.cluster.mirror
+            mirror = engine.cluster.mirror
             saved = mirror.slowdown.item(sid)
             self._saved_slowdown[sid] = saved
             mirror.set_slowdown(sid, saved * self.profile.slowdown_factor)
-        self.engine.events.push(
-            self.engine.now + self._exp(self.profile.slowdown_duration),
+        engine.events.push(
+            engine.now + self._exp(self.profile.slowdown_duration),
             EventKind.SERVER_SLOW_END,
             sid,
         )
 
-    def on_slow_end(self, server: "Server | int") -> None:
+    def on_slow_end(self, engine: "SimulationEngine", server: "Server | int") -> None:
         """Close the window, restoring the exact pre-window slowdown."""
         sid = server_id_of(server)
         saved = self._saved_slowdown.pop(sid, None)
         if saved is not None:
-            self.engine.cluster.mirror.set_slowdown(sid, saved)
-        self.schedule_next_slowdown(sid)
+            engine.cluster.mirror.set_slowdown(sid, saved)
+        self.schedule_next_slowdown(engine, sid)

@@ -110,12 +110,7 @@ class Observability:
             SimInstruments(self.registry) if self.registry is not None else None
         )
 
-    # -- binding (engine attach points) ---------------------------------
-    def bind_clock(self, clock) -> None:
-        """Point the span tracer at the engine's simulated clock."""
-        if self.tracer is not None:
-            self.tracer.clock = clock
-
+    # -- binding (engine attach point) ----------------------------------
     def bind_cluster(self, cluster) -> None:
         """Install the placement-query counter on the cluster."""
         if self.sim is not None:

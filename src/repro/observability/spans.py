@@ -27,7 +27,7 @@ import time as _wallclock
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = ["Span", "SpanTracer", "SPAN_SCHEMA", "DEFAULT_SPAN_MAXLEN"]
 
@@ -38,12 +38,6 @@ SPAN_SCHEMA = "repro-span-trace/v1"
 DEFAULT_SPAN_MAXLEN = 1_000_000
 
 _AttrValue = "str | int | float | bool | None"
-
-
-def _zero_clock() -> float:
-    """Fallback clock for an unbound tracer (module-level so the tracer
-    pickles; engines rebind their own closure after restore)."""
-    return 0.0
 
 
 @dataclass(slots=True)
@@ -101,52 +95,32 @@ class Span:
 
 
 class SpanTracer:
-    """Nestable span recorder driven by an external (simulated) clock.
+    """Nestable span recorder stamped with the caller's simulated time.
 
-    ``clock`` supplies the simulated time stamped on enter/exit — the
-    engine binds ``lambda: engine.now`` at attach time.  Misnested
-    exits (closing a span that is not the innermost open one) raise
-    immediately: silent misnesting would corrupt every later parent
-    attribution.
+    ``enter`` and ``exit`` take the simulated time to stamp — the engine
+    passes its clock on every call, so the tracer holds no reference to
+    the engine and pickles as plain data.  Misnested exits (closing a
+    span that is not the innermost open one) raise immediately: silent
+    misnesting would corrupt every later parent attribution.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        *,
-        maxlen: int = DEFAULT_SPAN_MAXLEN,
-    ) -> None:
+    def __init__(self, *, maxlen: int = DEFAULT_SPAN_MAXLEN) -> None:
         if maxlen < 1:
             raise ValueError("span maxlen must be positive")
-        self.clock: Callable[[], float] = clock if clock is not None else _zero_clock
         self.maxlen = maxlen
         self.spans: list[Span] = []
         self.dropped = 0
         self._stack: list[Span] = []
         self._seq = 0
 
-    # -- pickling (checkpoint/restore, DESIGN.md §5.8) ------------------
-    def __getstate__(self):
-        # The clock is a closure over the owning engine; drop it here and
-        # let the engine's __setstate__ rebind it after restore (a
-        # standalone restored tracer falls back to the zero clock).
-        state = self.__dict__.copy()
-        state["clock"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self.clock is None:
-            self.clock = _zero_clock
-
     # -- recording ------------------------------------------------------
-    def enter(self, name: str, **attrs) -> Span:
+    def enter(self, name: str, now: float, **attrs) -> Span:
         span = Span(
             seq=self._seq,
             name=name,
             depth=len(self._stack),
             parent=self._stack[-1].seq if self._stack else None,
-            t_enter=float(self.clock()),
+            t_enter=float(now),
             attrs=attrs,
             _wall_start=_wallclock.perf_counter(),
         )
@@ -154,7 +128,7 @@ class SpanTracer:
         self._stack.append(span)
         return span
 
-    def exit(self, span: Span) -> None:
+    def exit(self, span: Span, now: float) -> None:
         if not self._stack or self._stack[-1] is not span:
             open_name = self._stack[-1].name if self._stack else "<none>"
             raise RuntimeError(
@@ -162,7 +136,7 @@ class SpanTracer:
                 f"{open_name!r} is the innermost open span"
             )
         self._stack.pop()
-        span.t_exit = float(self.clock())
+        span.t_exit = float(now)
         assert span._wall_start is not None
         span.wall_ms = 1e3 * (_wallclock.perf_counter() - span._wall_start)
         span._wall_start = None
@@ -172,12 +146,14 @@ class SpanTracer:
             self.dropped += 1
 
     @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
-        s = self.enter(name, **attrs)
+    def span(self, name: str, now: float, **attrs) -> Iterator[Span]:
+        """A span that opens and closes at simulated time ``now`` — the
+        shape of every engine span, which covers work inside one instant."""
+        s = self.enter(name, now, **attrs)
         try:
             yield s
         finally:
-            self.exit(s)
+            self.exit(s, now)
 
     @property
     def open_depth(self) -> int:

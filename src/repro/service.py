@@ -160,6 +160,12 @@ def cmd_serve(args) -> int:
                     f"{args.restore}: checkpointed session has a "
                     f"{type(source).__name__} arrival source, not a JSONL stream"
                 )
+            obs = engine.observability
+            if args.spans_out and (obs is None or obs.tracer is None):
+                raise SystemExit(
+                    f"{args.restore}: --spans-out asks for spans, but the "
+                    "checkpointed session recorded none (start it with --spans-out)"
+                )
             # A file restarted from its beginning must be fast-forwarded
             # past the jobs the checkpointed session already consumed;
             # stdin is assumed to resume where the previous leg stopped.
@@ -219,7 +225,9 @@ def cmd_serve(args) -> int:
 
 
 def _observability_for_serve(args, Observability):
-    """A bundle whenever any live or end-of-run export was requested."""
+    """A bundle whenever any live or end-of-run export was requested.
+    Spans are recorded only for ``--spans-out``: a served session would
+    otherwise keep every span and pickle them into every checkpoint."""
     if (
         args.metrics_textfile
         or args.metrics_addr
@@ -227,7 +235,7 @@ def _observability_for_serve(args, Observability):
         or args.spans_out
         or args.profile
     ):
-        return Observability(profile=args.profile or None)
+        return Observability(spans=bool(args.spans_out), profile=args.profile or None)
     return None
 
 

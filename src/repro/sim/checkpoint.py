@@ -21,9 +21,11 @@ feed back into decisions (repro-lint RL010 enforces this), and every
 decision flows through the ``apply`` choke point.  Pickling snapshots
 exactly that closure of state — aliasing included, because pickle's
 memo preserves object identity (a task copy referenced by both the
-resident map and the event queue revives as one object, not two).  The
-only deliberately excluded state is host-specific: the observability
-clock closure (rebound to the revived engine by ``__setstate__``) and the
+resident map and the event queue revives as one object, not two).
+Nothing the engine owns points back at it — scheduler views are built
+per call, and the span tracer, fault injector and sanitizer take the
+engine or its clock as an argument — so the state holds no closure to
+rebind.  The only deliberately excluded state is host-specific: the
 wall-time anchor of the run (``finalize`` after restore skips the
 wall_run gauge).  Pull-based arrival sources serialize their consumed
 count and re-attach the byte stream after restore; the engine pulls the
@@ -73,9 +75,13 @@ __all__ = [
 #: work: a finished task keeps a ``ledger`` in place of its copies
 #: (and of v5's ``finish_time`` slot), a finished job is present only
 #: as its ``JobRecord`` in ``records`` (v5 kept every finished job in
-#: ``finished_jobs`` and every job in ``jobs``).  v1–v5 files are
-#: rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v6"
+#: ``finished_jobs`` and every job in ``jobs``); v7 holds no view, clock
+#: or injector back-reference to the engine, pickles the mirror's
+#: capacity and slowdown columns as distinct values plus an index, its
+#: allocation columns as their entries other than +0.0, an all-up mask
+#: as its length, and a round-robin rack map as its recipe.  v1–v6
+#: files are rejected by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v7"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

@@ -99,6 +99,11 @@ class ClusterView:
     point.  ``launch``/``kill`` are thin conveniences that build the
     corresponding action — policy code must not reach past this facade
     (enforced by repro-lint rule RL007).
+
+    A view is built for one scheduler call and is valid only during it:
+    a scheduler must not store the view it is handed.  The engine keeps
+    no view either, so nothing the engine owns points back at it and a
+    dropped engine is freed by reference counting.
     """
 
     def __init__(self, engine: "SimulationEngine") -> None:
@@ -200,7 +205,6 @@ class SimulationEngine:
         #: One record per finished job, in finish order (build_result
         #: sorts them by job id).
         self.records: list[JobRecord] = []
-        self.view = ClusterView(self)
 
         # Fault injection (DESIGN.md §5.5).  The injector owns a third
         # RNG stream (churn_seed), so a run with faults disabled draws
@@ -209,7 +213,7 @@ class SimulationEngine:
         if fault_profile is not None and not fault_profile.enabled:
             fault_profile = None
         self.faults: FaultInjector | None = (
-            FaultInjector(self, fault_profile, churn_seed=churn_seed, seed=seed)
+            FaultInjector(fault_profile, churn_seed=churn_seed, seed=seed)
             if fault_profile is not None
             else None
         )
@@ -253,7 +257,11 @@ class SimulationEngine:
         self.copies_launched = 0
         self.clone_occupancy = Resources(0.0, 0.0)
         self._live_clone_count = 0
-        self.schedule_pass_seconds: list[float] = []
+        # Wall seconds of the schedule passes: count, sum and maximum are
+        # all SimulationResult reads, so a long session keeps three numbers.
+        self.schedule_passes = 0
+        self.schedule_pass_total_s = 0.0
+        self.schedule_pass_max_s = 0.0
         self._alloc_integral_cpu = 0.0
         self._alloc_integral_mem = 0.0
         self._last_account_time = 0.0
@@ -280,7 +288,6 @@ class SimulationEngine:
         ins = observability.sim if observability is not None else None
         self._ins = ins
         if observability is not None:
-            observability.bind_clock(lambda: self.now)
             observability.bind_cluster(self.cluster)
         # Pre-bound per-EventKind counter children and span names keep
         # the per-event cost to one dict hit + one attribute bump.
@@ -307,6 +314,12 @@ class SimulationEngine:
         self._ev_span_name = {k: f"event:{k.name.lower()}" for k in EventKind}
 
         self._validate_feasible()
+
+    @property
+    def view(self) -> ClusterView:
+        """A fresh view for one scheduler call (never stored: a stored
+        view would point back at the engine)."""
+        return ClusterView(self)
 
     # ------------------------------------------------------------------
     # Setup / validation
@@ -549,7 +562,7 @@ class SimulationEngine:
                 ins.clones.inc()
             ins.copy_duration.observe(duration)
         if self.faults is not None:
-            self.faults.on_copy_launched(copy)
+            self.faults.on_copy_launched(self, copy)
         return copy
 
     def _apply_kill(self, copy: TaskCopy) -> None:
@@ -710,7 +723,7 @@ class SimulationEngine:
         tracer = obs.tracer
         prof = obs.profiler
         span = (
-            tracer.enter(f"decision:{cause}", point=self._decision_point)
+            tracer.enter(f"decision:{cause}", self.now, point=self._decision_point)
             if tracer is not None
             else None
         )
@@ -721,7 +734,7 @@ class SimulationEngine:
             if frame is not None:
                 prof.exit(frame)
             if span is not None:
-                tracer.exit(span)
+                tracer.exit(span, self.now)
 
     def _process_arrival(self, job: Job) -> None:
         self._pending_arrivals -= 1
@@ -822,12 +835,12 @@ class SimulationEngine:
         faults = self.faults
         assert faults is not None
         if kind is EventKind.SERVER_SLOW_START:
-            faults.on_slow_start(ev.payload)
+            faults.on_slow_start(self, ev.payload)
             self.faults_injected += 1
             if self._fault_ins is not None:
                 self._fault_ins.slowdowns.inc()
         else:  # SERVER_SLOW_END
-            faults.on_slow_end(ev.payload)
+            faults.on_slow_end(self, ev.payload)
         return False  # slowdowns don't change placement feasibility
 
     def _process_server_fail(self, sid: int) -> bool:
@@ -839,7 +852,7 @@ class SimulationEngine:
             # Never crash the last healthy server — but extend the
             # renewal chain anyway so the failure process (and its RNG
             # stream position) is independent of cluster state.
-            faults.schedule_next_failure(sid)
+            faults.schedule_next_failure(self, sid)
             return False
         self._open_decision_point("server_fail")
         self.apply(Fail(sid))
@@ -848,7 +861,7 @@ class SimulationEngine:
         self._run_hook(
             "server_fail", self.scheduler.on_server_fail, self.cluster[sid], orphans
         )
-        faults.schedule_recovery(sid)
+        faults.schedule_recovery(self, sid)
         return True
 
     def _process_server_recover(self, sid: int) -> bool:
@@ -859,7 +872,7 @@ class SimulationEngine:
         self._open_decision_point("server_recover")
         self.apply(Recover(sid))
         self._run_hook("server_recover", self.scheduler.on_server_recover, self.cluster[sid])
-        faults.schedule_next_failure(sid)
+        faults.schedule_next_failure(self, sid)
         return True
 
     def _process_copy_fail(self, copy: TaskCopy) -> bool:
@@ -908,12 +921,12 @@ class SimulationEngine:
         if obs is None:
             t0 = _wallclock.perf_counter()
             self.scheduler.schedule(self.view)
-            self.schedule_pass_seconds.append(_wallclock.perf_counter() - t0)
+            self._count_pass(_wallclock.perf_counter() - t0)
             return
         tracer = obs.tracer
         prof = obs.profiler
         span = (
-            tracer.enter("decision:schedule", point=self._decision_point)
+            tracer.enter("decision:schedule", self.now, point=self._decision_point)
             if tracer is not None
             else None
         )
@@ -923,14 +936,20 @@ class SimulationEngine:
             self.scheduler.schedule(self.view)
         finally:
             dt = _wallclock.perf_counter() - t0
-            self.schedule_pass_seconds.append(dt)
+            self._count_pass(dt)
             if frame is not None:
                 prof.exit(frame)
             if span is not None:
-                tracer.exit(span)
+                tracer.exit(span, self.now)
         ins = self._ins
         if ins is not None:
             ins.wall_schedule_pass.observe(dt)
+
+    def _count_pass(self, seconds: float) -> None:
+        self.schedule_passes += 1
+        self.schedule_pass_total_s += seconds
+        if seconds > self.schedule_pass_max_s:
+            self.schedule_pass_max_s = seconds
 
     # ------------------------------------------------------------------
     # Session API (DESIGN.md §5.8)
@@ -962,7 +981,7 @@ class SimulationEngine:
             if job is not None:
                 first_arrival = job.arrival_time
         if self.faults is not None:
-            self.faults.prime()
+            self.faults.prime(self)
         if self.schedule_interval > 0 and first_arrival is not None:
             aligned = (
                 math.floor(first_arrival / self.schedule_interval)
@@ -1129,13 +1148,6 @@ class SimulationEngine:
         state["_run_t0"] = None
         return state
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        # The observability clock is a closure over this engine (dropped
-        # by SpanTracer.__getstate__); rebind it to the revived instance.
-        if self.observability is not None:
-            self.observability.bind_clock(lambda: self.now)
-
     # ------------------------------------------------------------------
     # One instant of the batched drain
     # ------------------------------------------------------------------
@@ -1185,7 +1197,7 @@ class SimulationEngine:
             kind = ev.kind
             if ev_child is not None:
                 ev_child[kind].inc()
-            span = tracer.enter(span_name[kind]) if tracer is not None else None
+            span = tracer.enter(span_name[kind], t) if tracer is not None else None
             frame = prof.enter("engine") if prof is not None else None
             try:
                 if kind is EventKind.JOB_ARRIVAL:
@@ -1215,10 +1227,10 @@ class SimulationEngine:
                 if frame is not None:
                     prof.exit(frame)
                 if span is not None:
-                    tracer.exit(span)
+                    tracer.exit(span, t)
 
             if sanitizer is not None:
-                sanitizer.after_event(f"{kind.name} @ t={t:g}")
+                sanitizer.after_event(self, f"{kind.name} @ t={t:g}")
             if idx >= n:
                 # Mid-batch the locally-held events are still pending
                 # work, so starvation can only be judged at the end of

@@ -72,10 +72,22 @@ class TestPriorities:
             make_single_task_job(theta=5.0, arrival_time=0.0, job_id=1),
             make_single_task_job(theta=500.0, arrival_time=1.0, job_id=2),
         ]
+        # Read the priorities right after job 2's arrival hook, while
+        # both jobs are active: after the run every job has finished and
+        # on_job_finish has dropped its priority.
+        seen = {}
+        arrive = sched.on_job_arrival
+
+        def on_job_arrival(job, view):
+            arrive(job, view)
+            if job.job_id == 2:
+                seen.update({j.job_id: sched.priority_of(j) for j in view.active_jobs})
+
+        sched.on_job_arrival = on_job_arrival
         engine = SimulationEngine(cluster, sched, jobs, max_time=1e5)
         engine.run()
-        # After the second arrival both jobs were ranked.
-        assert sched.priority_of(jobs[0]) is not None or jobs[0].is_finished
+        assert set(seen) == {1, 2}
+        assert None not in seen.values()
 
     def test_defensive_recompute_in_schedule(self):
         """schedule() ranks jobs even if the arrival hook never fired."""

@@ -47,11 +47,11 @@ class TestCleanState:
     def test_no_violations_right_after_launch(self):
         engine, _, _ = engine_with_running_copy()
         sanitizer = SimulationSanitizer(engine)
-        assert sanitizer.check() == []
+        assert sanitizer.check(engine) == []
 
     def test_after_event_passes_on_clean_state(self):
         engine, _, _ = engine_with_running_copy()
-        SimulationSanitizer(engine).after_event("LAUNCH @ t=0")
+        SimulationSanitizer(engine).after_event(engine, "LAUNCH @ t=0")
 
 
 class TestCapacityConservation:
@@ -62,7 +62,7 @@ class TestCapacityConservation:
         mirror.alloc_cpu[0] += 1.0
         mirror.alloc_mem[0] += 2.0
         mirror.update(0)  # keep availability coherent on purpose
-        violations = SimulationSanitizer(engine).check("corrupt")
+        violations = SimulationSanitizer(engine).check(engine, "corrupt")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
         v = next(
             v for v in violations if v.kind is InvariantKind.CAPACITY_CONSERVATION
@@ -74,7 +74,7 @@ class TestCapacityConservation:
         # Buggy cleanup path: the server releases the copy while the
         # engine still counts it live and expects its finish event.
         engine.cluster[0].release(copy)
-        violations = SimulationSanitizer(engine).check("double release")
+        violations = SimulationSanitizer(engine).check(engine, "double release")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
         v = next(
             v for v in violations if v.kind is InvariantKind.CAPACITY_CONSERVATION
@@ -89,7 +89,7 @@ class TestCapacityConservation:
         # release that missed the idle snap to exactly zero.
         mirror.alloc_cpu[1] = 1e-12
         mirror.update(1)
-        violations = SimulationSanitizer(engine).check("residue")
+        violations = SimulationSanitizer(engine).check(engine, "residue")
         v = next(
             v for v in violations if v.kind is InvariantKind.CAPACITY_CONSERVATION
         )
@@ -100,7 +100,7 @@ class TestCapacityConservation:
         engine, task, copy = engine_with_running_copy()
         # Mark the copy dead without releasing its reservation.
         copy.killed = True
-        violations = SimulationSanitizer(engine).check("leak")
+        violations = SimulationSanitizer(engine).check(engine, "leak")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
 
 
@@ -108,7 +108,7 @@ class TestMirrorCoherence:
     def test_mutated_mirror_array_detected(self):
         engine, _, _ = engine_with_running_copy()
         engine.cluster.mirror.avail_cpu[1] += 2.0
-        violations = SimulationSanitizer(engine).check("mirror poke")
+        violations = SimulationSanitizer(engine).check(engine, "mirror poke")
         assert kinds(violations) == {InvariantKind.MIRROR_COHERENCE}
         v = violations[0]
         assert v.server_id == 1
@@ -118,7 +118,7 @@ class TestMirrorCoherence:
         engine, _, _ = engine_with_running_copy()
         # Availability not re-derived after an allocation change.
         engine.cluster.mirror.alloc_mem[0] += 1.0
-        violations = SimulationSanitizer(engine).check("stale")
+        violations = SimulationSanitizer(engine).check(engine, "stale")
         v = next(v for v in violations if v.kind is InvariantKind.MIRROR_COHERENCE)
         assert v.server_id == 0
         assert "avail_mem" in v.message
@@ -126,7 +126,7 @@ class TestMirrorCoherence:
     def test_loose_block_bound_detected(self):
         engine, _, _ = engine_with_running_copy()
         engine.cluster.mirror._ub_cpu[0] = 0.0  # below every member
-        violations = SimulationSanitizer(engine).check("bound")
+        violations = SimulationSanitizer(engine).check(engine, "bound")
         assert kinds(violations) == {InvariantKind.MIRROR_COHERENCE}
         assert "block 0" in violations[0].message
 
@@ -141,7 +141,7 @@ class TestNegativeAvailability:
         mirror.avail_mem[1] += 1.0
         mirror.alloc_cpu[1] = mirror.cap_cpu[1] + 1.0
         mirror.alloc_mem[1] = -1.0
-        violations = SimulationSanitizer(engine).check("negative")
+        violations = SimulationSanitizer(engine).check(engine, "negative")
         assert InvariantKind.NEGATIVE_AVAILABILITY in kinds(violations)
         v = next(
             v for v in violations if v.kind is InvariantKind.NEGATIVE_AVAILABILITY
@@ -157,7 +157,7 @@ class TestCloneBound:
         # DollyMP² allows 3 live copies; launch 3 more clones = 4 live.
         for _ in range(3):
             engine.launch_copy(task, engine.cluster[1], clone=True)
-        violations = SimulationSanitizer(engine).check("over-cloned")
+        violations = SimulationSanitizer(engine).check(engine, "over-cloned")
         assert InvariantKind.CLONE_BOUND in kinds(violations)
         v = next(v for v in violations if v.kind is InvariantKind.CLONE_BOUND)
         assert v.task_uid == task.uid
@@ -169,12 +169,12 @@ class TestCloneBound:
         )
         for _ in range(2):
             engine.launch_copy(task, engine.cluster[1], clone=True)
-        assert SimulationSanitizer(engine).check() == []
+        assert SimulationSanitizer(engine).check(engine) == []
 
     def test_corrupted_live_counter_detected(self):
         engine, task, _ = engine_with_running_copy()
         task._live_count += 1
-        violations = SimulationSanitizer(engine).check("counter")
+        violations = SimulationSanitizer(engine).check(engine, "counter")
         assert InvariantKind.CLONE_BOUND in kinds(violations)
 
     def test_cap_inferred_from_policy(self):
@@ -189,9 +189,9 @@ class TestTimeMonotonicity:
         engine, _, _ = engine_with_running_copy()
         sanitizer = SimulationSanitizer(engine)
         engine.now = 10.0
-        assert sanitizer.check("t=10") == []
+        assert sanitizer.check(engine, "t=10") == []
         engine.now = 5.0
-        violations = sanitizer.check("t=5")
+        violations = sanitizer.check(engine, "t=5")
         assert kinds(violations) == {InvariantKind.TIME_MONOTONICITY}
 
 
@@ -201,7 +201,7 @@ class TestEngineIntegration:
         engine.cluster.mirror.alloc_mem[0] = 99.0
         sanitizer = SimulationSanitizer(engine)
         with pytest.raises(SanitizerError) as excinfo:
-            sanitizer.after_event("COPY_FINISH @ t=42")
+            sanitizer.after_event(engine, "COPY_FINISH @ t=42")
         err = excinfo.value
         assert err.violations
         assert "mirror-coherence" in str(err)
@@ -269,7 +269,7 @@ class TestFailedServerInvariant:
         # Flip the server down without the Fail applier's cleanup: the
         # resident copy, its allocation and the availability all linger.
         engine.cluster.mirror.up[0] = False
-        violations = SimulationSanitizer(engine).check("bad mark_down")
+        violations = SimulationSanitizer(engine).check(engine, "bad mark_down")
         assert InvariantKind.FAILED_SERVER in kinds(violations)
         v = next(v for v in violations if v.kind is InvariantKind.FAILED_SERVER)
         assert v.server_id == 0
@@ -280,10 +280,10 @@ class TestFailedServerInvariant:
         from repro.sim.actions import Fail
 
         engine.apply(Fail(engine.cluster[1]))  # clean crash of the idle server
-        assert SimulationSanitizer(engine).check() == []
+        assert SimulationSanitizer(engine).check(engine) == []
         # Corrupt: a down server advertising capacity again.
         engine.cluster.mirror.avail_cpu[1] = 1.0
-        violations = SimulationSanitizer(engine).check("leak")
+        violations = SimulationSanitizer(engine).check(engine, "leak")
         assert InvariantKind.FAILED_SERVER in kinds(violations)
 
     def test_clean_crash_passes(self):
@@ -292,7 +292,7 @@ class TestFailedServerInvariant:
 
         engine.apply(Fail(engine.cluster[0]))
         assert task.state is TaskState.PENDING
-        assert SimulationSanitizer(engine).check() == []
+        assert SimulationSanitizer(engine).check(engine) == []
 
 
 class TestRequeueCoherenceInvariant:
@@ -301,7 +301,7 @@ class TestRequeueCoherenceInvariant:
         # Buggy requeue: state flips to PENDING while the copy lives on.
         task.state = TaskState.PENDING
         task.phase._pending_count += 1
-        violations = SimulationSanitizer(engine).check("bad requeue")
+        violations = SimulationSanitizer(engine).check(engine, "bad requeue")
         assert InvariantKind.REQUEUE_COHERENCE in kinds(violations)
         v = next(
             v for v in violations if v.kind is InvariantKind.REQUEUE_COHERENCE
@@ -312,7 +312,7 @@ class TestRequeueCoherenceInvariant:
         engine, task, _ = engine_with_running_copy()
         # Requeue that forgets to bump the phase's cached counter.
         task.phase._pending_count += 1
-        violations = SimulationSanitizer(engine).check("stale counter")
+        violations = SimulationSanitizer(engine).check(engine, "stale counter")
         assert InvariantKind.REQUEUE_COHERENCE in kinds(violations)
 
 
@@ -322,21 +322,21 @@ class TestCloneBudgetInvariant:
         # The headline δ-budget drift: occupancy left over after every
         # clone exited must be flagged even when it is tiny.
         engine.clone_occupancy = Resources.of(1e-9, 0.0)
-        violations = SimulationSanitizer(engine).check("budget leak")
+        violations = SimulationSanitizer(engine).check(engine, "budget leak")
         assert InvariantKind.CLONE_BUDGET in kinds(violations)
 
     def test_negative_occupancy_detected(self):
         engine, _, _ = engine_with_running_copy()
         engine.clone_occupancy = Resources.of(-0.5, 0.0)
-        violations = SimulationSanitizer(engine).check("double return")
+        violations = SimulationSanitizer(engine).check(engine, "double return")
         assert InvariantKind.CLONE_BUDGET in kinds(violations)
 
     def test_occupancy_mismatch_with_live_clone_detected(self):
         engine, task, _ = engine_with_running_copy()
         engine.launch_copy(task, engine.cluster[1], clone=True)
-        assert SimulationSanitizer(engine).check() == []
+        assert SimulationSanitizer(engine).check(engine) == []
         # A fault-kill path that forgets the return leaves the occupancy
         # above the rescan of live clone demands.
         engine.clone_occupancy = engine.clone_occupancy + task.demand
-        violations = SimulationSanitizer(engine).check("missed return")
+        violations = SimulationSanitizer(engine).check(engine, "missed return")
         assert InvariantKind.CLONE_BUDGET in kinds(violations)

@@ -27,7 +27,7 @@ class TestWindowMechanics:
     def test_slow_start_scales_factor(self):
         engine = _engine_with_brownout(slowdown=1.3)
         server = engine.cluster[0]
-        engine.faults.on_slow_start(server)
+        engine.faults.on_slow_start(engine, server)
         assert server.slowdown == pytest.approx(1.3 * 3.0)
 
     def test_slow_end_restores_exactly(self):
@@ -36,23 +36,23 @@ class TestWindowMechanics:
         engine = _engine_with_brownout(slowdown=1.3)
         server = engine.cluster[0]
         before = server.slowdown
-        engine.faults.on_slow_start(server)
-        engine.faults.on_slow_end(server)
+        engine.faults.on_slow_start(engine, server)
+        engine.faults.on_slow_end(engine, server)
         assert server.slowdown == before
 
     def test_nested_windows_do_not_stack(self):
         engine = _engine_with_brownout(slowdown=1.3)
         server = engine.cluster[0]
-        engine.faults.on_slow_start(server)
-        engine.faults.on_slow_start(server)  # overlapping window
+        engine.faults.on_slow_start(engine, server)
+        engine.faults.on_slow_start(engine, server)  # overlapping window
         assert server.slowdown == pytest.approx(1.3 * 3.0)  # not ×9
-        engine.faults.on_slow_end(server)
+        engine.faults.on_slow_end(engine, server)
         assert server.slowdown == 1.3
 
     def test_slow_end_without_start_is_noop(self):
         engine = _engine_with_brownout(slowdown=1.3)
         server = engine.cluster[0]
-        engine.faults.on_slow_end(server)
+        engine.faults.on_slow_end(engine, server)
         assert server.slowdown == 1.3
 
 

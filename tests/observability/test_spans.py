@@ -10,25 +10,13 @@ import pytest
 from repro.observability.spans import SPAN_SCHEMA, Span, SpanTracer
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-
 def test_nesting_depth_and_parent_links():
-    clock = FakeClock()
-    tracer = SpanTracer(clock)
-    outer = tracer.enter("event:copy_finish")
-    clock.t = 1.0
-    inner = tracer.enter("decision:task_finish", point=3)
+    tracer = SpanTracer()
+    outer = tracer.enter("event:copy_finish", 0.0)
+    inner = tracer.enter("decision:task_finish", 1.0, point=3)
     assert tracer.open_depth == 2
-    clock.t = 2.0
-    tracer.exit(inner)
-    clock.t = 3.0
-    tracer.exit(outer)
+    tracer.exit(inner, 2.0)
+    tracer.exit(outer, 3.0)
     assert tracer.open_depth == 0
 
     dicts = tracer.to_dicts()
@@ -43,33 +31,34 @@ def test_nesting_depth_and_parent_links():
 
 def test_misnested_exit_raises():
     tracer = SpanTracer()
-    a = tracer.enter("a")
-    tracer.enter("b")
+    a = tracer.enter("a", 0.0)
+    tracer.enter("b", 0.0)
     with pytest.raises(RuntimeError, match="misnested"):
-        tracer.exit(a)
+        tracer.exit(a, 0.0)
 
 
 def test_exit_without_open_span_raises():
     tracer = SpanTracer()
-    s = tracer.enter("a")
-    tracer.exit(s)
+    s = tracer.enter("a", 0.0)
+    tracer.exit(s, 0.0)
     with pytest.raises(RuntimeError):
-        tracer.exit(s)
+        tracer.exit(s, 0.0)
 
 
 def test_context_manager_closes_on_exception():
     tracer = SpanTracer()
     with pytest.raises(KeyError):
-        with tracer.span("outer"):
+        with tracer.span("outer", 4.0):
             raise KeyError("boom")
     assert tracer.open_depth == 0
     assert len(tracer) == 1
+    assert (tracer.spans[0].t_enter, tracer.spans[0].t_exit) == (4.0, 4.0)
 
 
 def test_overflow_counts_and_drops_instead_of_raising():
     tracer = SpanTracer(maxlen=2)
     for i in range(5):
-        with tracer.span(f"s{i}"):
+        with tracer.span(f"s{i}", float(i)):
             pass
     assert len(tracer.spans) == 2
     assert tracer.dropped == 3
@@ -77,7 +66,7 @@ def test_overflow_counts_and_drops_instead_of_raising():
 
 def test_wall_time_excluded_by_default():
     tracer = SpanTracer()
-    with tracer.span("x"):
+    with tracer.span("x", 0.0):
         pass
     d = tracer.to_dicts()[0]
     assert "wall_ms" not in d
@@ -86,11 +75,9 @@ def test_wall_time_excluded_by_default():
 
 
 def test_jsonl_roundtrip_and_schema(tmp_path):
-    clock = FakeClock()
-    tracer = SpanTracer(clock, maxlen=3)
+    tracer = SpanTracer(maxlen=3)
     for i in range(5):
-        clock.t = float(i)
-        with tracer.span(f"s{i}", i=i):
+        with tracer.span(f"s{i}", float(i), i=i):
             pass
     path = tmp_path / "spans.jsonl"
     tracer.dump_jsonl(path)
@@ -112,13 +99,12 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def test_pickled_span_round_trips_every_field():
-    clock = FakeClock()
-    tracer = SpanTracer(clock)
-    with tracer.span("outer"):
-        clock.t = 2.5
-        with tracer.span("inner", job=7, kind="launch", ok=True, r=None):
-            clock.t = 4.0
-    open_span = tracer.enter("open", x=1.5)
+    tracer = SpanTracer()
+    outer = tracer.enter("outer", 0.0)
+    inner = tracer.enter("inner", 2.5, job=7, kind="launch", ok=True, r=None)
+    tracer.exit(inner, 4.0)
+    tracer.exit(outer, 4.0)
+    open_span = tracer.enter("open", 4.0, x=1.5)
     for span in (*tracer.spans, open_span):
         revived = pickle.loads(pickle.dumps(span, protocol=5))
         assert type(revived) is Span

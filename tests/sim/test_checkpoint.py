@@ -11,9 +11,11 @@ import json
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.cluster.heterogeneity import homogeneous_cluster
+from repro.cluster.heterogeneity import homogeneous_cluster, trace_sim_cluster
+from repro.cluster.mirror import _pack_distinct
 from repro.core.online import DollyMPScheduler
 from repro.faults import FAULT_PROFILES
 from repro.observability import Observability
@@ -316,13 +318,14 @@ class TestLegacyCheckpoint:
     as bytes inside one envelope pickle; v4 writes a header and then the
     state, with each phase's fitted h(r) in a ``speedup`` slot that v5
     renamed ``_speedup``; v5 kept every finished job and its copies,
-    which v6 holds only as a record and task ledgers.  Older files are
-    rejected by their format name, like a foreign file — nothing
-    revives them."""
+    which v6 holds only as a record and task ledgers; v6 pickled the
+    engine's view, the tracer's clock slot, the injector's engine slot
+    and the mirror's columns whole.  Older files are rejected by their
+    format name, like a foreign file — nothing revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v6"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v7"
         engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
         engine.start()
         engine.run_until(60.0)
@@ -332,8 +335,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5"):
-            # Header then state, the layout v6 kept.
+        if old in ("v4", "v5", "v6"):
+            # Header then state, the layout v7 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state
@@ -373,3 +376,79 @@ class TestLegacyCheckpoint:
         e.run_until(30.0)
         _, slots = e.cluster.mirror.__getstate__()
         assert not {"_block", "_ub_cpu", "_ub_mem"} & set(slots)
+
+
+class TestMirrorEncoding:
+    """v7 pickles the mirror's capacity and slowdown columns as distinct
+    values plus an index, its allocation columns as their entries other
+    than +0.0, an all-up mask as its length and a round-robin rack map
+    as its recipe.  Every column must revive bit for bit."""
+
+    COLUMNS = ("cap_cpu", "cap_mem", "slowdown", "alloc_cpu", "alloc_mem", "up",
+               "avail_cpu", "avail_mem")
+
+    def test_chaos_cut_round_trips_bit_for_bit(self):
+        cluster = trace_sim_cluster(300, seed=3)
+        engine = SimulationEngine(
+            cluster,
+            DollyMPScheduler(max_clones=2),
+            jobs_from_specs(trace_specs()),
+            seed=21,
+            fault_profile=FAULT_PROFILES["chaos"],
+        )
+        engine.run_until(100.0)
+        mirror = cluster.mirror
+        assert not mirror.up.all()  # down servers
+        assert engine.faults._saved_slowdown  # open brownout windows
+        assert mirror.resident  # allocations from running copies
+        # A -0.0 and a float residue on idle servers: neither is +0.0,
+        # so both must be stored, and stored exactly.  No mirror
+        # operation leaves either on an idle server, so plant them.
+        idle = [i for i in range(len(mirror)) if mirror.up[i] and i not in mirror.resident]
+        mirror.alloc_cpu[idle[0]] = -0.0  # repro-lint: ignore[RL001]
+        mirror.alloc_mem[idle[1]] = 0.1 + 0.2 - 0.3  # repro-lint: ignore[RL001]
+        for i in idle[:2]:
+            mirror.update(i)
+        assert cluster.topology.__getstate__() == (300, 7)  # the recipe
+
+        revived = restore_bytes(checkpoint_bytes(engine)[0]).cluster
+        for name in self.COLUMNS:
+            a, b = getattr(mirror, name), getattr(revived.mirror, name)
+            assert (b.dtype, b.tobytes()) == (a.dtype, a.tobytes()), name
+            assert b.flags.writeable, name
+        assert np.signbit(revived.mirror.alloc_cpu[idle[0]])
+        rack_of = revived.topology._rack_of
+        expected = cluster.topology._rack_of
+        assert (rack_of.dtype, rack_of.tobytes()) == (np.int32, expected.tobytes())
+
+    def test_distinct_values_told_apart_by_bits(self):
+        column = np.array([0.0, -0.0, 1.0, np.nan] * 50)
+        values, index = _pack_distinct(column)
+        assert len(values) == 4 and index.dtype == np.uint8
+        assert values[index].tobytes() == column.tobytes()
+
+    def test_slowdown_set_after_a_save_reaches_the_next(self):
+        """The packed columns are kept between saves; a brownout's
+        set_slowdown must drop the stale slowdown column, on a live and
+        on a restored mirror alike."""
+        engine = mk_engine()
+        engine.run_until(30.0)
+        checkpoint_bytes(engine)
+        engine.cluster.mirror.set_slowdown(3, 2.5)
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        assert revived.cluster.mirror.slowdown[3] == 2.5
+        revived.cluster.mirror.set_slowdown(4, 3.5)
+        again = restore_bytes(checkpoint_bytes(revived)[0]).cluster.mirror
+        assert again.slowdown.tobytes() == revived.cluster.mirror.slowdown.tobytes()
+        assert again.slowdown[4] == 3.5
+
+    def test_state_holds_compact_columns(self):
+        engine = mk_engine()
+        engine.run_until(30.0)
+        mirror = engine.cluster.mirror
+        _, slots = mirror.__getstate__()
+        values, index = slots["cap_cpu"]
+        assert len(values) == 1 and index.dtype == np.uint8
+        n, index, values = slots["alloc_cpu"]
+        assert n == len(mirror) and len(index) == len(mirror.resident)
+        assert slots["up"] == len(mirror)

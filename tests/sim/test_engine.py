@@ -8,6 +8,7 @@ deadlock/starvation guards.
 
 import gc
 import math
+import weakref
 
 import pytest
 
@@ -18,9 +19,12 @@ from repro.cluster.heterogeneity import (
     trace_sim_cluster,
 )
 from repro.core.online import DollyMPScheduler
+from repro.faults import FAULT_PROFILES
+from repro.observability import Observability
 from repro.resources import Resources
 from repro.schedulers.base import Scheduler
 from repro.schedulers.fifo import FIFOScheduler
+from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.engine import SimulationEngine
 from repro.workload.distributions import Deterministic
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
@@ -267,7 +271,7 @@ class TestSlottedMode:
         ]
         engine, _ = run(cluster, jobs, schedule_interval=5.0)
         # Far fewer ticks than 1000/5 if the idle gap is jumped.
-        assert len(engine.schedule_pass_seconds) < 50
+        assert engine.schedule_passes < 50
 
     def test_event_mode_schedules_immediately(self):
         cluster = homogeneous_cluster(1, Resources.of(8, 8))
@@ -334,8 +338,9 @@ class TestAccounting:
     def test_schedule_overhead_recorded(self, small_cluster):
         job = make_single_task_job(theta=1.0)
         engine, result = run(small_cluster, [job])
-        assert len(result.schedule_pass_seconds) >= 1
-        assert all(s >= 0 for s in result.schedule_pass_seconds)
+        count, total, longest = result.schedule_pass_seconds
+        assert count == engine.schedule_passes >= 1
+        assert 0 <= longest <= total
 
     def test_determinism_same_seed(self):
         def go():
@@ -415,3 +420,75 @@ class TestFinishedWork:
         engine.start()
         assert engine.jobs == []
         assert engine.events.peek().payload is job
+
+
+def _trace_engine(**kw):
+    specs = GoogleTraceGenerator(seed=0).generate(12, mean_interarrival=2.0)
+    return SimulationEngine(
+        trace_sim_cluster(60, seed=0),
+        DollyMPScheduler(max_clones=2),
+        jobs_from_specs(specs),
+        seed=0,
+        schedule_interval=5.0,
+        max_time=1e9,
+        **kw,
+    )
+
+
+def _finished(**kw):
+    engine = _trace_engine(**kw)
+    engine.run()
+    return engine
+
+
+def _finished_chaos():
+    engine = _finished(fault_profile=FAULT_PROFILES["chaos"], churn_seed=1)
+    assert engine.faults_injected > 0
+    return engine
+
+
+def _restored_mid_run():
+    engine = _trace_engine(
+        observability=Observability(),
+        fault_profile=FAULT_PROFILES["chaos"],
+        churn_seed=1,
+        sanitize=True,
+    )
+    engine.run_until(15.0)
+    assert engine.active_jobs and engine.faults_injected > 0
+    return restore_bytes(checkpoint_bytes(engine)[0])
+
+
+class TestOwnership:
+    """Nothing the engine owns points back at it (DESIGN.md §5.8): views
+    are built per call, and the tracer, fault injector and sanitizer
+    take the engine's clock or the engine itself as an argument.  So
+    with the cyclic collector off, dropping an engine's last name frees
+    it and its mirror at once, and a finished run's work with them."""
+
+    @pytest.mark.parametrize(
+        "make, finished",
+        [
+            (_finished, True),
+            (lambda: _finished(observability=Observability()), True),
+            (_finished_chaos, True),
+            (lambda: _finished(sanitize=True), True),
+            (_restored_mid_run, False),
+        ],
+        ids=["plain", "observability", "chaos", "sanitize", "restored-mid-run"],
+    )
+    def test_dropped_engine_freed_by_reference_counting(self, make, finished):
+        gc.collect()
+        before = TestFinishedWork._alive()
+        gc.disable()
+        try:
+            engine = make()
+            refs = (weakref.ref(engine), weakref.ref(engine.cluster.mirror.alloc_cpu))
+            del engine
+            dead = [ref() is None for ref in refs]
+            after = TestFinishedWork._alive()
+        finally:
+            gc.enable()
+        assert dead == [True, True]
+        if finished:
+            assert after == before

@@ -9,6 +9,7 @@ from repro.cli import (
     make_cluster,
     make_scheduler,
 )
+from repro.sim.checkpoint import load_checkpoint
 
 
 class TestFactories:
@@ -163,3 +164,43 @@ class TestFaultFlags:
         assert rc == 0
         out = capsys.readouterr().out
         assert "bit-identical" in out
+
+
+class TestServe:
+    """``serve`` records spans only when ``--spans-out`` will export them."""
+
+    @staticmethod
+    def _serve(tmp_path, *extra):
+        arrivals = tmp_path / "arrivals.jsonl"
+        if not arrivals.exists():
+            assert main(["trace", "--jsonl", "--jobs", "6", "--gap", "5",
+                         "--out", str(arrivals)]) == 0
+        return main(["serve", "--arrivals", str(arrivals), "--cluster", "trace:50",
+                     "--checkpoint-path", str(tmp_path / "serve.ckpt"), *extra])
+
+    def test_metrics_textfile_session_checkpoints_no_spans(self, tmp_path, capsys):
+        prom = tmp_path / "metrics.prom"
+        assert self._serve(tmp_path, "--metrics-textfile", str(prom)) == 0
+        obs = load_checkpoint(tmp_path / "serve.ckpt").observability
+        assert obs.registry is not None
+        assert obs.tracer is None
+        assert "repro_" in prom.read_text()
+
+    def test_restore_asking_for_unrecorded_spans_fails_before_running(
+        self, tmp_path, capsys
+    ):
+        ckpt, spans = tmp_path / "serve.ckpt", tmp_path / "spans.jsonl"
+        assert self._serve(tmp_path, "--metrics-textfile", str(tmp_path / "m.prom")) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="--spans-out"):
+            self._serve(tmp_path, "--restore", str(ckpt), "--spans-out", str(spans))
+        assert "total_flowtime" not in capsys.readouterr().out
+        assert not spans.exists()
+
+    def test_restore_exports_spans_the_session_recorded(self, tmp_path, capsys):
+        ckpt, spans = tmp_path / "serve.ckpt", tmp_path / "spans.jsonl"
+        assert self._serve(tmp_path, "--spans-out", str(spans)) == 0
+        assert load_checkpoint(ckpt).observability.tracer is not None
+        spans.unlink()
+        assert self._serve(tmp_path, "--restore", str(ckpt), "--spans-out", str(spans)) == 0
+        assert spans.read_text().startswith('{"dropped": 0, "schema"')
