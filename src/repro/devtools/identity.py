@@ -6,7 +6,9 @@ the one-shot ``run()`` on ``SimulationResult.deterministic()`` and on
 decision-journal bytes, so one table checks DollyMP's semantics (clone
 cap, first-copy-wins, capacity conservation) under the determinism
 contract: streamed, checkpoint-restored and replayed runs are
-byte-identical to the one-shot run.
+byte-identical to the one-shot run.  The checkpoint-cut leg records
+spans, and each restored run must export its uninterrupted run's
+spans byte for byte.
 
 Run:  PYTHONPATH=src python -m repro.devtools.identity [ARTIFACT_DIR]
 
@@ -273,12 +275,25 @@ def _streamed(cell: Cell) -> Iterator[Observation]:
 
 
 def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
-    """The row's pull source stepped an instant at a time, snapshotted at
-    every k-th instant and first after end-of-stream; then every
-    snapshot restored, re-attached to a fresh stream and drained."""
+    """The row's pull source stepped an instant at a time, recording
+    spans, snapshotted at every k-th instant and first after
+    end-of-stream; then every snapshot restored, re-attached to a fresh
+    stream and drained.  Each restored leg must also export the
+    uninterrupted leg's spans byte for byte."""
     row, every = cell.row, max(1, cell.instants // (CUTS + 1))
     source = (JsonlSource if row.raw is None else TraceIngestSource)(row.stream())
-    engine = build_engine(row, cell.column, source)
+    engine = SimulationEngine(
+        row.cluster(),
+        DollyMPScheduler(max_clones=2),
+        source,
+        seed=row.seed,
+        schedule_interval=row.schedule_interval,
+        max_time=MAX_TIME,
+        sanitize=row.sanitize,
+        record_trace=True,
+        fault_profile=FAULT_PROFILES[cell.column],
+        observability=Observability(metrics=False),
+    )
     snapshots, instant, ended = [], 0, False
     engine.start()
     while engine.step():
@@ -287,7 +302,9 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         ended = engine.arrivals.exhausted
         if instant % every == 0 or first_after_end:
             snapshots.append((instant, *checkpoint_bytes(engine)))
-    yield "uninterrupted", engine.finalize(), engine.trace
+    result = engine.finalize()
+    spans = _span_export(engine, cell.workdir / "spans.jsonl")
+    yield "uninterrupted", result, engine.trace
 
     jobs, events = len(row.specs), cell.result.events_processed
     inside = [info for _, _, info in snapshots if info.events_processed < events]
@@ -304,7 +321,14 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
             result = revived.finalize()
         except Exception as exc:
             raise CheckFailed(f"{label}: {exc!r}") from exc
+        if _span_export(revived, cell.workdir / "spans.jsonl") != spans:
+            raise CheckFailed(f"{label}: span export differs from the uninterrupted leg's")
         yield label, result, revived.trace
+
+
+def _span_export(engine: SimulationEngine, path: Path) -> bytes:
+    engine.observability.dump_spans(path)
+    return path.read_bytes()
 
 
 def _replayed(cell: Cell) -> Iterator[Observation]:

@@ -18,6 +18,12 @@ The tracer is bounded like the decision trace, but with the opposite
 overflow policy: spans are diagnostics, not replay inputs, so past
 ``maxlen`` new spans are *counted and dropped* rather than raising —
 a long run degrades to truncated tracing instead of failing.
+
+**Storage.**  A session that records spans keeps every closed span, and
+its checkpoints carry them, so closed spans are rows of ``array``
+columns, not objects (DESIGN.md §5.4); :attr:`SpanTracer.spans` builds
+``Span`` views from them on each read.  Only open spans, on the
+tracer's stack, are ``Span`` objects.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ class Span:
     """One enter/exit interval.  ``t_*`` are simulated seconds;
     ``wall_ms`` is host time and excluded from deterministic exports.
 
-    Slotted, with no per-span ``__dict__``: a served session keeps every
-    span it records, and checkpoints pickle them all.
+    An open span is a ``Span`` on the tracer's stack; a closed one is a
+    row of the tracer's columns, read back as a fresh ``Span`` view.
     """
 
     seq: int
@@ -73,26 +79,6 @@ class Span:
             out["wall_ms"] = self.wall_ms
         return out
 
-    def __reduce__(self):
-        # One argument tuple per span instead of a per-object state dict
-        # (what a slotted class pickles through otherwise).  Every field
-        # is a scalar or the attrs dict of scalars, so the tuple holds no
-        # back-reference into the engine's object graph.
-        return (
-            Span,
-            (
-                self.seq,
-                self.name,
-                self.depth,
-                self.parent,
-                self.t_enter,
-                self.attrs,
-                self.t_exit,
-                self.wall_ms,
-                self._wall_start,
-            ),
-        )
-
 
 class SpanTracer:
     """Nestable span recorder stamped with the caller's simulated time.
@@ -105,13 +91,33 @@ class SpanTracer:
     """
 
     def __init__(self, *, maxlen: int = DEFAULT_SPAN_MAXLEN) -> None:
+        # Imported here: every run imports this module, but only one
+        # that records spans should load the array extension (about
+        # 0.3 MB of resident memory).
+        from array import array
+
         if maxlen < 1:
             raise ValueError("span maxlen must be positive")
         self.maxlen = maxlen
-        self.spans: list[Span] = []
         self.dropped = 0
         self._stack: list[Span] = []
         self._seq = 0
+        # Closed spans, one entry per column each, in the order they
+        # closed.  Names and attr key sets are stored once, as the keys
+        # of an id map: a span holds the id.  Key set 0 is the empty
+        # one, whose spans add nothing to ``_values``; every other span
+        # adds its attrs' values, in key order.
+        self._seqs = array("q")
+        self._names = array("i")
+        self._depths = array("i")
+        self._parents = array("q")  # -1: a root span
+        self._t_enter = array("d")
+        self._t_exit = array("d")
+        self._wall_ms = array("d")
+        self._keys = array("i")
+        self._values: list[tuple] = []
+        self._name_ids: dict[str, int] = {}
+        self._key_ids: dict[tuple[str, ...], int] = {(): 0}
 
     # -- recording ------------------------------------------------------
     def enter(self, name: str, now: float, **attrs) -> Span:
@@ -140,10 +146,22 @@ class SpanTracer:
         assert span._wall_start is not None
         span.wall_ms = 1e3 * (_wallclock.perf_counter() - span._wall_start)
         span._wall_start = None
-        if len(self.spans) < self.maxlen:
-            self.spans.append(span)
-        else:
+        if len(self._seqs) >= self.maxlen:
             self.dropped += 1
+            return
+        names, key_ids, attrs = self._name_ids, self._key_ids, span.attrs
+        self._seqs.append(span.seq)
+        self._names.append(names.setdefault(span.name, len(names)))
+        self._depths.append(span.depth)
+        self._parents.append(-1 if span.parent is None else span.parent)
+        self._t_enter.append(span.t_enter)
+        self._t_exit.append(span.t_exit)
+        self._wall_ms.append(span.wall_ms)
+        if attrs:
+            self._keys.append(key_ids.setdefault(tuple(attrs), len(key_ids)))
+            self._values.append(tuple(attrs.values()))
+        else:
+            self._keys.append(0)
 
     @contextmanager
     def span(self, name: str, now: float, **attrs) -> Iterator[Span]:
@@ -160,16 +178,38 @@ class SpanTracer:
         return len(self._stack)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._seqs)
+
+    @property
+    def spans(self) -> list[Span]:
+        """The closed spans in the order they closed, each a ``Span``
+        built from the columns on this read."""
+        names, key_sets, values = list(self._name_ids), list(self._key_ids), iter(self._values)
+        columns = (
+            self._seqs, self._names, self._depths, self._parents,
+            self._t_enter, self._t_exit, self._wall_ms, self._keys,
+        )
+        return [
+            Span(
+                seq,
+                names[name],
+                depth,
+                None if parent < 0 else parent,
+                t_enter,
+                dict(zip(key_sets[keys], next(values))) if keys else {},
+                t_exit,
+                wall_ms,
+            )
+            for seq, name, depth, parent, t_enter, t_exit, wall_ms, keys in zip(*columns)
+        ]
 
     # -- export ---------------------------------------------------------
     def to_dicts(self, *, include_wall: bool = False) -> list[dict]:
-        # Spans are appended on *exit*, so re-sort by seq to present them
-        # in enter order (parents before children).
-        return [
-            s.to_dict(include_wall=include_wall)
-            for s in sorted(self.spans, key=lambda s: s.seq)
-        ]
+        # Spans close child-first, so re-sort by seq to present them in
+        # enter order (parents before children).
+        spans = self.spans
+        spans.sort(key=lambda s: s.seq)
+        return [s.to_dict(include_wall=include_wall) for s in spans]
 
     def dump_jsonl(self, path: str | Path, *, include_wall: bool = False) -> None:
         """Header line (schema + span/drop counts) then one span per
@@ -178,7 +218,7 @@ class SpanTracer:
         with path.open("w", encoding="utf-8") as fh:
             header = {
                 "schema": SPAN_SCHEMA,
-                "spans": len(self.spans),
+                "spans": len(self),
                 "dropped": self.dropped,
             }
             fh.write(json.dumps(header, sort_keys=True) + "\n")

@@ -43,6 +43,7 @@ garbage.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import pickle
@@ -79,9 +80,12 @@ __all__ = [
 #: or injector back-reference to the engine, pickles the mirror's
 #: capacity and slowdown columns as distinct values plus an index, its
 #: allocation columns as their entries other than +0.0, an all-up mask
-#: as its length, and a round-robin rack map as its recipe.  v1–v6
-#: files are rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v7"
+#: as its length, and a round-robin rack map as its recipe; v8 pickles
+#: the span tracer's closed spans as columns (v7 held a list of ``Span``
+#: objects) and each job, phase, task and copy as one tuple of its slot
+#: values (v7 pickled a ``{slot: value}`` dict per object).  v1–v7 files
+#: are rejected by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v8"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each
@@ -190,12 +194,29 @@ def _header(payload: bytes) -> tuple[dict, int]:
 
 
 def restore_bytes(payload: bytes) -> "SimulationEngine":
-    """Revive a session from :func:`checkpoint_bytes` output."""
+    """Revive a session from :func:`checkpoint_bytes` output.
+
+    The state is unpickled with the cyclic collector paused, and the
+    caller's setting restored after.  Young collections would otherwise
+    run every few hundred objects of the load and move the graph built
+    so far, generation by generation, into the oldest one, which only a
+    full collection frees.  Paused, the revived graph starts young: a
+    session dropped before it survives a young collection leaves its
+    job ↔ phase ↔ task ↔ copy cycles to the next one.  The setting is
+    process-wide, so restores must not run on two threads at once; the
+    program restores only from its main thread.
+    """
     header, start = _header(payload)
     state = memoryview(payload)[start:]
     if hashlib.sha256(state).hexdigest() != header["info"].get("digest"):
         raise ValueError("checkpoint state digest mismatch (truncated or corrupted)")
-    return pickle.loads(state)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(state)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_checkpoint(engine: "SimulationEngine", path: str | Path) -> CheckpointInfo:

@@ -216,6 +216,27 @@ class Job:
             include=lambda k: not self.phases[k].is_finished,
         )
 
+    # One tuple of the slots, like TaskCopy's.
+    def __getstate__(self):
+        return (
+            self.job_id,
+            self.name,
+            self.arrival_time,
+            self.phases,
+            self.finish_time,
+            self.user,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.job_id,
+            self.name,
+            self.arrival_time,
+            self.phases,
+            self.finish_time,
+            self.user,
+        ) = state
+
     def __hash__(self) -> int:
         return self.job_id
 

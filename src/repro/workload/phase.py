@@ -179,6 +179,37 @@ class Phase:
             return None
         return max(t.finish_time for t in self.tasks)  # type: ignore[type-var]
 
+    # One tuple of the slots, like TaskCopy's.
+    def __getstate__(self):
+        return (
+            self.job,
+            self.index,
+            self.name,
+            self.demand,
+            self.distribution,
+            self._speedup,
+            self.parents,
+            self.tasks,
+            self.start_delay,
+            self._finished_count,
+            self._pending_count,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.job,
+            self.index,
+            self.name,
+            self.demand,
+            self.distribution,
+            self._speedup,
+            self.parents,
+            self.tasks,
+            self.start_delay,
+            self._finished_count,
+            self._pending_count,
+        ) = state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         jid = self.job.job_id if self.job is not None else "?"
         return f"Phase(j={jid}, k={self.index}, n={self.num_tasks}, θ={self.theta:g})"

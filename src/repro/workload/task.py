@@ -98,6 +98,33 @@ class TaskCopy:
             self.task._live_count -= 1
         self._finished = value
 
+    # Checkpoints pickle the slots as one tuple, in ``__slots__`` order
+    # (DESIGN.md §5.8): the default state is a ``{slot: value}`` dict per
+    # object, which the pickler's memo keeps alive until the dump ends.
+    def __getstate__(self):
+        return (
+            self.copy_uid,
+            self.task,
+            self.server_id,
+            self.start_time,
+            self.duration,
+            self.is_clone,
+            self._killed,
+            self._finished,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.copy_uid,
+            self.task,
+            self.server_id,
+            self.start_time,
+            self.duration,
+            self.is_clone,
+            self._killed,
+            self._finished,
+        ) = state
+
     def __hash__(self) -> int:
         return self.copy_uid
 
@@ -287,6 +314,31 @@ class Task:
         if self.ledger is None:
             raise RuntimeError(f"task {self.uid}: fold before completion")
         self.copies = ()
+
+    # One tuple of the slots, like TaskCopy's.
+    def __getstate__(self):
+        return (
+            self.phase,
+            self.index,
+            self.copies,
+            self.state,
+            self.ledger,
+            self.preferred_servers,
+            self.fault_losses,
+            self._live_count,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.phase,
+            self.index,
+            self.copies,
+            self.state,
+            self.ledger,
+            self.preferred_servers,
+            self.fault_losses,
+            self._live_count,
+        ) = state
 
     def __hash__(self) -> int:
         return hash(self.uid)

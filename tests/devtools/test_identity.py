@@ -74,6 +74,27 @@ def test_perturbed_leg_is_reported(trace_rows, monkeypatch, leg, perturb, detail
     assert failure.detail.startswith(detail)
 
 
+def test_restored_span_divergence_is_reported(trace_rows, monkeypatch):
+    """The checkpoint-cut leg records spans: a restored leg whose span
+    export differs from the uninterrupted leg's fails the cell, even
+    when its result and journal match."""
+
+    restore = identity.restore_bytes
+
+    def restore_with_extra_span(payload):
+        engine = restore(payload)
+        with engine.observability.tracer.span("extra", engine.now):
+            pass
+        return engine
+
+    monkeypatch.setattr(identity, "restore_bytes", restore_with_extra_span)
+    with pytest.raises(identity.IdentityFailure) as exc:
+        identity.run_cell(trace_rows["alibaba2018"], "none")
+    failure = exc.value
+    assert failure.leg == "checkpoint-cut"
+    assert failure.detail.endswith("span export differs from the uninterrupted leg's")
+
+
 def test_testbed_specs_materialize_the_builder_jobs():
     """The testbed row is ``wordcount_job(4.0)``/``pagerank_job(1.0)``
     written as specs: same tasks, demands, DAG and duration laws."""

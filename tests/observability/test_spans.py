@@ -1,6 +1,8 @@
 """Unit tests for span tracing: nesting, misnesting, the bounded
-buffer's count-and-drop overflow, and the deterministic JSONL export."""
+buffer's count-and-drop overflow, the deterministic JSONL export, and
+closed spans kept as columns."""
 
+import gc
 import json
 import pickle
 from dataclasses import fields
@@ -112,3 +114,43 @@ def test_pickled_span_round_trips_every_field():
             assert getattr(revived, f.name) == getattr(span, f.name), f.name
     assert open_span._wall_start is not None
     assert not hasattr(open_span, "__dict__")
+
+
+def test_closed_spans_are_columns_not_objects():
+    """A closed span leaves no ``Span`` behind: it is a row of the
+    tracer's columns, and ``spans`` builds fresh views from them."""
+    gc.collect()
+    before = sum(1 for o in gc.get_objects() if type(o) is Span)
+    tracer = SpanTracer()
+    for i in range(50):
+        with tracer.span("outer", float(i)):
+            with tracer.span("inner", float(i), job=i, kind="launch"):
+                pass
+    gc.collect()
+    assert sum(1 for o in gc.get_objects() if type(o) is Span) == before
+    views = tracer.spans
+    assert len(views) == len(tracer) == 100
+    assert views[0] is not tracer.spans[0]
+    inner, outer = views[:2]
+    assert (inner.name, inner.parent, inner.attrs) == ("inner", 0, {"job": 0, "kind": "launch"})
+    assert (outer.name, outer.parent, outer.attrs) == ("outer", None, {})
+
+
+def test_pickled_tracer_keeps_every_column():
+    tracer = SpanTracer()
+    root = tracer.enter("root", 0.0)
+    with tracer.span("a", 1.0, job=7, ok=True):
+        pass
+    with tracer.span("b", 2.0):
+        pass
+    with tracer.span("a", 3.0, job=8, ok=False):
+        pass
+    with tracer.span("c", 4.5, r=None, x=1.5):
+        pass
+    revived = pickle.loads(pickle.dumps(tracer, protocol=5))
+    assert revived.to_dicts(include_wall=True) == tracer.to_dicts(include_wall=True)
+    assert [s.parent for s in revived.spans] == [root.seq] * 4
+    assert revived.open_depth == 1
+    with revived.span("d", 5.0):
+        pass
+    assert [d["seq"] for d in revived.to_dicts()] == [1, 2, 3, 4, 5]

@@ -21,15 +21,21 @@ against the direct forms kept here:
   form: a fresh demand vector per phase, h(r) fitted when the phase is
   built, and every phase graph run through Kahn's sort;
 * :func:`record_for_job` — a finished job's record walked from its
-  tasks' copies, where production reads the ledgers they fold into.
+  tasks' copies, where production reads the ledgers they fold into;
+* :class:`SpanTracer` — the span tracer keeping each closed span as a
+  ``Span`` object in a list, where production keeps columns.
 
 The :func:`reference_kernels` fixture patches the first four into
 production for one test; :class:`EagerDollyMP` is chosen by
-constructing it.
+constructing it, and :class:`SpanTracer` by handing one to an
+``Observability`` as its ``tracer``.
 """
 
 from __future__ import annotations
 
+import json
+import time
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,7 @@ from repro.core import online
 from repro.core.knapsack import max_count_knapsack
 from repro.core.online import DollyMPScheduler
 from repro.core.transient import num_levels
+from repro.observability.spans import DEFAULT_SPAN_MAXLEN, SPAN_SCHEMA, Span
 from repro.schedulers import packing
 from repro.schedulers.tetris import TetrisScheduler
 from repro.resources import Resources
@@ -317,6 +324,62 @@ def record_for_job(job, copies) -> JobRecord:
         cpu_seconds=cpu_seconds,
         mem_seconds=mem_seconds,
     )
+
+
+class SpanTracer:
+    """``repro.observability.spans.SpanTracer`` keeping every closed span
+    as a ``Span`` in ``spans``, in the order they closed."""
+
+    def __init__(self, *, maxlen: int = DEFAULT_SPAN_MAXLEN) -> None:
+        if maxlen < 1:
+            raise ValueError("span maxlen must be positive")
+        self.maxlen = maxlen
+        self.spans: list[Span] = []
+        self.dropped = 0
+        self._stack: list[Span] = []
+        self._seq = 0
+
+    def enter(self, name: str, now: float, **attrs) -> Span:
+        span = Span(
+            seq=self._seq,
+            name=name,
+            depth=len(self._stack),
+            parent=self._stack[-1].seq if self._stack else None,
+            t_enter=float(now),
+            attrs=attrs,
+            _wall_start=time.perf_counter(),
+        )
+        self._seq += 1
+        self._stack.append(span)
+        return span
+
+    def exit(self, span: Span, now: float) -> None:
+        if not self._stack or self._stack[-1] is not span:
+            raise RuntimeError(f"misnested span exit: closing {span.name!r}")
+        self._stack.pop()
+        span.t_exit = float(now)
+        span.wall_ms = 1e3 * (time.perf_counter() - span._wall_start)
+        span._wall_start = None
+        if len(self.spans) < self.maxlen:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def to_dicts(self, *, include_wall: bool = False) -> list[dict]:
+        return [
+            s.to_dict(include_wall=include_wall)
+            for s in sorted(self.spans, key=lambda s: s.seq)
+        ]
+
+    def dump_jsonl(self, path, *, include_wall: bool = False) -> None:
+        with Path(path).open("w", encoding="utf-8") as fh:
+            header = {"schema": SPAN_SCHEMA, "spans": len(self.spans), "dropped": self.dropped}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for d in self.to_dicts(include_wall=include_wall):
+                fh.write(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _best_fit_server(cluster, demand):

@@ -36,6 +36,10 @@ from repro.workload.google_trace import (
     jobs_from_specs,
     spec_to_dict,
 )
+from repro.workload.job import Job
+from repro.workload.phase import Phase
+from repro.workload.task import Task, TaskCopy
+from tests import reference
 from tests.conftest import make_single_task_job
 
 
@@ -320,23 +324,30 @@ class TestLegacyCheckpoint:
     renamed ``_speedup``; v5 kept every finished job and its copies,
     which v6 holds only as a record and task ledgers; v6 pickled the
     engine's view, the tracer's clock slot, the injector's engine slot
-    and the mirror's columns whole.  Older files are rejected by their
-    format name, like a foreign file — nothing revives them."""
+    and the mirror's columns whole; v7 kept closed spans as a list of
+    ``Span`` objects and pickled a ``{slot: value}`` dict per job, phase,
+    task and copy.  Older files are rejected by their format name, like
+    a foreign file — nothing revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v7"
-        engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"])
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v8"
+        obs = Observability()
+        if old == "v7":
+            # v7's span store: every closed span a ``Span`` in a list.
+            obs.tracer = reference.SpanTracer()
+        engine = mk_engine(fault_profile=FAULT_PROFILES["chaos"], observability=obs)
         engine.start()
         engine.run_until(60.0)
+        assert len(obs.tracer) > 0
         payload = checkpoint_bytes(engine)[0]
         stream = io.BytesIO(payload)
         header = pickle.load(stream)
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5", "v6"):
-            # Header then state, the layout v7 kept.
+        if old in ("v4", "v5", "v6", "v7"):
+            # Header then state, the layout v8 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state
@@ -378,8 +389,28 @@ class TestLegacyCheckpoint:
         assert not {"_block", "_ub_cpu", "_ub_mem"} & set(slots)
 
 
+class TestSlotState:
+    """Jobs, phases, tasks and copies pickle as one tuple of their slot
+    values, in ``__slots__`` order, not as a ``{slot: value}`` dict per
+    object."""
+
+    @pytest.mark.parametrize("cls", [Job, Phase, Task, TaskCopy], ids=lambda c: c.__name__)
+    def test_state_tuple_covers_every_slot_in_order(self, cls):
+        slots = cls.__slots__
+        values = [object() for _ in slots]
+        obj = cls.__new__(cls)
+        for name, value in zip(slots, values):
+            setattr(obj, name, value)
+        state = obj.__getstate__()
+        assert type(state) is tuple and len(state) == len(slots)
+        assert all(got is want for got, want in zip(state, values))
+        revived = cls.__new__(cls)
+        revived.__setstate__(state)
+        assert all(getattr(revived, name) is want for name, want in zip(slots, values))
+
+
 class TestMirrorEncoding:
-    """v7 pickles the mirror's capacity and slowdown columns as distinct
+    """Since v7, checkpoints pickle the mirror's capacity and slowdown columns as distinct
     values plus an index, its allocation columns as their entries other
     than +0.0, an all-up mask as its length and a round-robin rack map
     as its recipe.  Every column must revive bit for bit."""

@@ -447,7 +447,7 @@ def _finished_chaos():
     return engine
 
 
-def _restored_mid_run():
+def _mid_run_checkpoint() -> bytes:
     engine = _trace_engine(
         observability=Observability(),
         fault_profile=FAULT_PROFILES["chaos"],
@@ -456,7 +456,11 @@ def _restored_mid_run():
     )
     engine.run_until(15.0)
     assert engine.active_jobs and engine.faults_injected > 0
-    return restore_bytes(checkpoint_bytes(engine)[0])
+    return checkpoint_bytes(engine)[0]
+
+
+def _restored_mid_run():
+    return restore_bytes(_mid_run_checkpoint())
 
 
 class TestOwnership:
@@ -492,3 +496,23 @@ class TestOwnership:
         assert dead == [True, True]
         if finished:
             assert after == before
+
+    def test_dropped_restore_freed_by_a_young_collection(self):
+        """A restored session's active jobs are ``Job`` ↔ ``Phase`` ↔
+        ``Task`` ↔ ``TaskCopy`` cycles.  ``restore_bytes`` revives them
+        with the collector paused, so they start in the youngest
+        generation, and a session dropped at once is freed by the next
+        young collection.  The caller's collector setting survives."""
+        payload = _mid_run_checkpoint()
+        gc.collect()
+        before = TestFinishedWork._alive()
+        restore_bytes(payload)
+        gc.collect(0)
+        assert TestFinishedWork._alive() == before
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            restore_bytes(payload)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
