@@ -21,8 +21,12 @@ lint:
 	$(PYTHON) -m tools.repro_lint --unused-ignores --format sarif \
 		--output artifacts/lint/repro_lint.sarif src tests benchmarks
 
+# Tier 1 in development mode: a file or socket left unclosed fails the
+# gate.  Its ResourceWarning is raised from a finalizer, so pytest turns
+# it into a PytestUnraisableExceptionWarning, which fails the test too.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -X dev -m pytest -x -q -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 # The determinism matrix: workloads × fault profiles × drivers, each
 # driver byte-identical to the one-shot run.  The testbed × none replay

@@ -67,9 +67,12 @@ class Cluster:
         self.topology = topology if topology is not None else Topology.single_rack(n)
         if len(self.topology) != n:
             raise ValueError("topology size does not match server count")
-        # Left-to-right sums of the same floats in id order: np.sum sums
-        # pairwise and can differ in the last ulp.
-        self._total_capacity = Resources(sum(cap_cpu.tolist()), sum(cap_mem.tolist()))
+        # Strict left folds in id order, the last prefix of an
+        # accumulate: np.sum sums pairwise and Python 3.12's sum()
+        # compensates, so either can differ in the last ulp.
+        self._total_capacity = Resources(
+            np.add.accumulate(cap_cpu).item(-1), np.add.accumulate(cap_mem).item(-1)
+        )
         self.mirror = AvailabilityMirror(cap_cpu, cap_mem, slowdown)
         self._peak_alignment: float | None = None
         #: Pre-bound placement-query counter, installed by

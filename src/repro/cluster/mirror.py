@@ -155,8 +155,17 @@ class AvailabilityMirror:
         )
 
     def _derive_all(self) -> None:
-        """Derive every availability entry and tighten every block bound."""
-        self.avail_cpu, self.avail_mem = self.derived_availability()
+        """Derive every availability entry and tighten every block bound.
+
+        The same IEEE operations as :meth:`derived_availability`, done
+        in place: one array per column and no temporaries but the down
+        mask."""
+        down = ~self.up
+        self.avail_cpu = self.cap_cpu - self.alloc_cpu
+        self.avail_mem = self.cap_mem - self.alloc_mem
+        for avail in (self.avail_cpu, self.avail_mem):
+            np.maximum(avail, 0.0, out=avail)
+            avail[down] = 0.0
         self._block = BLOCK_SIZE
         self._retighten_bounds()
 

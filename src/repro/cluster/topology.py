@@ -49,11 +49,11 @@ class Topology:
     def two_racks(num_servers: int) -> "Topology":
         """The paper's layout: servers split evenly across two racks."""
         half = (num_servers + 1) // 2
-        return Topology([0 if i < half else 1 for i in range(num_servers)])
+        return Topology(np.arange(num_servers, dtype=np.int32) >= half)
 
     @staticmethod
     def single_rack(num_servers: int) -> "Topology":
-        return Topology([0] * num_servers)
+        return Topology(np.zeros(num_servers, dtype=np.int32))
 
     def rack(self, server_id: int) -> int:
         return self._rack_of.item(server_id)

@@ -189,7 +189,7 @@ class SimulationEngine:
         if not isinstance(jobs, ArrivalSource):
             jobs = StaticSource(jobs)
         self.arrivals: ArrivalSource = jobs
-        self.jobs = sorted(jobs.initial_jobs(), key=lambda j: j.arrival_time)
+        self.jobs = jobs.initial_jobs()
         self.schedule_interval = float(schedule_interval)
         self.max_time = float(max_time)
         self.max_copies_per_task = max_copies_per_task

@@ -117,11 +117,15 @@ class ArrivalSource:
     eager: bool = False
 
     def initial_jobs(self) -> list[Job]:
-        """Jobs known before the session starts (eager sources only).
+        """Jobs known before the session starts (eager sources only),
+        in non-decreasing arrival order, equal arrivals in the order
+        the source was given them.
 
-        The engine calls this once; an eager source hands its jobs over
-        and forgets them, so that only the engine's queue names a job
-        whose arrival it has queued."""
+        The engine queues them as returned, without sorting again: the
+        list order fixes same-instant arrival tie-breaks.  It calls this
+        once; an eager source hands its jobs over and forgets them, so
+        that only the engine's queue names a job whose arrival it has
+        queued."""
         return []
 
     def take(self) -> Job | None:

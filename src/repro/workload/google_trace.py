@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSpec:
     """Serializable description of one phase."""
 
@@ -91,7 +91,7 @@ class PhaseSpec:
             object.__setattr__(self, "parents", tuple(parents))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceJobSpec:
     """Serializable description of one job.
 

@@ -1,5 +1,9 @@
 """Unit tests for Cluster aggregates and queries."""
 
+import functools
+import operator
+
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -45,6 +49,19 @@ class TestAggregates:
     def test_total_capacity(self):
         c = two_server_cluster()
         assert c.total_capacity == Resources.of(12, 48)
+
+    @pytest.mark.parametrize("n", [1, 2, 1_000, 100_000])
+    def test_total_capacity_is_a_left_fold(self, n):
+        # Non-integer capacities, so the order of the additions shows in
+        # the last ulp: the totals must be the plain left-to-right fold
+        # in id order, not np.sum's pairwise sum or a compensated sum()
+        # (Python 3.12's).
+        rng = np.random.default_rng(n)
+        cpu = rng.uniform(0.5, 64.0, n)
+        mem = rng.uniform(0.5, 512.0, n)
+        total = Cluster(cpu, mem).total_capacity
+        assert total.cpu == functools.reduce(operator.add, cpu.tolist())
+        assert total.mem == functools.reduce(operator.add, mem.tolist())
 
     def test_total_allocated_and_available(self):
         c = two_server_cluster()
