@@ -66,7 +66,8 @@ def assign_tasks_to_containers(
 
 def best_locality_copy(topology: Topology, copies: Sequence[TaskCopy]) -> TaskCopy:
     """Among live copies of one task, the one the AM keeps: best data
-    locality, earliest start as tie-break (more progress)."""
+    locality, earliest start as tie-break (more progress), then the
+    first in ``copies`` (launch order for ``task.copies``)."""
     live = [c for c in copies if c.live]
     if not live:
         raise ValueError("no live copies to choose from")
@@ -75,7 +76,6 @@ def best_locality_copy(topology: Topology, copies: Sequence[TaskCopy]) -> TaskCo
         key=lambda c: (
             topology.locality(c.server_id, c.task.preferred_servers),
             c.start_time,
-            c.copy_uid,
         ),
     )
 

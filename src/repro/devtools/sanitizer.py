@@ -324,9 +324,11 @@ class SimulationSanitizer:
         lifetime_cap = engine.max_copies_per_task
         # Every live copy must still hold its reservation — a live copy
         # missing from its server means it was released early (or twice)
-        # while the engine still expects it to finish.
+        # while the engine still expects it to finish.  Copies are told
+        # apart by identity: ``copy_uid`` restarts at 0 in a new process,
+        # so after a restore a new copy can carry a restored copy's uid.
         resident = {
-            (sid, c.copy_uid)
+            (sid, id(c))
             for sid, copies in engine.cluster.mirror.resident.items()
             for c in copies
         }
@@ -352,7 +354,7 @@ class SimulationSanitizer:
                         if not copy.live:
                             continue
                         live += 1
-                        if (copy.server_id, copy.copy_uid) not in resident:
+                        if (copy.server_id, id(copy)) not in resident:
                             out.append(
                                 SanitizerViolation(
                                     InvariantKind.CAPACITY_CONSERVATION,

@@ -1,7 +1,10 @@
 """``python -m repro ingest`` — convert / validate / stats / fixture.
 
-Every subcommand streams: peak RSS is a function of trace concurrency,
-never of row count (the ingestion benchmark measures this).
+Every subcommand streams: it holds the normalizer's working set (open
+jobs, the reorder window, specs waiting for an earlier job to close,
+one read chunk, and the keys of up to 100K closed jobs at about 80
+bytes a key; see :mod:`.normalize`), never the whole file.  The
+``ingest-1m`` benchmark workload measures its peak.
 
 Examples::
 

@@ -3,10 +3,14 @@
 The assembler consumes the uniform :class:`~.readers.TraceRow` stream
 and emits fully-formed job specs in non-decreasing arrival order — the
 contract every :class:`~repro.workload.arrivals.ArrivalSource` needs —
-while holding only *open* jobs in memory.  Peak RSS is therefore a
-function of trace **concurrency** (jobs in flight at once, plus the
-reorder window), not of trace **length**: a 200-row excerpt and a
-200-million-row month cost the same working set.
+doing O(1) work per row outside the periodic linger sweep.  Its working
+set is the open job builders, the rows inside the reorder window, the
+closed specs waiting for an earlier job to close, the reader's one
+chunk of lines (:data:`~.readers.CHUNK_BYTES`), and the keys of the
+last :data:`CLOSED_KEY_MEMORY` closed jobs at about 80 bytes a key
+(75–145 while the set grows).  Builders and window follow trace
+concurrency, the waiting specs how long the earliest open job stays
+open, and the key memory grows with trace length until it is full.
 
 Pipeline stages, all single-pass:
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -123,10 +127,26 @@ REORDER_WINDOWS: Mapping[str, float] = MappingProxyType({
     "alibaba2018": 900.0,
 })
 
-#: Emitted-job keys remembered for duplicate detection.  Bounded so the
-#: working set stays independent of trace length; duplicates further
-#: apart than this many jobs are indistinguishable from new jobs.
+#: Closed-job keys remembered for duplicate detection, oldest forgotten
+#: first.  Bounded so the memory stops growing with trace length;
+#: duplicates further apart than this many jobs are indistinguishable
+#: from new jobs.
 CLOSED_KEY_MEMORY = 100_000
+
+
+def _closed_key(key: str) -> int | str:
+    """``key`` as the closed-key memory holds it.
+
+    A canonical ASCII decimal (ASCII digits only, no leading zero unless
+    it is ``"0"``) is held as its int: 32 bytes for a ten-digit Google job
+    ID, whose str takes 59 (51 on Python 3.12).  Any other key stays a
+    str.  Distinct keys map to distinct values and no str equals an int,
+    so membership answers exactly as it would for the raw keys.
+    Non-ASCII digits stay str, because ``int("\u0667") == 7``.
+    """
+    if key.isascii() and key.isdigit() and (key[0] != "0" or len(key) == 1):
+        return int(key)
+    return key
 
 
 class _TaskAcc:
@@ -337,8 +357,15 @@ def normalize_stream(
     if reorder_window is None:
         reorder_window = REORDER_WINDOWS[schema]
 
-    open_jobs: dict[str, _JobBuilder] = {}
-    closed_keys: OrderedDict[str, None] = OrderedDict()
+    # Open builders in open order.  Rows come out of _ordered in
+    # non-decreasing time, so builders open in non-decreasing arrival and
+    # the first one holds the earliest open arrival.  An OrderedDict, not
+    # a dict: a dict's first entry is found by skipping the slots that
+    # closed builders left at its front, an OrderedDict's in O(1).
+    open_jobs: OrderedDict[str, _JobBuilder] = OrderedDict()
+    # Closed keys as a set for lookup plus a FIFO for eviction.
+    closed_keys: set[int | str] = set()
+    closed_order: deque[int | str] = deque()
     # Min-heap of finalized specs keyed by (raw arrival, open ordinal):
     # builders open in arrival order, so the tie-break is deterministic.
     pending: list[tuple[float, int, TraceJobSpec]] = []
@@ -347,9 +374,13 @@ def normalize_stream(
     epoch: float | None = None
 
     def remember_closed(key: str) -> None:
-        closed_keys[key] = None
-        if len(closed_keys) > CLOSED_KEY_MEMORY:
-            closed_keys.popitem(last=False)
+        # A key is never remembered twice: its rows raise a duplicate
+        # until it is forgotten, so the FIFO holds each key once.
+        held = _closed_key(key)
+        closed_keys.add(held)
+        closed_order.append(held)
+        if len(closed_order) > CLOSED_KEY_MEMORY:
+            closed_keys.remove(closed_order.popleft())
 
     def finalize(builder: _JobBuilder) -> None:
         base = epoch if epoch is not None else 0.0
@@ -383,7 +414,7 @@ def normalize_stream(
             if max_jobs is not None and emitted >= max_jobs:
                 return
             arrival = pending[0][0]
-            if open_jobs and min(b.arrival for b in open_jobs.values()) < arrival:
+            if open_jobs and next(iter(open_jobs.values())).arrival < arrival:
                 return
             _, _, spec = heapq.heappop(pending)
             spec = replace(spec, job_id=emitted)
@@ -456,7 +487,7 @@ def normalize_stream(
             epoch = row.time
         builder = open_jobs.get(row.job)
         if builder is None:
-            if row.job in closed_keys:
+            if _closed_key(row.job) in closed_keys:
                 raise TraceFormatError(
                     f"duplicate job id {row.job!r}: job was already "
                     "finalized earlier in the stream",
@@ -485,7 +516,8 @@ def normalize_stream(
             )
             for k in stale:
                 finalize(open_jobs.pop(k))
-        yield from releasable()
+        if pending:
+            yield from releasable()
 
     for key in sorted(open_jobs):
         finalize(open_jobs.pop(key))

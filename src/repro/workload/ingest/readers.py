@@ -50,8 +50,14 @@ __all__ = [
     "READER_SCHEMAS",
 ]
 
-#: Lines buffered per chunk — the only per-file working set a reader owns.
-CHUNK_LINES = 8192
+#: Text read per chunk, in bytes (counted as decoded characters, which
+#: is the same for the ASCII traces): the only per-file working set a
+#: reader owns.  The text layer reads the file 8 KiB at a time whatever
+#: this is, so it sets only how many lines sit in memory.  A pass over
+#: the 1M-row google2011 fixture took as long at 32 KiB as at 1 MiB;
+#: 200K rows into it, the lines held traced 0.24 MB at 64 KiB and
+#: 2.33 MB at 1 MiB.
+CHUNK_BYTES = 64 * 1024
 
 _MICROS = 1e-6  # Google timestamps are microseconds since trace epoch
 
@@ -98,12 +104,13 @@ class TraceReader(Protocol):
 def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
     """Stream ``(line_no, line)`` pairs, transparently gunzipping.
 
-    Reads in :data:`CHUNK_LINES` batches so the file handle advances in
-    large sequential reads while memory stays one chunk deep.  A gzip
-    member truncated or damaged mid-stream (EOFError / BadGzipFile /
-    zlib.error mid-iteration) becomes a TraceFormatError naming the last
-    complete line.  Undecodable bytes surface a whole chunk early, so
-    that error path re-scans the file to name the offending line.
+    Reads whole lines in chunks of about :data:`CHUNK_BYTES` and drops
+    each chunk before reading the next, so memory stays one chunk deep.
+    A gzip member truncated or damaged mid-stream (EOFError /
+    BadGzipFile / zlib.error mid-iteration) becomes a TraceFormatError
+    naming the last complete line.  Undecodable bytes surface a whole
+    chunk early, so that error path re-scans the file to name the
+    offending line.
     """
     raw: io.TextIOBase
     if path.suffix == ".gz":
@@ -115,7 +122,7 @@ def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
         with raw:
             while True:
                 try:
-                    chunk = raw.readlines(CHUNK_LINES * 128)
+                    chunk = raw.readlines(CHUNK_BYTES)
                 except (EOFError, gzip.BadGzipFile, OSError, zlib.error) as exc:
                     raise TraceFormatError(
                         f"truncated or corrupt stream after line {line_no}: {exc}",
@@ -127,6 +134,7 @@ def _open_lines(path: Path, schema: str) -> Iterator[tuple[int, str]]:
                 for line in chunk:
                     line_no += 1
                     yield line_no, line
+                del chunk, line
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"undecodable bytes: {exc}",

@@ -6,8 +6,10 @@ over a raw trace file — as a pull-based
 :class:`~repro.workload.arrivals.ArrivalSource`, so real cluster
 traffic flows through ``run``, ``serve``, checkpoints and replay on the
 exact same path as every other workload.  Materialization is one spec
-at a time, so engine + source peak RSS tracks cluster concurrency, not
-trace length.
+at a time, so the source adds one spec to the normalizer's working set:
+open jobs, the reorder window, specs waiting for an earlier job to
+close, one read chunk, and the keys of up to 100K closed jobs at about
+80 bytes a key (see :mod:`.normalize`).
 
 Checkpoint semantics mirror :class:`~repro.workload.arrivals.JsonlSource`:
 pickling detaches the live iterator and keeps only the consumed count,

@@ -12,7 +12,11 @@ from repro.workload.task import Task, TaskState
 
 __all__ = ["Job"]
 
-_job_counter = itertools.count()
+# Ids for jobs built without one (tests, the quickstart).  They carry over
+# from one run to the next in a process, but rise in build order, and
+# ids decide only by their order; workloads that must reproduce their
+# ids (the CLI, traces, the benchmarks, the identity matrix) pass them.
+_job_counter = itertools.count()  # repro-lint: ignore[RL014]
 
 
 def fresh_job_id() -> int:

@@ -25,7 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Task", "TaskCopy", "TaskLedger", "TaskState"]
 
-_copy_counter = itertools.count()
+# Copy uids label copies for messages and hashing.  The counter carries
+# over from one run to the next in a process and restarts at 0 in a new
+# one, so a restored session's new copies can reuse a restored copy's
+# uid: nothing decided reads it, and checks tell copies apart by identity.
+_copy_counter = itertools.count()  # repro-lint: ignore[RL014]
 
 
 class TaskState(enum.Enum):

@@ -1,6 +1,10 @@
-"""Clean: frozen module state and per-instance containers."""
+"""Clean: frozen module state, per-instance containers and iterators."""
+
+import itertools
 
 MENU = (1, 2, 3)
+
+PAIRS = tuple(itertools.combinations(MENU, 2))  # consumed at import
 
 LIMIT = 8
 
@@ -8,6 +12,7 @@ LIMIT = 8
 class PerRun:
     def __init__(self):
         self.items = []
+        self.ids = itertools.count()
 
     def add(self, item):
         self.items.append(item)

@@ -80,6 +80,9 @@ def rules_in(violations, filename):
         # module mutable (mutated + unmutated), class container,
         # type(self).attr and ClassName.attr writes from methods
         ("RL014", "state/shared_bad.py", [3, 5, 13, 16, 19]),
+        # itertools iterators at module level (plain, aliased module,
+        # imported name) and at class level
+        ("RL014", "state/iterators_bad.py", [7, 9, 11, 15]),
     ],
 )
 def test_rule_flags_bad_fixture(fixture_violations, rule, filename, lines):
@@ -94,6 +97,7 @@ def test_no_cross_rule_noise(fixture_violations):
     assert rules_in(fixture_violations, "sim/session_bad.py") == {"RL010", "RL011"}
     assert rules_in(fixture_violations, "cluster/escape_bad.py") == {"RL013"}
     assert rules_in(fixture_violations, "state/shared_bad.py") == {"RL014"}
+    assert rules_in(fixture_violations, "state/iterators_bad.py") == {"RL014"}
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +112,7 @@ def test_no_cross_rule_noise(fixture_violations):
         "cluster/escape_good.py",  # read-only alias + owner API call
         "cluster/server.py",  # a view: reads plus owner API calls
         "cluster/mirror.py",  # owner module writes are sanctioned
-        "state/shared_good.py",  # frozen module state, per-instance bins
+        "state/shared_good.py",  # frozen module state, per-instance bins and counters
         "util/clock.py",  # sources themselves are per-file territory
         "util/entropy.py",
         "util/ids.py",
@@ -190,7 +194,10 @@ def test_findings_filtered_to_lint_targets(fixture_violations):
         root=FIXTURE_ROOT,
         config=LintConfig.load(FIXTURE_ROOT),
     )
-    assert {v.relpath for v in violations} == {"src/repro/state/shared_bad.py"}
+    assert {v.relpath for v in violations} == {
+        "src/repro/state/iterators_bad.py",
+        "src/repro/state/shared_bad.py",
+    }
     # ... and nothing was lost relative to the full run.
     assert hits(violations, "RL014", "state/shared_bad.py") == hits(
         fixture_violations, "RL014", "state/shared_bad.py"
@@ -244,7 +251,7 @@ def test_golden_sarif_shape():
     run = sarif["runs"][0]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert {f"RL{n:03d}" for n in range(15)} <= rule_ids
-    assert len(run["results"]) == 17
+    assert len(run["results"]) == 21
     for result in run["results"]:
         assert result["partialFingerprints"]["reproLint/v1"]
         loc = result["locations"][0]["physicalLocation"]

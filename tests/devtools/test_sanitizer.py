@@ -9,6 +9,8 @@ is on RL001's ignore list in ``[tool.repro-lint]``.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster
@@ -20,8 +22,10 @@ from repro.devtools.sanitizer import (
 )
 from repro.resources import Resources
 from repro.schedulers.fifo import FIFOScheduler
+from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_simulation
+from repro.workload import task as task_module
 from repro.workload.task import TaskState
 from tests.conftest import make_chain_job, make_single_task_job
 
@@ -102,6 +106,26 @@ class TestCapacityConservation:
         copy.killed = True
         violations = SimulationSanitizer(engine).check(engine, "leak")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
+
+    def test_early_release_detected_when_a_new_copy_reuses_its_uid(self, monkeypatch):
+        """A restored session keeps its copies' uids, but a new process
+        numbers new copies from 0 again, so a new copy on the same server
+        can carry a restored copy's uid.  Releasing the restored copy
+        early must still be caught."""
+        engine, _, _ = engine_with_running_copy()
+        restored = restore_bytes(checkpoint_bytes(engine)[0])
+        (old,) = restored.cluster.mirror.resident[0]
+        # Resetting the counter stands in for the new process.
+        monkeypatch.setattr(task_module, "_copy_counter", itertools.count(old.copy_uid))
+        job = make_single_task_job(theta=50.0)
+        restored._process_arrival(job)
+        new = restored.launch_copy(job.phases[0].tasks[0], restored.cluster[0])
+        assert new.copy_uid == old.copy_uid
+        restored.cluster[0].release(old)  # still live
+        violations = SimulationSanitizer(restored).check(restored, "early release")
+        assert [v.task_uid for v in violations if "released early" in v.message] == [
+            old.task.uid
+        ]
 
 
 class TestMirrorCoherence:

@@ -47,6 +47,7 @@ class TestMetricsServer:
         server(published("repro_up 1\n"))
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server, "/")
+        err.value.close()  # it holds the response's socket
         assert err.value.code == 404
 
     def test_close_stops_the_thread(self):

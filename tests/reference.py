@@ -23,7 +23,11 @@ against the direct forms kept here:
 * :func:`record_for_job` — a finished job's record walked from its
   tasks' copies, where production reads the ledgers they fold into;
 * :class:`SpanTracer` — the span tracer keeping each closed span as a
-  ``Span`` object in a list, where production keeps columns.
+  ``Span`` object in a list, where production keeps columns;
+* :func:`normalize_stream` — trace rows → job specs with closed keys
+  in an ``OrderedDict`` of strs and a ``min()`` over every open builder
+  on each release check, where production holds decimal keys as ints
+  and reads the first open builder.
 
 The :func:`reference_kernels` fixture patches the first four into
 production for one test; :class:`EagerDollyMP` is chosen by
@@ -33,10 +37,14 @@ constructing it, and :class:`SpanTracer` by handing one to an
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 import time
+from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -54,6 +62,20 @@ from repro.sim.actions import Launch
 from repro.sim.metrics import JobRecord
 from repro.workload import dag
 from repro.workload.distributions import Deterministic, ParetoType1
+from repro.workload.google_trace import TraceJobSpec
+from repro.workload.ingest import normalize as ingest_normalize
+from repro.workload.ingest.errors import TraceFormatError
+from repro.workload.ingest.normalize import (
+    REORDER_WINDOWS,
+    SCHEMA_SCALES,
+    DemandScale,
+    _build_event_spec,
+    _build_group_spec,
+    _JobBuilder,
+    _ordered,
+    _TaskAcc,
+)
+from repro.workload.ingest.readers import TraceReader, TraceRow
 from repro.workload.job import Job
 from repro.workload.phase import Phase, _default_speedup
 from repro.workload.task import TaskState
@@ -380,6 +402,185 @@ class SpanTracer:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for d in self.to_dicts(include_wall=include_wall):
                 fh.write(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def normalize_stream(
+    reader: TraceReader,
+    *,
+    scale: DemandScale | None = None,
+    window: tuple[float, float] | None = None,
+    min_tasks: int | None = None,
+    max_tasks: int | None = None,
+    max_jobs: int | None = None,
+    default_theta: float = 30.0,
+    min_theta: float = 1e-3,
+    linger: float = 3600.0,
+    reorder_window: float | None = None,
+    rebase: bool = True,
+) -> Iterator[TraceJobSpec]:
+    """``repro.workload.ingest.normalize_stream`` remembering closed keys
+    as an ``OrderedDict`` of their strs, and taking ``min()`` over every
+    open builder's arrival on each release check."""
+    schema = reader.schema
+    path = reader.path
+    if scale is None:
+        scale = SCHEMA_SCALES[schema]
+    if reorder_window is None:
+        reorder_window = REORDER_WINDOWS[schema]
+
+    open_jobs: dict[str, _JobBuilder] = {}
+    closed_keys: OrderedDict[str, None] = OrderedDict()
+    # Min-heap of finalized specs keyed by (raw arrival, open ordinal):
+    # builders open in arrival order, so the tie-break is deterministic.
+    pending: list[tuple[float, int, TraceJobSpec]] = []
+    opened = 0
+    emitted = 0
+    epoch: float | None = None
+
+    def remember_closed(key: str) -> None:
+        closed_keys[key] = None
+        if len(closed_keys) > ingest_normalize.CLOSED_KEY_MEMORY:
+            closed_keys.popitem(last=False)
+
+    def finalize(builder: _JobBuilder) -> None:
+        base = epoch if epoch is not None else 0.0
+        if window is not None:
+            if not (window[0] <= builder.arrival < window[1]):
+                remember_closed(builder.key)
+                return
+            base = window[0] if rebase else 0.0
+        if builder.kind == "event":
+            spec = _build_event_spec(
+                builder, schema=schema, epoch=base,
+                default_theta=default_theta, min_theta=min_theta,
+            )
+        else:
+            spec = _build_group_spec(
+                builder, schema=schema, epoch=base,
+                default_theta=default_theta, min_theta=min_theta,
+            )
+        remember_closed(builder.key)
+        n = spec.num_tasks()
+        if min_tasks is not None and n < min_tasks:
+            return
+        if max_tasks is not None and n > max_tasks:
+            return
+        heapq.heappush(pending, (builder.arrival, builder.ordinal, spec))
+
+    def releasable() -> Iterator[TraceJobSpec]:
+        """Emit pending specs no open job can still precede."""
+        nonlocal emitted
+        while pending:
+            if max_jobs is not None and emitted >= max_jobs:
+                return
+            arrival = pending[0][0]
+            if open_jobs and min(b.arrival for b in open_jobs.values()) < arrival:
+                return
+            _, _, spec = heapq.heappop(pending)
+            spec = replace(spec, job_id=emitted)
+            emitted += 1
+            yield spec
+
+    def ingest_event(row: TraceRow, builder: _JobBuilder) -> None:
+        builder.last_activity = max(builder.last_activity, row.time)
+        if row.event == "submit":
+            if row.task in builder.tasks:
+                raise TraceFormatError(
+                    f"duplicate submit for task {row.task} of job "
+                    f"{builder.key!r}",
+                    path=path, line=row.line, schema=schema,
+                )
+            cpu, mem = scale.apply(row.cpu, row.mem, row, schema=schema, path=path)
+            builder.tasks[row.task] = _TaskAcc(cpu, mem)
+            return
+        acc = builder.tasks.get(row.task)
+        if acc is None:
+            # SCHEDULE/FINISH for a task submitted before the excerpt
+            # started: open an implicit submission so durations count.
+            cpu, mem = scale.apply(row.cpu, row.mem, row, schema=schema, path=path)
+            acc = _TaskAcc(cpu, mem)
+            builder.tasks[row.task] = acc
+        if row.event == "schedule":
+            acc.scheduled_at = row.time
+            acc.done = False
+            if not acc.running:
+                acc.running = True
+                builder.running += 1
+        elif row.event == "finish":
+            if acc.scheduled_at is not None:
+                acc.duration = row.time - acc.scheduled_at
+            acc.done = True
+            if acc.running:
+                acc.running = False
+                builder.running -= 1
+        elif row.event == "dead":
+            acc.done = True
+            if acc.running:
+                acc.running = False
+                builder.running -= 1
+
+    def ingest_group(row: TraceRow, builder: _JobBuilder) -> None:
+        builder.last_activity = max(
+            builder.last_activity, row.end if row.end is not None else row.time
+        )
+        if any(g[0] == row.phase for g in builder.groups):
+            raise TraceFormatError(
+                f"duplicate task group {row.phase!r} in job {builder.key!r}",
+                path=path, line=row.line, schema=schema,
+            )
+        # Validate the request eagerly so the error names this line.
+        cpu, mem = scale.apply(row.cpu, row.mem, row, schema=schema, path=path)
+        duration = (row.end - row.time) if row.end is not None else None
+        builder.groups.append(
+            (row.phase, row.parents, row.instances, duration, cpu, mem)
+        )
+
+    # Stale-job sweeps run on a coarse trace-time stride, not per row,
+    # so the linger scan costs O(open) once per stride instead of per row.
+    sweep_stride = max(linger / 4.0, 1.0)
+    next_sweep = -math.inf
+
+    for row in _ordered(reader.rows(), reorder_window, schema=schema, path=path):
+        if max_jobs is not None and emitted >= max_jobs:
+            return
+        if epoch is None and rebase:
+            epoch = row.time
+        builder = open_jobs.get(row.job)
+        if builder is None:
+            if row.job in closed_keys:
+                raise TraceFormatError(
+                    f"duplicate job id {row.job!r}: job was already "
+                    "finalized earlier in the stream",
+                    path=path, line=row.line, schema=schema,
+                )
+            # A first-visible event that isn't a submit means the job
+            # began before the excerpt; its arrival is the first row seen.
+            builder = _JobBuilder(row.job, row.time, row.kind, opened)
+            opened += 1
+            open_jobs[row.job] = builder
+        if row.kind == "event":
+            ingest_event(row, builder)
+        else:
+            ingest_group(row, builder)
+        # Jobs close by inactivity (linger), never eagerly: a Google job
+        # may submit more tasks after all current ones finished, so
+        # "all tasks done" is not evidence the job ended.  A job with a
+        # scheduled-but-unterminated task is live however long that task
+        # runs — its eventual FINISH row must not hit a closed key.
+        if row.time >= next_sweep:
+            next_sweep = row.time + sweep_stride
+            horizon = row.time - linger
+            stale = sorted(
+                k for k, b in open_jobs.items()
+                if b.running == 0 and b.last_activity < horizon
+            )
+            for k in stale:
+                finalize(open_jobs.pop(k))
+        yield from releasable()
+
+    for key in sorted(open_jobs):
+        finalize(open_jobs.pop(key))
+    yield from releasable()
 
 
 def _best_fit_server(cluster, demand):

@@ -8,6 +8,8 @@ dense stream-ordinal job ids and non-decreasing arrivals.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.workload.google_trace import spec_to_dict
@@ -17,6 +19,7 @@ from repro.workload.ingest import (
     normalize_stream,
     open_reader,
 )
+from repro.workload.ingest import normalize as ingest_normalize
 
 from tests.workload.ingest.test_readers import (
     ali_line,
@@ -222,3 +225,69 @@ class TestPeakWindow:
         path = write_g2011(tmp_path, lines)
         start, _end = find_peak_window(open_reader(path, "google2011"), 60.0)
         assert start == 0.0
+
+
+class TestWorkAndMemory:
+    """Work per row and memory per closed key, pinned so the per-row
+    scan and the per-key strs cannot come back."""
+
+    @pytest.fixture
+    def arrival_reads(self, monkeypatch):
+        """Counts every read of a builder's ``arrival``."""
+        reads = [0]
+        slot = ingest_normalize._JobBuilder.arrival
+
+        class Counting(ingest_normalize._JobBuilder):
+            __slots__ = ()
+
+            @property
+            def arrival(self):
+                reads[0] += 1
+                return slot.__get__(self)
+
+            @arrival.setter
+            def arrival(self, value):
+                slot.__set__(self, value)
+
+        monkeypatch.setattr(ingest_normalize, "_JobBuilder", Counting)
+        return reads
+
+    @pytest.mark.parametrize("held", [20, 200])
+    def test_release_check_reads_one_builder(self, tmp_path, arrival_reads, held):
+        """``held`` jobs stay open with a running task while 600 short
+        jobs close behind them, so every row after the first closure
+        finds specs pending.  A release check that took ``min()`` over
+        every open builder read 109 (20 held) and 183 (200 held)
+        arrivals a row on these streams; reading the first builder
+        takes fewer than one."""
+        lines = []
+        for h in range(held):
+            lines += [g2011_line(h * S, str(h), 0, 0), g2011_line(h * S, str(h), 0, 1)]
+        for i in range(600):
+            lines += triplet(held + 10 * i, str(1_000_000 + i), 0)
+        lines += [g2011_line((held + 6_010) * S, str(h), 0, 4) for h in range(held)]
+        specs = specs_of(write_g2011(tmp_path, lines))
+        assert len(specs) == held + 600
+        assert arrival_reads[0] < 2 * len(lines)
+
+    def test_closed_keys_stay_compact(self, tmp_path):
+        """20,000 google2011 jobs of one submit row each, each closed as
+        the next one opens: the pass's traced peak holds the
+        closed keys (as ints), one 64 KiB read chunk and little else.
+        Pythons 3.10-3.12 read 3.46-3.49 MB here, and 4.22-4.74 MB with
+        the keys held as strs in an ``OrderedDict`` and 1 MiB chunks."""
+        lines = [
+            g2011_line(10 * i * S, str(6_250_000_000 + i), 0, 0) for i in range(20_000)
+        ]
+        path = write_g2011(tmp_path, lines)
+        del lines
+        tracemalloc.start()
+        try:
+            emitted = sum(1 for _ in normalize_stream(
+                open_reader(path, "google2011"), linger=1.0
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emitted == 20_000
+        assert peak < 4.0e6

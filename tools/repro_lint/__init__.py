@@ -41,8 +41,8 @@ RL012     iteration-order-dependent values (``id``/``hash``/set order)
 RL013     per-server state mutated through aliases or param-mutating
           helpers outside the owner module (escape analysis)
 RL014     mutable state shared between runs in one process:
-          module-level mutable containers, class-level containers,
-          class-attribute writes from methods
+          module-level and class-level mutable containers and
+          ``itertools`` iterators, class-attribute writes from methods
 ========  ==============================================================
 
 Run it from the repository root::

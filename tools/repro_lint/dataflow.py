@@ -36,10 +36,11 @@ too).
 **State shared between runs (RL014).**  Inventories mutable state that
 outlives one engine: module-level mutable containers (flagged harder
 when some function actually mutates them), class-level mutable
-containers (shared by every instance), and class-attribute writes from
-instance methods.  The identity matrix and the test suite run many
-engines in one process, so such state lets one run change the next and
-breaks the determinism contract.  Module-scope initialization (building
+containers (shared by every instance), ``itertools`` iterators bound at
+module or class level (a counter's position is state), and
+class-attribute writes from instance methods.  The identity matrix and
+the test suite run many engines in one process, so such state lets one
+run change the next and breaks the determinism contract.  Module-scope initialization (building
 a table right after binding it) is not treated as mutation.
 
 All passes iterate sorted structures only, so findings come out in a
@@ -619,6 +620,17 @@ def _is_mutable_container(node: ast.expr) -> bool:
     )
 
 
+def _stateful_iterator(node: ast.expr, imports: dict[str, str]) -> Optional[str]:
+    """``"itertools.count"`` for a call that builds an ``itertools``
+    iterator (every one of them keeps its position as state), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    path = resolve_dotted(node.func, imports)
+    if path is not None and path.startswith("itertools."):
+        return path
+    return None
+
+
 def _locally_bound(fn: FunctionInfo, name: str) -> bool:
     """Does ``fn`` bind ``name`` as a parameter or plain local (without a
     ``global`` declaration)?  Used to rule out shadowing."""
@@ -685,15 +697,28 @@ def _find_global_mutation(
 
 
 def _shared_state_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
-    # (a) module-level mutable containers
+    # (a) module-level mutable containers and iterators
     for modname in sorted(graph.modules):
         info = graph.modules[modname]
+        imports = graph.imports.get(modname, {})
         for stmt in info.tree.body:
             for target, value in _assignment_pairs(stmt):
                 if not isinstance(target, ast.Name):
                     continue
                 name = target.id
                 if name.startswith("__") and name.endswith("__"):
+                    continue
+                iterator = _stateful_iterator(value, imports)
+                if iterator is not None:
+                    yield ProgramFinding(
+                        "RL014",
+                        info.relpath,
+                        target.lineno,
+                        target.col_offset,
+                        f"module-level iterator `{name}` (`{iterator}()`) — "
+                        "its position carries from one run into the next; "
+                        "create it per run, on the engine or the instance",
+                    )
                     continue
                 if not _is_mutable_container(value):
                     continue
@@ -715,12 +740,26 @@ def _shared_state_findings(graph: ProgramGraph) -> Iterator[ProgramFinding]:
                 yield ProgramFinding(
                     "RL014", info.relpath, target.lineno, target.col_offset, msg
                 )
-    # (b) class-level mutable containers
+    # (b) class-level mutable containers and iterators
     for cq in sorted(graph.classes):
         cls = graph.classes[cq]
+        imports = graph.imports.get(cls.module, {})
         for stmt in cls.node.body:
             for target, value in _assignment_pairs(stmt):
-                if isinstance(target, ast.Name) and _is_mutable_container(value):
+                if not isinstance(target, ast.Name):
+                    continue
+                iterator = _stateful_iterator(value, imports)
+                if iterator is not None:
+                    yield ProgramFinding(
+                        "RL014",
+                        cls.relpath,
+                        target.lineno,
+                        target.col_offset,
+                        f"class attribute `{cls.name}.{target.id}` "
+                        f"(`{iterator}()`) is one iterator shared by every "
+                        "instance — create it per-instance in __init__",
+                    )
+                elif _is_mutable_container(value):
                     yield ProgramFinding(
                         "RL014",
                         cls.relpath,
