@@ -164,12 +164,15 @@ def _add_faults(p: argparse.ArgumentParser) -> None:
 
 def _fault_profile_for(args):
     """(profile_or_None, churn_seed) from the fault flags."""
-    profile = named_profile(
-        args.fault_profile,
-        mtbf=args.mtbf,
-        mttr=args.mttr,
-        copy_fail_rate=args.copy_fail_rate,
-    )
+    try:
+        profile = named_profile(
+            args.fault_profile,
+            mtbf=args.mtbf,
+            mttr=args.mttr,
+            copy_fail_rate=args.copy_fail_rate,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"--fault-profile {args.fault_profile}: {exc}") from None
     if not profile.enabled:
         return None, None
     return profile, args.churn_seed

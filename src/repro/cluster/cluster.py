@@ -4,10 +4,11 @@ Provides the aggregate quantities the schedulers need — total capacity
 (the denominators of the dominant-share Eqs. 9/15), availability scans,
 and utilization summaries.  Per-server state lives only in the
 structure-of-arrays :class:`~repro.cluster.mirror.AvailabilityMirror`
-(capacity, allocation, availability, up flag, slowdown and resident
-copies); ``cluster[i]`` is a :class:`~repro.cluster.server.Server` view
-built on demand, so no per-server Python object exists at rest and a
-100K-server cluster builds from a few vectorized arrays.
+(class index, allocation, availability, up flag, brownouts and resident
+copies, with capacity and slowdown held once per server class);
+``cluster[i]`` is a :class:`~repro.cluster.server.Server` view built on
+demand, so no per-server Python object exists at rest and a 100K-server
+cluster builds from a few vectorized arrays.
 
 ``best_fit_server`` is a blocked masked reduction over the mirror rather
 than a Python loop.  The equivalence tests compare it against a
@@ -34,8 +35,10 @@ class Cluster:
 
     Built from per-server capacity arrays (server ``i`` has capacity
     ``(cap_cpu[i], cap_mem[i])`` and slowdown ``slowdown[i]``, a scalar
-    meaning the same for every server); :meth:`build` is the small-
-    cluster form over ``(capacity, slowdown)`` specs.
+    meaning the same for every server), which are factored into server
+    classes once; :meth:`from_classes` takes the classes directly and
+    :meth:`build` is the small-cluster form over ``(capacity, slowdown)``
+    specs.
     """
 
     def __init__(
@@ -53,27 +56,74 @@ class Cluster:
         if cap_cpu.shape != (n,) or cap_mem.shape != (n,):
             raise ValueError("capacity arrays must hold one entry per server")
         slowdown = np.broadcast_to(np.asarray(slowdown, dtype=np.float64), (n,))
-        bad = ~(np.isfinite(cap_cpu) & np.isfinite(cap_mem) & (cap_cpu > 0) & (cap_mem > 0))
+        # One class per distinct (cpu, mem, slowdown) row; the inverse
+        # is reshaped because its shape has varied across numpy versions.
+        table, class_of = np.unique(
+            np.stack([cap_cpu, cap_mem, slowdown], axis=1), axis=0, return_inverse=True
+        )
+        self._setup(table[:, 0], table[:, 1], table[:, 2], class_of.reshape(n), topology)
+
+    @classmethod
+    def from_classes(
+        cls,
+        cpu,
+        mem,
+        slowdown,
+        class_of,
+        topology: Topology | None = None,
+    ) -> "Cluster":
+        """A cluster of server classes: server ``i`` is of class
+        ``class_of[i]``, whose capacity is ``(cpu[k], mem[k])`` and
+        slowdown ``slowdown[k]`` (a scalar meaning the same for every
+        class).  Classes that no server is of are dropped."""
+        cluster = cls.__new__(cls)
+        cluster._setup(cpu, mem, slowdown, np.asarray(class_of), topology)
+        return cluster
+
+    def _setup(self, cpu, mem, slowdown, class_of: np.ndarray, topology) -> None:
+        n = len(class_of)
+        if n == 0:
+            raise ValueError("a cluster needs at least one server")
+        cpu = np.asarray(cpu, dtype=np.float64)
+        mem = np.asarray(mem, dtype=np.float64)
+        k = len(cpu)
+        if cpu.shape != (k,) or mem.shape != (k,) or class_of.shape != (n,):
+            raise ValueError("class tables must hold one entry per class")
+        slowdown = np.broadcast_to(np.asarray(slowdown, dtype=np.float64), (k,))
+        if class_of.min() < 0 or class_of.max() >= k:
+            raise ValueError(f"class index out of range for {k} classes")
+        used = np.bincount(class_of, minlength=k) > 0
+        if not used.all():
+            class_of = (np.cumsum(used) - 1)[class_of]
+            cpu, mem, slowdown = cpu[used], mem[used], slowdown[used]
+            k = len(cpu)
+        class_of = class_of.astype(np.min_scalar_type(k - 1), copy=False)
+        # Validated per class; an error names the class's first server.
+        bad = ~(np.isfinite(cpu) & np.isfinite(mem) & (cpu > 0) & (mem > 0))
         if bad.any():
-            i = int(bad.argmax())
+            i = int(bad[class_of].argmax())
+            c = class_of[i]
             raise ValueError(
-                f"server {i}: capacity must be positive, got "
-                f"({cap_cpu[i]:g}, {cap_mem[i]:g})"
+                f"server {i}: capacity must be positive, got ({cpu[c]:g}, {mem[c]:g})"
             )
         bad = ~(np.isfinite(slowdown) & (slowdown > 0))
         if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"server {i}: slowdown must be positive, got {slowdown[i]:g}")
+            i = int(bad[class_of].argmax())
+            raise ValueError(
+                f"server {i}: slowdown must be positive, got {slowdown[class_of[i]]:g}"
+            )
         self.topology = topology if topology is not None else Topology.single_rack(n)
         if len(self.topology) != n:
             raise ValueError("topology size does not match server count")
+        self.mirror = mirror = AvailabilityMirror(cpu, mem, slowdown, class_of)
         # Strict left folds in id order, the last prefix of an
         # accumulate: np.sum sums pairwise and Python 3.12's sum()
-        # compensates, so either can differ in the last ulp.
+        # compensates, so either can differ in the last ulp.  A new
+        # cluster is idle and up, so its availability is its capacity.
         self._total_capacity = Resources(
-            np.add.accumulate(cap_cpu).item(-1), np.add.accumulate(cap_mem).item(-1)
+            np.add.accumulate(mirror.avail_cpu).item(-1),
+            np.add.accumulate(mirror.avail_mem).item(-1),
         )
-        self.mirror = AvailabilityMirror(cap_cpu, cap_mem, slowdown)
         self._peak_alignment: float | None = None
         #: Pre-bound placement-query counter, installed by
         #: Observability.bind_cluster; None keeps the disabled query
@@ -120,11 +170,14 @@ class Cluster:
     @property
     def peak_alignment(self) -> float:
         """``max_i (C_i² + M_i²)`` — the largest alignment score a
-        server's full capacity gives (Tetris' normalizer).  Capacities
-        never change, so it is computed once."""
+        server's full capacity gives (Tetris' normalizer), taken over
+        the classes, each of which has a server.  Capacities never
+        change, so it is computed once."""
         if self._peak_alignment is None:
             m = self.mirror
-            self._peak_alignment = float(np.max(m.cap_cpu * m.cap_cpu + m.cap_mem * m.cap_mem))
+            self._peak_alignment = float(
+                np.max(m.class_cpu * m.class_cpu + m.class_mem * m.class_mem)
+            )
         return self._peak_alignment
 
     # ------------------------------------------------------------------
@@ -148,9 +201,12 @@ class Cluster:
 
     def can_host(self, demand: Resources) -> bool:
         """Whether some server's full capacity fits ``demand`` —
-        :meth:`Resources.fits_in`'s exact expression, EPS included."""
+        :meth:`Resources.fits_in`'s exact expression, EPS included, over
+        the classes."""
         m = self.mirror
-        return bool(np.any((m.cap_cpu + EPS >= demand.cpu) & (m.cap_mem + EPS >= demand.mem)))
+        return bool(
+            np.any((m.class_cpu + EPS >= demand.cpu) & (m.class_mem + EPS >= demand.mem))
+        )
 
     def best_fit_server(self, demand: Resources) -> Server | None:
         """The fitting server maximizing the demand·available alignment.

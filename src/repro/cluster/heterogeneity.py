@@ -80,11 +80,10 @@ def trace_sim_cluster(
         (Resources.of(16, 32), NORMAL_SLOWDOWN, 0.55),
         (Resources.of(8, 16), SMALL_SLOWDOWN, 0.30),
     ]
-    weights = np.array([c[2] for c in classes])
-    picks = rng.choice(len(classes), size=num_servers, p=weights / weights.sum())
-    cpu = np.array([c[0].cpu for c in classes])[picks]
-    mem = np.array([c[0].mem for c in classes])[picks]
-    slowdown = np.array([c[1] for c in classes])[picks]
+    class_of = draw_classes(rng, np.array([c[2] for c in classes]), num_servers)
+    cpu = np.array([c[0].cpu for c in classes])
+    mem = np.array([c[0].mem for c in classes])
+    slowdown = np.array([c[1] for c in classes])
     # Exact sentinel: 1.0 means "no scaling requested", not a measured
     # quantity.
     if cpu_scale != 1.0:  # repro-lint: ignore[RL003]
@@ -92,7 +91,28 @@ def trace_sim_cluster(
         cpu = np.maximum(1.0, np.round(cpu * cpu_scale))
     racks = max(1, num_servers // 40)
     topo = Topology(np.arange(num_servers, dtype=np.int32) % racks)
-    return Cluster(cpu, mem, slowdown, topo)
+    return Cluster.from_classes(cpu, mem, slowdown, class_of, topo)
+
+
+def draw_classes(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
+    """``n`` class indices drawn at ``weights`` (at most 256 classes), as
+    uint8 — the values and stream position of ``rng.choice(len(weights),
+    size=n, p=weights / weights.sum())``.
+
+    Those are numpy's own steps: ``choice`` normalizes the cumulative
+    weights, draws ``n`` uniforms and returns, per uniform, the count of
+    cumulative weights at or below it (``searchsorted(side="right")``).
+    The last cumulative weight is exactly 1.0, above every uniform, so
+    the count is a sum of ``len(weights) - 1`` comparisons, with no
+    int64 index array."""
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    class_of = np.zeros(n, np.uint8)
+    for edge in cdf[:-1].tolist():
+        class_of += u >= edge
+    return class_of
 
 
 def homogeneous_cluster(
@@ -102,10 +122,11 @@ def homogeneous_cluster(
     slowdown: float = 1.0,
 ) -> Cluster:
     """A uniform cluster (the setting of most of the theory analysis)."""
-    return Cluster(
-        np.full(num_servers, capacity.cpu),
-        np.full(num_servers, capacity.mem),
+    return Cluster.from_classes(
+        [capacity.cpu],
+        [capacity.mem],
         slowdown,
+        np.zeros(num_servers, np.uint8),
         Topology.single_rack(num_servers),
     )
 

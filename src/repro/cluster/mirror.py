@@ -9,21 +9,35 @@ remaining capacity with a handful of vectorized kernels over these
 arrays; at the paper's 30K-server scale (Sec. 6.3.3) a Python loop over
 server objects would dominate the scheduling overhead.
 
-Data layout (all arrays indexed by ``server_id``):
+Data layout.  Per server (arrays indexed by ``server_id``):
 
-* ``cap_cpu`` / ``cap_mem`` — immutable capacities (C_i, M_i), the
-  bounds Eq. (5) checks allocations against;
+* ``class_of`` — the server's class, an index into the class tables in
+  the smallest unsigned dtype that holds it;
 * ``alloc_cpu`` / ``alloc_mem`` — the current allocation, written in
   place by :meth:`AvailabilityMirror.allocate` / :meth:`release`;
 * ``avail_cpu`` / ``avail_mem`` — availability, *derived* from the
   allocation: ``max(cap - alloc, 0.0)`` per dimension while up, exactly
   ``0.0`` while down;
 * ``up`` — boolean liveness mask (fault injection): down servers are
-  masked out of every feasibility query;
-* ``slowdown`` — the per-server task-duration multiplier;
+  masked out of every feasibility query.
+
+Per class (a cluster is a few server classes, Secs. 6.1 and 6.3; every
+class in the tables has at least one server):
+
+* ``class_cpu`` / ``class_mem`` — immutable capacities (C_i, M_i), the
+  bounds Eq. (5) checks allocations against;
+* ``class_slowdown`` — the nominal task-duration multiplier.
+
+Sparse:
+
+* ``brownout`` — ``{server_id: slowdown}`` for the servers inside a
+  transient slowdown window (the fault injector's brownouts), which
+  override their class's nominal slowdown until the window closes;
 * ``resident`` — ``{server_id: list of TaskCopy}`` in launch order for
   the servers that host at least one copy (most servers of a large
   cluster never do, so they pay for no list at all).
+
+That is 34 bytes a server (1 + 16 + 16 + 1) for up to 256 classes.
 
 Invariants:
 
@@ -64,12 +78,9 @@ __all__ = ["AvailabilityMirror", "BLOCK_SIZE"]
 BLOCK_SIZE = 4096
 
 #: Slots rebuilt on restore rather than pickled: availability is derived
-#: from the allocation, the block size comes from the module constant,
-#: the bounds are re-tightened from the derived arrays and the columns
-#: are packed again on the next save.
-_DERIVED_SLOTS = frozenset(
-    {"avail_cpu", "avail_mem", "_block", "_ub_cpu", "_ub_mem", "_packed"}
-)
+#: from the allocation, the block size comes from the module constant
+#: and the bounds are re-tightened from the derived arrays.
+_DERIVED_SLOTS = frozenset({"avail_cpu", "avail_mem", "_block", "_ub_cpu", "_ub_mem"})
 
 
 class AvailabilityMirror:
@@ -94,31 +105,42 @@ class AvailabilityMirror:
         "avail_mem",
         "alloc_cpu",
         "alloc_mem",
-        "cap_cpu",
-        "cap_mem",
         "up",
-        "slowdown",
+        "class_of",
+        "class_cpu",
+        "class_mem",
+        "class_slowdown",
+        "brownout",
         "resident",
         "_coalescing",
         "_pending",
         "_alloc_cache",
-        "_packed",
         "_block",
         "_ub_cpu",
         "_ub_mem",
     )
 
-    def __init__(self, cap_cpu: np.ndarray, cap_mem: np.ndarray, slowdown: np.ndarray) -> None:
-        """Every server up and idle; the caller validated the inputs."""
-        self.cap_cpu = np.array(cap_cpu, dtype=np.float64)
-        self.cap_mem = np.array(cap_mem, dtype=np.float64)
-        self.slowdown = np.array(slowdown, dtype=np.float64)
-        m = len(self.cap_cpu)
+    def __init__(
+        self,
+        class_cpu: np.ndarray,
+        class_mem: np.ndarray,
+        class_slowdown: np.ndarray,
+        class_of: np.ndarray,
+    ) -> None:
+        """Every server up and idle, server ``i`` of class
+        ``class_of[i]``; the caller validated the inputs and gave every
+        class a server."""
+        self.class_cpu = np.array(class_cpu, dtype=np.float64)
+        self.class_mem = np.array(class_mem, dtype=np.float64)
+        self.class_slowdown = np.array(class_slowdown, dtype=np.float64)
+        self.class_of = class_of
+        m = len(class_of)
         self.alloc_cpu = np.zeros(m, np.float64)
         self.alloc_mem = np.zeros(m, np.float64)
         #: Liveness mask (fault injection): down servers are excluded
         #: from every feasibility mask and advertise zero availability.
         self.up = np.ones(m, dtype=bool)
+        self.brownout: dict[int, float] = {}
         self.resident: dict[int, list["TaskCopy"]] = {}
         # Coalesced-update window (batched event drains): while open,
         # ``update`` parks the server id in ``_pending`` instead of
@@ -135,46 +157,52 @@ class AvailabilityMirror:
         # ``np.sum`` outputs — identical arrays give identical sums, so
         # memoization cannot perturb the utilization integrals.
         self._alloc_cache: tuple[float, float] | None = None
-        # Checkpoint form of the capacity and slowdown columns, packed on
-        # the first save and kept: capacities never change, and
-        # set_slowdown drops the slowdown entry.
-        self._packed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._derive_all()
+        # Idle and up, a server's availability is its capacity: max(cap -
+        # 0.0, 0.0) is cap for every positive finite cap, bit for bit.
+        self.avail_cpu, self.avail_mem = self.capacity_columns()
+        self._block = BLOCK_SIZE
+        self._retighten_bounds()
 
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
+    def capacity_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every server's (cpu, mem) capacity, gathered from the class
+        tables into two new arrays."""
+        return self.class_cpu[self.class_of], self.class_mem[self.class_of]
+
     def derived_availability(self) -> tuple[np.ndarray, np.ndarray]:
         """Every server's availability derived from its allocation,
         capacity and up flag — what ``avail_cpu``/``avail_mem`` must
         equal bit for bit (vectorized IEEE ops round exactly like the
         scalar derivation in :meth:`update`)."""
+        cap_cpu, cap_mem = self.capacity_columns()
         return (
-            np.where(self.up, np.maximum(self.cap_cpu - self.alloc_cpu, 0.0), 0.0),
-            np.where(self.up, np.maximum(self.cap_mem - self.alloc_mem, 0.0), 0.0),
+            np.where(self.up, np.maximum(cap_cpu - self.alloc_cpu, 0.0), 0.0),
+            np.where(self.up, np.maximum(cap_mem - self.alloc_mem, 0.0), 0.0),
         )
 
     def _derive_all(self) -> None:
         """Derive every availability entry and tighten every block bound.
 
         The same IEEE operations as :meth:`derived_availability`, done
-        in place: one array per column and no temporaries but the down
-        mask."""
+        in place on the gathered capacities: one array per column and
+        no temporaries but the down mask."""
         down = ~self.up
-        self.avail_cpu = self.cap_cpu - self.alloc_cpu
-        self.avail_mem = self.cap_mem - self.alloc_mem
-        for avail in (self.avail_cpu, self.avail_mem):
+        self.avail_cpu, self.avail_mem = self.capacity_columns()
+        for avail, alloc in ((self.avail_cpu, self.alloc_cpu), (self.avail_mem, self.alloc_mem)):
+            np.subtract(avail, alloc, out=avail)
             np.maximum(avail, 0.0, out=avail)
             avail[down] = 0.0
         self._block = BLOCK_SIZE
         self._retighten_bounds()
 
     def num_blocks(self) -> int:
-        return -(-len(self.cap_cpu) // self._block)
+        return -(-len(self) // self._block)
 
     def _retighten_bounds(self) -> None:
         """Recompute every block's availability bound exactly."""
-        starts = np.arange(0, len(self.cap_cpu), self._block)
+        starts = np.arange(0, len(self), self._block)
         if not len(starts):
             self._ub_cpu, self._ub_mem = [], []
             return
@@ -209,8 +237,9 @@ class AvailabilityMirror:
 
     def _derive(self, i: int) -> None:
         if self.up[i]:
-            a_cpu = max(self.cap_cpu.item(i) - self.alloc_cpu.item(i), 0.0)
-            a_mem = max(self.cap_mem.item(i) - self.alloc_mem.item(i), 0.0)
+            c = self.class_of.item(i)
+            a_cpu = max(self.class_cpu.item(c) - self.alloc_cpu.item(i), 0.0)
+            a_mem = max(self.class_mem.item(c) - self.alloc_mem.item(i), 0.0)
         else:
             a_cpu = a_mem = 0.0
         self.avail_cpu[i] = a_cpu
@@ -318,16 +347,30 @@ class AvailabilityMirror:
         self.update(i)
 
     def set_slowdown(self, i: int, slowdown: float) -> None:
-        """Scale the durations of copies launched on server ``i`` from
-        now on (the fault injector's transient brownouts)."""
-        self.slowdown[i] = slowdown
-        self._packed.pop("slowdown", None)
+        """Open server ``i``'s brownout entry: copies launched there from
+        now on run ``slowdown`` times their sampled duration (the fault
+        injector's transient slowdown windows)."""
+        self.brownout[i] = slowdown
+
+    def clear_slowdown(self, i: int) -> None:
+        """Close server ``i``'s brownout entry, if open: its class's
+        nominal slowdown applies again, exactly."""
+        self.brownout.pop(i, None)
 
     # ------------------------------------------------------------------
     # One server's state
     # ------------------------------------------------------------------
     def capacity(self, i: int) -> Resources:
-        return Resources(self.cap_cpu.item(i), self.cap_mem.item(i))
+        c = self.class_of.item(i)
+        return Resources(self.class_cpu.item(c), self.class_mem.item(c))
+
+    def slowdown_of(self, i: int) -> float:
+        """Server ``i``'s duration multiplier: its brownout entry while a
+        window is open, else its class's nominal slowdown."""
+        slowdown = self.brownout.get(i)
+        if slowdown is None:
+            slowdown = self.class_slowdown.item(self.class_of.item(i))
+        return slowdown
 
     def allocated(self, i: int) -> Resources:
         return Resources(self.alloc_cpu.item(i), self.alloc_mem.item(i))
@@ -379,7 +422,7 @@ class AvailabilityMirror:
         never bind."""
         if weights is None:
             return self._block, self._ub_cpu, self._ub_mem
-        m = len(self.cap_cpu)
+        m = len(self)
         return max(m, 1), [np.inf] * min(m, 1), [np.inf] * min(m, 1)
 
     def new_blocks(self, weights: np.ndarray | None = None) -> list:
@@ -507,26 +550,22 @@ class AvailabilityMirror:
         return cached
 
     def __len__(self) -> int:
-        return len(self.cap_cpu)
+        return len(self.class_of)
 
     # ------------------------------------------------------------------
     # Pickling (checkpoint/restore)
     # ------------------------------------------------------------------
     def __getstate__(self):
         # __slots__ classes pickle as (None, {slot: value}); derived
-        # state stays out of checkpoints, and the columns pickle in the
-        # compact forms below (a 30K-server cluster has three distinct
-        # capacities, a few thousand busy servers and all of them up).
+        # state stays out of checkpoints.  The class tables, class index
+        # and brownout entries pickle as they are; the allocation columns
+        # as their entries other than +0.0 (a 30K-server cluster has a
+        # few thousand busy servers) and an all-up mask as its length.
         state = {
             name: getattr(self, name)
             for name in self.__slots__
             if name not in _DERIVED_SLOTS
         }
-        packed = self._packed
-        for name in _DISTINCT_COLUMNS:
-            if name not in packed:
-                packed[name] = _pack_distinct(state[name])
-            state[name] = packed[name]
         for name in _SPARSE_COLUMNS:
             state[name] = _pack_sparse(state[name])
         if self.up.all():
@@ -535,10 +574,6 @@ class AvailabilityMirror:
 
     def __setstate__(self, state) -> None:
         _, slots = state
-        self._packed = {}
-        for name in _DISTINCT_COLUMNS:
-            values, index = slots[name]
-            slots[name] = values[index]
         for name in _SPARSE_COLUMNS:
             n, index, values = slots[name]
             column = np.zeros(n, np.float64)
@@ -551,18 +586,8 @@ class AvailabilityMirror:
         self._derive_all()
 
 
-#: Columns with few distinct values, pickled as (values, index).
-_DISTINCT_COLUMNS = ("cap_cpu", "cap_mem", "slowdown")
 #: Columns that are zero on idle servers, pickled as (length, index, values).
 _SPARSE_COLUMNS = ("alloc_cpu", "alloc_mem")
-
-
-def _pack_distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The column's distinct values and, per entry, the index of its
-    value in the smallest unsigned integer type that holds it.  Values
-    are told apart by their bits, so the column revives bit for bit."""
-    values, index = np.unique(column.view(np.uint64), return_inverse=True)
-    return values.view(np.float64), index.astype(np.min_scalar_type(len(values) - 1))
 
 
 def _pack_sparse(column: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

@@ -64,12 +64,14 @@ class Server:
     @property
     def slowdown(self) -> float:
         """Multiplier on task durations executed here (1.0 = nominal,
-        >1 = slow node, <1 = powerful node)."""
-        return self.mirror.slowdown.item(self.server_id)
+        >1 = slow node, <1 = powerful node), scaled while a brownout
+        window is open."""
+        return self.mirror.slowdown_of(self.server_id)
 
     @property
-    def running_copies(self) -> frozenset["TaskCopy"]:
-        return frozenset(self.mirror.resident.get(self.server_id, ()))
+    def running_copies(self) -> tuple["TaskCopy", ...]:
+        """The copies running here, in launch order."""
+        return tuple(self.mirror.resident.get(self.server_id, ()))
 
     def can_fit(self, demand: Resources) -> bool:
         return self.mirror.can_fit(self.server_id, demand)

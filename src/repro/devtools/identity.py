@@ -238,7 +238,7 @@ def _one_shot(cell: Cell) -> None:
         raise CheckFailed(f"{result.faults_injected} faults, {result.copies_lost} lost")
     mirror = engine.cluster.mirror
     # Bitwise: a drained server is back at capacity, a down one at zero.
-    for stored, cap in ((mirror.avail_cpu, mirror.cap_cpu), (mirror.avail_mem, mirror.cap_mem)):
+    for stored, cap in zip((mirror.avail_cpu, mirror.avail_mem), mirror.capacity_columns()):
         exposed = np.flatnonzero(stored != np.where(mirror.up, cap, 0.0))
         if len(exposed):
             i = int(exposed[0])

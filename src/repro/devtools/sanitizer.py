@@ -189,7 +189,7 @@ class SimulationSanitizer:
         mirror = engine.cluster.mirror
         resident = mirror.resident
         up = mirror.up
-        cap = (mirror.cap_cpu, mirror.cap_mem)
+        cap = mirror.capacity_columns()
         alloc = (mirror.alloc_cpu, mirror.alloc_mem)
         avail = (mirror.avail_cpu, mirror.avail_mem)
         # A crashed server hosts nothing: the Fail applier killed every
@@ -264,7 +264,7 @@ class SimulationSanitizer:
                     out.append(
                         SanitizerViolation(
                             InvariantKind.CAPACITY_CONSERVATION,
-                            f"dead copy {copy.copy_uid} still resident",
+                            f"dead copy {copy.label} still resident",
                             event,
                             server_id=i,
                             task_uid=copy.task.uid,
@@ -324,9 +324,8 @@ class SimulationSanitizer:
         lifetime_cap = engine.max_copies_per_task
         # Every live copy must still hold its reservation — a live copy
         # missing from its server means it was released early (or twice)
-        # while the engine still expects it to finish.  Copies are told
-        # apart by identity: ``copy_uid`` restarts at 0 in a new process,
-        # so after a restore a new copy can carry a restored copy's uid.
+        # while the engine still expects it to finish.  Copies have no
+        # uid; they are told apart by identity.
         resident = {
             (sid, id(c))
             for sid, copies in engine.cluster.mirror.resident.items()
@@ -358,7 +357,7 @@ class SimulationSanitizer:
                             out.append(
                                 SanitizerViolation(
                                     InvariantKind.CAPACITY_CONSERVATION,
-                                    f"live copy {copy.copy_uid} is not "
+                                    f"live copy {copy.label} is not "
                                     f"resident on server {copy.server_id} — "
                                     "released early or twice",
                                     event,

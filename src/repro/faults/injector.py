@@ -50,12 +50,13 @@ CHURN_SEED_OFFSET = 15_485_863
 class FaultInjector:
     """Seeded failure processes feeding the engine's event queue.
 
-    The injector keeps only its profile, RNG stream and open slowdown
-    windows; the engine passes itself to every call, so the injector
-    holds no reference back to the engine that owns it.
+    The injector keeps only its profile and RNG stream (an open slowdown
+    window is the server's brownout entry in the cluster's mirror); the
+    engine passes itself to every call, so the injector holds no
+    reference back to the engine that owns it.
     """
 
-    __slots__ = ("profile", "rng", "churn_seed", "_saved_slowdown")
+    __slots__ = ("profile", "rng", "churn_seed")
 
     def __init__(
         self,
@@ -69,9 +70,6 @@ class FaultInjector:
         self.profile = profile
         self.churn_seed = seed + CHURN_SEED_OFFSET if churn_seed is None else churn_seed
         self.rng = np.random.default_rng(self.churn_seed)
-        # Exact pre-window slowdown per server id, restored bit-for-bit
-        # when the window closes (no divide-back float drift).
-        self._saved_slowdown: dict[int, float] = {}
 
     def _exp(self, mean: float) -> float:
         return float(self.rng.exponential(mean))
@@ -143,11 +141,9 @@ class FaultInjector:
         the scaled factor — copies already running keep their draw,
         modelling contention at launch time."""
         sid = server_id_of(server)
-        if sid not in self._saved_slowdown:  # nested windows don't stack
-            mirror = engine.cluster.mirror
-            saved = mirror.slowdown.item(sid)
-            self._saved_slowdown[sid] = saved
-            mirror.set_slowdown(sid, saved * self.profile.slowdown_factor)
+        mirror = engine.cluster.mirror
+        if sid not in mirror.brownout:  # nested windows don't stack
+            mirror.set_slowdown(sid, mirror.slowdown_of(sid) * self.profile.slowdown_factor)
         engine.events.push(
             engine.now + self._exp(self.profile.slowdown_duration),
             EventKind.SERVER_SLOW_END,
@@ -155,9 +151,9 @@ class FaultInjector:
         )
 
     def on_slow_end(self, engine: "SimulationEngine", server: "Server | int") -> None:
-        """Close the window, restoring the exact pre-window slowdown."""
+        """Close the window: the server's class slowdown, which the
+        window never changed, applies again (no divide-back float
+        drift)."""
         sid = server_id_of(server)
-        saved = self._saved_slowdown.pop(sid, None)
-        if saved is not None:
-            engine.cluster.mirror.set_slowdown(sid, saved)
+        engine.cluster.mirror.clear_slowdown(sid)
         self.schedule_next_slowdown(engine, sid)

@@ -57,18 +57,18 @@ class FaultProfile:
     keep_one_up: bool = True
 
     def __post_init__(self) -> None:
-        if self.mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {self.mtbf}")
-        if self.mttr <= 0:
-            raise ValueError(f"mttr must be positive, got {self.mttr}")
-        if self.copy_fail_rate < 0:
-            raise ValueError("copy_fail_rate must be non-negative")
-        if self.slowdown_rate < 0:
-            raise ValueError("slowdown_rate must be non-negative")
-        if self.slowdown_factor <= 1.0:
-            raise ValueError("slowdown_factor must exceed 1")
-        if self.slowdown_duration <= 0:
-            raise ValueError("slowdown_duration must be positive")
+        # Each check holds for a number in range and fails for NaN, which
+        # compares false with everything.
+        for name, ok, rule in (
+            ("mtbf", self.mtbf > 0, "positive"),
+            ("mttr", self.mttr > 0, "positive"),
+            ("copy_fail_rate", self.copy_fail_rate >= 0, "non-negative"),
+            ("slowdown_rate", self.slowdown_rate >= 0, "non-negative"),
+            ("slowdown_factor", self.slowdown_factor > 1.0, "greater than 1"),
+            ("slowdown_duration", self.slowdown_duration > 0, "positive"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     # ------------------------------------------------------------------
     @property

@@ -83,9 +83,14 @@ __all__ = [
 #: as its length, and a round-robin rack map as its recipe; v8 pickles
 #: the span tracer's closed spans as columns (v7 held a list of ``Span``
 #: objects) and each job, phase, task and copy as one tuple of its slot
-#: values (v7 pickled a ``{slot: value}`` dict per object).  v1–v7 files
-#: are rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v8"
+#: values (v7 pickled a ``{slot: value}`` dict per object); v9 pickles
+#: the mirror's capacity and slowdown as per-class tables plus a
+#: per-server class index, and an open brownout as a sparse slowdown
+#: entry (v8 packed per-server columns on save, and the fault injector
+#: kept each window's saved slowdown), and each copy as five slot values
+#: and one end state, with no uid (v8 held a uid and two end flags).
+#: v1–v8 files are rejected by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v9"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

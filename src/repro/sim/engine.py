@@ -520,18 +520,13 @@ class SimulationEngine:
         if copy.live:
             return
         state = "finished" if copy.finished else "killed"
-        # A finished task has folded its copy list, so its dead copies
-        # no longer have an index to report.
-        copies = copy.task.copies
-        index = next((i for i, c in enumerate(copies) if c is copy), None)
         raise InvalidAction(
-            f"kill of already-{state} copy {copy.task.uid}#"
-            f"{'?' if index is None else index} on server {copy.server_id} "
+            f"kill of already-{state} copy {copy.label} on server {copy.server_id} "
             f"at t={self.now:g} — occupancy was already released",
             kind="kill",
             time=self.now,
             task_uid=copy.task.uid,
-            copy_index=index,
+            copy_index=copy.index,
             server_id=copy.server_id,
         )
 
@@ -668,7 +663,7 @@ class SimulationEngine:
         phase" (Sec. 6.3) — and first-copy-wins takes the minimum.
         """
         base = task.phase.distribution.sample(self.duration_rng)
-        return float(base) * self.cluster.mirror.slowdown.item(sid)
+        return float(base) * self.cluster.mirror.slowdown_of(sid)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -90,7 +90,7 @@ class EventQueue:
         self._seq = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        if time < 0:
+        if not time >= 0:  # NaN too: the heap cannot order it
             raise ValueError(f"event time must be non-negative, got {time}")
         ev = Event(time, kind, next(self._seq), payload)
         heapq.heappush(self._heap, ev)

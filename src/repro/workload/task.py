@@ -15,7 +15,6 @@ engine drops the copy list once ``on_task_finish`` has read it
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.resources import Resources
@@ -25,12 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Task", "TaskCopy", "TaskLedger", "TaskState"]
 
-# Copy uids label copies for messages and hashing.  The counter carries
-# over from one run to the next in a process and restarts at 0 in a new
-# one, so a restored session's new copies can reuse a restored copy's
-# uid: nothing decided reads it, and checks tell copies apart by identity.
-_copy_counter = itertools.count()  # repro-lint: ignore[RL014]
-
 
 class TaskState(enum.Enum):
     PENDING = "pending"      # no copy launched yet
@@ -38,18 +31,25 @@ class TaskState(enum.Enum):
     FINISHED = "finished"    # first copy completed
 
 
+#: A copy's end state (its ``_end`` slot); None while it runs.
+_KILLED = "killed"
+_FINISHED = "finished"
+
+
 class TaskCopy:
-    """One execution attempt of a task on a specific server."""
+    """One execution attempt of a task on a specific server.
+
+    A copy has no id: copies compare and hash by identity, and messages
+    name one by its :attr:`label`.
+    """
 
     __slots__ = (
-        "copy_uid",
         "task",
         "server_id",
         "start_time",
         "duration",
         "is_clone",
-        "_killed",
-        "_finished",
+        "_end",
     )
 
     def __init__(
@@ -63,74 +63,79 @@ class TaskCopy:
     ) -> None:
         if duration <= 0:
             raise ValueError(f"copy duration must be positive, got {duration}")
-        self.copy_uid = next(_copy_counter)
         self.task = task
         self.server_id = server_id
         self.start_time = float(start_time)
         self.duration = float(duration)
         self.is_clone = is_clone
-        self._killed = False
-        self._finished = False
+        self._end: Optional[str] = None
 
     @property
     def finish_time(self) -> float:
         return self.start_time + self.duration
 
     @property
+    def index(self) -> Optional[int]:
+        """This copy's place in its task's launch order; None once the
+        finished task has folded its copy list."""
+        return next((i for i, c in enumerate(self.task.copies) if c is self), None)
+
+    @property
+    def label(self) -> str:
+        """``task.uid#index`` (``#?`` once the copy list is folded), the
+        copy's name in messages."""
+        index = self.index
+        return f"{self.task.uid}#{'?' if index is None else index}"
+
+    @property
     def live(self) -> bool:
-        return not self._killed and not self._finished
+        return self._end is None
 
     # killed/finished are setters so the owning task's live-copy counter
-    # (read on every cloning decision) stays in sync automatically.
+    # (read on every cloning decision) stays in sync automatically.  A
+    # copy ends once: the first end state set is final.
     @property
     def killed(self) -> bool:
-        return self._killed
+        return self._end == _KILLED
 
     @killed.setter
     def killed(self, value: bool) -> None:
-        if value and self.live:
+        if value and self._end is None:
             self.task._live_count -= 1
-        self._killed = value
+            self._end = _KILLED
 
     @property
     def finished(self) -> bool:
-        return self._finished
+        return self._end == _FINISHED
 
     @finished.setter
     def finished(self, value: bool) -> None:
-        if value and self.live:
+        if value and self._end is None:
             self.task._live_count -= 1
-        self._finished = value
+            self._end = _FINISHED
 
     # Checkpoints pickle the slots as one tuple, in ``__slots__`` order
     # (DESIGN.md §5.8): the default state is a ``{slot: value}`` dict per
     # object, which the pickler's memo keeps alive until the dump ends.
     def __getstate__(self):
         return (
-            self.copy_uid,
             self.task,
             self.server_id,
             self.start_time,
             self.duration,
             self.is_clone,
-            self._killed,
-            self._finished,
+            self._end,
         )
 
     def __setstate__(self, state) -> None:
         (
-            self.copy_uid,
             self.task,
             self.server_id,
             self.start_time,
             self.duration,
             self.is_clone,
-            self._killed,
-            self._finished,
+            self._end,
         ) = state
-
-    def __hash__(self) -> int:
-        return self.copy_uid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "clone" if self.is_clone else "orig"

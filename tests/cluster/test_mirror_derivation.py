@@ -34,7 +34,9 @@ def fresh_cluster() -> Cluster:
 def test_fresh_mirror_is_derived():
     mirror = fresh_cluster().mirror
     assert_derived(mirror)
-    assert np.array_equal(bits(mirror.avail_cpu), bits(mirror.cap_cpu))
+    cap_cpu, cap_mem = mirror.capacity_columns()
+    assert np.array_equal(bits(mirror.avail_cpu), bits(cap_cpu))
+    assert np.array_equal(bits(mirror.avail_mem), bits(cap_mem))
 
 
 def test_restored_mirror_is_derived():
@@ -48,7 +50,7 @@ def test_restored_mirror_is_derived():
     up[[0, 5, BLOCK_SIZE + 3, N - 1]] = False
     busy = rng.choice(N, size=300, replace=False)
     columns = {}
-    for name, cap in (("alloc_cpu", mirror.cap_cpu), ("alloc_mem", mirror.cap_mem)):
+    for name, cap in zip(("alloc_cpu", "alloc_mem"), mirror.capacity_columns()):
         column = np.zeros(N)
         column[busy] = cap[busy] * rng.uniform(0.0, 1.0, len(busy))
         column[busy[0]] = 0.1 + 0.2 - 0.1  # 0.20000000000000004

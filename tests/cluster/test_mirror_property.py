@@ -146,5 +146,6 @@ def test_mirror_exact_through_clone_kill_path():
     assert_mirror_fresh(cluster)
     # All jobs done: the cluster must be fully drained.
     assert cluster.total_allocated() == Resources.of(0, 0)
-    assert np.array_equal(cluster.mirror.avail_cpu, cluster.mirror.cap_cpu)
-    assert np.array_equal(cluster.mirror.avail_mem, cluster.mirror.cap_mem)
+    cap_cpu, cap_mem = cluster.mirror.capacity_columns()
+    assert np.array_equal(cluster.mirror.avail_cpu, cap_cpu)
+    assert np.array_equal(cluster.mirror.avail_mem, cap_mem)

@@ -5,4 +5,4 @@ class AvailabilityMirror:
     def allocate(self, i, copy):
         self.resident.setdefault(i, set()).add(copy)
         self.alloc_cpu[i] += copy.task.demand.cpu
-        self.avail_cpu[i] = self.cap_cpu[i] - self.alloc_cpu[i]
+        self.avail_cpu[i] = self.class_cpu[self.class_of[i]] - self.alloc_cpu[i]

@@ -1,21 +1,15 @@
 """RL006 true positives: unordered iteration in decision loops."""
 
 
-def schedule(active_jobs, server):
+def schedule(active_jobs):
     for job in active_jobs.values():        # line 5: dict-view order
         launch(job)
-    for copy in server.running_copies:      # line 7: set order
-        maybe_clone(copy)
-    urgent = [t for t in set(collect())]    # line 9: bare set()
+    urgent = [t for t in set(collect())]    # line 7: bare set()
     return urgent
 
 
 def launch(job):
     return job
-
-
-def maybe_clone(copy):
-    return copy
 
 
 def collect():

@@ -47,12 +47,12 @@ def rules_in(violations, filename):
 @pytest.mark.parametrize(
     "rule, filename, lines",
     [
-        ("RL001", "cluster/bad_writes.py", [5, 6, 10, 11, 12]),
+        ("RL001", "cluster/bad_writes.py", [5, 6, 10, 11, 12, 13, 14]),
         ("RL002", "workload/rng_bad.py", [10, 11, 12]),
         ("RL003", "core/float_eq_bad.py", [5, 7]),
         ("RL004", "sim/clock_bad.py", [8, 9]),
         ("RL005", "core/eps_bad.py", [3, 3, 7]),
-        ("RL006", "schedulers/iter_bad.py", [5, 7, 9]),
+        ("RL006", "schedulers/iter_bad.py", [5, 7]),
         ("RL007", "schedulers/protocol_bad.py", [5, 6, 7, 8, 9]),
         ("RL008", "sim/drain_bad.py", [5, 9, 14]),
     ],
@@ -73,7 +73,7 @@ def test_rule_flags_bad_fixture(fixture_violations, rule, filename, lines):
         "core/float_eq_good.py",  # EPS idiom, inf sentinel, inline waiver
         "sim/clock_good.py",  # perf_counter is an elapsed counter
         "resources.py",  # the canonical EPS home
-        "schedulers/iter_good.py",  # sorted(...) with explicit keys
+        "schedulers/iter_good.py",  # sorted(...) with explicit keys, tuples
         "schedulers/protocol_good.py",  # typed actions via view.apply
         "sim/drain_good.py",  # pop_batch/peek drain API, inline waiver
     ],

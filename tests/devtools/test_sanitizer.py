@@ -9,8 +9,6 @@ is on RL001's ignore list in ``[tool.repro-lint]``.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster
@@ -25,7 +23,6 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_simulation
-from repro.workload import task as task_module
 from repro.workload.task import TaskState
 from tests.conftest import make_chain_job, make_single_task_job
 
@@ -107,25 +104,24 @@ class TestCapacityConservation:
         violations = SimulationSanitizer(engine).check(engine, "leak")
         assert InvariantKind.CAPACITY_CONSERVATION in kinds(violations)
 
-    def test_early_release_detected_when_a_new_copy_reuses_its_uid(self, monkeypatch):
-        """A restored session keeps its copies' uids, but a new process
-        numbers new copies from 0 again, so a new copy on the same server
-        can carry a restored copy's uid.  Releasing the restored copy
-        early must still be caught."""
+    def test_early_release_detected_when_a_new_copy_shares_the_server(self):
+        """A restored copy and a copy launched after the restore on the
+        same server: copies carry no id, so the check tells them apart
+        by identity.  Releasing the restored copy early must be
+        reported, naming it by its task and launch index, and the new
+        copy must stay clean."""
         engine, _, _ = engine_with_running_copy()
         restored = restore_bytes(checkpoint_bytes(engine)[0])
         (old,) = restored.cluster.mirror.resident[0]
-        # Resetting the counter stands in for the new process.
-        monkeypatch.setattr(task_module, "_copy_counter", itertools.count(old.copy_uid))
-        job = make_single_task_job(theta=50.0)
+        job = make_single_task_job(theta=50.0, job_id=1)
         restored._process_arrival(job)
         new = restored.launch_copy(job.phases[0].tasks[0], restored.cluster[0])
-        assert new.copy_uid == old.copy_uid
+        assert restored.cluster[0].running_copies == (old, new)
         restored.cluster[0].release(old)  # still live
         violations = SimulationSanitizer(restored).check(restored, "early release")
-        assert [v.task_uid for v in violations if "released early" in v.message] == [
-            old.task.uid
-        ]
+        early = [v for v in violations if "released early" in v.message]
+        assert [v.task_uid for v in early] == [old.task.uid]
+        assert f"live copy {old.task.uid}#0 " in early[0].message
 
 
 class TestMirrorCoherence:
@@ -163,7 +159,7 @@ class TestNegativeAvailability:
         # the sign check fires on the server itself (plus staleness).
         mirror.avail_cpu[1] = -1.0
         mirror.avail_mem[1] += 1.0
-        mirror.alloc_cpu[1] = mirror.cap_cpu[1] + 1.0
+        mirror.alloc_cpu[1] = mirror.capacity(1).cpu + 1.0
         mirror.alloc_mem[1] = -1.0
         violations = SimulationSanitizer(engine).check(engine, "negative")
         assert InvariantKind.NEGATIVE_AVAILABILITY in kinds(violations)

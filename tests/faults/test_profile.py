@@ -6,6 +6,15 @@ import pytest
 
 from repro.faults import FAULT_PROFILES, FaultProfile, named_profile
 
+FLOAT_FIELDS = (
+    "mtbf",
+    "mttr",
+    "copy_fail_rate",
+    "slowdown_rate",
+    "slowdown_factor",
+    "slowdown_duration",
+)
+
 
 class TestValidation:
     def test_default_injects_nothing(self):
@@ -38,6 +47,23 @@ class TestValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             FaultProfile(**kwargs)
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_rejects_nan_naming_the_field(self, field):
+        """NaN compares false with everything, so a ``value <= 0`` check
+        lets it through: churn or copy failures silently off, or events
+        at time NaN."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FaultProfile(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_from_meta_rejects_nan(self, field):
+        meta = {**FAULT_PROFILES["chaos"].to_meta(), field: math.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FaultProfile.from_meta(meta)
+
+    def test_infinite_mtbf_still_disables_churn(self):
+        assert not FaultProfile(mtbf=math.inf).server_churn
 
 
 class TestMetaRoundTrip:

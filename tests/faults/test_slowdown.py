@@ -31,8 +31,9 @@ class TestWindowMechanics:
         assert server.slowdown == pytest.approx(1.3 * 3.0)
 
     def test_slow_end_restores_exactly(self):
-        """The pre-window slowdown comes back bit-for-bit — saved, not
-        re-derived by dividing (no float drift)."""
+        """The pre-window slowdown comes back bit-for-bit — the window
+        is a brownout entry beside the class value, not a factor divided
+        back out (no float drift)."""
         engine = _engine_with_brownout(slowdown=1.3)
         server = engine.cluster[0]
         before = server.slowdown

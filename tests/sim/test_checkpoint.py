@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster, trace_sim_cluster
-from repro.cluster.mirror import _pack_distinct
+from repro.cluster.cluster import Cluster
 from repro.core.online import DollyMPScheduler
 from repro.faults import FAULT_PROFILES
 from repro.observability import Observability
@@ -326,12 +326,14 @@ class TestLegacyCheckpoint:
     engine's view, the tracer's clock slot, the injector's engine slot
     and the mirror's columns whole; v7 kept closed spans as a list of
     ``Span`` objects and pickled a ``{slot: value}`` dict per job, phase,
-    task and copy.  Older files are rejected by their format name, like
-    a foreign file — nothing revives them."""
+    task and copy; v8 held per-server capacity and slowdown columns,
+    the injector's saved slowdowns and a uid per copy.  Older files are
+    rejected by their format name, like a foreign file — nothing revives
+    them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7"])
+    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"])
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v8"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v9"
         obs = Observability()
         if old == "v7":
             # v7's span store: every closed span a ``Span`` in a list.
@@ -346,8 +348,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5", "v6", "v7"):
-            # Header then state, the layout v8 kept.
+        if old in ("v4", "v5", "v6", "v7", "v8"):
+            # Header then state, the layout v9 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state
@@ -410,13 +412,16 @@ class TestSlotState:
 
 
 class TestMirrorEncoding:
-    """Since v7, checkpoints pickle the mirror's capacity and slowdown columns as distinct
-    values plus an index, its allocation columns as their entries other
-    than +0.0, an all-up mask as its length and a round-robin rack map
-    as its recipe.  Every column must revive bit for bit."""
+    """Since v9 the mirror holds capacity and slowdown once per server
+    class, and checkpoints pickle that form as it is: the class tables,
+    the per-server class index and the brownout entries.  The allocation
+    columns pickle as their entries other than +0.0, an all-up mask as
+    its length and a round-robin rack map as its recipe.  Every column
+    must revive bit for bit, and no per-server float column holds a
+    capacity or a slowdown."""
 
-    COLUMNS = ("cap_cpu", "cap_mem", "slowdown", "alloc_cpu", "alloc_mem", "up",
-               "avail_cpu", "avail_mem")
+    COLUMNS = ("class_of", "class_cpu", "class_mem", "class_slowdown", "alloc_cpu",
+               "alloc_mem", "up", "avail_cpu", "avail_mem")
 
     def test_chaos_cut_round_trips_bit_for_bit(self):
         cluster = trace_sim_cluster(300, seed=3)
@@ -430,7 +435,7 @@ class TestMirrorEncoding:
         engine.run_until(100.0)
         mirror = cluster.mirror
         assert not mirror.up.all()  # down servers
-        assert engine.faults._saved_slowdown  # open brownout windows
+        assert mirror.brownout  # open brownout windows
         assert mirror.resident  # allocations from running copies
         # A -0.0 and a float residue on idle servers: neither is +0.0,
         # so both must be stored, and stored exactly.  No mirror
@@ -447,39 +452,67 @@ class TestMirrorEncoding:
             a, b = getattr(mirror, name), getattr(revived.mirror, name)
             assert (b.dtype, b.tobytes()) == (a.dtype, a.tobytes()), name
             assert b.flags.writeable, name
+        assert {i: s.hex() for i, s in revived.mirror.brownout.items()} == {
+            i: s.hex() for i, s in mirror.brownout.items()
+        }
         assert np.signbit(revived.mirror.alloc_cpu[idle[0]])
         rack_of = revived.topology._rack_of
         expected = cluster.topology._rack_of
         assert (rack_of.dtype, rack_of.tobytes()) == (np.int32, expected.tobytes())
 
     def test_distinct_values_told_apart_by_bits(self):
-        column = np.array([0.0, -0.0, 1.0, np.nan] * 50)
-        values, index = _pack_distinct(column)
-        assert len(values) == 4 and index.dtype == np.uint8
-        assert values[index].tobytes() == column.tobytes()
+        """Capacities one ulp apart are two classes, and each server's
+        capacity gathers back bit for bit, before and after a restore
+        (a valid capacity is positive and finite, so no two distinct
+        bit patterns compare equal)."""
+        one = np.nextafter(1.0, 2.0)
+        cpu = np.array([1.0, one, 1.0, one, 2.0] * 4)
+        cluster = Cluster(cpu, 2.0 * cpu)
+        assert len(cluster.mirror.class_cpu) == 3
+        assert cluster.mirror.class_of.dtype == np.uint8
+        for mirror in (cluster.mirror, pickle.loads(pickle.dumps(cluster.mirror))):
+            cap_cpu, cap_mem = mirror.capacity_columns()
+            assert cap_cpu.tobytes() == cpu.tobytes()
+            assert cap_mem.tobytes() == (2.0 * cpu).tobytes()
 
     def test_slowdown_set_after_a_save_reaches_the_next(self):
-        """The packed columns are kept between saves; a brownout's
-        set_slowdown must drop the stale slowdown column, on a live and
-        on a restored mirror alike."""
+        """A brownout entry opened or closed between two saves reaches
+        the second, on a live and on a restored mirror alike, and a
+        closed one leaves the class's nominal slowdown."""
         engine = mk_engine()
         engine.run_until(30.0)
         checkpoint_bytes(engine)
         engine.cluster.mirror.set_slowdown(3, 2.5)
-        revived = restore_bytes(checkpoint_bytes(engine)[0])
-        assert revived.cluster.mirror.slowdown[3] == 2.5
-        revived.cluster.mirror.set_slowdown(4, 3.5)
-        again = restore_bytes(checkpoint_bytes(revived)[0]).cluster.mirror
-        assert again.slowdown.tobytes() == revived.cluster.mirror.slowdown.tobytes()
-        assert again.slowdown[4] == 3.5
+        revived = restore_bytes(checkpoint_bytes(engine)[0]).cluster.mirror
+        assert revived.brownout == {3: 2.5}
+        assert revived.slowdown_of(3) == 2.5
+        revived.set_slowdown(4, 3.5)
+        revived.clear_slowdown(3)
+        again = restore_bytes(checkpoint_bytes(engine)[0]).cluster.mirror
+        assert again.brownout == {3: 2.5}
+        engine.cluster.mirror.set_slowdown(4, 3.5)
+        engine.cluster.mirror.clear_slowdown(3)
+        again = restore_bytes(checkpoint_bytes(engine)[0]).cluster.mirror
+        assert again.brownout == {4: 3.5}
+        assert again.slowdown_of(3) == 1.0 and again.slowdown_of(4) == 3.5
 
     def test_state_holds_compact_columns(self):
         engine = mk_engine()
         engine.run_until(30.0)
         mirror = engine.cluster.mirror
         _, slots = mirror.__getstate__()
-        values, index = slots["cap_cpu"]
-        assert len(values) == 1 and index.dtype == np.uint8
+        assert not {"cap_cpu", "cap_mem", "slowdown"} & set(slots)
+        # The class index is the one per-server column pickled whole.
+        per_server = {
+            name
+            for name, value in slots.items()
+            if isinstance(value, np.ndarray) and len(value) == len(mirror)
+        }
+        assert per_server == {"class_of"}
+        assert slots["class_of"].dtype == np.uint8
+        for name in ("class_cpu", "class_mem", "class_slowdown"):
+            assert len(slots[name]) == 1, name
+        assert slots["brownout"] == {}
         n, index, values = slots["alloc_cpu"]
         assert n == len(mirror) and len(index) == len(mirror.resident)
         assert slots["up"] == len(mirror)

@@ -48,6 +48,11 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, EventKind.JOB_ARRIVAL)
 
+    def test_nan_time_rejected(self):
+        # heapq cannot order NaN: every comparison with it is false.
+        with pytest.raises(ValueError, match="non-negative"):
+            EventQueue().push(float("nan"), EventKind.SERVER_RECOVER, 0)
+
     def test_bool_and_len(self):
         q = EventQueue()
         assert not q and len(q) == 0

@@ -146,6 +146,16 @@ class TestFaultFlags:
         assert rc == 0
         assert "faults_injected" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "profile, flag",
+        [("churn", "--mtbf"), ("churn", "--mttr"), ("flaky", "--copy-fail-rate")],
+    )
+    def test_nan_override_rejected_naming_the_field(self, profile, flag):
+        field = flag[2:].replace("-", "_")
+        with pytest.raises(SystemExit, match=f"{field} must be"):
+            main(["run", "--scheduler", "dollymp2", "--app", "wordcount",
+                  "--jobs", "2", "--fault-profile", profile, flag, "nan"])
+
     def test_unknown_profile_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--scheduler", "dollymp2", "--app", "wordcount",

@@ -88,21 +88,24 @@ def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
 # RL001 — per-server state has exactly one owner
 # ======================================================================
 
-#: The per-server state arrays and the resident-copy map of
-#: AvailabilityMirror.  Nothing outside the owner module may store into,
-#: delete from or call a mutating method on them — every change flows
-#: through the mirror's allocate/release/mark_down/mark_up/set_slowdown,
-#: which re-derive availability through ``update``.
+#: AvailabilityMirror's per-server state arrays, its class index and
+#: class tables, and its brownout and resident-copy maps.  Nothing
+#: outside the owner module may store into, delete from or call a
+#: mutating method on them — every change flows through the mirror's
+#: allocate/release/mark_down/mark_up/set_slowdown/clear_slowdown, and
+#: availability is re-derived through ``update``.
 _PROTECTED_ATTRS = frozenset(
     {
         "avail_cpu",
         "avail_mem",
         "alloc_cpu",
         "alloc_mem",
-        "cap_cpu",
-        "cap_mem",
         "up",
-        "slowdown",
+        "class_of",
+        "class_cpu",
+        "class_mem",
+        "class_slowdown",
+        "brownout",
         "resident",
     }
 )
@@ -159,7 +162,7 @@ class _RL001:
                         target.col_offset,
                         f"write to protected server state `{hit}` — only "
                         "AvailabilityMirror's allocate/release/mark_down/"
-                        "mark_up/set_slowdown may mutate it",
+                        "mark_up/set_slowdown/clear_slowdown may mutate it",
                     )
 
     @staticmethod
@@ -433,9 +436,6 @@ _ENTITY_NAME = re.compile(
     r"(job|task|cop(y|ies)|active|pending|running|measure|prior)", re.IGNORECASE
 )
 
-#: Attributes that are `set`/`frozenset` views in this codebase.
-_SET_ATTRS = frozenset({"running_copies"})
-
 
 class _RL006:
     rule_id = "RL006"
@@ -474,9 +474,6 @@ class _RL006:
                 base = _terminal_name(func.value)
                 if base is not None and _ENTITY_NAME.search(base):
                     return f"`{base}.values()`"
-            return None
-        if isinstance(it, ast.Attribute) and it.attr in _SET_ATTRS:
-            return f"the set-valued `{it.attr}`"
         return None
 
 
