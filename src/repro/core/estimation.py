@@ -85,7 +85,7 @@ class PhaseStatsEstimator:
         """Winner-copy durations of the phase's finished tasks, read
         from their ledgers."""
         out = []
-        for task in phase.tasks:
+        for task in phase.built_tasks():
             ledger = task.ledger
             if ledger is not None and ledger.winner_duration is not None:
                 out.append(ledger.winner_duration)

@@ -40,7 +40,7 @@ from repro.schedulers.packing import (
     pending_by_phase,
 )
 from repro.workload.job import Job
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import ClusterView
@@ -388,20 +388,20 @@ class DollyMPScheduler(Scheduler):
         self, by_id: dict[int, Job], job_ids: list[int], level: int
     ) -> Iterator[Task]:
         """Running tasks of the group's jobs eligible for one more clone
-        (lazy — evaluated as the fill loop consumes it)."""
+        (lazy — evaluated as the fill loop consumes it).  A running task
+        has launched, so it is among its phase's built tasks."""
         policy = self.policy
         if not policy.use_category_target:
             # Fast path: with a fixed copy target, ``may_clone`` reduces
             # to ``0 < live < max_copies`` — inlined because this scan
             # visits every running task of every group each repeat.
-            running = TaskState.RUNNING
             cap = policy.max_copies
             for jid in job_ids:
                 for phase in by_id[jid].phases:
                     if phase.num_running == 0:  # O(1) guard before the scan
                         continue
-                    for task in phase.tasks:
-                        if task.state is running and 0 < task._live_count < cap:
+                    for task in phase.running_tasks():
+                        if 0 < task._live_count < cap:
                             yield task
             return
         category_length = 2.0**level
@@ -409,8 +409,6 @@ class DollyMPScheduler(Scheduler):
             for phase in by_id[jid].phases:
                 if phase.num_running == 0:  # O(1) guard before the scan
                     continue
-                for task in phase.tasks:
-                    if task.state is TaskState.RUNNING and self.policy.may_clone(
-                        task, category_length=category_length
-                    ):
+                for task in phase.running_tasks():
+                    if self.policy.may_clone(task, category_length=category_length):
                         yield task

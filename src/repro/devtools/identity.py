@@ -8,7 +8,8 @@ cap, first-copy-wins, capacity conservation) under the determinism
 contract: streamed, checkpoint-restored and replayed runs are
 byte-identical to the one-shot run.  The checkpoint-cut leg records
 spans, and each restored run must export its uninterrupted run's
-spans byte for byte.
+spans byte for byte; some cut must hold a task its phase has not built
+yet, so restores revive unbuilt slots.
 
 Run:  PYTHONPATH=src python -m repro.devtools.identity [ARTIFACT_DIR]
 
@@ -279,7 +280,9 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
     spans, snapshotted at every k-th instant and first after
     end-of-stream; then every snapshot restored, re-attached to a fresh
     stream and drained.  Each restored leg must also export the
-    uninterrupted leg's spans byte for byte."""
+    uninterrupted leg's spans byte for byte, some cut must be taken
+    while the stream is live and some cut must hold a task not yet
+    built."""
     row, every = cell.row, max(1, cell.instants // (CUTS + 1))
     source = (JsonlSource if row.raw is None else TraceIngestSource)(row.stream())
     engine = SimulationEngine(
@@ -294,7 +297,7 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         fault_profile=FAULT_PROFILES[cell.column],
         observability=Observability(metrics=False),
     )
-    snapshots, instant, ended = [], 0, False
+    snapshots, instant, ended, unbuilt = [], 0, False, False
     engine.start()
     while engine.step():
         instant += 1
@@ -302,6 +305,7 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         ended = engine.arrivals.exhausted
         if instant % every == 0 or first_after_end:
             snapshots.append((instant, *checkpoint_bytes(engine)))
+            unbuilt = unbuilt or _holds_unbuilt_task(engine)
     result = engine.finalize()
     spans = _span_export(engine, cell.workdir / "spans.jsonl")
     yield "uninterrupted", result, engine.trace
@@ -312,6 +316,8 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         raise CheckFailed(f"only {len(inside)} cuts inside the run")
     if not any(0 < info.arrivals_consumed < jobs for info in inside):
         raise CheckFailed("no cut while the stream is live")
+    if not unbuilt:
+        raise CheckFailed("no cut holds a task not yet built")
     for instant, payload, info in snapshots:
         label = f"cut at instant {instant} ({info.arrivals_consumed}/{jobs} arrivals)"
         try:
@@ -324,6 +330,16 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         if _span_export(revived, cell.workdir / "spans.jsonl") != spans:
             raise CheckFailed(f"{label}: span export differs from the uninterrupted leg's")
         yield label, result, revived.trace
+
+
+def _holds_unbuilt_task(engine: SimulationEngine) -> bool:
+    """Whether an active job has a task its phase has not built yet (one
+    that never launched), which a checkpoint pickles as an empty slot."""
+    return any(
+        len(p.built_tasks()) < p.num_tasks
+        for job in engine.active_jobs.values()
+        for p in job.phases
+    )
 
 
 def _span_export(engine: SimulationEngine, path: Path) -> bytes:

@@ -334,8 +334,12 @@ class SimulationSanitizer:
         for job_id in sorted(engine.active_jobs):
             job = engine.active_jobs[job_id]
             for phase in job.phases:
-                pending = sum(
-                    1 for t in phase.tasks if t.state is TaskState.PENDING
+                # Counted without the phase's counter: every task not
+                # yet built is pending, and so is a built task whose
+                # state says so.
+                built = phase.built_tasks()
+                pending = phase.num_tasks - len(built) + sum(
+                    1 for t in built if t.state is TaskState.PENDING
                 )
                 if pending != phase.num_pending:
                     out.append(
@@ -347,7 +351,7 @@ class SimulationSanitizer:
                             job_id=job_id,
                         )
                     )
-                for task in phase.tasks:
+                for task in built:
                     live = 0
                     for copy in task.copies:
                         if not copy.live:

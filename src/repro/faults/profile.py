@@ -43,11 +43,11 @@ class FaultProfile:
     mtbf: float = math.inf
     #: Mean time to repair (down-time) per server crash.
     mttr: float = 60.0
-    #: Per-copy failure hazard (1/s); 0 disables copy failures.
+    #: Per-copy failure hazard (1/s, finite); 0 disables copy failures.
     copy_fail_rate: float = 0.0
-    #: Per-server slowdown-window arrival rate (1/s); 0 disables.
+    #: Per-server slowdown-window arrival rate (1/s, finite); 0 disables.
     slowdown_rate: float = 0.0
-    #: Multiplier applied to the server's slowdown inside a window.
+    #: Multiplier (finite) applied to the server's slowdown inside a window.
     slowdown_factor: float = 2.0
     #: Mean length of one slowdown window.
     slowdown_duration: float = 30.0
@@ -58,13 +58,18 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         # Each check holds for a number in range and fails for NaN, which
-        # compares false with everything.
+        # compares false with everything.  The rates and the factor must
+        # also be finite: an infinite rate draws intervals of zero, so a
+        # copy would fail, or a window open, at the instant it began and
+        # simulated time would never advance.  ``mtbf = inf`` is the
+        # switch that turns churn off.
+        inf = math.inf
         for name, ok, rule in (
             ("mtbf", self.mtbf > 0, "positive"),
             ("mttr", self.mttr > 0, "positive"),
-            ("copy_fail_rate", self.copy_fail_rate >= 0, "non-negative"),
-            ("slowdown_rate", self.slowdown_rate >= 0, "non-negative"),
-            ("slowdown_factor", self.slowdown_factor > 1.0, "greater than 1"),
+            ("copy_fail_rate", 0 <= self.copy_fail_rate < inf, "finite and non-negative"),
+            ("slowdown_rate", 0 <= self.slowdown_rate < inf, "finite and non-negative"),
+            ("slowdown_factor", 1.0 < self.slowdown_factor < inf, "finite and greater than 1"),
             ("slowdown_duration", self.slowdown_duration > 0, "positive"),
         ):
             if not ok:

@@ -167,7 +167,7 @@ class SimInstruments:
             jobs_c.inc()
             for phase in job.phases:
                 phases_c.inc()
-                n = len(phase.tasks)
+                n = phase.num_tasks
                 tasks_c.inc(n)
                 for _ in range(n):
                     cpu.observe(phase.demand.cpu)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.schedulers.tetris import TetrisScheduler
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from repro.workload.task import TaskState
 
 __all__ = ["GrapheneScheduler"]
 
@@ -53,7 +52,7 @@ class GrapheneScheduler(TetrisScheduler):
         ready = [
             p
             for p in job.ready_phases(now)
-            if any(t.state is TaskState.PENDING for t in p.tasks)
+            if p.num_pending
         ]
         if not ready:
             return []

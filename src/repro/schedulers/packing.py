@@ -48,38 +48,36 @@ __all__ = [
 ]
 
 
-def pending_by_phase(job, now: float | None = None) -> list[tuple[Phase, list[Task]]]:
-    """(phase, pending tasks) for every *ready* phase of the job.
+def pending_by_phase(job, now: float | None = None) -> list[tuple[Phase, list[int]]]:
+    """(phase, pending task indices) for every *ready* phase of the job.
 
     All DAG-ready phases are offered — branches of a fork run in
     parallel, as they do under YARN where every launchable container is
     requested at once.  ``now`` enables shuffle/start-delay gating.
+    Indices, not tasks: a fill builds only the tasks it launches.
     """
-    out: list[tuple[Phase, list[Task]]] = []
+    out: list[tuple[Phase, list[int]]] = []
     for phase in job.phases:
         # O(1) pending guard first: it implies the phase is unfinished,
         # and most phases a pass visits have nothing pending — the
         # DAG-readiness check is the expensive half.
         if phase.num_pending == 0 or not job.phase_ready(phase, now):
             continue
-        pending = [t for t in phase.tasks if t.state is TaskState.PENDING]
-        if pending:
-            out.append((phase, pending))
+        out.append((phase, phase.pending_indices()))
     return out
 
 
 def next_pending_task(job, now: float | None = None) -> Task | None:
     """The first pending task across the job's ready phases."""
     for phase in job.ready_phases(now):
-        for t in phase.tasks:
-            if t.state is TaskState.PENDING:
-                return t
+        if phase.num_pending:
+            return phase.task(phase.pending_indices()[0])
     return None
 
 
 def fill_tasks_best_fit(
     view: "ClusterView",
-    phases_with_tasks: list[tuple[Phase, list[Task]]],
+    phases_with_pending: list[tuple[Phase, list[int]]],
     *,
     on_launch: Callable[[Task, Server], None] | None = None,
     server_weight: Callable[[Server], float] | None = None,
@@ -87,12 +85,15 @@ def fill_tasks_best_fit(
     """Launch pending tasks from the given phases, all treated with equal
     priority, one at a time by best resource fit.  Returns launch count.
 
-    ``phases_with_tasks`` pairs each phase with the (pending, ready)
-    tasks to place.  Used per priority group by DollyMP and per ordering
-    bucket by the baselines.  ``server_weight`` optionally scales each
-    server's fit score (the straggler-avoidance extension multiplies by
-    the inverse of the server's learned slowdown); it is evaluated once
-    per server and applied as a weight vector.
+    ``phases_with_pending`` pairs each phase with the ascending indices
+    of its (pending, ready) tasks to place, as :func:`pending_by_phase`
+    gives them; each row launches from its highest index down, and a
+    task is built only when it launches.  Used per priority group by
+    DollyMP and per ordering bucket by the baselines.  ``server_weight``
+    optionally scales each server's fit score (the straggler-avoidance
+    extension multiplies by the inverse of the server's learned
+    slowdown); it is evaluated once per server and applied as a weight
+    vector.
     """
     obs = view.observability
     frame = (
@@ -103,7 +104,7 @@ def fill_tasks_best_fit(
     try:
         launched = _fill_tasks(
             view,
-            phases_with_tasks,
+            phases_with_pending,
             on_launch=on_launch,
             server_weight=server_weight,
         )
@@ -117,7 +118,7 @@ def fill_tasks_best_fit(
 
 def _fill_tasks(
     view: "ClusterView",
-    phases_with_tasks: list[tuple[Phase, list[Task]]],
+    phases_with_pending: list[tuple[Phase, list[int]]],
     *,
     on_launch: Callable[[Task, Server], None] | None,
     server_weight: Callable[[Server], float] | None,
@@ -141,7 +142,7 @@ def _fill_tasks(
     candidate row empties.  ``server_weight`` is evaluated once per
     server and scores the whole cluster as one block.
     """
-    rows = [(phase, list(tasks)) for phase, tasks in phases_with_tasks if tasks]
+    rows = [(phase, list(pending)) for phase, pending in phases_with_pending if pending]
     if not rows:
         return 0
     cluster = view.cluster
@@ -154,13 +155,14 @@ def _fill_tasks(
     # One score row per distinct demand: (d_cpu, d_mem, block cache).
     index: dict[tuple[float, float], int] = {}
     scored: list[tuple[float, float, list]] = []
-    live_rows: list[tuple[list[Task], int]] = []  # (pending tasks, demand)
-    for phase, tasks in rows:
+    # (pending indices, demand, phase)
+    live_rows: list[tuple[list[int], int, Phase]] = []
+    for phase, pending in rows:
         key = (phase.demand.cpu, phase.demand.mem)
         if key not in index:
             index[key] = len(scored)
             scored.append((key[0], key[1], mirror.new_blocks(weights)))
-        live_rows.append((tasks, index[key]))
+        live_rows.append((pending, index[key], phase))
     best_col = [0] * len(scored)
     best_score = [0.0] * len(scored)
     for g, (dc, dm, blocks) in enumerate(scored):
@@ -171,22 +173,22 @@ def _fill_tasks(
     while True:
         ck = cg = -1
         bs = neg_inf
-        for k, (_, g) in enumerate(live_rows):
+        for k, (_, g, _) in enumerate(live_rows):
             s = best_score[g]
             if s > bs:  # strict: ties keep the earliest candidate
                 bs, ck, cg = s, k, g
         if ck < 0:
             break  # nothing placeable remains
         sj = best_col[cg]
-        queue = live_rows[ck][0]
-        task = queue.pop()
+        queue, _, phase = live_rows[ck]
+        task = phase.task(queue.pop())  # built here, as it launches
         view.apply(Launch(task, sj))
         if on_launch is not None:
             on_launch(task, cluster[sj])
         launched += 1
         if not queue:
             del live_rows[ck]
-            if all(g != cg for _, g in live_rows):
+            if all(g != cg for _, g, _ in live_rows):
                 live.remove(cg)  # its last candidate emptied
         # Only `sj`'s availability changed (shrank).
         mirror.rescore_column(sj, [scored[g] for g in live], weights)

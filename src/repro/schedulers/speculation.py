@@ -93,7 +93,7 @@ class LATESpeculation(SpeculationPolicy):
                     continue
                 running_total += len(running)
                 backups_live += sum(1 for t in running if t.num_live_copies > 1)
-                done = [t for t in phase.tasks if t.state is TaskState.FINISHED]
+                done = [t for t in phase.built_tasks() if t.state is TaskState.FINISHED]
                 if len(done) < self.min_completed_fraction * phase.num_tasks:
                     continue  # not enough samples — small jobs never pass
                 durations = [

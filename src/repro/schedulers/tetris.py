@@ -26,7 +26,6 @@ from repro.schedulers.speculation import NoSpeculation, SpeculationPolicy
 from repro.sim.actions import Launch
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from repro.workload.task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import ClusterView
@@ -37,10 +36,10 @@ __all__ = ["TetrisScheduler"]
 class _JobCandidate:
     __slots__ = ("job", "phase", "queue", "shortness", "best_server_id", "best_align")
 
-    def __init__(self, job: Job, phase: Phase, queue: list[Task], shortness: float) -> None:
+    def __init__(self, job: Job, phase: Phase, queue: list[int], shortness: float) -> None:
         self.job = job
         self.phase = phase
-        self.queue = queue
+        self.queue = queue  # pending task indices, launched from the end
         self.shortness = shortness
         self.best_server_id: int | None = None
         self.best_align = -1.0
@@ -83,9 +82,10 @@ class TetrisScheduler(Scheduler):
         for j in jobs:
             shortness = 1.0 - remaining[j.job_id] / max_rem  # in [0, 1)
             for phase in self._candidate_phases(j, view.time):
-                pending = [t for t in phase.tasks if t.state is TaskState.PENDING]
-                if pending:
-                    cands.append(_JobCandidate(j, phase, pending, shortness))
+                if phase.num_pending:
+                    cands.append(
+                        _JobCandidate(j, phase, phase.pending_indices(), shortness)
+                    )
         cluster = view.cluster
         align_scale = cluster.peak_alignment
         for c in cands:
@@ -101,7 +101,7 @@ class TetrisScheduler(Scheduler):
                     best, best_score = c, score
             if best is None:
                 break
-            task = best.queue.pop()
+            task = best.phase.task(best.queue.pop())
             sid = best.best_server_id
             assert sid is not None
             view.apply(Launch(task, sid))

@@ -88,9 +88,12 @@ __all__ = [
 #: per-server class index, and an open brownout as a sparse slowdown
 #: entry (v8 packed per-server columns on save, and the fault injector
 #: kept each window's saved slowdown), and each copy as five slot values
-#: and one end state, with no uid (v8 held a uid and two end flags).
-#: v1–v8 files are rejected by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v9"
+#: and one end state, with no uid (v8 held a uid and two end flags);
+#: v10 pickles each phase's tasks as one slot per task, ``None`` for a
+#: task not yet built, which is one that never launched (v9 held a
+#: ``Task`` for every task of every phase).  v1–v9 files are rejected
+#: by name, like a foreign one.
+CHECKPOINT_FORMAT = "repro-checkpoint-v10"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

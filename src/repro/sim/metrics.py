@@ -208,7 +208,7 @@ def record_for_job(job: "Job") -> JobRecord:
     for phase in job.phases:
         cpu = phase.demand.cpu
         mem = phase.demand.mem
-        for task in phase.tasks:
+        for task in phase.built_tasks():  # all of them: the job finished
             ledger = task.ledger
             assert ledger is not None, f"task {task.uid} has not finished"
             num_copies += len(ledger.durations)

@@ -133,7 +133,7 @@ class ReplayScheduler(Scheduler):
                 f"t={view.time:g} in the replay"
             )
         try:
-            task = job.phases[d.phase_index].tasks[d.task_index]
+            task = job.phases[d.phase_index].task(d.task_index)
         except IndexError:
             raise ReplayDivergence(
                 f"decision #{d.seq}: task {d.task_uid} does not exist in "

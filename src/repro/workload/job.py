@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 from repro.resources import EPS
 from repro.workload.dag import critical_path_length, validate_dag
 from repro.workload.phase import Phase
-from repro.workload.task import Task, TaskState
+from repro.workload.task import Task
 
 __all__ = ["Job"]
 
@@ -99,19 +99,15 @@ class Job:
         ]
 
     def ready_tasks(self, now: float | None = None) -> list[Task]:
-        """Pending tasks whose phase dependencies are satisfied."""
-        out: list[Task] = []
-        for p in self.ready_phases(now):
-            out.extend(t for t in p.tasks if t.state is TaskState.PENDING)
-        return out
+        """Pending tasks whose phase dependencies are satisfied, each
+        built by this call (schedulers launch what they build and ask
+        phases for pending indices instead)."""
+        return [p.task(i) for p in self.ready_phases(now) for i in p.pending_indices()]
 
     def first_ready_phase(self) -> Optional[Phase]:
         """The lowest-index ready phase with pending tasks (Alg. 2 uses
         "the first available phase that can be scheduled at present")."""
-        for p in self.ready_phases():
-            if any(t.state is TaskState.PENDING for t in p.tasks):
-                return p
-        return None
+        return next((p for p in self.ready_phases() if p.num_pending), None)
 
     def running_tasks(self) -> list[Task]:
         out: list[Task] = []
@@ -147,7 +143,12 @@ class Job:
     def first_start_time(self) -> Optional[float]:
         """Earliest copy start over the job's tasks, finished tasks
         answering from their ledgers."""
-        starts = [t.start_time for p in self.phases for t in p.tasks if t.start_time is not None]
+        starts = [
+            t.start_time
+            for p in self.phases
+            for t in p.built_tasks()
+            if t.start_time is not None
+        ]
         return min(starts) if starts else None
 
     @property
@@ -168,7 +169,7 @@ class Job:
         total = 0.0
         for p in self.phases:
             per_second = p.demand.cpu + p.demand.mem
-            for t in p.tasks:
+            for t in p.built_tasks():
                 ledger = t.ledger
                 if ledger is not None:
                     for d in ledger.durations:
@@ -192,15 +193,16 @@ class Job:
 
         ``Job`` ↔ ``Phase`` ↔ ``Task`` are reference cycles, which only
         the cyclic collector frees, and a job built at set-up sits in its
-        oldest generation long before it finishes.  Emptying both lists
-        breaks the cycles, so reference counting frees the graph as soon
-        as nothing else names it.  What remains answers identity,
-        arrival and finish time; every metric lives in the job's record.
+        oldest generation long before it finishes.  Emptying the phase
+        list and each phase's task slots breaks the cycles, so reference
+        counting frees the graph as soon as nothing else names it.  What
+        remains answers identity, arrival and finish time; every metric
+        lives in the job's record.
         """
         if self.finish_time is None:
             raise RuntimeError(f"job {self.job_id}: release before finish")
         for p in self.phases:
-            p.tasks = []
+            p.release()
         self.phases = []
 
     # ------------------------------------------------------------------

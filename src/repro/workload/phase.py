@@ -3,6 +3,12 @@
 Phase φ_j^k of the paper has n_j^k identical-statistics tasks, a per-task
 demand (c_j^k, m_j^k), an execution-time mean θ_j^k and standard
 deviation σ_j^k (known on arrival, Sec. 3), plus DAG parents P(φ_j^k).
+
+A task has no state of its own until a copy of it launches, so a phase
+holds one slot per task and builds the slot's :class:`Task` the first
+time :meth:`Phase.task` asks for it (DESIGN.md §5.6).  Only this module
+reads the slots; everything else asks for a task by index, for the
+pending indices or for the tasks built so far.
 """
 
 from __future__ import annotations
@@ -13,6 +19,11 @@ from repro.resources import Resources
 from repro.workload.distributions import Deterministic, ExecutionTimeDistribution
 from repro.workload.speedup import NoSpeedup, ParetoSpeedup, SpeedupFunction
 from repro.workload.task import Task, TaskState
+
+#: Module globals: Python 3.11 resolves an enum member through a
+#: descriptor, about ten times slower (see ``repro.workload.task``).
+_PENDING = TaskState.PENDING
+_RUNNING = TaskState.RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.job import Job
@@ -31,7 +42,7 @@ class Phase:
         "distribution",
         "_speedup",
         "parents",
-        "tasks",
+        "_tasks",
         "start_delay",
         "_finished_count",
         "_pending_count",
@@ -80,7 +91,9 @@ class Phase:
         #: tasks may launch — models the shuffle/data-transfer gap
         #: between dependent phases (0 = instantaneous handoff).
         self.start_delay = float(start_delay)
-        self.tasks = [Task(self, i) for i in range(num_tasks)]
+        # One slot per task: None until task(i) first builds it.  An
+        # unbuilt slot is a pending task that never launched.
+        self._tasks: list[Task | None] = [None] * num_tasks
         # Finished- and pending-task counters (maintained by
         # Task.add_copy/Task.complete) — phase readiness and the
         # scheduler's pending scans are checked constantly, so neither
@@ -125,18 +138,43 @@ class Phase:
     # ------------------------------------------------------------------
     @property
     def num_tasks(self) -> int:
-        return len(self.tasks)
+        return len(self._tasks)
 
-    def pending_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state is TaskState.PENDING]
+    def task(self, i: int) -> Task:
+        """The task at index ``i``, built on the first call and kept, so
+        every later call returns the same object.  Schedulers call this
+        only for the task they launch."""
+        if i < 0:
+            raise IndexError(f"phase {self.name}: task index {i} out of range")
+        slots = self._tasks
+        t = slots[i]  # IndexError past the end
+        if t is None:
+            t = slots[i] = Task(self, i)
+        return t
+
+    def pending_indices(self) -> list[int]:
+        """Indices of the pending tasks in ascending order, building no
+        task: an unbuilt slot is pending."""
+        slots = self._tasks
+        n = self._pending_count
+        if n == len(slots):
+            return list(range(n))
+        if n == 0:
+            return []
+        return [i for i, t in enumerate(slots) if t is None or t.state is _PENDING]
+
+    def built_tasks(self) -> list[Task]:
+        """The tasks built so far, in index order — every task that ever
+        launched among them; a finished phase has built all of its tasks."""
+        return [t for t in self._tasks if t is not None]
 
     def running_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state is TaskState.RUNNING]
+        return [t for t in self._tasks if t is not None and t.state is _RUNNING]
 
     def task_finished(self) -> None:
         """Hook called by :meth:`Task.complete`."""
         self._finished_count += 1
-        if self._finished_count > len(self.tasks):
+        if self._finished_count > len(self._tasks):
             raise RuntimeError(f"phase {self.name}: finished-count overflow")
 
     def task_left_pending(self) -> None:
@@ -151,13 +189,13 @@ class Phase:
         """Hook called by :meth:`Task.requeue`: a fault-orphaned task
         re-entered the PENDING state."""
         self._pending_count += 1
-        if self._pending_count > len(self.tasks):
+        if self._pending_count > len(self._tasks):
             raise RuntimeError(f"phase {self.name}: pending-count overflow")
 
     @property
     def num_unfinished(self) -> int:
         """n_j^k(t) of Eq. (16)."""
-        return len(self.tasks) - self._finished_count
+        return len(self._tasks) - self._finished_count
 
     @property
     def num_pending(self) -> int:
@@ -167,17 +205,23 @@ class Phase:
     @property
     def num_running(self) -> int:
         """Tasks launched but not finished — O(1), not a scan."""
-        return len(self.tasks) - self._finished_count - self._pending_count
+        return len(self._tasks) - self._finished_count - self._pending_count
 
     @property
     def is_finished(self) -> bool:
-        return self._finished_count == len(self.tasks)
+        return self._finished_count == len(self._tasks)
 
     def finish_time(self) -> Optional[float]:
         """λ_j^k — when the last task finished, or None if unfinished."""
         if not self.is_finished:
             return None
-        return max(t.finish_time for t in self.tasks)  # type: ignore[type-var]
+        # Every task finished through a launched copy, so all are built.
+        return max(t.finish_time for t in self.built_tasks())  # type: ignore[type-var]
+
+    def release(self) -> None:
+        """Drop the slots of a finished job's phase (:meth:`Job.release`),
+        breaking the phase ↔ task reference cycles."""
+        self._tasks = []
 
     # One tuple of the slots, like TaskCopy's.
     def __getstate__(self):
@@ -189,7 +233,7 @@ class Phase:
             self.distribution,
             self._speedup,
             self.parents,
-            self.tasks,
+            self._tasks,
             self.start_delay,
             self._finished_count,
             self._pending_count,
@@ -204,7 +248,7 @@ class Phase:
             self.distribution,
             self._speedup,
             self.parents,
-            self.tasks,
+            self._tasks,
             self.start_delay,
             self._finished_count,
             self._pending_count,

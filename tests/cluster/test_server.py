@@ -17,7 +17,7 @@ from repro.workload.task import TaskCopy
 def make_task(cpu=2.0, mem=4.0, theta=10.0):
     phase = Phase(0, 1, Resources.of(cpu, mem), Deterministic(theta))
     Job([phase])
-    return phase.tasks[0]
+    return phase.task(0)
 
 
 def make_copy(task, server_id=0, start=0.0, duration=10.0, clone=False):

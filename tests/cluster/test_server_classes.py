@@ -31,6 +31,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.engine import SimulationEngine
 from repro.workload.task import TaskCopy
+from tests import reference
 from tests.cluster.test_server import make_copy, make_task
 from tests.conftest import make_single_task_job
 
@@ -69,7 +70,12 @@ def dense_cases():
     cpu, mem, slowdown = dense_trace_columns(300, seed=5)
     # Two classes that differ only in cores become one once scaled.
     merged = np.maximum(1.0, np.round(np.array([16.0, 8.0, 24.0] * 20) * 0.05))
+    # Capacities and slowdowns one ulp apart are distinct classes.
+    ulp = np.array([16.0, np.nextafter(16.0, 32.0), np.nextafter(16.0, 0.0)])
     return {
+        "one-ulp-apart": (
+            np.tile(ulp, 8), np.repeat(ulp, 8), np.tile(np.repeat(ulp, 2), 4), 18
+        ),
         "one-class": (np.full(50, 16.0), np.full(50, 32.0), np.full(50, 1.0), 1),
         "three-classes": (cpu, mem, slowdown, 3),
         "testbed": (*paper_testbed_columns(), 4),
@@ -145,9 +151,23 @@ class TestDenseEquivalence:
             assert_matches_dense(cluster, cpu, mem, slowdown)
             assert_availability_matches_dense(cluster, cpu, mem)
 
+    @pytest.mark.parametrize("case", list(dense_cases()))
+    def test_classes_match_a_2d_unique(self, case):
+        """Per-column factoring gives ``np.unique(axis=0)``'s classes:
+        the same class table, bit for bit, and the same class per row."""
+        cpu, mem, slowdown, _ = dense_cases()[case]
+        table, class_of = reference.factor_rows(cpu, mem, slowdown)
+        mirror = Cluster(cpu, mem, slowdown).mirror
+        got = (mirror.class_cpu, mirror.class_mem, mirror.class_slowdown)
+        for k, column in enumerate(got):
+            assert np.array_equal(bits(column), bits(table[:, k]))
+        assert np.array_equal(mirror.class_of, class_of)
+
     def test_invalid_class_names_its_first_server(self):
         with pytest.raises(ValueError, match="server 1: capacity"):
             Cluster([4.0, np.nan, 4.0, np.nan], [8.0] * 4)
+        with pytest.raises(ValueError, match="server 2: capacity"):
+            Cluster([4.0, 4.0, -4.0, 8.0, -4.0], [8.0] * 5)
         with pytest.raises(ValueError, match="server 2: slowdown"):
             Cluster([4.0] * 3, [8.0] * 3, [1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="server 0: slowdown"):

@@ -94,6 +94,13 @@ def make_diamond_job(
     return Job(phases, arrival_time=arrival_time, job_id=job_id, name="diamond")
 
 
+def all_tasks(phase: Phase) -> list:
+    """Every task of ``phase``, each built by this call: for tests that
+    set task state by hand, launch every task or hold tasks across a
+    run.  The program builds a task only when it launches."""
+    return [phase.task(i) for i in range(phase.num_tasks)]
+
+
 def after_finish_hooks(scheduler, *, task=None, job=None):
     """Call ``task(t)`` after ``scheduler``'s own ``on_task_finish`` and
     ``job(j)`` after its ``on_job_finish``.

@@ -18,7 +18,7 @@ from repro.workload.task import TaskCopy
 def running_task(theta=10.0, sigma=5.0, cpu=1.0, mem=1.0):
     phase = Phase(0, 1, Resources.of(cpu, mem), ParetoType1.from_moments(theta, sigma))
     Job([phase])
-    task = phase.tasks[0]
+    task = phase.task(0)
     task.add_copy(TaskCopy(task, 0, 0.0, 10.0, is_clone=False))
     return task
 
@@ -46,7 +46,7 @@ class TestMayClone:
     def test_pending_task_never_cloned(self):
         phase = Phase(0, 1, Resources.of(1, 1), ParetoType1.from_moments(5, 2))
         Job([phase])
-        assert not CloningPolicy(max_clones=2).may_clone(phase.tasks[0])
+        assert not CloningPolicy(max_clones=2).may_clone(phase.task(0))
 
     def test_running_task_cloneable(self):
         assert CloningPolicy(max_clones=2).may_clone(running_task())
@@ -219,7 +219,7 @@ class TestBudgetReturnRegression:
                     for t in j.ready_tasks():
                         view.launch(t, view.cluster[0])
                     for phase in j.phases:
-                        for t in phase.tasks:
+                        for t in phase.built_tasks():
                             while policy.may_clone(t) and policy.within_budget(
                                 view.cluster, t.demand,
                                 occupancy=view.clone_occupancy,

@@ -11,13 +11,13 @@ from repro.workload.distributions import Deterministic, ParetoType1
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy
-from tests.conftest import make_chain_job
+from tests.conftest import all_tasks, make_chain_job
 
 
 def finished_phase_with_durations(durations, name="map", job_name="jobA"):
     phase = Phase(0, len(durations), Resources.of(1, 1), Deterministic(999.0), name=name)
     job = Job([phase], name=job_name)
-    for task, d in zip(phase.tasks, durations):
+    for task, d in zip(all_tasks(phase), durations):
         c = TaskCopy(task, 0, 0.0, d, is_clone=False)
         task.add_copy(c)
         c.finished = True
@@ -62,7 +62,7 @@ class TestTiers:
         est = PhaseStatsEstimator(min_task_samples=3)
         # A prior run of "jobA" completes; record its tasks.
         prior, prior_phase = finished_phase_with_durations([20.0, 20.0, 20.0])
-        for t in prior_phase.tasks:
+        for t in prior_phase.built_tasks():
             est.record_task(t)
         # A new submission of the same recurring job: no tasks done yet.
         fresh_phase = Phase(0, 5, Resources.of(1, 1), Deterministic(999.0), name="map")
@@ -73,7 +73,7 @@ class TestTiers:
     def test_current_phase_beats_history(self):
         est = PhaseStatsEstimator(min_task_samples=2)
         prior, prior_phase = finished_phase_with_durations([50.0, 50.0], job_name="J")
-        for t in prior_phase.tasks:
+        for t in prior_phase.built_tasks():
             est.record_task(t)
         job, phase = finished_phase_with_durations([10.0, 10.0], job_name="J")
         theta, _ = est.estimate(job, phase)
@@ -82,14 +82,14 @@ class TestTiers:
     def test_history_bounded(self):
         est = PhaseStatsEstimator(max_history=4)
         job, phase = finished_phase_with_durations([1.0] * 10, job_name="H")
-        for t in phase.tasks:
+        for t in phase.built_tasks():
             est.record_task(t)
         assert est.history_size(job, phase) == 4
 
     def test_different_job_names_do_not_share_history(self):
         est = PhaseStatsEstimator(min_task_samples=1)
         prior, prior_phase = finished_phase_with_durations([5.0], job_name="A")
-        est.record_task(prior_phase.tasks[0])
+        est.record_task(prior_phase.task(0))
         other_phase = Phase(0, 1, Resources.of(1, 1), Deterministic(99.0), name="map")
         other = Job([other_phase], name="B")
         theta, _ = est.estimate(other, other_phase)

@@ -13,14 +13,16 @@ from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy
+from tests.conftest import all_tasks
 
 
 def make_tasks(n, preferred=()):
     phase = Phase(0, n, Resources.of(1, 1), Deterministic(10.0))
     Job([phase])
-    for t in phase.tasks:
+    tasks = all_tasks(phase)
+    for t in tasks:
         t.preferred_servers = tuple(preferred)
-    return phase.tasks
+    return tasks
 
 
 # Topology: servers 0,1 in rack 0; servers 2,3 in rack 1.

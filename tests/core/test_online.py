@@ -11,7 +11,7 @@ from repro.sim.runner import run_simulation
 from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
-from tests.conftest import make_chain_job, make_single_task_job
+from tests.conftest import all_tasks, make_chain_job, make_single_task_job
 
 
 def fig2_jobs():
@@ -97,7 +97,7 @@ class TestPriorities:
         engine = SimulationEngine(cluster, sched, [job], max_time=1e5)
         engine.active_jobs[job.job_id] = job  # bypass arrival hook
         sched.schedule(engine.view)
-        assert job.phases[0].tasks[0].has_run
+        assert job.phases[0].task(0).has_run
 
 
 class TestCloning:
@@ -117,7 +117,7 @@ class TestCloning:
     def test_idle_resources_host_clones(self):
         cluster = homogeneous_cluster(2, Resources.of(8, 16))
         job = make_chain_job(1, 2, theta=10.0, sigma=5.0)
-        tasks = list(job.phases[0].tasks)
+        tasks = all_tasks(job.phases[0])
         engine = SimulationEngine(
             cluster, DollyMPScheduler(max_clones=2, delta=1.0), [job], max_time=1e5
         )
@@ -139,7 +139,7 @@ class TestCloning:
         for cap in (1, 2, 3):
             cluster = homogeneous_cluster(4, Resources.of(8, 16))
             job = make_chain_job(1, 2, theta=10.0, sigma=5.0)
-            tasks = list(job.phases[0].tasks)
+            tasks = all_tasks(job.phases[0])
             engine = SimulationEngine(
                 cluster,
                 DollyMPScheduler(max_clones=cap, delta=1.0),
@@ -174,7 +174,7 @@ class TestCloning:
             seed=2,
             max_time=1e6,
         )
-        small_task = small.phases[0].tasks[0]
+        small_task = small.phases[0].task(0)
         engine.run()
         assert small_task.ledger.clones > 0
 
@@ -259,7 +259,7 @@ class TestPriorityCache:
         sched = DollyMPScheduler()
         sched.recompute_priorities(view)
         before = dict(sched._measures)
-        task = jobs[0].phases[0].tasks[0]
+        task = jobs[0].phases[0].task(0)
         task.complete(5.0)
         sched.on_task_finish(task, view)
         assert 1 not in sched._measures
@@ -272,7 +272,7 @@ class TestPriorityCache:
         warm = DollyMPScheduler()
         warm.recompute_priorities(view)
         # Mutate job state the way the engine does, with hook calls.
-        for task in jobs[0].phases[0].tasks[:2]:
+        for task in all_tasks(jobs[0].phases[0])[:2]:
             task.complete(4.0)
             warm.on_task_finish(task, view)
         warm.recompute_priorities(view)
@@ -299,7 +299,7 @@ class TestPriorityCache:
             sched.on_job_arrival(job, view)
         done = jobs[1]
         for phase in done.phases:
-            for task in phase.tasks:
+            for task in all_tasks(phase):
                 task.complete(3.0)
                 sched.on_task_finish(task, view)
         done.mark_finished_if_done(3.0)

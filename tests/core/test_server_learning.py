@@ -15,7 +15,7 @@ from repro.workload.distributions import ParetoType1
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy
-from tests.conftest import make_chain_job
+from tests.conftest import all_tasks, make_chain_job
 
 
 class TestTracker:
@@ -68,7 +68,7 @@ class TestTracker:
     def test_observe_task_duration_signal_from_winner_only(self):
         phase = Phase(0, 1, Resources.of(1, 1), ParetoType1.from_moments(10, 5))
         Job([phase])
-        task = phase.tasks[0]
+        task = phase.task(0)
         winner = TaskCopy(task, 0, 0.0, 12.0, is_clone=False)
         loser = TaskCopy(task, 1, 0.0, 100.0, is_clone=True)
         task.add_copy(winner)
@@ -96,7 +96,7 @@ class TestTracker:
         t = StragglerServerTracker(min_samples=5)
         phase = Phase(0, 40, Resources.of(1, 1), ParetoType1.from_moments(10, 5))
         Job([phase])
-        for i, task in enumerate(phase.tasks):
+        for i, task in enumerate(all_tasks(phase)):
             winner = TaskCopy(task, 1, 0.0, 10.0, is_clone=False)
             loser = TaskCopy(task, 0, 0.0, 40.0, is_clone=True)  # always loses
             task.add_copy(winner)
@@ -114,7 +114,7 @@ class TestTracker:
         t = StragglerServerTracker(min_samples=5)
         phase = Phase(0, 40, Resources.of(1, 1), ParetoType1.from_moments(10, 5))
         Job([phase])
-        for i, task in enumerate(phase.tasks):
+        for i, task in enumerate(all_tasks(phase)):
             a = TaskCopy(task, 0, 0.0, 10.0, is_clone=False)
             b = TaskCopy(task, 1, 0.0, 10.0, is_clone=True)
             task.add_copy(a)

@@ -51,7 +51,7 @@ class TestJobVolume:
 
     def test_partial_phase_counts_unfinished_tasks(self):
         job = make_chain_job(1, 4, cpu=10.0, mem=10.0, theta=10.0)
-        job.phases[0].tasks[0].complete(1.0)
+        job.phases[0].task(0).complete(1.0)
         assert job_volume(job, TOTAL, r=0.0) == pytest.approx(3 * 10 * 0.1)
 
     def test_deviation_weight_increases_volume(self):

@@ -95,6 +95,18 @@ def test_restored_span_divergence_is_reported(trace_rows, monkeypatch):
     assert failure.detail.endswith("span export differs from the uninterrupted leg's")
 
 
+def test_cuts_without_unbuilt_tasks_are_reported(trace_rows, monkeypatch):
+    """A checkpoint-cut leg none of whose cuts holds a task not yet
+    built never restores an unbuilt slot, and the cell fails."""
+    monkeypatch.setattr(identity, "_holds_unbuilt_task", lambda engine: False)
+    with pytest.raises(identity.IdentityFailure) as exc:
+        identity.run_cell(trace_rows["google2011"], "none")
+    assert (exc.value.leg, exc.value.detail) == (
+        "checkpoint-cut",
+        "no cut holds a task not yet built",
+    )
+
+
 def test_testbed_specs_materialize_the_builder_jobs():
     """The testbed row is ``wordcount_job(4.0)``/``pagerank_job(1.0)``
     written as specs: same tasks, demands, DAG and duration laws."""
@@ -106,7 +118,7 @@ def test_testbed_specs_materialize_the_builder_jobs():
             job.arrival_time,
             [
                 (
-                    len(p.tasks),
+                    p.num_tasks,
                     p.demand,
                     p.parents,
                     p.start_delay,

@@ -35,7 +35,7 @@ def engine_with_running_copy(*, scheduler=None, sanitize=False):
         cluster, scheduler or FIFOScheduler(), [job], sanitize=sanitize
     )
     engine._process_arrival(job)
-    task = job.phases[0].tasks[0]
+    task = job.phases[0].task(0)
     copy = engine.launch_copy(task, cluster[0])
     return engine, task, copy
 
@@ -115,7 +115,7 @@ class TestCapacityConservation:
         (old,) = restored.cluster.mirror.resident[0]
         job = make_single_task_job(theta=50.0, job_id=1)
         restored._process_arrival(job)
-        new = restored.launch_copy(job.phases[0].tasks[0], restored.cluster[0])
+        new = restored.launch_copy(job.phases[0].task(0), restored.cluster[0])
         assert restored.cluster[0].running_copies == (old, new)
         restored.cluster[0].release(old)  # still live
         violations = SimulationSanitizer(restored).check(restored, "early release")
@@ -279,7 +279,7 @@ class TestEngineIntegration:
         assert result.num_jobs == 4
         for job in jobs:
             for phase in job.phases:
-                for task in phase.tasks:
+                for task in phase.built_tasks():
                     assert task.state is TaskState.FINISHED
 
 

@@ -49,7 +49,7 @@ def _run_driver(*, clone: bool, fail_after: float):
     cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
     job = make_single_task_job(theta=10.0)
     # Held here: the task's ledger outlives the finished job's graph.
-    task = job.phases[0].tasks[0]
+    task = job.phases[0].task(0)
     driver = _CopyFailDriver(clone=clone, fail_after=fail_after)
     engine = SimulationEngine(cluster, driver, [job], sanitize=True)
     driver.engine = engine

@@ -15,6 +15,9 @@ FLOAT_FIELDS = (
     "slowdown_duration",
 )
 
+#: The fields an infinite value would stall or break a run through.
+INFINITE_REJECTED = ("copy_fail_rate", "slowdown_rate", "slowdown_factor")
+
 
 class TestValidation:
     def test_default_injects_nothing(self):
@@ -64,6 +67,24 @@ class TestValidation:
 
     def test_infinite_mtbf_still_disables_churn(self):
         assert not FaultProfile(mtbf=math.inf).server_churn
+
+    @pytest.mark.parametrize("field", INFINITE_REJECTED)
+    def test_rejects_infinity_naming_the_field(self, field):
+        """An infinite rate draws intervals of zero: every copy fails, or
+        every window opens, at the instant it starts, and the run never
+        ends; an infinite factor makes every copy in a window infinite."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FaultProfile(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", INFINITE_REJECTED)
+    def test_from_meta_rejects_infinity(self, field):
+        meta = {**FAULT_PROFILES["chaos"].to_meta(), field: math.inf}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FaultProfile.from_meta(meta)
+
+    def test_from_meta_keeps_infinite_mtbf(self):
+        meta = {**FAULT_PROFILES["chaos"].to_meta(), "mtbf": math.inf}
+        assert not FaultProfile.from_meta(meta).server_churn
 
 
 class TestMetaRoundTrip:

@@ -7,7 +7,7 @@ from repro.schedulers.base import Scheduler
 from repro.sim.actions import Fail
 from repro.sim.engine import SimulationEngine
 from repro.workload.task import TaskState
-from tests.conftest import make_chain_job, make_single_task_job
+from tests.conftest import all_tasks, make_chain_job, make_single_task_job
 
 
 class CrashEveryLaunch(Scheduler):
@@ -44,7 +44,7 @@ class TestLifetimeCap:
         raise the engine's copy-cap RuntimeError)."""
         cluster = homogeneous_cluster(3, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine = SimulationEngine(
             cluster,
             CrashEveryLaunch(crashes=2),
@@ -64,7 +64,7 @@ class TestRequeueCoherence:
     def test_requeued_task_is_fresh_primary(self):
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine = SimulationEngine(cluster, CrashEveryLaunch(crashes=1), [job])
         engine.run()
         # The crashed primary and its relaunch, neither a clone.
@@ -96,15 +96,15 @@ class TestRequeueCoherence:
                     view.apply(Fail(view.cluster[0]))
                     phase = view.active_jobs[0].phases[0]
                     pending = sum(
-                        1 for t in phase.tasks if t.state is TaskState.PENDING
+                        1 for t in all_tasks(phase) if t.state is TaskState.PENDING
                     )
                     running = sum(
-                        1 for t in phase.tasks if t.state is TaskState.RUNNING
+                        1 for t in phase.built_tasks() if t.state is TaskState.RUNNING
                     )
                     assert phase.num_pending == pending
                     assert phase.num_running == running
                     assert pending >= 1  # the crash did orphan something
-                    for t in phase.tasks:
+                    for t in phase.built_tasks():
                         if t.state is TaskState.PENDING:
                             assert t.num_live_copies == 0
 

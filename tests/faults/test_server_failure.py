@@ -46,7 +46,7 @@ class TestCrashSemantics:
         (clone-as-recovery) and finishes the job."""
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         sched = FailAfterLaunch(clone=True)
         copies = snapshot_copies(sched)
         engine = SimulationEngine(cluster, sched, [job], sanitize=True)
@@ -67,7 +67,7 @@ class TestCrashSemantics:
         on a healthy server as a fresh primary."""
         cluster = homogeneous_cluster(2, Resources.of(4, 4), slowdown=1.0)
         job = make_single_task_job(theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine = SimulationEngine(
             cluster, FailAfterLaunch(clone=False), [job], sanitize=True
         )

@@ -1,31 +1,39 @@
 """Spec → job materialization vs its eager reference.
 
 ``jobs_from_specs`` fits each phase's default h(r) on first read, skips
-Kahn's sort for index-ordered phase graphs and shares one demand vector
-per distinct demand (DESIGN.md §5.6).  ``tests/reference.py`` keeps the
-eager form; built from the same specs, both must give the same jobs,
-field by field, and the same simulation, launch for launch.  A call-count
-guard keeps the skipped work skipped.
+Kahn's sort for index-ordered phase graphs, shares one demand vector
+per distinct demand and builds no task: a phase builds a task the first
+time it is asked for it, which on the run path is at launch (DESIGN.md
+§5.6).  ``tests/reference.py`` keeps the eager form; built from the
+same specs, both must give the same jobs, field by field, and the same
+simulation — records, event counts and decision journals byte for
+byte, in one shot and resumed from a mid-run checkpoint.  Call-count
+guards keep the skipped work skipped.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.bench.workloads import SmallJobTrace
+from benchmarks.bench.workloads import WORKLOADS, SmallJobTrace
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
 from repro.core.volume import measure_job
+from repro.devtools import identity
 from repro.resources import Resources
+from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.runner import run_simulation
 from repro.workload import dag
 from repro.workload.google_trace import PhaseSpec, TraceJobSpec, jobs_from_specs
 from repro.workload.speedup import ParetoSpeedup
+from repro.workload.task import Task
 from tests import reference
-from tests.conftest import snapshot_copies
+from tests.conftest import all_tasks, snapshot_copies
 from tests.integration.test_vectorized_equivalence import launch_log
 
 #: A few repeated demands, so phases share vectors, next to free ones.
@@ -76,7 +84,9 @@ def job_fields(job) -> tuple:
                 p.parents,
                 p.start_delay,
                 p.num_tasks,
-                [(t.index, t.state, t.copies) for t in p.tasks],
+                p.num_pending,
+                p.pending_indices(),
+                [(t.index, t.uid, t.state, t.copies) for t in all_tasks(p)],
                 type(p.speedup),
                 getattr(p.speedup, "alpha", 0.0).hex(),
             )
@@ -85,13 +95,33 @@ def job_fields(job) -> tuple:
     )
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Every task built from here on, as (phase, index) in build order;
+    holding the phase keeps its ``id`` from being reused."""
+    seen = []
+    init = Task.__init__
+
+    def counting_init(self, phase, index):
+        init(self, phase, index)
+        seen.append((phase, index))
+
+    monkeypatch.setattr(Task, "__init__", counting_init)
+    return seen
+
+
 class TestReferenceMaterializer:
     @given(job_specs())
     @settings(max_examples=150, deadline=None)
     def test_same_jobs_field_by_field(self, specs):
         got = jobs_from_specs(specs)
         want = reference.jobs_from_specs(specs)
+        assert all(p.built_tasks() == [] for j in got for p in j.phases)
+        assert all(len(p.built_tasks()) == p.num_tasks for j in want for p in j.phases)
         assert [job_fields(j) for j in got] == [job_fields(j) for j in want]
+        # A task is built once and kept.
+        for p in (p for j in got for p in j.phases):
+            assert all(p.task(i) is t for i, t in enumerate(all_tasks(p)))
         # Equal demands share one vector; the reference builds one each.
         demands = {(p.demand.cpu, p.demand.mem) for j in got for p in j.phases}
         assert len({id(p.demand) for j in got for p in j.phases}) == len(demands)
@@ -123,8 +153,9 @@ class TestReferenceMaterializer:
 
 
 class TestCallCounts:
-    """Materializing and measuring jobs skips the work no output uses.
-    Counts, not times, so the guard is deterministic."""
+    """Materializing and measuring jobs skips the work no output uses,
+    and a task is built when it first launches, and only then.  Counts,
+    not times, so the guards are deterministic."""
 
     def test_no_fits_no_kahn_sorts_one_vector_per_demand(self, monkeypatch):
         specs = SmallJobTrace(seed=2022).generate(300, mean_interarrival=0.25)
@@ -154,3 +185,94 @@ class TestCallCounts:
         assert phases[0].speedup is not None and calls["fit"] == 1
         dag.topological_order([(1,), ()])
         assert calls["kahn"] == 1
+
+    def test_burst_specs_build_no_task(self, built):
+        specs = WORKLOADS["engine-100k-burst"].inputs(2022).specs
+        jobs = jobs_from_specs(specs)
+        assert len(jobs) == 400 and built == []
+        # The eager reference builds every task: the guard sees the work.
+        reference.jobs_from_specs(specs)
+        assert len(built) == sum(s.num_tasks() for s in specs) == 24_182
+
+    @pytest.mark.parametrize("column, clones", [("none", 2), ("chaos", 2), ("chaos", 0)])
+    def test_run_builds_each_task_once_at_its_first_launch(self, built, column, clones):
+        """Between any two instants every built task of an active job
+        has launched a copy, and a run that finishes every job builds
+        each task exactly once.  Without clones, chaos orphans tasks,
+        which are requeued and relaunch as the object already built."""
+        row = identity.paper_testbed_row()
+        engine = identity.build_engine(
+            row,
+            column,
+            jobs_from_specs(row.specs),
+            scheduler=lambda max_clones: DollyMPScheduler(max_clones=clones),
+        )
+        engine.start()
+        while engine.step():
+            for job in engine.active_jobs.values():
+                for phase in job.phases:
+                    for task in phase.built_tasks():
+                        assert task.num_copies > 0, task.uid
+        result = engine.finalize()
+        assert result.num_jobs == len(row.specs)
+        assert len({(id(phase), i) for phase, i in built}) == len(built)
+        assert len(built) == sum(s.num_tasks() for s in row.specs)
+        assert (engine.tasks_requeued > 0) is (clones == 0)
+
+
+def _outputs(engine) -> tuple[bytes, int, list[str]]:
+    """Records (pickled, so bit for bit), events and journal lines."""
+    result = engine.finalize()
+    return (
+        pickle.dumps(result.records, protocol=5),
+        result.events_processed,
+        [d.to_json() for d in engine.trace],
+    )
+
+
+def _one_shot(row, column, jobs):
+    """The outputs and the number of instants the run took."""
+    engine = identity.build_engine(row, column, jobs)
+    engine.start()
+    instants = engine.drain()
+    return _outputs(engine), instants
+
+
+def _resumed(row, column, jobs, cut):
+    """Stepped to instant ``cut``, checkpointed, restored and drained;
+    returns the outputs and whether the cut held a task not yet built."""
+    engine = identity.build_engine(row, column, jobs)
+    engine.start()
+    for _ in range(cut):
+        assert engine.step()
+    unbuilt = identity._holds_unbuilt_task(engine)
+    revived = restore_bytes(checkpoint_bytes(engine)[0])
+    revived.drain()
+    return _outputs(revived), unbuilt
+
+
+_ROWS = {"testbed": identity.paper_testbed_row, "google-synth": identity.google_synth_row}
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return {name: make() for name, make in _ROWS.items()}
+
+
+class TestRunEquivalence:
+    """The identity gate's testbed and google-synth rows with both
+    builders: the same records, event count and decision journal, byte
+    for byte, whether run in one shot or resumed from a checkpoint cut
+    half-way through its instants."""
+
+    @pytest.mark.parametrize("column", identity.COLUMNS)
+    @pytest.mark.parametrize("name", list(_ROWS))
+    def test_lazy_and_eager_builders_identical(self, rows, name, column):
+        row = rows[name]
+        want, instants = _one_shot(row, column, reference.jobs_from_specs(row.specs))
+        assert _one_shot(row, column, jobs_from_specs(row.specs)) == (want, instants)
+        for build in (jobs_from_specs, reference.jobs_from_specs):
+            got, unbuilt = _resumed(row, column, build(row.specs), instants // 2)
+            assert got == want, build.__module__
+            # The lazy cut restores unbuilt slots; the eager one has none.
+            assert unbuilt is (build is jobs_from_specs)

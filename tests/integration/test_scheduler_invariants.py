@@ -60,7 +60,7 @@ def engine(request):
     def on_job(job):
         for phase in job.phases:
             if phase.parents:
-                earliest = min(t.start_time for t in phase.tasks)
+                earliest = min(t.start_time for t in phase.built_tasks())
                 done = [job.phases[p].finish_time() for p in phase.parents]
                 gated_phases.append((earliest, done))
 

@@ -24,7 +24,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.replay import assert_replay_identical, replay_trace
 from repro.sim.runner import run_recorded, run_simulation
 from repro.workload.mapreduce import pagerank_job, wordcount_job
-from tests.conftest import make_chain_job
+from tests.conftest import all_tasks, make_chain_job
 
 
 def _cluster():
@@ -169,7 +169,7 @@ def test_rejected_actions_are_counted():
             # reject without mutating anything.
             for job_ in view.active_jobs:
                 for phase in job_.phases:
-                    for task in phase.tasks:
+                    for task in all_tasks(phase):
                         if task.state.name != "PENDING":
                             continue
                         try:
@@ -238,7 +238,7 @@ def test_workload_recording():
     m = obs.snapshot()["metrics"]
     assert _value(m, "repro_workload_jobs_total") == len(jobs)
     assert _value(m, "repro_workload_tasks_total") == sum(
-        len(p.tasks) for j in jobs for p in j.phases
+        p.num_tasks for j in jobs for p in j.phases
     )
 
 

@@ -18,12 +18,16 @@ against the direct forms kept here:
 * :func:`validate_dag` — phase-graph validation by depth-first search,
   an oracle independent of the Kahn's-algorithm check in ``src/``;
 * :func:`jobs_from_specs` — spec → job materialization in its eager
-  form: a fresh demand vector per phase, h(r) fitted when the phase is
-  built, and every phase graph run through Kahn's sort;
+  form: a fresh demand vector per phase, h(r) fitted and every task
+  built when the phase is built, and every phase graph run through
+  Kahn's sort;
 * :func:`record_for_job` — a finished job's record walked from its
   tasks' copies, where production reads the ledgers they fold into;
 * :class:`SpanTracer` — the span tracer keeping each closed span as a
   ``Span`` object in a list, where production keeps columns;
+* :func:`factor_rows` — a dense cluster's rows factored into server
+  classes by one 2-D ``np.unique(axis=0)``, where production factors
+  each column on its own and combines the ranks into one code per row;
 * :func:`normalize_stream` — trace rows → job specs with closed keys
   in an ``OrderedDict`` of strs and a ``min()`` over every open builder
   on each release check, where production holds decimal keys as ints
@@ -101,26 +105,28 @@ def best_fit(servers, demand, weight=None):
 
 
 class _Candidate:
-    """One phase's queue of pending tasks and its current best server."""
+    """One phase's queue of pending task indices and its current best
+    server."""
 
-    def __init__(self, phase, tasks, servers, weight) -> None:
+    def __init__(self, phase, pending, servers, weight) -> None:
         self.phase = phase
-        self.queue = list(tasks)  # consumed from the end
+        self.queue = list(pending)  # consumed from the end
         self.rescore(servers, weight)
 
     def rescore(self, servers, weight) -> None:
         self.server, self.score = best_fit(servers, self.phase.demand, weight)
 
 
-def fill_tasks(view, phases_with_tasks, *, on_launch=None, server_weight=None):
+def fill_tasks(view, phases_with_pending, *, on_launch=None, server_weight=None):
     """Task fill: launch the highest-scoring (candidate, best server)
     pair, one task at a time; the earliest candidate wins ties.  A launch
-    rescores the candidates whose best server it shrank."""
+    rescores the candidates whose best server it shrank.  Each candidate
+    pairs a phase with its pending task indices, launched from the end."""
     servers = list(view.cluster)
     cands = [
-        _Candidate(phase, tasks, servers, server_weight)
-        for phase, tasks in phases_with_tasks
-        if tasks
+        _Candidate(phase, pending, servers, server_weight)
+        for phase, pending in phases_with_pending
+        if pending
     ]
     launched = 0
     while True:
@@ -131,7 +137,7 @@ def fill_tasks(view, phases_with_tasks, *, on_launch=None, server_weight=None):
         for c in cands[1:]:
             if c.score > best.score:
                 best = c
-        task, server = best.queue.pop(), best.server
+        task, server = best.phase.task(best.queue.pop()), best.server
         view.apply(Launch(task, server))
         if on_launch is not None:
             on_launch(task, server)
@@ -274,11 +280,22 @@ def validate_dag(parents) -> None:
                 stack.append((nxt, iter(parents[nxt])))
 
 
+def factor_rows(cap_cpu, cap_mem, slowdown):
+    """``repro.cluster.cluster._factor_rows`` as one 2-D ``np.unique``
+    over the stacked rows: returns the class table (one row per class,
+    columns cpu, mem, slowdown) and each row's class."""
+    table, class_of = np.unique(
+        np.stack([cap_cpu, cap_mem, slowdown], axis=1), axis=0, return_inverse=True
+    )
+    return table, class_of.reshape(len(cap_cpu))
+
+
 def jobs_from_specs(specs) -> list[Job]:
     """``repro.workload.google_trace.jobs_from_specs`` in its eager
     form: one ``Resources.of`` per phase, each phase's h(r) fitted as it
-    is built, and each job's phase graph run through Kahn's sort, which
-    the index-ordered fast path of ``repro.workload.dag`` skips."""
+    is built, every task built with its phase, and each job's phase
+    graph run through Kahn's sort, which the index-ordered fast path of
+    ``repro.workload.dag`` skips."""
     jobs = []
     for spec in specs:
         phases = []
@@ -299,6 +316,9 @@ def jobs_from_specs(specs) -> list[Job]:
                 )
             )
         dag._kahn_order([p.parents for p in phases])  # raises on a cycle
+        for phase in phases:
+            for i in range(phase.num_tasks):
+                phase.task(i)
         jobs.append(
             Job(phases, arrival_time=spec.arrival_time, name=spec.name, job_id=spec.job_id)
         )
@@ -314,7 +334,7 @@ def record_for_job(job, copies) -> JobRecord:
     if job.finish_time is None:
         raise ValueError(f"job {job.job_id} has not finished")
     first_start = min(
-        c.start_time for p in job.phases for t in p.tasks for c in copies[t.uid]
+        c.start_time for p in job.phases for t in p.built_tasks() for c in copies[t.uid]
     )
     num_copies = 0
     num_clones = 0
@@ -322,7 +342,7 @@ def record_for_job(job, copies) -> JobRecord:
     cpu_seconds = 0.0
     mem_seconds = 0.0
     for phase in job.phases:
-        for task in phase.tasks:
+        for task in phase.built_tasks():
             launched = copies[task.uid]
             num_copies += len(launched)
             clones_here = sum(1 for c in launched if c.is_clone)

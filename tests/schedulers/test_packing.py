@@ -26,7 +26,7 @@ from repro.workload.phase import Phase
 from repro.workload.task import TaskState
 from tests import reference
 from tests.cluster.test_server import make_copy, make_task
-from tests.conftest import make_chain_job, make_diamond_job
+from tests.conftest import all_tasks, make_chain_job, make_diamond_job
 
 
 class _Null(Scheduler):
@@ -53,7 +53,7 @@ class TestPendingByPhase:
 
     def test_parallel_branches_offered(self):
         job = make_diamond_job()
-        for t in job.phases[0].tasks:
+        for t in all_tasks(job.phases[0]):
             t.complete(1.0)
         got = pending_by_phase(job)
         assert [p.index for p, _ in got] == [1, 2]
@@ -61,10 +61,10 @@ class TestPendingByPhase:
     def test_next_pending_task(self):
         job = make_chain_job(1, 2)
         t = next_pending_task(job)
-        assert t is job.phases[0].tasks[0]
+        assert t is job.phases[0].task(0)
         t.complete(1.0)
-        assert next_pending_task(job) is job.phases[0].tasks[1]
-        job.phases[0].tasks[1].complete(1.0)
+        assert next_pending_task(job) is job.phases[0].task(1)
+        job.phases[0].task(1).complete(1.0)
         assert next_pending_task(job) is None
 
 
@@ -89,7 +89,7 @@ class TestFillTasks:
         job = Job([phase])
         view = make_view(cluster, [job])
         fill_tasks_best_fit(view, pending_by_phase(job))
-        assert phase.tasks[0].copies[0].server_id == 1
+        assert phase.task(0).copies[0].server_id == 1
 
     def test_on_launch_callback(self):
         cluster = homogeneous_cluster(1, Resources.of(4, 8))
@@ -124,7 +124,7 @@ class TestFillClones:
         job = make_chain_job(1, 2, theta=10.0)
         view = make_view(cluster, [job])
         fill_tasks_best_fit(view, pending_by_phase(job))
-        running = job.phases[0].tasks
+        running = all_tasks(job.phases[0])
         launched = fill_clones_best_fit(view, list(running))
         assert launched == 2
         assert all(t.num_live_copies == 2 for t in running)
@@ -135,7 +135,7 @@ class TestFillClones:
         view = make_view(cluster, [job])
         fill_tasks_best_fit(view, pending_by_phase(job))
         launched = fill_clones_best_fit(
-            view, list(job.phases[0].tasks), budget_check=lambda t: False
+            view, all_tasks(job.phases[0]), budget_check=lambda t: False
         )
         assert launched == 0
 
@@ -143,7 +143,7 @@ class TestFillClones:
         cluster = homogeneous_cluster(1, Resources.of(4, 8))
         job = make_chain_job(1, 1, theta=10.0)
         view = make_view(cluster, [job])
-        launched = fill_clones_best_fit(view, list(job.phases[0].tasks))
+        launched = fill_clones_best_fit(view, all_tasks(job.phases[0]))
         assert launched == 0  # never ran, nothing to clone
 
     def test_max_launches(self):
@@ -152,7 +152,7 @@ class TestFillClones:
         view = make_view(cluster, [job])
         fill_tasks_best_fit(view, pending_by_phase(job))
         launched = fill_clones_best_fit(
-            view, list(job.phases[0].tasks), max_launches=2
+            view, all_tasks(job.phases[0]), max_launches=2
         )
         assert launched == 2
 
@@ -258,7 +258,7 @@ def launch_sequence(scenario, fill_tasks, fill_clones, block=mirror_module.BLOCK
         server_weight=lambda s: weights[s.server_id],
     )
     running = [
-        t for j in jobs for t in j.phases[0].tasks if t.state is TaskState.RUNNING
+        t for j in jobs for t in j.phases[0].built_tasks() if t.state is TaskState.RUNNING
     ]
     cache = CloneScoreCache(cluster.mirror)
     fill_clones(view, running[::2], on_launch=record, score_cache=cache)

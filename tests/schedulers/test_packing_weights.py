@@ -39,7 +39,7 @@ class TestServerWeight:
             pending_by_phase(job),
             server_weight=lambda s: 0.1 if s.server_id == 0 else 1.0,
         )
-        assert phase.tasks[0].copies[0].server_id == 1
+        assert phase.task(0).copies[0].server_id == 1
 
     def test_none_weight_keeps_default_behaviour(self):
         cluster = identical_two_server_cluster()

@@ -33,13 +33,13 @@ def phase_with_history(num_done=5, done_duration=10.0, num_running=1, total=10):
     phase = Phase(0, total, Resources.of(1, 1), Deterministic(done_duration))
     job = Job([phase])
     for i in range(num_done):
-        t = phase.tasks[i]
+        t = phase.task(i)
         c = TaskCopy(t, 0, 0.0, done_duration, is_clone=False)
         t.add_copy(c)
         c.finished = True
         t.complete(done_duration)
     for i in range(num_done, num_done + num_running):
-        t = phase.tasks[i]
+        t = phase.task(i)
         t.add_copy(TaskCopy(t, 0, 0.0, 100.0, is_clone=False))
     return job, phase
 
@@ -73,7 +73,7 @@ class TestLATE:
         engine.now = 16.0  # elapsed 16 > 15 → straggler
         cands = late.backup_candidates(engine.view, [job])
         assert len(cands) == 1
-        assert cands[0] is phase.tasks[5]
+        assert cands[0] is phase.task(5)
 
     def test_needs_enough_completed_samples(self):
         """Small jobs cannot be helped — the Sec. 1 limitation."""
@@ -87,7 +87,7 @@ class TestLATE:
     def test_no_double_backup(self):
         cluster = homogeneous_cluster(2, Resources.of(4, 4))
         job, phase = phase_with_history()
-        straggler = phase.tasks[5]
+        straggler = phase.task(5)
         straggler.add_copy(TaskCopy(straggler, 1, 0.0, 100.0, is_clone=True))
         engine = make_view(cluster, [job])
         engine.now = 100.0
@@ -108,15 +108,15 @@ class TestLATE:
         phase = Phase(0, 10, Resources.of(1, 1), Deterministic(10.0))
         job = Job([phase])
         for i in range(5):
-            t = phase.tasks[i]
+            t = phase.task(i)
             c = TaskCopy(t, 0, 0.0, 10.0, is_clone=False)
             t.add_copy(c)
             c.finished = True
             t.complete(10.0)
         # Two stragglers, one much older.
-        old = phase.tasks[5]
+        old = phase.task(5)
         old.add_copy(TaskCopy(old, 0, 0.0, 500.0, is_clone=False))
-        young = phase.tasks[6]
+        young = phase.task(6)
         young.add_copy(TaskCopy(young, 1, 80.0, 500.0, is_clone=False))
         engine = make_view(cluster, [job])
         engine.now = 100.0
@@ -132,7 +132,7 @@ class TestLATE:
         late = LATESpeculation(max_backup_fraction=1.0)
         launched = late.launch_backups(engine.view, [job])
         assert launched == 1
-        assert phase.tasks[5].num_live_copies == 2
+        assert phase.task(5).num_live_copies == 2
 
     def test_integration_speculation_cuts_straggler_tail(self):
         """End-to-end: with a bimodal phase, FIFO+LATE beats plain FIFO."""

@@ -57,7 +57,7 @@ class TestKillSemantics:
         job = make_single_task_job(theta=10.0, job_id=0)
         engine = make_engine([job], record_trace=record_trace)
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         copy = engine.apply(Launch(task, engine.cluster[0]))
         engine.now = copy.finish_time
         engine._process_copy_finish(copy)
@@ -95,7 +95,7 @@ class TestKillSemantics:
         engine = make_engine([job])
         after_finish_hooks(engine.scheduler, task=kill_winner)
         activate(engine, job)
-        copy = engine.apply(Launch(job.phases[0].tasks[0], engine.cluster[0]))
+        copy = engine.apply(Launch(job.phases[0].task(0), engine.cluster[0]))
         engine.now = copy.finish_time
         engine._process_copy_finish(copy)
         (err,) = errors
@@ -107,7 +107,7 @@ class TestKillSemantics:
         job = make_single_task_job(theta=10.0, job_id=0)
         engine = make_engine([job])
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine.apply(Launch(task, engine.cluster[0]))
         clone = engine.apply(Launch(task, engine.cluster[1], clone=True))
         engine.apply(Kill(clone))  # first kill: fine
@@ -137,7 +137,7 @@ class TestLaunchValidation:
     def test_inactive_job_rejected(self):
         job = make_single_task_job(theta=10.0, job_id=7)
         engine = make_engine([job])  # never activated
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         with pytest.raises(InvalidAction, match="not active") as excinfo:
             engine.apply(Launch(task, engine.cluster[0]))
         assert excinfo.value.kind == "launch"
@@ -148,7 +148,7 @@ class TestLaunchValidation:
         job = make_chain_job(2, 1, theta=10.0, job_id=0)
         engine = make_engine([job])
         activate(engine, job)
-        blocked = job.phases[1].tasks[0]
+        blocked = job.phases[1].task(0)
         with pytest.raises(InvalidAction, match="Eq. 7"):
             engine.apply(Launch(blocked, engine.cluster[0]))
 
@@ -156,7 +156,7 @@ class TestLaunchValidation:
         job = make_single_task_job(theta=10.0, job_id=0)
         engine = make_engine([job], max_copies_per_task=1)
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine.apply(Launch(task, engine.cluster[0]))
         with pytest.raises(InvalidAction, match="copy cap"):
             engine.apply(Launch(task, engine.cluster[1], clone=True))
@@ -167,7 +167,7 @@ class TestLaunchValidation:
         job = make_single_task_job(cpu=3.0, mem=3.0, theta=10.0, job_id=0)
         engine = make_engine([job], record_trace=True)
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         server = engine.cluster[0]
         engine.apply(Launch(task, server))  # 3 of 4 cores used
         rng_state = engine.duration_rng.bit_generator.state
@@ -198,7 +198,7 @@ class TestDecisionJournal:
         job = make_single_task_job(theta=10.0, job_id=3)
         engine = make_engine([job], record_trace=True)
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine.apply(Launch(task, engine.cluster[0]))
         clone = engine.apply(Launch(task, engine.cluster[1], clone=True))
         engine.apply(Kill(clone))
@@ -278,7 +278,7 @@ class TestDecisionTrace:
         job = make_single_task_job(theta=10.0, job_id=0)
         engine = make_engine([job], record_trace=True, trace_maxlen=1)
         activate(engine, job)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         engine.apply(Launch(task, engine.cluster[0]))
         with pytest.raises(TraceLimitExceeded):
             engine.apply(Launch(task, engine.cluster[1], clone=True))

@@ -44,6 +44,7 @@ from repro.faults.profile import FAULT_PROFILES
 from repro.resources import Resources
 from repro.sim.engine import SimulationEngine
 from repro.workload.mapreduce import pagerank_job, wordcount_job
+from tests.conftest import all_tasks
 
 NUM_SERVERS = 12
 MAX_COPIES = 3
@@ -71,7 +72,7 @@ def _make_engine(seed: int, scale: float, gap: float, block: int):
     with mock.patch.object(mirror_module, "BLOCK_SIZE", block):
         cluster = homogeneous_cluster(NUM_SERVERS)
     jobs = _make_jobs(scale, gap)
-    tasks = [task for job in jobs for phase in job.phases for task in phase.tasks]
+    tasks = [task for job in jobs for phase in job.phases for task in all_tasks(phase)]
     engine = SimulationEngine(
         cluster,
         DollyMPScheduler(max_clones=2),

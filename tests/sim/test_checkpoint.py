@@ -31,6 +31,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.workload.arrivals import JsonlSource
+from repro.workload.distributions import Deterministic
 from repro.workload.google_trace import (
     GoogleTraceGenerator,
     jobs_from_specs,
@@ -327,13 +328,15 @@ class TestLegacyCheckpoint:
     and the mirror's columns whole; v7 kept closed spans as a list of
     ``Span`` objects and pickled a ``{slot: value}`` dict per job, phase,
     task and copy; v8 held per-server capacity and slowdown columns,
-    the injector's saved slowdowns and a uid per copy.  Older files are
-    rejected by their format name, like a foreign file — nothing revives
-    them."""
+    the injector's saved slowdowns and a uid per copy; v9 held a
+    ``Task`` for every task of every phase.  Older files are rejected by
+    their format name, like a foreign file — nothing revives them."""
 
-    @pytest.mark.parametrize("old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"])
+    @pytest.mark.parametrize(
+        "old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]
+    )
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v9"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v10"
         obs = Observability()
         if old == "v7":
             # v7's span store: every closed span a ``Span`` in a list.
@@ -348,8 +351,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5", "v6", "v7", "v8"):
-            # Header then state, the layout v9 kept.
+        if old in ("v4", "v5", "v6", "v7", "v8", "v9"):
+            # Header then state, the layout v10 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state
@@ -409,6 +412,55 @@ class TestSlotState:
         revived = cls.__new__(cls)
         revived.__setstate__(state)
         assert all(getattr(revived, name) is want for name, want in zip(slots, values))
+
+
+class TestUnbuiltTasks:
+    """A phase builds a task when it first launches (DESIGN.md §5.6), so
+    a cut holds unbuilt slots — every task of a job yet to arrive and
+    the pending tail of a started phase — and v10 pickles each as None."""
+
+    @staticmethod
+    def _unbuilt(engine) -> int:
+        return sum(
+            p.num_tasks - len(p.built_tasks())
+            for j in engine.active_jobs.values()
+            for p in j.phases
+        )
+
+    def test_cut_with_unbuilt_tasks_round_trips(self):
+        ref = mk_engine(record_trace=True)
+        ref.run()
+        engine = mk_engine(record_trace=True)
+        engine.start()
+        engine.run_until(60.0)
+        # Started phases with pending tasks not yet built, and jobs not
+        # yet arrived.
+        started = [
+            p
+            for j in engine.active_jobs.values()
+            for p in j.phases
+            if p.built_tasks() and len(p.built_tasks()) < p.num_tasks
+        ]
+        assert started and self._unbuilt(engine) > 0
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        assert self._unbuilt(revived) == self._unbuilt(engine)
+        for job_id, job in engine.active_jobs.items():
+            twin = revived.active_jobs[job_id]
+            for p, q in zip(job.phases, twin.phases):
+                assert p.pending_indices() == q.pending_indices()
+                assert [t.uid for t in p.built_tasks()] == [t.uid for t in q.built_tasks()]
+        revived.drain()
+        assert revived.finalize().deterministic() == ref.finalize().deterministic()
+        assert [d.to_json() for d in revived.trace] == [d.to_json() for d in ref.trace]
+
+    def test_unbuilt_slot_pickles_as_none(self):
+        phase = Phase(0, 3, Resources.of(1, 1), Deterministic(1.0))
+        Job([phase], job_id=0)
+        built = phase.task(1)
+        state = pickle.loads(pickle.dumps(phase, protocol=5)).__getstate__()
+        slots = next(v for v in state if isinstance(v, list))
+        assert [None if t is None else t.index for t in slots] == [None, 1, None]
+        assert built.phase is phase
 
 
 class TestMirrorEncoding:

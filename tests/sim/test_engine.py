@@ -147,8 +147,8 @@ class TestDAGGating:
                 if not view.active_jobs:
                     return
                 phase2 = view.active_jobs[0].phases[1]
-                if phase2.tasks[0].state is TaskState.PENDING:
-                    view.launch(phase2.tasks[0], view.cluster[0])
+                if phase2.task(0).state is TaskState.PENDING:
+                    view.launch(phase2.task(0), view.cluster[0])
 
         engine = SimulationEngine(cluster, Jumper(), [job], max_time=100)
         with pytest.raises(RuntimeError, match="Eq. 7"):
@@ -169,7 +169,7 @@ class TestCloning:
                         view.launch(t, view.cluster[0])
                         view.launch(t, view.cluster[1], clone=True)
 
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         sched = CloneOnce()
         copies = snapshot_copies(sched)
         engine = SimulationEngine(cluster, sched, [job])
@@ -223,7 +223,7 @@ class TestCloning:
                         view.launch(t, view.cluster[0])
                         view.launch(t, view.cluster[0], clone=True)
 
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         sched = CloneOnce()
         copies = snapshot_copies(sched)
         engine = SimulationEngine(cluster, sched, [job], seed=5)

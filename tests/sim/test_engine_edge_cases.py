@@ -38,7 +38,7 @@ class TestSimultaneousFinishes:
         one wins, the other is killed at zero-ish residual duration."""
         cluster = homogeneous_cluster(2, Resources.of(1, 1), slowdown=1.0)
         job = make_single_task_job(cpu=1.0, mem=1.0, theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         sched = CloneEverywhere()
         copies = snapshot_copies(sched)
         engine = SimulationEngine(cluster, sched, [job], max_time=1e4)
@@ -57,7 +57,7 @@ class TestSimultaneousFinishes:
 
         def phase_times(j):
             seen.append(j.phases[0].finish_time())
-            seen.append({t.start_time for t in j.phases[1].tasks})
+            seen.append({t.start_time for t in j.phases[1].built_tasks()})
 
         sched = after_finish_hooks(FIFOScheduler(), job=phase_times)
         SimulationEngine(cluster, sched, [job], max_time=1e4).run()
@@ -100,7 +100,7 @@ class TestViewGuards:
 
             def schedule(self, view):
                 # Try to launch the not-yet-arrived job's task.
-                task = future.phases[0].tasks[0]
+                task = future.phases[0].task(0)
                 if task.state is TaskState.PENDING:
                     view.launch(task, view.cluster[0])
 
@@ -119,7 +119,7 @@ class TestViewGuards:
                 self.fired = False
 
             def schedule(self, view):
-                task = job.phases[0].tasks[0]
+                task = job.phases[0].task(0)
                 if task.state is TaskState.PENDING:
                     view.launch(task, view.cluster[0])
 
@@ -135,7 +135,7 @@ class TestViewGuards:
         task still completes via the surviving copy."""
         cluster = homogeneous_cluster(2, Resources.of(1, 1))
         job = make_single_task_job(cpu=1.0, mem=1.0, theta=10.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
 
         class LaunchThenRegret(Scheduler):
             name = "regret"

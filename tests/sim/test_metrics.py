@@ -47,7 +47,7 @@ class TestRecordForJob:
 
     def test_counts_copies_and_clones(self):
         job = make_single_task_job(cpu=2.0, mem=4.0)
-        task = job.phases[0].tasks[0]
+        task = job.phases[0].task(0)
         a = TaskCopy(task, 0, 0.0, 10.0, is_clone=False)
         b = TaskCopy(task, 1, 0.0, 6.0, is_clone=True)
         task.add_copy(a)

@@ -25,7 +25,7 @@ from repro.sim.replay import (
 )
 from repro.sim.runner import run_recorded
 from repro.workload.task import TaskState
-from tests.conftest import make_single_task_job
+from tests.conftest import all_tasks, make_single_task_job
 
 
 def _cluster():
@@ -55,7 +55,7 @@ class CloneThenKillScheduler(Scheduler):
             for phase in job.phases:
                 if not job.phase_ready(phase, view.time):
                     continue
-                for task in phase.tasks:
+                for task in all_tasks(phase):
                     if task.state is TaskState.FINISHED:
                         continue
                     live = [c for c in task.copies if c.live]

@@ -12,6 +12,7 @@ from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.mapreduce import mapreduce_job
 from repro.workload.phase import Phase
+from tests.conftest import all_tasks
 
 
 def delayed_chain(delay: float, theta: float = 10.0) -> Job:
@@ -36,7 +37,7 @@ class TestPhaseReadyTime:
 
     def test_time_gating(self):
         job = delayed_chain(5.0)
-        for t in job.phases[0].tasks:
+        for t in all_tasks(job.phases[0]):
             t.complete(10.0)
         assert job.phase_ready_time(job.phases[1]) == 15.0
         assert not job.phase_ready(job.phases[1], 12.0)
@@ -46,7 +47,7 @@ class TestPhaseReadyTime:
 
     def test_ready_phases_respects_clock(self):
         job = delayed_chain(5.0)
-        for t in job.phases[0].tasks:
+        for t in all_tasks(job.phases[0]):
             t.complete(10.0)
         assert [p.index for p in job.ready_phases(12.0)] == []
         assert [p.index for p in job.ready_phases(15.0)] == [1]
@@ -66,7 +67,7 @@ class TestEngineHonorsDelay:
         job = delayed_chain(delay=7.0, theta=10.0)
         # One task per phase; held here, their ledgers outlive the job's
         # released graph.
-        (first,), (second,) = (p.tasks for p in job.phases)
+        (first,), (second,) = (all_tasks(p) for p in job.phases)
         engine = SimulationEngine(cluster, make_sched(), [job], max_time=1e4)
         engine.run()
         # Phase 0: [0, 10); shuffle until 17; phase 1: [17, 27).
@@ -77,7 +78,7 @@ class TestEngineHonorsDelay:
     def test_slotted(self, make_sched):
         cluster = homogeneous_cluster(1, Resources.of(8, 8))
         job = delayed_chain(delay=7.0, theta=10.0)
-        second = job.phases[1].tasks[0]
+        second = job.phases[1].task(0)
         engine = SimulationEngine(
             cluster, make_sched(), [job], schedule_interval=5.0, max_time=1e4
         )

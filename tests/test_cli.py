@@ -156,6 +156,19 @@ class TestFaultFlags:
             main(["run", "--scheduler", "dollymp2", "--app", "wordcount",
                   "--jobs", "2", "--fault-profile", profile, flag, "nan"])
 
+    def test_infinite_copy_fail_rate_rejected_without_a_traceback(self):
+        """The run would never end: every copy fails as it launches."""
+        with pytest.raises(SystemExit, match="copy_fail_rate must be finite") as exc:
+            main(["run", "--scheduler", "dollymp2", "--app", "wordcount",
+                  "--jobs", "2", "--fault-profile", "flaky", "--copy-fail-rate", "inf"])
+        assert isinstance(exc.value.code, str)  # a message, not an exception
+
+    def test_infinite_mtbf_override_disables_churn(self, capsys):
+        rc = main(["run", "--scheduler", "dollymp2", "--app", "wordcount",
+                   "--jobs", "2", "--fault-profile", "churn", "--mtbf", "inf"])
+        assert rc == 0
+        assert "faults_injected" not in capsys.readouterr().out
+
     def test_unknown_profile_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--scheduler", "dollymp2", "--app", "wordcount",

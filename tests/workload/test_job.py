@@ -7,7 +7,12 @@ from repro.workload.distributions import Deterministic, ParetoType1
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy
-from tests.conftest import make_chain_job, make_diamond_job, make_single_task_job
+from tests.conftest import (
+    all_tasks,
+    make_chain_job,
+    make_diamond_job,
+    make_single_task_job,
+)
 
 
 def finish_task(task, t=1.0):
@@ -18,7 +23,7 @@ def finish_task(task, t=1.0):
 
 
 def finish_phase(phase, t=1.0):
-    for task in phase.tasks:
+    for task in all_tasks(phase):
         finish_task(task, t)
 
 
@@ -73,11 +78,11 @@ class TestReadiness:
 
     def test_first_ready_phase_skips_fully_launched(self):
         job = make_chain_job(1, 2)
-        t = job.phases[0].tasks[0]
+        t = job.phases[0].task(0)
         t.add_copy(TaskCopy(t, 0, 0.0, 5.0, is_clone=False))
         phase = job.first_ready_phase()
         assert phase is job.phases[0]  # still one pending task
-        t2 = job.phases[0].tasks[1]
+        t2 = job.phases[0].task(1)
         t2.add_copy(TaskCopy(t2, 0, 0.0, 5.0, is_clone=False))
         assert job.first_ready_phase() is None  # nothing pending
 
@@ -116,7 +121,8 @@ class TestCompletion:
         job.mark_finished_if_done(10.0)
         job.release()
         assert job.released
-        assert job.phases == [] and all(p.tasks == [] for p in phases)
+        assert job.phases == []
+        assert all(p.num_tasks == 0 and p.built_tasks() == [] for p in phases)
         assert (job.job_id, job.arrival_time, job.finish_time) == (41, 5.0, 10.0)
 
 
@@ -155,7 +161,7 @@ class TestEffectiveLengths:
 class TestMetrics:
     def test_resource_usage_counts_all_copies(self):
         job = make_single_task_job(cpu=2.0, mem=3.0)
-        t = job.phases[0].tasks[0]
+        t = job.phases[0].task(0)
         t.add_copy(TaskCopy(t, 0, 0.0, 10.0, is_clone=False))
         t.add_copy(TaskCopy(t, 1, 0.0, 4.0, is_clone=True))
         # (2+3) * (10+4)
@@ -164,6 +170,6 @@ class TestMetrics:
     def test_first_start_time(self):
         job = make_chain_job(1, 2)
         assert job.first_start_time() is None
-        t = job.phases[0].tasks[1]
+        t = job.phases[0].task(1)
         t.add_copy(TaskCopy(t, 0, 7.0, 1.0, is_clone=False))
         assert job.first_start_time() == 7.0

@@ -98,20 +98,50 @@ class TestProgress:
         assert p.num_unfinished == 3
         assert not p.is_finished
         assert p.finish_time() is None
-        assert len(p.pending_tasks()) == 3
+        assert p.pending_indices() == [0, 1, 2]
 
     def test_running_partition(self):
         p = make_phase(3)
-        t = p.tasks[0]
+        t = p.task(0)
         t.add_copy(TaskCopy(t, 0, 0.0, 5.0, is_clone=False))
         assert p.running_tasks() == [t]
-        assert len(p.pending_tasks()) == 2
+        assert p.pending_indices() == [1, 2]
 
     def test_finish_tracking(self):
         p = make_phase(2)
-        p.tasks[0].complete(3.0)
+        p.task(0).complete(3.0)
         assert p.num_unfinished == 1
-        p.tasks[1].complete(7.0)
+        p.task(1).complete(7.0)
         assert p.is_finished
         assert p.finish_time() == 7.0  # λ = max over tasks
-        assert all(t.state is TaskState.FINISHED for t in p.tasks)
+        assert all(t.state is TaskState.FINISHED for t in p.built_tasks())
+
+
+class TestTaskSlots:
+    """A phase builds a task the first time it is asked for it."""
+
+    def test_built_once_on_first_request(self):
+        p = make_phase(4)
+        assert p.built_tasks() == [] and p.num_pending == 4
+        t = p.task(2)
+        assert p.task(2) is t and t.index == 2 and t.uid == (p.job.job_id, 0, 2)
+        assert t.state is TaskState.PENDING
+        assert p.built_tasks() == [t]
+        # A built, unlaunched task is still pending like the unbuilt ones.
+        assert p.pending_indices() == [0, 1, 2, 3]
+
+    def test_pending_indices_build_nothing(self):
+        p = make_phase(5)
+        for i in (3, 1):
+            t = p.task(i)
+            t.add_copy(TaskCopy(t, 0, 0.0, 5.0, is_clone=False))
+        assert p.pending_indices() == [0, 2, 4]
+        assert [t.index for t in p.built_tasks()] == [1, 3]
+        assert [t.index for t in p.running_tasks()] == [1, 3]
+
+    def test_index_out_of_range(self):
+        p = make_phase(2)
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                p.task(i)
+        assert p.built_tasks() == []

@@ -7,12 +7,13 @@ from repro.workload.distributions import Deterministic
 from repro.workload.job import Job
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy, TaskLedger, TaskState
+from tests.conftest import all_tasks
 
 
 def make_task():
     phase = Phase(0, 2, Resources.of(1, 2), Deterministic(10.0))
     Job([phase])
-    return phase.tasks[0]
+    return phase.task(0)
 
 
 class TestTaskCopy:
@@ -51,7 +52,7 @@ class TestTask:
     def test_uid_unique_within_job(self):
         phase = Phase(0, 3, Resources.of(1, 1), Deterministic(1.0))
         Job([phase])
-        uids = {t.uid for t in phase.tasks}
+        uids = {t.uid for t in all_tasks(phase)}
         assert len(uids) == 3
 
     def test_add_copy_moves_to_running(self):
