@@ -62,7 +62,7 @@ def test_schedule_pass_on_testbed(benchmark):
     engine = SimulationEngine(
         paper_cluster_30_nodes(), sched, jobs, seed=SEED, max_time=1e9
     )
-    for job in engine.jobs:
+    for job in jobs:
         engine.active_jobs[job.job_id] = job
     sched.recompute_priorities(engine.view)
 
@@ -106,7 +106,7 @@ def _time_fill_pass(fill_tasks):
     engine = SimulationEngine(
         cluster, DollyMPScheduler(max_clones=0), jobs, seed=SEED, max_time=1e9
     )
-    for job in engine.jobs:
+    for job in jobs:
         engine.active_jobs[job.job_id] = job
     pairs = []
     for job in jobs:

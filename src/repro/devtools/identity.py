@@ -9,7 +9,9 @@ contract: streamed, checkpoint-restored and replayed runs are
 byte-identical to the one-shot run.  The checkpoint-cut leg records
 spans, and each restored run must export its uninterrupted run's
 spans byte for byte; some cut must hold a task its phase has not built
-yet, so restores revive unbuilt slots.
+yet, so restores revive unbuilt slots.  The one-shot run itself must
+match the digests pinned in :data:`ONE_SHOT_DIGESTS`, so a change that
+moves every leg alike fails too.
 
 Run:  PYTHONPATH=src python -m repro.devtools.identity [ARTIFACT_DIR]
 
@@ -21,6 +23,7 @@ decision journal.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -28,7 +31,8 @@ import time
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -78,6 +82,54 @@ CUTS = 3
 
 #: A restored leg that never winds down raises here instead of hanging.
 MAX_TIME = 1e6
+
+#: Each cell's one-shot run, pinned: the sha256 of
+#: ``repr(result.deterministic())`` and of its decision journal's JSON
+#: lines joined by newlines.  Every other leg is compared with the
+#: one-shot run of the same tree; these compare that run with the tree
+#: that pinned them.  Re-pin only for a change meant to alter results.
+ONE_SHOT_DIGESTS: Mapping[tuple[str, str], tuple[str, str]] = MappingProxyType({
+    ("testbed", "none"): (
+        "ae2a93674ccc3df193ba14b9abaf738a2f5dcc4de490931842d22620ad72c6d7",
+        "893e548e6301f2f1d9b39dd956de865efc665ccdda0b2f4a2fcf7b4a5deb1006",
+    ),
+    ("testbed", "chaos"): (
+        "af85e925adff3e0d39f0d775f75dd0af017a92b51d72d189ec529fd44c20d960",
+        "48561684defe97af3d563f640d5ba0acc38cff227e10d643591f3ca1f2601374",
+    ),
+    ("google-synth", "none"): (
+        "c03cd2fa18a263125b1a05d4117a6d56b120f0149c373dae1494adba03ddfac4",
+        "c485727b14067a10baf3d7d36a60c7ac7547d5c1b84cfba78af5a38dcedc4f0c",
+    ),
+    ("google-synth", "chaos"): (
+        "0a260c9f2c1332d1ed269073f31c1726a146f04d207dd72851250289bd25f714",
+        "4809406b2d430e860861ec1e88f9015a5c0226f299e283a654bc9b4423721a38",
+    ),
+    ("google2011", "none"): (
+        "8002529f68c5a6dc1bfa058ebd5f7bded33f4aa7359b5b9460c682384f1883fa",
+        "819fb98ca5a1a36f818099854dfe8e18c7557cdb431b27c148446b8b70561775",
+    ),
+    ("google2011", "chaos"): (
+        "e660eca5d522f35ba061c234543038bc1be9a62797a312998559d89db93b934d",
+        "ef8ab17e7a2ea4abed14a1905f637ae3b14b49ddbd17aaf2a9fcd248c3066714",
+    ),
+    ("google2019", "none"): (
+        "a50fbfec6b4f1c43595c2700a41231277e83157e02b920ac10fa4dd28038c2b5",
+        "f7ffc3ab9e7629a70e7defc79ce88735897ffd13597923800e022830a6eba339",
+    ),
+    ("google2019", "chaos"): (
+        "ace18c63dbb1b12ca9a81697ae584cabbfb52c763697980f5dd2bb96a2c3929c",
+        "b3809bac909525e8f4d55332a9ebfdceddcd28daa7fd05924f8d8cd7cd77c858",
+    ),
+    ("alibaba2018", "none"): (
+        "c33f4609cd4326e8a42c6dfcefca9408f576ab3e865fe3c5d83d718594f854e7",
+        "191060d4d1dca09c28cfb97586f958215bd1e03b1bad4cada23a70e95d0a9517",
+    ),
+    ("alibaba2018", "chaos"): (
+        "e9e0c190c4b727d025f810f711e174c5c0e6db6622594fc0eea54afc86a1fe17",
+        "f9191fb26d732a02b4151ea79e3a226a4cbb0d901210250b429fbe021fc01453",
+    ),
+})
 
 
 class IdentityFailure(Exception):
@@ -225,7 +277,8 @@ class Cell:
 
 
 def _one_shot(cell: Cell) -> None:
-    """``run()`` spelled out to count instants, plus the cell's checks."""
+    """``run()`` spelled out to count instants, plus the cell's checks
+    and its pinned digests."""
     row = cell.row
     engine = build_engine(row, cell.column, row.jobs())
     t0 = time.perf_counter()
@@ -249,6 +302,15 @@ def _one_shot(cell: Cell) -> None:
         raise CheckFailed(f"{rate:.0f} events/s, floor {MIN_EVENTS_PER_SEC:.0f}")
     cell.result, cell.trace = result.deterministic(), engine.trace
     cell.journal = _journal(engine.trace)
+    pinned = ONE_SHOT_DIGESTS.get((row.name, cell.column))
+    if pinned is None:
+        raise CheckFailed("no pinned one-shot digests")
+    for name, text, pin in zip(
+        ("result", "journal"), (repr(cell.result), "\n".join(cell.journal)), pinned
+    ):
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if digest != pin:
+            raise CheckFailed(f"{name} digest {digest} differs from the pinned {pin}")
 
 
 Observation = tuple[str, SimulationResult, DecisionTrace]

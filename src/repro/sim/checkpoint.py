@@ -64,36 +64,19 @@ __all__ = [
     "checkpoint_info",
 ]
 
-#: Format tag in the header; bumped on any layout change.  v2 pickled
-#: per-server state as the mirror's arrays and resident map (no Server
-#: objects); v3 pickles queued events as plain ``Event`` tuples, each
-#: server's resident copies as a list in launch order and the rack map
-#: as an int32 array; v4 writes the state pickle once, after a header
-#: naming its length, instead of nesting it as bytes in an envelope
-#: pickle; v5 pickles each phase's h(r) as ``_speedup``, ``None`` until
-#: first read, where v4 pickled a fitted ``speedup``, and a task that
-#: never launched holds an empty tuple of copies; v6 holds only live
-#: work: a finished task keeps a ``ledger`` in place of its copies
-#: (and of v5's ``finish_time`` slot), a finished job is present only
-#: as its ``JobRecord`` in ``records`` (v5 kept every finished job in
-#: ``finished_jobs`` and every job in ``jobs``); v7 holds no view, clock
-#: or injector back-reference to the engine, pickles the mirror's
-#: capacity and slowdown columns as distinct values plus an index, its
-#: allocation columns as their entries other than +0.0, an all-up mask
-#: as its length, and a round-robin rack map as its recipe; v8 pickles
-#: the span tracer's closed spans as columns (v7 held a list of ``Span``
-#: objects) and each job, phase, task and copy as one tuple of its slot
-#: values (v7 pickled a ``{slot: value}`` dict per object); v9 pickles
-#: the mirror's capacity and slowdown as per-class tables plus a
-#: per-server class index, and an open brownout as a sparse slowdown
-#: entry (v8 packed per-server columns on save, and the fault injector
-#: kept each window's saved slowdown), and each copy as five slot values
-#: and one end state, with no uid (v8 held a uid and two end flags);
-#: v10 pickles each phase's tasks as one slot per task, ``None`` for a
-#: task not yet built, which is one that never launched (v9 held a
-#: ``Task`` for every task of every phase).  v1–v9 files are rejected
-#: by name, like a foreign one.
-CHECKPOINT_FORMAT = "repro-checkpoint-v10"
+#: Format tag in the header; bumped on any layout change, and an older
+#: tag is rejected by name, like a foreign one (CHANGES.md keeps the
+#: history).  v11 holds the mirror's class tables, per-server class
+#: index and brownout entries as they are, its allocation columns as
+#: their entries other than +0.0 and an all-up mask as its length; each
+#: server's resident copies as a list in launch order; queued events as
+#: bare ``Event`` tuples, only the next arrival among them (a
+#: ``StaticSource`` holds the jobs it has not handed out, a stream source
+#: its consumed count); each job, phase, task and copy as one tuple of
+#: its slot values, a phase's tasks one slot each (``None`` until built),
+#: a finished task as its ledger and a finished job only as its record;
+#: and the span tracer's closed spans as columns.
+CHECKPOINT_FORMAT = "repro-checkpoint-v11"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

@@ -33,21 +33,20 @@ atomically, and (when recording) journals it as a
 :class:`~repro.sim.actions.DecisionTrace`.  A recorded trace replays
 bit-identically via :mod:`repro.sim.replay`.
 
-**Session API** (DESIGN.md §5.8): the engine is a resumable session,
-not a one-shot loop.  :meth:`SimulationEngine.start` primes arrivals /
-fault chains / the slot grid, :meth:`~SimulationEngine.step` processes
-exactly one simulated instant (one coalesced batch drain plus its
-closing schedule pass), :meth:`~SimulationEngine.run_until` steps
+**Session API** (DESIGN.md §5.8): the engine is a resumable session.
+:meth:`SimulationEngine.start` pulls the first arrival and primes the
+fault chains and the slot grid, :meth:`~SimulationEngine.step`
+processes exactly one simulated instant (one coalesced batch drain plus
+its closing schedule pass), :meth:`~SimulationEngine.run_until` steps
 through every instant up to a time bound, :meth:`~SimulationEngine.drain`
 steps until no runnable event remains, and
 :meth:`~SimulationEngine.finalize` builds the
-:class:`~repro.sim.metrics.SimulationResult`.  The legacy
-:meth:`~SimulationEngine.run` is a thin ``start → drain → finalize``
-wrapper and reproduces the pre-session batched-drain order
-byte-identically.  Jobs enter either up front (a list, today's
-behaviour), through a pull-based
-:class:`~repro.workload.arrivals.ArrivalSource`, or injected mid-run
-via :meth:`~SimulationEngine.ingest` — the service layer
+:class:`~repro.sim.metrics.SimulationResult`;
+:meth:`~SimulationEngine.run` is ``start → drain → finalize``.  Every
+job enters through :meth:`~SimulationEngine.ingest`: the engine pulls
+it from an :class:`~repro.workload.arrivals.ArrivalSource` (a job list
+becomes a :class:`~repro.workload.arrivals.StaticSource`), one arrival
+ahead, or a caller injects it mid-run — the service layer
 (:mod:`repro.service`) builds on exactly these increments, and
 :mod:`repro.sim.checkpoint` can persist/restore the whole session
 between any two instants.
@@ -179,17 +178,13 @@ class SimulationEngine:
             raise ValueError("schedule_interval must be non-negative")
         self.cluster = cluster
         self.scheduler = scheduler
-        # The workload enters through an ArrivalSource (DESIGN.md §5.8).
-        # A plain job list — today's callers, and an *empty* list for a
-        # session that starts idle — wraps into the eager StaticSource,
-        # which start() primes exactly like the pre-session engine did.
-        # `jobs` holds the known workload only until start() queues its
-        # arrivals; from then on the engine names a job only while it is
-        # queued or active, and a finished one only by its record.
+        # The workload enters through an ArrivalSource (DESIGN.md §5.8);
+        # a job list, empty for a session that starts idle, becomes a
+        # StaticSource.  The engine names a job only while its arrival
+        # is queued or it is active, and a finished one only by its record.
         if not isinstance(jobs, ArrivalSource):
             jobs = StaticSource(jobs)
         self.arrivals: ArrivalSource = jobs
-        self.jobs = jobs.initial_jobs()
         self.schedule_interval = float(schedule_interval)
         self.max_time = float(max_time)
         self.max_copies_per_task = max_copies_per_task
@@ -217,7 +212,7 @@ class SimulationEngine:
             if fault_profile is not None
             else None
         )
-        self._pending_arrivals = len(self.jobs)
+        self._pending_arrivals = 0
         self._orphaned: list[Task] = []
         self.faults_injected = 0
         self.copies_lost = 0
@@ -227,17 +222,18 @@ class SimulationEngine:
         # Session state (DESIGN.md §5.8).  `_started` latches after
         # start() primes the queues; `_halted` latches when, with faults
         # attached, the workload drains and only the fault tail remains
-        # (the legacy loop's `stop` flag) — ingest() clears it, since a
-        # new arrival revives the workload.  `expect_arrivals` is the
-        # service layer's promise that more jobs will be injected even
-        # while none are active or queued: it keeps `workload_active()`
-        # true so fault renewal chains extend across idle gaps exactly
-        # as they would had the whole stream been known up front.
+        # — ingest() clears it, since a new arrival revives the workload.
+        # `expect_arrivals` is the service layer's promise that more jobs
+        # will be injected even while none are active or queued: it keeps
+        # `workload_active()` true so fault renewal chains extend across
+        # idle gaps exactly as they would had the whole stream been known
+        # up front.
         self._started = False
         self._priming = False
         self._halted = False
         self.expect_arrivals = False
-        self._job_ids = {j.job_id for j in self.jobs}
+        #: Ids of the jobs ingested so far.
+        self._job_ids: set[int] = set()
         self._run_t0: float | None = None
 
         # Decision journal (DESIGN.md §5.3).  `_decision_point` numbers
@@ -313,7 +309,17 @@ class SimulationEngine:
         )
         self._ev_span_name = {k: f"event:{k.name.lower()}" for k in EventKind}
 
-        self._validate_feasible()
+        # (cpu, mem) of every demand some server's capacity fits: jobs
+        # share a handful of distinct demands, so each costs one
+        # vectorized check over the cluster.
+        self._hostable: set[tuple[float, float]] = set()
+        # ingest() admits each job as it is pulled; a listed workload is
+        # also checked whole here, so a bad job fails the build rather
+        # than the run that would reach it.
+        if isinstance(jobs, StaticSource):
+            listed: set[int] = set()
+            for job in jobs.remaining():
+                self._admit(job, listed)
 
     @property
     def view(self) -> ClusterView:
@@ -322,22 +328,13 @@ class SimulationEngine:
         return ClusterView(self)
 
     # ------------------------------------------------------------------
-    # Setup / validation
+    # Admission
     # ------------------------------------------------------------------
-    def _validate_feasible(self) -> None:
-        """Reject workloads containing tasks no server could ever host."""
-        # (cpu, mem) of every demand some server's capacity fits: jobs
-        # share a handful of distinct demands, so each costs one
-        # vectorized check over the cluster.
-        self._hostable: set[tuple[float, float]] = set()
-        for job in self.jobs:
-            self._validate_job(job)
-
-    def _validate_job(self, job: Job) -> None:
-        """Feasibility gate for one job — applied to the construction
-        workload and to every job entering later through ingest().  A
-        demand must fit one real server whole, not the per-dimension
-        maxima of different servers."""
+    def _admit(self, job: Job, ids: set[int]) -> None:
+        """Check one job and add its id to ``ids``; raises before any
+        change.  Every demand must fit one real server whole, not the
+        per-dimension maxima of different servers; the arrival must not
+        precede the session clock; the id must not be in ``ids``."""
         hostable = self._hostable
         for phase in job.phases:
             demand = phase.demand
@@ -352,6 +349,14 @@ class SimulationEngine:
             hostable.add(key)
         if job.arrival_time < 0:
             raise ValueError(f"job {job.job_id}: negative arrival time")
+        if job.arrival_time < self.now:
+            raise ValueError(
+                f"job {job.job_id}: arrival {job.arrival_time:g} precedes "
+                f"the session clock t={self.now:g}"
+            )
+        if job.job_id in ids:
+            raise ValueError(f"job {job.job_id}: duplicate job id in this session")
+        ids.add(job.job_id)
 
     # ------------------------------------------------------------------
     # The action choke point
@@ -376,7 +381,7 @@ class SimulationEngine:
                     ins.rejected_launches.inc()
                 raise
             copy = self._apply_launch(action.task, sid, clone=action.clone)
-            self._record(action.task, sid, clone=copy.is_clone)
+            self._record("launch", sid, action.task, clone=copy.is_clone)
             if ins is not None:
                 ins.launches.inc()
             return copy
@@ -389,12 +394,7 @@ class SimulationEngine:
                     ins.rejected_kills.inc()
                 raise
             self._apply_kill(copy)
-            self._record(
-                copy.task,
-                copy.server_id,
-                kind="kill",
-                copy_index=copy.task.copies.index(copy),
-            )
+            self._record("kill", copy.server_id, copy.task, copy_index=copy.index)
             if ins is not None:
                 ins.kills.inc()
             return None
@@ -408,7 +408,7 @@ class SimulationEngine:
                     server_id=sid,
                 )
             self._apply_fail(sid)
-            self._record_fault("fail", sid)
+            self._record("fail", sid)
             return None
         if isinstance(action, Recover):
             sid = server_id_of(action.server)
@@ -420,29 +420,38 @@ class SimulationEngine:
                     server_id=sid,
                 )
             self._apply_recover(sid)
-            self._record_fault("recover", sid)
+            self._record("recover", sid)
             return None
         raise TypeError(f"not an action: {action!r}")
 
     def _record(
         self,
-        task: Task,
+        kind: str,
         server_id: int,
+        task: Task | None = None,
         *,
-        kind: str = "launch",
         clone: bool = False,
         copy_index: int | None = None,
     ) -> None:
+        """Journal one applied action.  A Fail/Recover carries no task:
+        its task coordinates are -1 sentinels and the policy column
+        names the injector rather than the scheduler — replay filters
+        these out and re-derives them from its own injector."""
         if self.trace is None:
             return
-        job_id, phase_index, task_index = task.uid
+        if task is None:
+            job_id = phase_index = task_index = -1
+            policy = FAULT_POLICY
+        else:
+            job_id, phase_index, task_index = task.uid
+            policy = self.scheduler.name
         self.trace.append(
             Decision(
                 seq=len(self.trace),
                 time=self.now,
                 point=self._decision_point,
                 cause=self._decision_cause,
-                policy=self.scheduler.name,
+                policy=policy,
                 kind=kind,
                 job_id=job_id,
                 phase_index=phase_index,
@@ -450,30 +459,6 @@ class SimulationEngine:
                 server_id=server_id,
                 clone=clone,
                 copy_index=copy_index,
-            )
-        )
-
-    def _record_fault(self, kind: str, server_id: int) -> None:
-        """Journal a Fail/Recover.  Fault actions carry no task, so the
-        task coordinates are -1 sentinels and the policy column names
-        the injector rather than the scheduler — replay filters these
-        out and re-derives them from its own injector."""
-        if self.trace is None:
-            return
-        self.trace.append(
-            Decision(
-                seq=len(self.trace),
-                time=self.now,
-                point=self._decision_point,
-                cause=self._decision_cause,
-                policy=FAULT_POLICY,
-                kind=kind,
-                job_id=-1,
-                phase_index=-1,
-                task_index=-1,
-                server_id=server_id,
-                clone=False,
-                copy_index=None,
             )
         )
 
@@ -539,7 +524,6 @@ class SimulationEngine:
         # rather than `has_run`: a fault-requeued task keeps its dead
         # copies in the history, but its next launch is a fresh primary.
         is_clone = clone or task.state is TaskState.RUNNING
-        self._account_until(self.now)
         duration = self._sample_duration(task, sid)
         copy = TaskCopy(task, sid, self.now, duration, is_clone=is_clone)
         self.cluster.mirror.allocate(sid, copy)  # re-checks Eq. (5) at the owner layer
@@ -561,7 +545,6 @@ class SimulationEngine:
         return copy
 
     def _apply_kill(self, copy: TaskCopy) -> None:
-        self._account_until(self.now)
         copy.killed = True
         # Truncate the copy's charged duration to the time it ran; the
         # resource-usage metrics (Fig. 8b) charge only actual occupancy.
@@ -588,15 +571,13 @@ class SimulationEngine:
 
     def _apply_fail(self, sid: int) -> None:
         """Crash one server: kill every resident copy (in launch
-        order), take the capacity out of both placement paths,
-        and sort each victim task into clone-masked vs orphaned.  The
-        kills are engine consequences of the Fail action, not scheduler
-        decisions, so they bypass the journal like first-copy-wins kills."""
-        self._account_until(self.now)
+        order), take the capacity out of both placement paths, and
+        tally the losses.  The kills are engine consequences of the
+        Fail action, not scheduler decisions, so they bypass the journal
+        like first-copy-wins kills."""
         mirror = self.cluster.mirror
         # A copy of the list: each kill removes its victim from it.
         victims = list(mirror.resident.get(sid, ()))
-        tasks: list[Task] = []
         # One crash releases every resident copy on the same server:
         # coalesce the whole victim sweep (plus the down-flag flip) into
         # a single availability derivation for that server.
@@ -604,55 +585,54 @@ class SimulationEngine:
         try:
             for copy in victims:
                 self._apply_kill(copy)
-                copy.task.fault_losses += 1
-                if copy.task not in tasks:
-                    tasks.append(copy.task)
             mirror.mark_down(sid)
         finally:
             mirror.end_coalesce()
-        requeued: list[Task] = []
-        masked = 0
-        for task in tasks:
-            if task.num_live_copies > 0:
-                masked += 1  # a surviving clone carries the task
-            else:
-                task.requeue()
-                requeued.append(task)
+        self._orphaned = self._tally_losses(victims)
         self.faults_injected += 1
-        self.copies_lost += len(victims)
-        self.recoveries_masked_by_clone += masked
-        self.tasks_requeued += len(requeued)
-        self._orphaned = requeued
         fins = self._fault_ins
         if fins is not None:
             fins.server_fails.inc()
-            if victims:
-                fins.copies_lost.inc(len(victims))
-            if masked:
-                fins.masked_by_clone.inc(masked)
-            if requeued:
-                fins.tasks_requeued.inc(len(requeued))
             fins.servers_down.set(len(self.cluster) - self.cluster.num_up())
 
     def _apply_recover(self, sid: int) -> None:
         """Return a crashed server to service at full capacity."""
-        self._account_until(self.now)
         self.cluster.mirror.mark_up(sid)
         fins = self._fault_ins
         if fins is not None:
             fins.server_recovers.inc()
             fins.servers_down.set(len(self.cluster) - self.cluster.num_up())
 
-    # -- back-compat imperative entry points (thin action wrappers) -----
-    def launch_copy(
-        self, task: Task, server: Server | int, *, clone: bool = False
-    ) -> TaskCopy:
-        copy = self.apply(Launch(task, server, clone=clone))
-        assert copy is not None
-        return copy
-
-    def kill_copy(self, copy: TaskCopy) -> None:
-        self.apply(Kill(copy))
+    def _tally_losses(self, victims: list[TaskCopy]) -> list[Task]:
+        """Account one fault's killed copies: charge each loss to its
+        task, then sort the tasks hit, in victim order, into clone-masked
+        (a surviving copy carries the task) and requeued (back to
+        PENDING).  Bumps the engine's loss counters and their fault
+        instruments together; returns the requeued tasks."""
+        tasks: list[Task] = []
+        for copy in victims:
+            task = copy.task
+            task.fault_losses += 1
+            if task not in tasks:
+                tasks.append(task)
+        requeued: list[Task] = []
+        for task in tasks:
+            if task.num_live_copies == 0:
+                task.requeue()
+                requeued.append(task)
+        masked = len(tasks) - len(requeued)
+        self.copies_lost += len(victims)
+        self.recoveries_masked_by_clone += masked
+        self.tasks_requeued += len(requeued)
+        fins = self._fault_ins
+        if fins is not None:
+            if victims:
+                fins.copies_lost.inc(len(victims))
+            if masked:
+                fins.masked_by_clone.inc(masked)
+            if requeued:
+                fins.tasks_requeued.inc(len(requeued))
+        return requeued
 
     def _sample_duration(self, task: Task, sid: int) -> float:
         """Duration of one copy: a fresh draw from the phase's straggler
@@ -734,12 +714,12 @@ class SimulationEngine:
     def _process_arrival(self, job: Job) -> None:
         self._pending_arrivals -= 1
         self.active_jobs[job.job_id] = job
-        # Pull-based sources stay one arrival ahead: consuming this
-        # arrival fetches the next job from the stream.  Arrival events
-        # tie-break on kind before seq, and same-kind pushes keep stream
-        # order, so the pull schedule never reorders processing relative
-        # to an eager all-upfront push of the same jobs.
-        if not self.arrivals.eager and not self.arrivals.exhausted:
+        # The source stays one arrival ahead: consuming this arrival
+        # fetches the next job.  Arrival events tie-break on kind before
+        # seq, and same-kind pushes keep stream order, so pulling never
+        # reorders processing relative to a queue holding every arrival
+        # from the start.
+        if not self.arrivals.exhausted:
             self._pull_arrival()
         ins = self._ins
         if ins is not None:
@@ -804,12 +784,11 @@ class SimulationEngine:
         """Whether unfinished jobs exist or are still to arrive — the
         predicate gating fault-chain extension and the drain break.
 
-        A streamed session counts an unexhausted arrival source (or an
-        explicit ``expect_arrivals`` pledge from a service runner) as
-        pending work: a one-shot run that knew the whole stream up front
-        would still have those arrivals queued here, so the fault renewal
-        chain must stay alive across stream gaps to keep the churn RNG
-        draw sequence identical."""
+        An unexhausted arrival source (or an explicit ``expect_arrivals``
+        pledge from a service runner) counts as pending work: with every
+        arrival queued from the start those jobs would be pending here,
+        so the fault renewal chain must stay alive across stream gaps to
+        keep the churn RNG draw sequence identical."""
         return (
             bool(self.active_jobs)
             or self._pending_arrivals > 0
@@ -873,28 +852,12 @@ class SimulationEngine:
     def _process_copy_fail(self, copy: TaskCopy) -> bool:
         if not copy.live:
             return False  # stale: the copy finished or was killed first
-        task = copy.task
         self._apply_kill(copy)
-        task.fault_losses += 1
+        self._tally_losses([copy])
         self.faults_injected += 1
-        self.copies_lost += 1
-        if task.num_live_copies > 0:
-            self.recoveries_masked_by_clone += 1
-            masked = True
-        else:
-            task.requeue()
-            self.tasks_requeued += 1
-            masked = False
-        fins = self._fault_ins
-        if fins is not None:
-            fins.copy_fails.inc()
-            fins.copies_lost.inc()
-            if masked:
-                fins.masked_by_clone.inc()
-            else:
-                fins.tasks_requeued.inc()
-        self._open_decision_point("copy_fail")
-        self._run_hook("copy_fail", self.scheduler.on_copy_failure, copy)
+        if self._fault_ins is not None:
+            self._fault_ins.copy_fails.inc()
+        self._policy_entry("copy_fail", self.scheduler.on_copy_failure, copy)
         return True
 
     def _arm_delayed_children(self, job: Job, finished_phase) -> None:
@@ -911,82 +874,46 @@ class SimulationEngine:
                 self.events.push(ready_at, EventKind.SCHEDULE_TICK)
 
     def _run_schedule_pass(self) -> None:
-        self._open_decision_point("schedule")
-        obs = self.observability
-        if obs is None:
-            t0 = _wallclock.perf_counter()
-            self.scheduler.schedule(self.view)
-            self._count_pass(_wallclock.perf_counter() - t0)
-            return
-        tracer = obs.tracer
-        prof = obs.profiler
-        span = (
-            tracer.enter("decision:schedule", self.now, point=self._decision_point)
-            if tracer is not None
-            else None
-        )
-        frame = prof.enter("scheduler") if prof is not None else None
+        """One ``schedule`` entry point, its wall time counted."""
         t0 = _wallclock.perf_counter()
-        try:
-            self.scheduler.schedule(self.view)
-        finally:
-            dt = _wallclock.perf_counter() - t0
-            self._count_pass(dt)
-            if frame is not None:
-                prof.exit(frame)
-            if span is not None:
-                tracer.exit(span, self.now)
-        ins = self._ins
-        if ins is not None:
-            ins.wall_schedule_pass.observe(dt)
-
-    def _count_pass(self, seconds: float) -> None:
+        self._policy_entry("schedule", self.scheduler.schedule)
+        seconds = _wallclock.perf_counter() - t0
         self.schedule_passes += 1
         self.schedule_pass_total_s += seconds
         if seconds > self.schedule_pass_max_s:
             self.schedule_pass_max_s = seconds
+        if self._ins is not None:
+            self._ins.wall_schedule_pass.observe(seconds)
 
     # ------------------------------------------------------------------
     # Session API (DESIGN.md §5.8)
     # ------------------------------------------------------------------
     def start(self) -> "SimulationEngine":
-        """Prime the session: queue the known arrivals, start the fault
+        """Prime the session: pull the first arrival, start the fault
         processes, and lay down the slot grid.  Idempotent; every other
         session increment (step/run_until/drain/ingest) calls it first,
         so explicit use is only needed to pin the priming time.
 
-        The push order — arrivals (workload order), fault priming, the
-        first slot tick — is the exact order the pre-session ``run()``
-        used, so event sequence numbers (and therefore same-instant
-        tie-breaks) are preserved bit-for-bit."""
+        The push order — the first arrival, fault priming, the first
+        slot tick — fixes event sequence numbers, and with them
+        same-instant tie-breaks."""
         if self._started:
             return self
         self._started = True
         self._run_t0 = _wallclock.perf_counter()
-        first_arrival: float | None = None
-        if self.arrivals.eager:
-            # Once queued, a job is named by its arrival event alone.
-            jobs, self.jobs = self.jobs, []
-            for job in jobs:
-                self.events.push(job.arrival_time, EventKind.JOB_ARRIVAL, job)
-            if jobs:
-                first_arrival = jobs[0].arrival_time
-        else:
-            job = self._pull_arrival()
-            if job is not None:
-                first_arrival = job.arrival_time
+        job = self._pull_arrival()
         if self.faults is not None:
             self.faults.prime(self)
-        if self.schedule_interval > 0 and first_arrival is not None:
+        if self.schedule_interval > 0 and job is not None:
             aligned = (
-                math.floor(first_arrival / self.schedule_interval)
+                math.floor(job.arrival_time / self.schedule_interval)
                 * self.schedule_interval
             )
             self.events.push(max(aligned, 0.0), EventKind.SCHEDULE_TICK)
         return self
 
     def _pull_arrival(self) -> Job | None:
-        """Fetch the next job from a pull-based arrival source.
+        """Fetch the next job from the arrival source and ingest it.
 
         Engine-internal pulls happen while the tick chain is alive —
         at ``start()`` (the aligned initial tick is laid right after)
@@ -1007,25 +934,17 @@ class SimulationEngine:
     def ingest(self, job: Job) -> Job:
         """Inject one job into a live session.
 
-        The online-arrival mutation channel: validates the job exactly
-        like a construction-time workload (feasibility, non-negative
-        arrival), requires its arrival not to precede the session clock,
-        and queues the arrival event.  Starts the session if needed, and
-        clears a fault-tail halt — a new arrival revives the workload.
-        Jobs must be ingested in non-decreasing arrival order to match a
-        run that knew the whole stream up front (the arrival sources
-        enforce this; direct callers own it)."""
+        The one way a job enters the session, whether the engine pulls
+        it from its arrival source or a caller injects it: checks the
+        job (feasibility, an arrival not behind the session clock, an
+        unused id) and queues its arrival event.  Starts the session if
+        needed, and clears a fault-tail halt — a new arrival revives the
+        workload.  Jobs must be ingested in non-decreasing arrival order
+        to match a run that knew the whole stream up front (the arrival
+        sources enforce this; direct callers own it)."""
         if not self._started:
             self.start()
-        self._validate_job(job)
-        if job.arrival_time < self.now:
-            raise ValueError(
-                f"job {job.job_id}: arrival {job.arrival_time:g} precedes "
-                f"the session clock t={self.now:g}"
-            )
-        if job.job_id in self._job_ids:
-            raise ValueError(f"job {job.job_id}: duplicate job id in this session")
-        self._job_ids.add(job.job_id)
+        self._admit(job, self._job_ids)
         self._pending_arrivals += 1
         self._halted = False
         self.events.push(job.arrival_time, EventKind.JOB_ARRIVAL, job)
@@ -1050,10 +969,9 @@ class SimulationEngine:
         One instant = every queued event sharing the earliest timestamp
         (plus same-instant pushes), processed in the exact (time, kind,
         seq) order of the batched drain, closed by at most one schedule
-        pass — precisely one iteration of the legacy ``run()`` loop.
-        Raises the max_time/starvation guard like the legacy loop; with
-        faults attached, refuses (returns False) once only the fault
-        tail remains."""
+        pass.  Raises when the instant lies past ``max_time`` (a
+        starving policy); with faults attached, refuses (returns False)
+        once only the fault tail remains."""
         if not self._started:
             self.start()
         if self._halted:
@@ -1107,9 +1025,9 @@ class SimulationEngine:
     def finalize(self) -> SimulationResult:
         """Close the session and build its result.
 
-        Mirrors the legacy end-of-run epilogue: flushes the sim-time /
-        wall-run gauges, rejects a drained queue that left jobs
-        unfinished (deadlock guard), and snapshots the result."""
+        Flushes the sim-time / wall-run gauges, rejects a drained queue
+        that left jobs unfinished (deadlock guard), and snapshots the
+        result."""
         ins = self._ins
         if ins is not None:
             ins.sim_time.set(self.now)
@@ -1128,7 +1046,7 @@ class SimulationEngine:
         return build_result(self)
 
     def run(self) -> SimulationResult:
-        """Legacy one-shot entry point: start → drain → finalize."""
+        """One-shot run: start → drain → finalize."""
         self.start()
         self.drain()
         return self.finalize()

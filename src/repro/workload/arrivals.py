@@ -8,25 +8,27 @@ lists consumed by the simulation runner.
 
 The second half of this module is the workload layer of the session API
 (DESIGN.md §5.8): an :class:`ArrivalSource` feeds jobs to a
-:class:`~repro.sim.engine.SimulationEngine` either eagerly (the whole
-workload queued at start, today's behavior — :class:`StaticSource`) or
-pulled one at a time as the simulation advances (:class:`GeneratorSource`
-over any job iterator, :class:`JsonlSource` over a job-spec line stream).
-Pull-based sources must yield non-decreasing arrival times; the engine
-rejects out-of-order ingests, because a job arriving "in the past" could
-not be replayed by a run that knew the stream up front.
+:class:`~repro.sim.engine.SimulationEngine` one at a time as the
+simulation advances — :class:`StaticSource` over a job list known up
+front, :class:`GeneratorSource` over any job iterator,
+:class:`JsonlSource` over a job-spec line stream.  Sources must yield
+non-decreasing arrival times; the engine rejects out-of-order ingests,
+because a job arriving "in the past" could not be replayed by a run
+that knew the stream up front.
 
-Byte-identity note: an engine fed by a pull source pulls the next job
-*while processing the previous arrival event*, so a JOB_ARRIVAL for job
-k+1 is pushed before any event of job k's placement.  The event queue
-orders by (time, kind, seq) and same-kind pushes preserve stream order,
-so the processing order — and therefore every RNG draw and decision
-point — matches the eager run exactly.
+Byte-identity note: the engine pulls the next job *while processing the
+previous arrival event*, so a JOB_ARRIVAL for job k+1 is queued before
+any event of job k's placement and the heap always holds the next
+arrival.  The event queue orders by (time, kind, seq) and same-kind
+pushes preserve stream order, so the processing order — and therefore
+every RNG draw and decision point — is the one a queue holding every
+arrival from the start would give.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,30 +105,15 @@ def arrivals_from_list(times: Sequence[float]) -> list[float]:
 class ArrivalSource:
     """Where a session's jobs come from.
 
-    ``eager`` sources hand the engine the complete workload at
-    ``start()`` via :meth:`initial_jobs`; pull sources are drained one
-    job at a time through :meth:`take` (the engine pulls job *k+1* while
-    processing job *k*'s arrival, and once more at start).  ``exhausted``
-    must flip to True only when :meth:`take` can never return another
-    job — it keeps the engine's ``workload_active()`` predicate (and
-    with it the fault renewal chain) alive while the stream is open.
-    ``consumed`` counts jobs already emitted; checkpoint restore uses it
-    to fast-forward a re-attached stream.
+    The engine pulls jobs through :meth:`take`, once at ``start()`` and
+    then job *k+1* while processing job *k*'s arrival, and admits each
+    through its ``ingest()``.  ``exhausted`` must flip to True only
+    when :meth:`take` can never return another job — it keeps the
+    engine's ``workload_active()`` predicate (and with it the fault
+    renewal chain) alive while the stream is open.  ``consumed`` counts
+    jobs already emitted; checkpoint restore uses it to fast-forward a
+    re-attached stream.
     """
-
-    eager: bool = False
-
-    def initial_jobs(self) -> list[Job]:
-        """Jobs known before the session starts (eager sources only),
-        in non-decreasing arrival order, equal arrivals in the order
-        the source was given them.
-
-        The engine queues them as returned, without sorting again: the
-        list order fixes same-instant arrival tie-breaks.  It calls this
-        once; an eager source hands its jobs over and forgets them, so
-        that only the engine's queue names a job whose arrival it has
-        queued."""
-        return []
 
     def take(self) -> Job | None:
         """Next job, or None once the stream has permanently ended.
@@ -152,16 +139,44 @@ class ArrivalSource:
 
 
 class StaticSource(ArrivalSource):
-    """Today's behavior: a fixed job list, fully queued at start."""
+    """A job list known up front, handed out in arrival order.
 
-    eager = True
+    The list is sorted once, stably, so equal arrivals keep the order
+    they were given in, which fixes their same-instant tie-break.
+    :meth:`take` hands out one job and drops the list's reference to
+    it, so a taken job is named only by the engine; :meth:`remaining`
+    lists the jobs not taken yet without taking them.  A pickled source
+    holds only those.
+    """
 
     def __init__(self, jobs: Iterable[Job]) -> None:
-        self.jobs = sorted(jobs, key=lambda j: j.arrival_time)
+        self._jobs: list[Job | None] = sorted(jobs, key=lambda j: j.arrival_time)
+        self._next = 0  # index in _jobs of the next job to hand out
+        self._consumed = 0
 
-    def initial_jobs(self) -> list[Job]:
-        jobs, self.jobs = self.jobs, []
-        return jobs
+    def remaining(self) -> Iterator[Job]:
+        """The jobs not taken yet, in the order :meth:`take` hands them out."""
+        return islice(self._jobs, self._next, None)
+
+    def take(self) -> Job | None:
+        i = self._next
+        if i == len(self._jobs):
+            return None
+        job, self._jobs[i] = self._jobs[i], None
+        self._next = i + 1
+        self._consumed += 1
+        return job
+
+    @property
+    def exhausted(self) -> bool:
+        return self._next == len(self._jobs)
+
+    @property
+    def consumed(self) -> int:
+        return self._consumed
+
+    def __getstate__(self):
+        return {"_jobs": self._jobs[self._next :], "_next": 0, "_consumed": self._consumed}
 
 
 class GeneratorSource(ArrivalSource):
@@ -173,8 +188,6 @@ class GeneratorSource(ArrivalSource):
     serialized; use :class:`JsonlSource` or :class:`StaticSource` when
     sessions must survive a restore.
     """
-
-    eager = False
 
     def __init__(self, jobs: Iterable[Job]) -> None:
         self._it: Iterator[Job] = iter(jobs)
@@ -238,8 +251,6 @@ class JsonlSource(ArrivalSource):
     cut *after* end-of-stream stays exhausted — attach re-binds bytes,
     it never un-ends the stream.
     """
-
-    eager = False
 
     def __init__(
         self,

@@ -36,8 +36,6 @@ __all__ = ["TraceIngestSource"]
 class TraceIngestSource(ArrivalSource):
     """Pull arrivals out of a (lazily ingested) trace-spec stream."""
 
-    eager = False
-
     def __init__(self, specs: Iterable[TraceJobSpec]) -> None:
         self._specs: Iterator[TraceJobSpec] | None = iter(specs)
         self._exhausted = False

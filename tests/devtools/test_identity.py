@@ -3,7 +3,8 @@
 Every trace row × fault column runs through :func:`run_cell` exactly as
 ``make identity`` runs it — one-shot, streamed, checkpoint-cut (including
 the cut after end-of-stream) and replayed legs — and must come back
-identical.  A perturbed leg must be reported by row, column and leg.
+identical, its one-shot run matching the pinned digests.  A perturbed
+leg or a moved pin must be reported by row, column and leg.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def test_perturbed_leg_is_reported(trace_rows, monkeypatch, leg, perturb, detail
     failure = exc.value
     assert (failure.row, failure.column, failure.leg) == ("alibaba2018", "none", leg)
     assert failure.detail.startswith(detail)
+
+
+def test_one_shot_digest_mismatch_is_reported(trace_rows, monkeypatch):
+    """A one-shot run that no longer matches its pinned digests fails
+    its cell, even though every other leg matches that run."""
+    pins = dict(identity.ONE_SHOT_DIGESTS)
+    result_pin, journal_pin = pins["alibaba2018", "chaos"]
+    pins["alibaba2018", "chaos"] = (result_pin, "0" * 64)
+    monkeypatch.setattr(identity, "ONE_SHOT_DIGESTS", pins)
+    with pytest.raises(identity.IdentityFailure) as exc:
+        identity.run_cell(trace_rows["alibaba2018"], "chaos")
+    failure = exc.value
+    assert (failure.row, failure.column, failure.leg) == ("alibaba2018", "chaos", "one-shot")
+    assert failure.detail == f"journal digest {journal_pin} differs from the pinned {'0' * 64}"
 
 
 def test_restored_span_divergence_is_reported(trace_rows, monkeypatch):

@@ -36,7 +36,7 @@ def engine_with_running_copy(*, scheduler=None, sanitize=False):
     )
     engine._process_arrival(job)
     task = job.phases[0].task(0)
-    copy = engine.launch_copy(task, cluster[0])
+    copy = engine.view.launch(task, cluster[0])
     return engine, task, copy
 
 
@@ -115,7 +115,7 @@ class TestCapacityConservation:
         (old,) = restored.cluster.mirror.resident[0]
         job = make_single_task_job(theta=50.0, job_id=1)
         restored._process_arrival(job)
-        new = restored.launch_copy(job.phases[0].task(0), restored.cluster[0])
+        new = restored.view.launch(job.phases[0].task(0), restored.cluster[0])
         assert restored.cluster[0].running_copies == (old, new)
         restored.cluster[0].release(old)  # still live
         violations = SimulationSanitizer(restored).check(restored, "early release")
@@ -176,7 +176,7 @@ class TestCloneBound:
         )
         # DollyMP² allows 3 live copies; launch 3 more clones = 4 live.
         for _ in range(3):
-            engine.launch_copy(task, engine.cluster[1], clone=True)
+            engine.view.launch(task, engine.cluster[1], clone=True)
         violations = SimulationSanitizer(engine).check(engine, "over-cloned")
         assert InvariantKind.CLONE_BOUND in kinds(violations)
         v = next(v for v in violations if v.kind is InvariantKind.CLONE_BOUND)
@@ -188,7 +188,7 @@ class TestCloneBound:
             scheduler=DollyMPScheduler(max_clones=2)
         )
         for _ in range(2):
-            engine.launch_copy(task, engine.cluster[1], clone=True)
+            engine.view.launch(task, engine.cluster[1], clone=True)
         assert SimulationSanitizer(engine).check(engine) == []
 
     def test_corrupted_live_counter_detected(self):
@@ -353,7 +353,7 @@ class TestCloneBudgetInvariant:
 
     def test_occupancy_mismatch_with_live_clone_detected(self):
         engine, task, _ = engine_with_running_copy()
-        engine.launch_copy(task, engine.cluster[1], clone=True)
+        engine.view.launch(task, engine.cluster[1], clone=True)
         assert SimulationSanitizer(engine).check(engine) == []
         # A fault-kill path that forgets the return leaves the occupancy
         # above the rescan of live clone demands.

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster.heterogeneity import homogeneous_cluster, paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
+from repro.faults import FAULT_PROFILES
 from repro.observability import METRICS_ENV, Observability, observability_default
 from repro.observability.profiling import PROFILE_ENV
 from repro.resources import Resources
@@ -69,6 +70,41 @@ def test_counters_agree_with_engine_accounting():
     )
     assert flow["count"] == len(result.records)
     assert flow["sum"] == pytest.approx(result.total_flowtime)
+
+
+@pytest.mark.parametrize("row_name", ["testbed", "google2011"])
+def test_fault_counters_agree_with_engine_accounting(tmp_path, row_name):
+    """The fault instruments and the engine's own fault tallies count
+    the same injections and losses on a chaos run."""
+    from repro.devtools import identity
+
+    if row_name == "testbed":
+        row = identity.paper_testbed_row()
+    else:
+        (row,) = [r for r in identity.trace_rows(tmp_path) if r.name == row_name]
+    obs = Observability()
+    result = SimulationEngine(
+        row.cluster(),
+        DollyMPScheduler(max_clones=2),
+        row.jobs(),
+        seed=row.seed,
+        schedule_interval=row.schedule_interval,
+        fault_profile=FAULT_PROFILES["chaos"],
+        observability=obs,
+    ).run()
+    m = obs.snapshot()["metrics"]
+    assert result.copies_lost > 0
+    assert _value(m, "repro_faults_copies_lost_total") == result.copies_lost
+    assert (
+        _value(m, "repro_faults_recoveries_masked_by_clone_total")
+        == result.recoveries_masked_by_clone
+    )
+    assert _value(m, "repro_faults_tasks_requeued_total") == result.tasks_requeued
+    injected = [
+        _value(m, "repro_faults_injected_total", kind=kind)
+        for kind in ("server_fail", "copy_fail", "slowdown")
+    ]
+    assert sum(injected) == result.faults_injected
 
 
 def test_same_seed_snapshots_and_spans_are_byte_identical(tmp_path):

@@ -99,9 +99,7 @@ class TestDRF:
         engine = SimulationEngine(
             cluster, DRFScheduler(), [cpu_heavy, mem_heavy], max_time=1e5
         )
-        for job in engine.jobs:
-            engine._process_arrival(job)
-        engine._run_schedule_pass()
+        engine.run_until(0.0)  # both arrivals, then one schedule pass
         s1 = DRFScheduler.current_dominant_share(cpu_heavy, engine.view)
         s2 = DRFScheduler.current_dominant_share(mem_heavy, engine.view)
         # Progressive filling: dominant shares end up nearly equal.
@@ -117,9 +115,7 @@ class TestDRF:
         from repro.sim.engine import SimulationEngine
 
         engine = SimulationEngine(cluster, sched, [a, b], max_time=1e5)
-        for job in engine.jobs:
-            engine._process_arrival(job)
-        engine._run_schedule_pass()
+        engine.run_until(0.0)  # both arrivals, then one schedule pass
         alloc_a = sum(t.num_live_copies for t in a.running_tasks())
         alloc_b = sum(t.num_live_copies for t in b.running_tasks())
         assert alloc_a > alloc_b  # 3:1 weights → roughly 7-8 vs 2-3 cores
@@ -215,9 +211,7 @@ class TestCarbyne:
         from repro.sim.engine import SimulationEngine
 
         engine = SimulationEngine(cluster, CarbyneScheduler(), [a, b], max_time=1e5)
-        for job in engine.jobs:
-            engine._process_arrival(job)
-        engine._run_schedule_pass()
+        engine.run_until(0.0)  # both arrivals, then one schedule pass
         # b takes 1 core (all it needs); leftover pass lets a fill the rest.
         assert sum(t.num_live_copies for t in b.running_tasks()) == 1
         assert sum(t.num_live_copies for t in a.running_tasks()) == 9

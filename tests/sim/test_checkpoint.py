@@ -329,14 +329,16 @@ class TestLegacyCheckpoint:
     ``Span`` objects and pickled a ``{slot: value}`` dict per job, phase,
     task and copy; v8 held per-server capacity and slowdown columns,
     the injector's saved slowdowns and a uid per copy; v9 held a
-    ``Task`` for every task of every phase.  Older files are rejected by
-    their format name, like a foreign file — nothing revives them."""
+    ``Task`` for every task of every phase; v10 held the engine's
+    ``jobs`` list and queued every listed arrival at start.  Older files
+    are rejected by their format name, like a foreign file — nothing
+    revives them."""
 
     @pytest.mark.parametrize(
-        "old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]
+        "old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"]
     )
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v10"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v11"
         obs = Observability()
         if old == "v7":
             # v7's span store: every closed span a ``Span`` in a list.
@@ -351,8 +353,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5", "v6", "v7", "v8", "v9"):
-            # Header then state, the layout v10 kept.
+        if old in ("v4", "v5", "v6", "v7", "v8", "v9", "v10"):
+            # Header then state, the layout v11 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state

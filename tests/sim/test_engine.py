@@ -26,6 +26,7 @@ from repro.schedulers.base import Scheduler
 from repro.schedulers.fifo import FIFOScheduler
 from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
 from repro.sim.engine import SimulationEngine
+from repro.sim.events import EventKind
 from repro.workload.distributions import Deterministic
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 from repro.workload.job import Job
@@ -401,7 +402,8 @@ class TestFinishedWork:
         assert result.num_jobs == 300
         assert result.copies_launched > result.num_jobs
         assert after == before
-        assert not engine.jobs and not engine.active_jobs
+        assert engine.arrivals.exhausted and not list(engine.arrivals.remaining())
+        assert not engine.active_jobs
         assert len(engine.records) == 300
 
     def test_records_kept_in_finish_order(self, small_cluster):
@@ -413,13 +415,17 @@ class TestFinishedWork:
         assert late.released and early.released
 
     def test_start_queues_jobs_and_forgets_them(self, small_cluster):
+        """``start()`` takes only the first job from the source, which
+        forgets it: its arrival event is then the only name for it."""
         job = make_single_task_job(theta=1.0, job_id=3)
-        engine = SimulationEngine(small_cluster, FIFOScheduler(), [job])
-        assert engine.jobs == [job]
-        assert engine.arrivals.initial_jobs() == []  # handed over at construction
+        later = make_single_task_job(theta=1.0, arrival_time=5.0, job_id=4)
+        engine = SimulationEngine(small_cluster, FIFOScheduler(), [later, job])
+        assert list(engine.arrivals.remaining()) == [job, later]
         engine.start()
-        assert engine.jobs == []
-        assert engine.events.peek().payload is job
+        assert len(engine.events) == 1
+        event = engine.events.peek()
+        assert (event.kind, event.payload) == (EventKind.JOB_ARRIVAL, job)
+        assert list(engine.arrivals.remaining()) == [later]
 
 
 def _trace_engine(**kw):

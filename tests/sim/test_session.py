@@ -160,6 +160,21 @@ class TestIngest:
         with pytest.raises(ValueError, match="precedes"):
             engine.ingest(stale)
 
+    @pytest.mark.parametrize(
+        "scheduler",
+        [FIFOScheduler, lambda: DollyMPScheduler(max_clones=2)],
+        ids=["fifo", "dollymp2"],
+    )
+    def test_listed_duplicate_id_fails_the_build(self, scheduler):
+        """A job list is admitted whole when the engine is built: a
+        repeated id fails there, rather than losing a job to the run."""
+        a = make_chain_job(2, 2, job_id=1)
+        b = make_single_task_job(arrival_time=1.0, job_id=1)
+        with pytest.raises(ValueError, match="job 1: duplicate job id"):
+            SimulationEngine(
+                homogeneous_cluster(4, Resources.of(8, 16)), scheduler(), [a, b]
+            )
+
     def test_ingest_rejects_duplicate_id(self, small_cluster):
         a = make_single_task_job(theta=5.0, arrival_time=0.0, job_id=1)
         engine = SimulationEngine(small_cluster, FIFOScheduler(), [a])
@@ -182,7 +197,10 @@ class TestIngest:
         job = make_single_task_job(cpu=20.0, mem=40.0, job_id=3)
         with pytest.raises(ValueError, match="job 3 phase 0: demand .* exceeds every server"):
             engine.ingest(job)
-        assert engine.jobs == []
+        # The rejected job left nothing behind, not even its id.
+        assert not engine.events and not engine.workload_active()
+        engine.ingest(make_single_task_job(cpu=20.0, mem=10.0, job_id=3))
+        assert engine.run().num_jobs == 1
 
     def test_ingest_restarts_idle_slotted_session(self, small_cluster):
         # Let the tick chain die on an empty queue, then ingest: the

@@ -1,13 +1,17 @@
-"""Unit tests for arrival processes."""
+"""Unit tests for arrival processes and the job-list source."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.workload.arrivals import (
+    StaticSource,
     arrivals_from_list,
     fixed_interarrival,
     poisson_arrivals,
 )
+from tests.conftest import make_single_task_job
 
 
 class TestFixed:
@@ -70,3 +74,28 @@ class TestExplicit:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             arrivals_from_list([0.0, 2.0, 1.0])
+
+
+class TestStaticSource:
+    def test_hands_out_one_job_per_take_in_stable_arrival_order(self):
+        a = make_single_task_job(arrival_time=5.0, job_id=1)
+        b = make_single_task_job(arrival_time=0.0, job_id=2)
+        c = make_single_task_job(arrival_time=5.0, job_id=3)
+        source = StaticSource([a, b, c])
+        assert list(source.remaining()) == [b, a, c]
+        assert source.take() is b
+        assert list(source.remaining()) == [a, c]
+        assert (source.consumed, source.exhausted) == (1, False)
+        assert [source.take(), source.take(), source.take()] == [a, c, None]
+        assert (source.consumed, source.exhausted) == (3, True)
+
+    def test_pickles_only_the_jobs_not_taken(self):
+        jobs = [make_single_task_job(arrival_time=float(t), job_id=t) for t in range(3)]
+        source = StaticSource(jobs)
+        source.take()
+        assert source.__getstate__()["_jobs"] == jobs[1:]
+        revived = pickle.loads(pickle.dumps(source))
+        assert [j.job_id for j in revived.remaining()] == [1, 2]
+        assert (revived.consumed, revived.exhausted) == (1, False)
+        assert [revived.take().job_id, revived.take().job_id] == [1, 2]
+        assert (revived.take(), revived.consumed, revived.exhausted) == (None, 3, True)
