@@ -59,6 +59,7 @@ from repro.schedulers.srpt import SRPTScheduler
 from repro.schedulers.svf import SVFScheduler
 from repro.schedulers.tetris import TetrisScheduler
 from repro.sim.actions import DecisionTrace
+from repro.sim.engine import SimulationEngine
 from repro.sim.replay import ReplayDivergence, replay_trace
 from repro.sim.runner import run_recorded, run_simulation
 from repro.workload.google_trace import (
@@ -414,19 +415,24 @@ def cmd_trace_replay(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    specs = load_trace(args.trace)
-    jobs = jobs_from_specs(specs)
     obs = _observability_for(args)
-    if obs is not None:
-        obs.record_workload(jobs)
-    result = run_simulation(
-        make_cluster(args.cluster, args.seed),
-        make_scheduler(args.scheduler),
-        jobs,
-        seed=args.seed,
-        schedule_interval=args.slot,
-        observability=obs,
-    )
+    # A trace that does not load, or that the engine rejects when it is
+    # built (an infeasible demand, a repeated job id), ends in one line.
+    try:
+        jobs = jobs_from_specs(load_trace(args.trace))
+        if obs is not None:
+            obs.record_workload(jobs)
+        engine = SimulationEngine(
+            make_cluster(args.cluster, args.seed),
+            make_scheduler(args.scheduler),
+            jobs,
+            seed=args.seed,
+            schedule_interval=args.slot,
+            observability=obs,
+        )
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"replay {args.trace}: {exc}") from None
+    result = engine.run()
     for key, value in result.summary().items():
         print(f"{key:>24s}: {value:.3f}")
     _finish_observability(obs, args)

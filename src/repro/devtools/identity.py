@@ -9,9 +9,10 @@ contract: streamed, checkpoint-restored and replayed runs are
 byte-identical to the one-shot run.  The checkpoint-cut leg records
 spans, and each restored run must export its uninterrupted run's
 spans byte for byte; some cut must hold a task its phase has not built
-yet, so restores revive unbuilt slots.  The one-shot run itself must
-match the digests pinned in :data:`ONE_SHOT_DIGESTS`, so a change that
-moves every leg alike fails too.
+yet, and some cut a queued job not built yet, so restores revive
+unbuilt slots and jobs known only by their specs.  The one-shot run
+itself must match the digests pinned in :data:`ONE_SHOT_DIGESTS`, so a
+change that moves every leg alike fails too.
 
 Run:  PYTHONPATH=src python -m repro.devtools.identity [ARTIFACT_DIR]
 
@@ -49,6 +50,7 @@ from repro.sim.checkpoint import (
     restore_bytes,
 )
 from repro.sim.engine import SimulationEngine
+from repro.sim.events import EventKind
 from repro.sim.metrics import SimulationResult
 from repro.sim.replay import ReplayDivergence, assert_replay_identical, replay_trace
 from repro.workload.arrivals import JsonlSource
@@ -343,8 +345,8 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
     end-of-stream; then every snapshot restored, re-attached to a fresh
     stream and drained.  Each restored leg must also export the
     uninterrupted leg's spans byte for byte, some cut must be taken
-    while the stream is live and some cut must hold a task not yet
-    built."""
+    while the stream is live, some cut must hold a task not yet built
+    and some cut a job not yet built."""
     row, every = cell.row, max(1, cell.instants // (CUTS + 1))
     source = (JsonlSource if row.raw is None else TraceIngestSource)(row.stream())
     engine = SimulationEngine(
@@ -359,7 +361,8 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         fault_profile=FAULT_PROFILES[cell.column],
         observability=Observability(metrics=False),
     )
-    snapshots, instant, ended, unbuilt = [], 0, False, False
+    snapshots, instant, ended = [], 0, False
+    unbuilt_task = unbuilt_job = False
     engine.start()
     while engine.step():
         instant += 1
@@ -367,7 +370,8 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         ended = engine.arrivals.exhausted
         if instant % every == 0 or first_after_end:
             snapshots.append((instant, *checkpoint_bytes(engine)))
-            unbuilt = unbuilt or _holds_unbuilt_task(engine)
+            unbuilt_task = unbuilt_task or _holds_unbuilt_task(engine)
+            unbuilt_job = unbuilt_job or _holds_unbuilt_job(engine)
     result = engine.finalize()
     spans = _span_export(engine, cell.workdir / "spans.jsonl")
     yield "uninterrupted", result, engine.trace
@@ -378,8 +382,10 @@ def _checkpoint_cut(cell: Cell) -> Iterator[Observation]:
         raise CheckFailed(f"only {len(inside)} cuts inside the run")
     if not any(0 < info.arrivals_consumed < jobs for info in inside):
         raise CheckFailed("no cut while the stream is live")
-    if not unbuilt:
+    if not unbuilt_task:
         raise CheckFailed("no cut holds a task not yet built")
+    if not unbuilt_job:
+        raise CheckFailed("no cut holds a job not yet built")
     for instant, payload, info in snapshots:
         label = f"cut at instant {instant} ({info.arrivals_consumed}/{jobs} arrivals)"
         try:
@@ -402,6 +408,12 @@ def _holds_unbuilt_task(engine: SimulationEngine) -> bool:
         for job in engine.active_jobs.values()
         for p in job.phases
     )
+
+
+def _holds_unbuilt_job(engine: SimulationEngine) -> bool:
+    """Whether a job whose arrival is queued is still known only by its
+    spec, which a checkpoint pickles as that spec."""
+    return any(not job.built for job in engine.events.payloads(EventKind.JOB_ARRIVAL))
 
 
 def _span_export(engine: SimulationEngine, path: Path) -> bytes:

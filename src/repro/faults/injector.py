@@ -71,8 +71,24 @@ class FaultInjector:
         self.churn_seed = seed + CHURN_SEED_OFFSET if churn_seed is None else churn_seed
         self.rng = np.random.default_rng(self.churn_seed)
 
-    def _exp(self, mean: float) -> float:
-        return float(self.rng.exponential(mean))
+    def _after(self, now: float, mean: float, setting: str) -> float:
+        """``now`` plus one exponential draw of the given mean.
+
+        A draw that ``now`` absorbs would put the event on the very
+        instant being processed, again at every renewal, so simulated
+        time would stop; that raises, naming the profile setting whose
+        mean it was.  Below one second the clock's floats are finer, so
+        the same draw would advance it by slivers only, one per event,
+        and the check compares at one second there.  It makes no draw
+        of its own."""
+        draw = float(self.rng.exponential(mean))
+        base = max(now, 1.0)
+        if base + draw == base:
+            raise ValueError(
+                f"{setting}={getattr(self.profile, setting)!r}: a drawn interval of "
+                f"{draw:g} s (mean {mean:g} s) does not advance the clock at t={now:g}"
+            )
+        return now + draw
 
     # ------------------------------------------------------------------
     # Process priming and renewal
@@ -83,12 +99,15 @@ class FaultInjector:
         carry server ids."""
         profile = self.profile
         events = engine.events
+        now = engine.now
         for sid in range(len(engine.cluster)):
             if profile.server_churn:
-                events.push(self._exp(profile.mtbf), EventKind.SERVER_FAIL, sid)
+                events.push(
+                    self._after(now, profile.mtbf, "mtbf"), EventKind.SERVER_FAIL, sid
+                )
             if profile.slowdown_rate > 0.0:
                 events.push(
-                    self._exp(1.0 / profile.slowdown_rate),
+                    self._after(now, 1.0 / profile.slowdown_rate, "slowdown_rate"),
                     EventKind.SERVER_SLOW_START,
                     sid,
                 )
@@ -96,7 +115,7 @@ class FaultInjector:
     def schedule_recovery(self, engine: "SimulationEngine", server: "Server | int") -> None:
         """After a crash: one repair-time draw, then the recover event."""
         engine.events.push(
-            engine.now + self._exp(self.profile.mttr),
+            self._after(engine.now, self.profile.mttr, "mttr"),
             EventKind.SERVER_RECOVER,
             server_id_of(server),
         )
@@ -107,14 +126,14 @@ class FaultInjector:
         """Extend the server's churn chain — unless the workload is done
         (the draw still happens, keeping the stream position independent
         of *when* the workload drains)."""
-        t = engine.now + self._exp(self.profile.mtbf)
+        t = self._after(engine.now, self.profile.mtbf, "mtbf")
         if engine.workload_active():
             engine.events.push(t, EventKind.SERVER_FAIL, server_id_of(server))
 
     def schedule_next_slowdown(
         self, engine: "SimulationEngine", server: "Server | int"
     ) -> None:
-        t = engine.now + self._exp(1.0 / self.profile.slowdown_rate)
+        t = self._after(engine.now, 1.0 / self.profile.slowdown_rate, "slowdown_rate")
         if engine.workload_active():
             engine.events.push(t, EventKind.SERVER_SLOW_START, server_id_of(server))
 
@@ -128,7 +147,9 @@ class FaultInjector:
         outcome, so the stream position depends only on launch count."""
         if self.profile.copy_fail_rate <= 0.0:
             return
-        fail_at = copy.start_time + self._exp(1.0 / self.profile.copy_fail_rate)
+        fail_at = self._after(
+            copy.start_time, 1.0 / self.profile.copy_fail_rate, "copy_fail_rate"
+        )
         if fail_at < copy.finish_time:
             engine.events.push(fail_at, EventKind.COPY_FAIL, copy)
 
@@ -145,7 +166,7 @@ class FaultInjector:
         if sid not in mirror.brownout:  # nested windows don't stack
             mirror.set_slowdown(sid, mirror.slowdown_of(sid) * self.profile.slowdown_factor)
         engine.events.push(
-            engine.now + self._exp(self.profile.slowdown_duration),
+            self._after(engine.now, self.profile.slowdown_duration, "slowdown_duration"),
             EventKind.SERVER_SLOW_END,
             sid,
         )

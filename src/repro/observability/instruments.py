@@ -142,9 +142,10 @@ class SimInstruments:
 
     # ------------------------------------------------------------------
     def record_workload(self, jobs) -> None:
-        """Account a built workload: job/phase/task counts and per-task
-        demand distributions (all sim-derived, hence deterministic).
-        Cold path — families are created idempotently on first use."""
+        """Account a workload: job/phase/task counts and per-task demand
+        distributions (all sim-derived, hence deterministic), read
+        without building a job not built yet.  Cold path — families are
+        created idempotently on first use."""
         reg = self.registry
         jobs_c = reg.counter("repro_workload_jobs_total", "jobs in the built workload")
         phases_c = reg.counter(
@@ -165,13 +166,13 @@ class SimInstruments:
         )
         for job in jobs:
             jobs_c.inc()
-            for phase in job.phases:
+            for shape in job.phase_shapes():
                 phases_c.inc()
-                n = phase.num_tasks
+                n = shape.num_tasks
                 tasks_c.inc(n)
                 for _ in range(n):
-                    cpu.observe(phase.demand.cpu)
-                    mem.observe(phase.demand.mem)
+                    cpu.observe(float(shape.cpu))
+                    mem.observe(float(shape.mem))
 
 
 class FaultInstruments:

@@ -66,17 +66,18 @@ __all__ = [
 
 #: Format tag in the header; bumped on any layout change, and an older
 #: tag is rejected by name, like a foreign one (CHANGES.md keeps the
-#: history).  v11 holds the mirror's class tables, per-server class
+#: history).  v12 holds the mirror's class tables, per-server class
 #: index and brownout entries as they are, its allocation columns as
 #: their entries other than +0.0 and an all-up mask as its length; each
 #: server's resident copies as a list in launch order; queued events as
 #: bare ``Event`` tuples, only the next arrival among them (a
 #: ``StaticSource`` holds the jobs it has not handed out, a stream source
 #: its consumed count); each job, phase, task and copy as one tuple of
-#: its slot values, a phase's tasks one slot each (``None`` until built),
-#: a finished task as its ledger and a finished job only as its record;
-#: and the span tracer's closed spans as columns.
-CHECKPOINT_FORMAT = "repro-checkpoint-v11"
+#: its slot values, a job not arrived yet as its spec with no phases, a
+#: phase's tasks one slot each (``None`` until built), a finished task
+#: as its ledger and a finished job only as its record; and the span
+#: tracer's closed spans as columns.
+CHECKPOINT_FORMAT = "repro-checkpoint-v12"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.  Protocol 5 writes each

@@ -334,16 +334,18 @@ class SimulationEngine:
         """Check one job and add its id to ``ids``; raises before any
         change.  Every demand must fit one real server whole, not the
         per-dimension maxima of different servers; the arrival must not
-        precede the session clock; the id must not be in ``ids``."""
+        precede the session clock; the id must not be in ``ids``.  The
+        demands are read without building the job (DESIGN.md §5.6)."""
         hostable = self._hostable
-        for phase in job.phases:
-            demand = phase.demand
-            key = (demand.cpu, demand.mem)
+        shapes = job.phase_shapes()
+        for shape in shapes:
+            key = (shape.cpu, shape.mem)
             if key in hostable:
                 continue
+            demand = Resources.of(shape.cpu, shape.mem)
             if not self.cluster.can_host(demand):
                 raise ValueError(
-                    f"job {job.job_id} phase {phase.index}: demand "
+                    f"job {job.job_id} phase {shapes.index(shape)}: demand "
                     f"{demand} exceeds every server's capacity"
                 )
             hostable.add(key)
@@ -713,6 +715,9 @@ class SimulationEngine:
 
     def _process_arrival(self, job: Job) -> None:
         self._pending_arrivals -= 1
+        # A job is built when it arrives (DESIGN.md §5.6): from here on
+        # the scheduler and the engine read its phase graph.
+        job.build()
         self.active_jobs[job.job_id] = job
         # The source stays one arrival ahead: consuming this arrival
         # fetches the next job.  Arrival events tie-break on kind before

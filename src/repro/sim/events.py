@@ -140,6 +140,11 @@ class EventQueue:
         """
         return any(entry[1] == kind for entry in self._heap)
 
+    def payloads(self, kind: EventKind) -> list[Any]:
+        """The payloads of the pending events of one kind, in no set
+        order (the identity gate reads the queued arrivals' jobs)."""
+        return [entry[3] for entry in self._heap if entry[1] == kind]
+
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -89,9 +89,10 @@ class ParetoType1:
     __slots__ = ("x_m", "alpha")
 
     def __init__(self, x_m: float, alpha: float) -> None:
-        if x_m <= 0:
+        # Negated, so NaN fails too.
+        if not x_m > 0:
             raise ValueError(f"x_m must be positive, got {x_m}")
-        if alpha <= 1:
+        if not alpha > 1:
             raise ValueError(f"alpha must exceed 1 for a finite mean, got {alpha}")
         self.x_m = float(x_m)
         self.alpha = float(alpha)

@@ -75,10 +75,24 @@ class PhaseSpec:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if self.cpu <= 0 and self.mem <= 0:
+            raise ValueError(
+                f"cpu and mem must not both be zero, got cpu={self.cpu!r}, mem={self.mem!r}"
+            )
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
+        if self.sigma > 0:
+            # The fit a build makes; it fails where (θ/σ)² overflows or
+            # x_m underflows, so such a spec fails here, not at arrival.
+            try:
+                ParetoType1.from_moments(self.theta, self.sigma)
+            except (ArithmeticError, ValueError) as exc:
+                raise ValueError(
+                    f"theta={self.theta!r} with sigma={self.sigma!r} admits no "
+                    f"Pareto fit: {exc}"
+                ) from None
         # A JSON list arrives as a list; a string or a float index would
         # fail only inside the DAG helpers.
         parents = self.parents
@@ -115,6 +129,8 @@ class TraceJobSpec:
         job_id = self.job_id
         if job_id is not None and (type(job_id) is bool or not isinstance(job_id, int)):
             raise ValueError(f"job_id must be an integer, got {job_id!r}")
+        if not self.phases:
+            raise ValueError("phases must hold at least one phase")
         for k, phase in enumerate(self.phases):
             for p in phase.parents:
                 if not 0 <= p < k:
@@ -122,6 +138,38 @@ class TraceJobSpec:
 
     def num_tasks(self) -> int:
         return sum(p.num_tasks for p in self.phases)
+
+    def build_phases(
+        self, demands: dict[tuple[float, float], Resources] | None = None
+    ) -> list[Phase]:
+        """The phases this spec describes, Pareto-fitted, named and
+        holding one empty slot per task.  A demand is taken from
+        ``demands`` when an equal one is there, and added to it when
+        not, so phases built through one map share a vector per
+        distinct demand."""
+        if demands is None:
+            demands = {}
+        phases = []
+        for k, ps in enumerate(self.phases):
+            if ps.sigma > 0:
+                dist = ParetoType1.from_moments(ps.theta, ps.sigma)
+            else:
+                dist = Deterministic(ps.theta)
+            key = (ps.cpu, ps.mem)
+            demand = demands.get(key)
+            if demand is None:
+                demand = demands[key] = Resources.of(ps.cpu, ps.mem)
+            phases.append(
+                Phase(
+                    k,
+                    ps.num_tasks,
+                    demand,
+                    dist,
+                    parents=ps.parents,
+                    name=f"{self.name}-p{k}",
+                )
+            )
+        return phases
 
 
 # Discrete demand menu mirroring the bucketed CPU/memory requests of the
@@ -260,47 +308,19 @@ class GoogleTraceGenerator:
 # Spec → Job materialization
 # ----------------------------------------------------------------------
 def jobs_from_specs(specs: Sequence[TraceJobSpec]) -> list[Job]:
-    """Materialize :class:`Job` objects (Pareto-fitted task times).
+    """One :class:`Job` per spec, each holding its spec until the first
+    read of its ``phases`` builds the graph (Pareto-fitted task times;
+    the engine reads it when the job arrives, DESIGN.md §5.6).
 
     Phases with equal demands share one (frozen) :class:`Resources`."""
     demands: dict[tuple[float, float], Resources] = {}
-    jobs: list[Job] = []
-    for spec in specs:
-        phases = []
-        for k, ps in enumerate(spec.phases):
-            if ps.sigma > 0:
-                dist = ParetoType1.from_moments(ps.theta, ps.sigma)
-            else:
-                dist = Deterministic(ps.theta)
-            key = (ps.cpu, ps.mem)
-            demand = demands.get(key)
-            if demand is None:
-                demand = demands[key] = Resources.of(ps.cpu, ps.mem)
-            phases.append(
-                Phase(
-                    k,
-                    ps.num_tasks,
-                    demand,
-                    dist,
-                    parents=ps.parents,
-                    name=f"{spec.name}-p{k}",
-                )
-            )
-        jobs.append(
-            Job(
-                phases,
-                arrival_time=spec.arrival_time,
-                name=spec.name,
-                job_id=spec.job_id,
-            )
-        )
-    return jobs
+    return [Job.from_spec(spec, demands) for spec in specs]
 
 
 def job_from_spec(spec: TraceJobSpec) -> Job:
-    """Materialize a single spec (streaming-source counterpart of
+    """One spec's job (streaming-source counterpart of
     :func:`jobs_from_specs`)."""
-    return jobs_from_specs([spec])[0]
+    return Job.from_spec(spec)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,28 @@
-"""A DAG job: arrival time + dependent phases of parallel tasks."""
+"""A DAG job: arrival time + dependent phases of parallel tasks.
+
+A job read from a trace is known by its spec until it arrives (Sec. 3:
+a job's phases and their statistics become known at a_j), so
+:meth:`Job.from_spec` makes a job whose phase graph is built on the
+first read of ``phases``, which the engine makes when the job arrives
+(DESIGN.md §5.6).  :meth:`Job.phase_shapes`, ``num_phases`` and
+``num_tasks`` answer from the spec without building it.
+"""
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.resources import EPS
 from repro.workload.dag import critical_path_length, validate_dag
 from repro.workload.phase import Phase
 from repro.workload.task import Task
 
-__all__ = ["Job"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.resources import Resources
+    from repro.workload.google_trace import PhaseSpec, TraceJobSpec
+
+__all__ = ["Job", "PhaseShape"]
 
 # Ids for jobs built without one (tests, the quickstart).  They carry over
 # from one run to the next in a process, but rise in build order, and
@@ -23,10 +35,28 @@ def fresh_job_id() -> int:
     return next(_job_counter)
 
 
+class PhaseShape(NamedTuple):
+    """A built phase's task count and per-task demand (the fields a
+    ``PhaseSpec`` gives a job not built yet)."""
+
+    num_tasks: int
+    cpu: float
+    mem: float
+
+
 class Job:
     """Job *j* of the paper: arrives at a_j with phase DAG G_j (Sec. 3)."""
 
-    __slots__ = ("job_id", "name", "arrival_time", "phases", "finish_time", "user")
+    __slots__ = (
+        "job_id",
+        "name",
+        "arrival_time",
+        "phases",
+        "finish_time",
+        "user",
+        "_spec",
+        "_demands",
+    )
 
     def __init__(
         self,
@@ -37,30 +67,90 @@ class Job:
         job_id: int | None = None,
         user: str = "default",
     ) -> None:
+        self.job_id = job_id if job_id is not None else fresh_job_id()
+        self.name = name
+        self.arrival_time = float(arrival_time)
+        self.finish_time: Optional[float] = None
+        self.user = user
+        self._spec: TraceJobSpec | None = None
+        self._demands: dict[tuple[float, float], Resources] | None = None
+        self._attach(phases)
+
+    @classmethod
+    def from_spec(
+        cls,
+        spec: "TraceJobSpec",
+        demands: dict[tuple[float, float], "Resources"] | None = None,
+    ) -> "Job":
+        """A job known by its validated spec: the first read of
+        ``phases`` builds the graph with ``spec.build_phases(demands)``
+        and keeps it, so it is the graph an eager build gives.  Jobs
+        given one ``demands`` map share a vector per distinct demand."""
+        job = cls.__new__(cls)
+        job.job_id = spec.job_id if spec.job_id is not None else fresh_job_id()
+        job.name = spec.name
+        job.arrival_time = float(spec.arrival_time)
+        job.finish_time = None
+        job.user = "default"
+        job._spec = spec
+        job._demands = demands
+        return job
+
+    def _attach(self, phases: Sequence[Phase]) -> None:
         if not phases:
             raise ValueError("a job needs at least one phase")
         if [p.index for p in phases] != list(range(len(phases))):
             raise ValueError("phase indices must be 0..k-1 in order")
         validate_dag([p.parents for p in phases])
-        self.job_id = job_id if job_id is not None else fresh_job_id()
-        self.name = name
-        self.arrival_time = float(arrival_time)
         self.phases: list[Phase] = list(phases)
-        self.finish_time: Optional[float] = None
-        self.user = user
         for p in self.phases:
             p.job = self
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot that holds no value: ``phases`` of a
+        # job made by from_spec, built here once; later reads are plain
+        # slot reads.
+        if name == "phases" and self._spec is not None:
+            self._attach(self._spec.build_phases(self._demands))
+            self._spec = self._demands = None
+            return self.phases
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def built(self) -> bool:
+        """Whether the phase graph exists (a job made by
+        :meth:`from_spec` builds it on the first read of ``phases``)."""
+        return self._spec is None
+
+    def build(self) -> list[Phase]:
+        """The phase graph, built now if the job is known by its spec."""
+        return self.phases
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
+    def phase_shapes(self) -> Sequence[PhaseShape | PhaseSpec]:
+        """One row per phase in index order, each with ``num_tasks``,
+        ``cpu`` and ``mem`` equal to the built phase's.  A job not built
+        yet answers with its spec's own ``PhaseSpec`` rows, so reading
+        them builds and allocates nothing; a built job with one
+        :class:`PhaseShape` per phase."""
+        spec = self._spec
+        if spec is not None:
+            return spec.phases
+        return [PhaseShape(p.num_tasks, p.demand.cpu, p.demand.mem) for p in self.phases]
+
+    # Spec rows and phases both carry ``num_tasks``: neither count
+    # builds the job.
     @property
     def num_phases(self) -> int:
-        return len(self.phases)
+        spec = self._spec
+        return len(self.phases if spec is None else spec.phases)
 
     @property
     def num_tasks(self) -> int:
-        return sum(p.num_tasks for p in self.phases)
+        spec = self._spec
+        return sum(p.num_tasks for p in (self.phases if spec is None else spec.phases))
 
     def parents_list(self) -> list[tuple[int, ...]]:
         return [p.parents for p in self.phases]
@@ -186,7 +276,7 @@ class Job:
     def released(self) -> bool:
         """Whether :meth:`release` dropped the phase/task graph (a job
         is built with at least one phase, so only a release empties it)."""
-        return not self.phases
+        return self._spec is None and not self.phases
 
     def release(self) -> None:
         """Drop the phase/task graph of a finished job.
@@ -222,15 +312,19 @@ class Job:
             include=lambda k: not self.phases[k].is_finished,
         )
 
-    # One tuple of the slots, like TaskCopy's.
+    # One tuple of the slots, like TaskCopy's; a job not built yet
+    # holds None for its phases and pickles as its spec.
     def __getstate__(self):
+        spec = self._spec
         return (
             self.job_id,
             self.name,
             self.arrival_time,
-            self.phases,
+            self.phases if spec is None else None,
             self.finish_time,
             self.user,
+            spec,
+            self._demands,
         )
 
     def __setstate__(self, state) -> None:
@@ -238,10 +332,14 @@ class Job:
             self.job_id,
             self.name,
             self.arrival_time,
-            self.phases,
+            phases,
             self.finish_time,
             self.user,
+            self._spec,
+            self._demands,
         ) = state
+        if phases is not None:
+            self.phases = phases
 
     def __hash__(self) -> int:
         return self.job_id

@@ -15,6 +15,8 @@ import pytest
 
 from repro.devtools import identity
 from repro.sim.actions import DecisionTrace
+from repro.workload.ingest import source as ingest_source
+from repro.workload.job import Job
 from repro.workload.mapreduce import pagerank_job, wordcount_job
 
 
@@ -119,6 +121,24 @@ def test_cuts_without_unbuilt_tasks_are_reported(trace_rows, monkeypatch):
     assert (exc.value.leg, exc.value.detail) == (
         "checkpoint-cut",
         "no cut holds a task not yet built",
+    )
+
+
+def test_cuts_without_unbuilt_jobs_are_reported(trace_rows, monkeypatch):
+    """A source that builds each job as it is pulled leaves no cut
+    holding a job known only by its spec, and the cell fails."""
+
+    def built_on_pull(spec):
+        job = Job.from_spec(spec)
+        job.build()
+        return job
+
+    monkeypatch.setattr(ingest_source, "job_from_spec", built_on_pull)
+    with pytest.raises(identity.IdentityFailure) as exc:
+        identity.run_cell(trace_rows["google2011"], "none")
+    assert (exc.value.leg, exc.value.detail) == (
+        "checkpoint-cut",
+        "no cut holds a job not yet built",
     )
 
 

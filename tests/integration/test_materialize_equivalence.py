@@ -1,14 +1,15 @@
 """Spec → job materialization vs its eager reference.
 
-``jobs_from_specs`` fits each phase's default h(r) on first read, skips
-Kahn's sort for index-ordered phase graphs, shares one demand vector
-per distinct demand and builds no task: a phase builds a task the first
-time it is asked for it, which on the run path is at launch (DESIGN.md
-§5.6).  ``tests/reference.py`` keeps the eager form; built from the
-same specs, both must give the same jobs, field by field, and the same
-simulation — records, event counts and decision journals byte for
-byte, in one shot and resumed from a mid-run checkpoint.  Call-count
-guards keep the skipped work skipped.
+``jobs_from_specs`` builds no phase: each job holds its spec until the
+engine builds it at its arrival.  A build fits each phase's default
+h(r) on first read, skips Kahn's sort for index-ordered phase graphs,
+shares one demand vector per distinct demand and builds no task: a
+phase builds a task the first time it is asked for it, which on the run
+path is at launch (DESIGN.md §5.6).  ``tests/reference.py`` keeps the
+eager form; built from the same specs, both must give the same jobs,
+field by field, and the same simulation — records, event counts and
+decision journals byte for byte, in one shot and resumed from a mid-run
+checkpoint.  Call-count guards keep the skipped work skipped.
 """
 
 from __future__ import annotations
@@ -21,15 +22,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.bench.workloads import WORKLOADS, SmallJobTrace
-from repro.cluster.heterogeneity import paper_cluster_30_nodes
+from repro import cli
+from repro.cluster.heterogeneity import paper_cluster_30_nodes, trace_sim_cluster
 from repro.core.online import DollyMPScheduler
 from repro.core.volume import measure_job
 from repro.devtools import identity
+from repro.observability import Observability
 from repro.resources import Resources
 from repro.sim.checkpoint import checkpoint_bytes, restore_bytes
+from repro.sim.engine import SimulationEngine
+from repro.sim.events import EventKind
 from repro.sim.runner import run_simulation
 from repro.workload import dag
-from repro.workload.google_trace import PhaseSpec, TraceJobSpec, jobs_from_specs
+from repro.workload.google_trace import (
+    GoogleTraceGenerator,
+    PhaseSpec,
+    TraceJobSpec,
+    jobs_from_specs,
+    save_trace,
+)
+from repro.workload.phase import Phase
 from repro.workload.speedup import ParetoSpeedup
 from repro.workload.task import Task
 from tests import reference
@@ -110,6 +122,20 @@ def built(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def phases_built(monkeypatch):
+    """Every phase built from here on, as its name, in build order."""
+    seen = []
+    init = Phase.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self.name)
+
+    monkeypatch.setattr(Phase, "__init__", counting_init)
+    return seen
+
+
 class TestReferenceMaterializer:
     @given(job_specs())
     @settings(max_examples=150, deadline=None)
@@ -186,6 +212,46 @@ class TestCallCounts:
         dag.topological_order([(1,), ()])
         assert calls["kahn"] == 1
 
+    def test_jobs_and_engine_build_no_phase(self, phases_built):
+        """Set-up builds no job: ``jobs_from_specs`` holds the specs, and
+        an engine over the list checks every job from its spec."""
+        specs = WORKLOADS["engine-100k-burst"].inputs(2022).specs
+        jobs = jobs_from_specs(specs)
+        SimulationEngine(
+            trace_sim_cluster(1_000, seed=2022), DollyMPScheduler(max_clones=2), jobs
+        )
+        assert phases_built == [] and not any(j.built for j in jobs)
+        assert sum(j.num_phases for j in jobs) == 753 and phases_built == []
+        # The counter sees the work it guards.
+        jobs[0].build()
+        assert phases_built == [f"{specs[0].name}-p{k}" for k in range(len(specs[0].phases))]
+
+    @pytest.mark.parametrize("column", identity.COLUMNS)
+    def test_run_builds_each_job_once_at_its_arrival(self, phases_built, column):
+        """A job is built when its arrival is processed, before the
+        arrival hook, and never again; until then every queued or listed
+        job is known only by its spec."""
+        row = identity.google_synth_row()
+        arrived = []
+
+        class Watching(DollyMPScheduler):
+            def on_job_arrival(self, job, view):
+                arrived.append(job.job_id)
+                assert job.built
+                assert phases_built[-job.num_phases :] == [p.name for p in job.phases]
+                super().on_job_arrival(job, view)
+
+        engine = identity.build_engine(row, column, jobs_from_specs(row.specs), Watching)
+        engine.start()
+        while engine.step():
+            waiting = [*engine.events.payloads(EventKind.JOB_ARRIVAL)]
+            waiting += engine.arrivals.remaining()
+            assert not any(j.built for j in waiting)
+        assert engine.finalize().num_jobs == len(row.specs)
+        assert arrived == sorted(arrived) == list(range(len(row.specs)))
+        assert len(phases_built) == len(set(phases_built))
+        assert len(phases_built) == sum(len(s.phases) for s in row.specs)
+
     def test_burst_specs_build_no_task(self, built):
         specs = WORKLOADS["engine-100k-burst"].inputs(2022).specs
         jobs = jobs_from_specs(specs)
@@ -240,15 +306,18 @@ def _one_shot(row, column, jobs):
 
 def _resumed(row, column, jobs, cut):
     """Stepped to instant ``cut``, checkpointed, restored and drained;
-    returns the outputs and whether the cut held a task not yet built."""
+    returns the outputs, whether the cut held a task not yet built and
+    whether the restored cut holds its jobs yet to arrive unbuilt."""
     engine = identity.build_engine(row, column, jobs)
     engine.start()
     for _ in range(cut):
         assert engine.step()
     unbuilt = identity._holds_unbuilt_task(engine)
     revived = restore_bytes(checkpoint_bytes(engine)[0])
+    waiting = [*revived.events.payloads(EventKind.JOB_ARRIVAL), *revived.arrivals.remaining()]
+    unbuilt_jobs = bool(waiting) and not any(j.built for j in waiting)
     revived.drain()
-    return _outputs(revived), unbuilt
+    return _outputs(revived), unbuilt, unbuilt_jobs
 
 
 _ROWS = {"testbed": identity.paper_testbed_row, "google-synth": identity.google_synth_row}
@@ -272,7 +341,52 @@ class TestRunEquivalence:
         want, instants = _one_shot(row, column, reference.jobs_from_specs(row.specs))
         assert _one_shot(row, column, jobs_from_specs(row.specs)) == (want, instants)
         for build in (jobs_from_specs, reference.jobs_from_specs):
-            got, unbuilt = _resumed(row, column, build(row.specs), instants // 2)
+            got, unbuilt, unbuilt_jobs = _resumed(row, column, build(row.specs), instants // 2)
             assert got == want, build.__module__
-            # The lazy cut restores unbuilt slots; the eager one has none.
-            assert unbuilt is (build is jobs_from_specs)
+            # The lazy cut restores unbuilt slots, and the jobs yet to
+            # arrive unbuilt; the eager one has neither.
+            assert unbuilt is unbuilt_jobs is (build is jobs_from_specs)
+
+
+class TestNoBuildReaders:
+    """Readers of a workload's shape answer from the specs: the values
+    a build gives, and nothing built."""
+
+    def test_counts_and_workload_metrics_match_a_build(self):
+        specs = GoogleTraceGenerator(seed=9).generate(25)
+        lazy, eager = jobs_from_specs(specs), reference.jobs_from_specs(specs)
+        assert [(j.num_phases, j.num_tasks) for j in lazy] == [
+            (j.num_phases, j.num_tasks) for j in eager
+        ]
+        snapshots = []
+        for jobs in (lazy, eager):
+            obs = Observability(spans=False)
+            obs.record_workload(jobs)
+            snapshots.append(obs.to_json())
+        assert snapshots[0] == snapshots[1]
+        assert not any(j.built for j in lazy)
+
+    def test_replay_metrics_build_no_job_at_set_up(self, tmp_path, monkeypatch, capsys):
+        """``replay --metrics-out`` records the workload and builds the
+        engine without building a job, and writes the snapshot the
+        eager reference writes, byte for byte."""
+        trace = tmp_path / "trace.json"
+        save_trace(GoogleTraceGenerator(seed=3).generate(12, mean_interarrival=10.0), trace)
+        built_at_start = []
+        start = SimulationEngine.start
+
+        def watched_start(engine):
+            built_at_start.extend(j.built for j in engine.arrivals.remaining())
+            return start(engine)
+
+        monkeypatch.setattr(SimulationEngine, "start", watched_start)
+        outputs = []
+        for build in (jobs_from_specs, reference.jobs_from_specs):
+            monkeypatch.setattr(cli, "jobs_from_specs", build)
+            out = tmp_path / f"{build.__module__}.json"
+            args = ["replay", str(trace), "--cluster", "trace:40", "--metrics-out", str(out)]
+            assert cli.main(args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"repro_workload_tasks_total" in outputs[0]
+        assert built_at_start == [False] * 12 + [True] * 12

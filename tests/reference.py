@@ -18,9 +18,10 @@ against the direct forms kept here:
 * :func:`validate_dag` — phase-graph validation by depth-first search,
   an oracle independent of the Kahn's-algorithm check in ``src/``;
 * :func:`jobs_from_specs` — spec → job materialization in its eager
-  form: a fresh demand vector per phase, h(r) fitted and every task
-  built when the phase is built, and every phase graph run through
-  Kahn's sort;
+  form: every job's phase graph built with the list, where production
+  builds a job when it arrives, a fresh demand vector per phase, h(r)
+  fitted and every task built when the phase is built, and every phase
+  graph run through Kahn's sort;
 * :func:`record_for_job` — a finished job's record walked from its
   tasks' copies, where production reads the ledgers they fold into;
 * :class:`SpanTracer` — the span tracer keeping each closed span as a
@@ -292,10 +293,10 @@ def factor_rows(cap_cpu, cap_mem, slowdown):
 
 def jobs_from_specs(specs) -> list[Job]:
     """``repro.workload.google_trace.jobs_from_specs`` in its eager
-    form: one ``Resources.of`` per phase, each phase's h(r) fitted as it
-    is built, every task built with its phase, and each job's phase
-    graph run through Kahn's sort, which the index-ordered fast path of
-    ``repro.workload.dag`` skips."""
+    form: every job built with the list, one ``Resources.of`` per
+    phase, each phase's h(r) fitted as it is built, every task built
+    with its phase, and each job's phase graph run through Kahn's sort,
+    which the index-ordered fast path of ``repro.workload.dag`` skips."""
     jobs = []
     for spec in specs:
         phases = []

@@ -30,6 +30,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.engine import SimulationEngine
+from repro.sim.events import EventKind
 from repro.workload.arrivals import JsonlSource
 from repro.workload.distributions import Deterministic
 from repro.workload.google_trace import (
@@ -330,15 +331,16 @@ class TestLegacyCheckpoint:
     task and copy; v8 held per-server capacity and slowdown columns,
     the injector's saved slowdowns and a uid per copy; v9 held a
     ``Task`` for every task of every phase; v10 held the engine's
-    ``jobs`` list and queued every listed arrival at start.  Older files
-    are rejected by their format name, like a foreign file — nothing
+    ``jobs`` list and queued every listed arrival at start; v11 held
+    every job's phase graph, built before its arrival.  Older files are
+    rejected by their format name, like a foreign file — nothing
     revives them."""
 
     @pytest.mark.parametrize(
-        "old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"]
+        "old", ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11"]
     )
     def test_old_format_rejected_by_name(self, tmp_path, old):
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v11"
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v12"
         obs = Observability()
         if old == "v7":
             # v7's span store: every closed span a ``Span`` in a list.
@@ -353,8 +355,8 @@ class TestLegacyCheckpoint:
         state = payload[stream.tell():]
         name = f"repro-checkpoint-{old}"
         info = {**header["info"], "format": name}
-        if old in ("v4", "v5", "v6", "v7", "v8", "v9", "v10"):
-            # Header then state, the layout v11 kept.
+        if old in ("v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11"):
+            # Header then state, the layout v12 kept.
             blob = pickle.dumps(
                 {"format": name, "info": info, "state_bytes": len(state)}, protocol=5
             ) + state
@@ -405,6 +407,9 @@ class TestSlotState:
     def test_state_tuple_covers_every_slot_in_order(self, cls):
         slots = cls.__slots__
         values = [object() for _ in slots]
+        if cls is Job:
+            # A built job; one known by its spec holds no phases, below.
+            values[slots.index("_spec")] = None
         obj = cls.__new__(cls)
         for name, value in zip(slots, values):
             setattr(obj, name, value)
@@ -414,6 +419,21 @@ class TestSlotState:
         revived = cls.__new__(cls)
         revived.__setstate__(state)
         assert all(getattr(revived, name) is want for name, want in zip(slots, values))
+
+
+    def test_unbuilt_job_state_holds_its_spec_and_no_phases(self):
+        (spec,) = trace_specs(n=1)
+        (job,) = jobs_from_specs([spec])
+        state = job.__getstate__()
+        assert len(state) == len(Job.__slots__)
+        assert state[Job.__slots__.index("phases")] is None
+        assert state[Job.__slots__.index("_spec")] is spec
+        revived = Job.__new__(Job)
+        revived.__setstate__(state)
+        assert not revived.built and not job.built
+        assert revived.num_tasks == spec.num_tasks()
+        assert [p.name for p in revived.phases] == [p.name for p in job.phases]
+        assert revived.built and job.built
 
 
 class TestUnbuiltTasks:
@@ -463,6 +483,43 @@ class TestUnbuiltTasks:
         slots = next(v for v in state if isinstance(v, list))
         assert [None if t is None else t.index for t in slots] == [None, 1, None]
         assert built.phase is phase
+
+
+class TestUnbuiltJobs:
+    """A job is built when it arrives (DESIGN.md §5.6), so a list-fed
+    cut taken before some arrivals holds their jobs as specs, in the
+    queued arrival and in the ``StaticSource``, and v12 pickles them so."""
+
+    @staticmethod
+    def _waiting(engine) -> list:
+        return [*engine.events.payloads(EventKind.JOB_ARRIVAL), *engine.arrivals.remaining()]
+
+    def test_list_fed_cut_restores_jobs_unbuilt_and_finishes_identical(self):
+        ref = mk_engine(record_trace=True, fault_profile=FAULT_PROFILES["chaos"])
+        ref.run()
+        engine = mk_engine(record_trace=True, fault_profile=FAULT_PROFILES["chaos"])
+        engine.start()
+        engine.run_until(60.0)
+        waiting = self._waiting(engine)
+        assert engine.active_jobs and len(waiting) >= 5
+        assert not any(j.built for j in waiting)
+        payload, info = checkpoint_bytes(engine)
+        assert info.format == "repro-checkpoint-v12"
+        revived = restore_bytes(payload)
+        restored = self._waiting(revived)
+        assert [j.job_id for j in restored] == [j.job_id for j in waiting]
+        assert not any(j.built for j in restored)
+        assert all(j.built for j in revived.active_jobs.values())
+        revived.drain()
+        assert revived.finalize().deterministic() == ref.finalize().deterministic()
+        assert [d.to_json() for d in revived.trace] == [d.to_json() for d in ref.trace]
+
+    def test_unbuilt_jobs_pickle_smaller_than_built(self):
+        jobs = jobs_from_specs(trace_specs())
+        lazy = len(pickle.dumps(jobs, protocol=5))
+        for job in jobs:
+            job.build()
+        assert lazy < len(pickle.dumps(jobs, protocol=5))
 
 
 class TestMirrorEncoding:

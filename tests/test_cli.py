@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -169,6 +175,25 @@ class TestFaultFlags:
         assert rc == 0
         assert "faults_injected" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "profile, flag, value, setting",
+        [("flaky", "--copy-fail-rate", "1e300", "copy_fail_rate"),
+         ("churn", "--mtbf", "1e-300", "mtbf")],
+    )
+    def test_setting_that_stops_the_clock_exits_1_naming_it(self, profile, flag, value, setting):
+        """Each drawn interval is below the clock's resolution: the run
+        ends at the first draw, naming the setting, where it spun."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--scheduler", "dollymp2",
+             "--app", "wordcount", "--jobs", "2", "--fault-profile", profile, flag, value],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert f"ValueError: {setting}=" in proc.stderr
+        assert "does not advance the clock" in proc.stderr
+
     def test_unknown_profile_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--scheduler", "dollymp2", "--app", "wordcount",
@@ -187,6 +212,48 @@ class TestFaultFlags:
         assert rc == 0
         out = capsys.readouterr().out
         assert "bit-identical" in out
+
+
+class TestReplay:
+    """``replay`` ends in one line, naming the file, on a trace that does
+    not load or that the engine rejects when it is built."""
+
+    @staticmethod
+    def _trace(tmp_path, edit=None):
+        path = tmp_path / "trace.json"
+        assert main(["trace", "--jobs", "5", "--gap", "5", "--out", str(path)]) == 0
+        if edit is not None:
+            payload = json.loads(path.read_text())
+            edit(payload["jobs"])
+            path.write_text(json.dumps(payload))
+        return path
+
+    def test_repeated_job_id_exits_with_one_line(self, tmp_path, capsys):
+        def share_id_7(jobs):
+            jobs[0]["job_id"] = jobs[1]["job_id"] = 7
+
+        path = self._trace(tmp_path, share_id_7)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(path), "--cluster", "trace:50"])
+        assert exc.value.code == f"replay {path}: job 7: duplicate job id in this session"
+        assert "total_flowtime" not in capsys.readouterr().out
+
+    def test_spec_error_exits_with_one_line(self, tmp_path):
+        def zero_demand(jobs):
+            jobs[2]["phases"][0]["cpu"] = jobs[2]["phases"][0]["mem"] = 0.0
+
+        path = self._trace(tmp_path, zero_demand)
+        with pytest.raises(SystemExit, match=f"^replay {path}: cpu and mem must not both be zero"):
+            main(["replay", str(path)])
+
+    def test_missing_file_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SystemExit, match=f"^replay {path}: .*No such file"):
+            main(["replay", str(path)])
+
+    def test_valid_trace_runs(self, tmp_path, capsys):
+        assert main(["replay", str(self._trace(tmp_path)), "--cluster", "trace:50"]) == 0
+        assert "jobs: 5.000" in capsys.readouterr().out
 
 
 class TestServe:

@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.workload.arrivals import JsonlSource
 from repro.workload.google_trace import (
@@ -16,6 +19,7 @@ from repro.workload.google_trace import (
     save_trace,
     spec_to_dict,
 )
+from repro.workload.job import Job
 
 
 class TestSpecs:
@@ -39,6 +43,68 @@ class TestSpecs:
     def test_bad_arrival_time_rejected_by_name(self, value):
         with pytest.raises(ValueError, match="^arrival_time must be finite and non-negative"):
             TraceJobSpec(name="j", arrival_time=value)
+
+    def test_all_zero_demand_rejected_by_name(self):
+        # It failed only when the job was built (`phase tasks must demand
+        # some resource`), which is now its arrival.
+        with pytest.raises(ValueError, match="^cpu and mem must not both be zero"):
+            PhaseSpec(num_tasks=1, cpu=0, mem=0.0, theta=1.0, sigma=0.0)
+        PhaseSpec(num_tasks=1, cpu=0, mem=1e-300, theta=1.0, sigma=0.0)
+
+    def test_empty_phases_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^phases must hold at least one phase"):
+            TraceJobSpec(name="j", arrival_time=0.0, phases=())
+
+    @pytest.mark.parametrize(
+        "theta, sigma, cause",
+        [
+            (5e-324, 1.0, "x_m must be positive, got 0.0"),  # x_m underflows
+            (1.0, 1e-160, "Numerical result out of range"),  # (θ/σ)² overflows
+            (1e308, 1e-10, "x_m must be positive, got nan"),  # θ/σ overflows
+        ],
+    )
+    def test_pareto_fit_that_fails_rejected_by_name(self, theta, sigma, cause):
+        message = re.escape(f"theta={theta!r} with sigma={sigma!r} admits no Pareto fit")
+        with pytest.raises(ValueError, match=message) as exc:
+            PhaseSpec(num_tasks=1, cpu=1.0, mem=1.0, theta=theta, sigma=sigma)
+        assert cause in str(exc.value)
+
+    # Most drawn specs are rejected, by design: the edges are the point.
+    @given(st.data())
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    def test_any_spec_the_constructors_accept_builds(self, data):
+        """Whatever ``PhaseSpec`` and ``TraceJobSpec`` accept builds when
+        the job arrives, with the shapes its spec reported, so no build
+        error reaches the middle of a run.  Values run to the ends of
+        the float range, subnormals and zeros included."""
+        # One draw in four is an edge of the float range.
+        edges = st.sampled_from([0.0, 5e-324, 1e-320, 1e-160, 1e308])
+        value = st.one_of(*[st.floats(0.0, 1e300)] * 3, edges)
+        rows = [
+            (
+                data.draw(st.integers(1, 3)),
+                data.draw(value),
+                data.draw(value),
+                data.draw(value),
+                data.draw(value),
+                data.draw(st.lists(st.integers(0, k - 1), max_size=2) if k else st.just([])),
+            )
+            for k in range(data.draw(st.integers(1, 3)))
+        ]
+        try:
+            spec = TraceJobSpec(
+                "j", 0.0, tuple(PhaseSpec(*row) for row in rows), job_id=0
+            )
+        except ValueError:
+            assume(False)
+        job = Job.from_spec(spec)
+        unbuilt = [(s.num_tasks, s.cpu, s.mem) for s in job.phase_shapes()]
+        phases = job.build()
+        assert [(p.num_tasks, p.demand.cpu, p.demand.mem) for p in phases] == unbuilt
+        assert job.num_tasks == spec.num_tasks()
+        assert all(p.distribution.mean > 0 for p in phases)
 
     def test_job_spec_task_count(self):
         spec = TraceJobSpec(
@@ -111,6 +177,15 @@ class TestMaterialization:
             for ps, phase in zip(spec.phases, job.phases):
                 assert phase.theta == pytest.approx(ps.theta, rel=1e-9)
                 assert phase.sigma == pytest.approx(ps.sigma, rel=1e-9)
+
+    def test_jobs_are_built_on_first_read_of_their_phases(self):
+        specs = GoogleTraceGenerator(seed=4).generate(3)
+        jobs = jobs_from_specs(specs)
+        assert not any(j.built for j in jobs)
+        phases = jobs[1].phases
+        assert jobs[1].built and jobs[1].phases is phases
+        assert all(p.job is jobs[1] for p in phases)
+        assert not jobs[0].built and not jobs[2].built
 
     def test_deterministic_phase_when_sigma_zero(self):
         spec = TraceJobSpec(
@@ -215,6 +290,12 @@ class TestJsonlErrors:
         src = JsonlSource(self.lines(**{name: True}))
         assert src.take().job_id == 0
         with pytest.raises(ValueError, match=f"^JSONL line 1: {name} must be a number, got True"):
+            src.take()
+
+    def test_all_zero_demand_names_line_and_field(self):
+        src = JsonlSource(self.lines(cpu=0.0, mem=0))
+        assert src.take().job_id == 0
+        with pytest.raises(ValueError, match="^JSONL line 1: cpu and mem must not both be zero"):
             src.take()
 
     def test_undecodable_line_named(self):

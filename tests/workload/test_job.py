@@ -1,10 +1,13 @@
 """Unit tests for DAG jobs: readiness, progress, metrics, Eqs. 14–17."""
 
+import pickle
+
 import pytest
 
 from repro.resources import Resources
 from repro.workload.distributions import Deterministic, ParetoType1
-from repro.workload.job import Job
+from repro.workload.google_trace import PhaseSpec, TraceJobSpec
+from repro.workload.job import Job, PhaseShape
 from repro.workload.phase import Phase
 from repro.workload.task import TaskCopy
 from tests.conftest import (
@@ -52,6 +55,58 @@ class TestConstruction:
         job = make_chain_job(3, 4)
         assert job.num_phases == 3
         assert job.num_tasks == 12
+
+
+class TestBuiltFromSpec:
+    """A job made from its spec holds the spec until the first read of
+    ``phases`` builds the graph (DESIGN.md §5.6)."""
+
+    SPEC = TraceJobSpec(
+        "spec-job",
+        3.0,
+        (
+            PhaseSpec(4, 1, 2.0, 10.0, 5.0),
+            PhaseSpec(2, 0.5, 0, 6.0, 0.0, parents=(0,)),
+        ),
+        job_id=12,
+    )
+
+    def test_answers_without_building(self):
+        job = Job.from_spec(self.SPEC)
+        assert (job.job_id, job.name, job.arrival_time) == (12, "spec-job", 3.0)
+        assert (job.num_phases, job.num_tasks) == (2, 6)
+        assert job.phase_shapes() is self.SPEC.phases
+        assert not job.released and job.finish_time is None
+        assert "tasks=6" in repr(job)
+        assert not job.built
+
+    def test_first_read_builds_once_and_keeps_the_graph(self):
+        job = Job.from_spec(self.SPEC)
+        phases = job.phases
+        assert job.built and job.phases is phases and job.build() is phases
+        assert [p.name for p in phases] == ["spec-job-p0", "spec-job-p1"]
+        assert all(p.job is job for p in phases)
+        assert job.phase_shapes() == [PhaseShape(4, 1.0, 2.0), PhaseShape(2, 0.5, 0.0)]
+        assert (job.num_phases, job.num_tasks) == (2, 6)
+
+    def test_pickles_as_its_spec_until_built(self):
+        revived = pickle.loads(pickle.dumps(Job.from_spec(self.SPEC), protocol=5))
+        assert not revived.built and revived.phase_shapes() == self.SPEC.phases
+        assert [p.num_tasks for p in revived.phases] == [4, 2]
+        twice = pickle.loads(pickle.dumps(revived, protocol=5))
+        assert twice.built and [p.name for p in twice.phases] == ["spec-job-p0", "spec-job-p1"]
+
+    def test_shared_demand_map_shares_vectors(self):
+        demands: dict = {}
+        a, b = (Job.from_spec(self.SPEC, demands) for _ in range(2))
+        assert [p.demand for p in a.phases] == [p.demand for p in b.phases]
+        assert all(p.demand is q.demand for p, q in zip(a.phases, b.phases))
+
+    def test_other_missing_attributes_still_raise(self):
+        job = Job.from_spec(self.SPEC)
+        with pytest.raises(AttributeError, match="no attribute 'tasks'"):
+            job.tasks  # noqa: B018
+        assert not job.built
 
 
 class TestReadiness:
